@@ -42,14 +42,11 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import (
-    DISABLED,
-    EquivocationTargets,
     InnerSample,
     SemanticSourceGaussian,
     WiretapChannelGaussian,
     converse_equivocation_caps,
     converse_min_r,
-    converse_surface,
     draw_inner_samples,
     gaussian_rdf_joint,
     gaussian_rdf_obs,
@@ -87,7 +84,15 @@ from .rdf import (
     rdf_semantic_case1,
     rdf_semantic_case2,
 )
-from .regions import EquivocationCaps, MinRateResult, RegionSurface, TradeoffCurve
+from .regions import (
+    DISABLED,
+    EquivocationCaps,
+    EquivocationTargets,
+    MinRateResult,
+    RegionSurface,
+    TradeoffCurve,
+    converse_surface,
+)
 from .verify import run_verification
 
 __version__ = "1.0.0"
@@ -107,14 +112,15 @@ __all__ = [
     "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
     "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2",
     "brute_force_rdf", "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
-    # shared result types
-    "EquivocationCaps", "MinRateResult", "RegionSurface", "TradeoffCurve",
+    # targets, shared result types and the converse surface
+    "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
+    "RegionSurface", "TradeoffCurve", "converse_surface",
     # Gaussian model
-    "SemanticSourceGaussian", "WiretapChannelGaussian", "EquivocationTargets",
-    "InnerSample", "DISABLED", "gaussian_rdf_obs", "gaussian_rdf_sem",
-    "gaussian_rdf_joint", "secrecy_term", "converse_equivocation_caps",
-    "converse_min_r", "converse_surface", "sample_sigma1", "sample_sigma2",
-    "inner_min_r", "inner_bound_scan", "draw_inner_samples",
+    "SemanticSourceGaussian", "WiretapChannelGaussian", "InnerSample",
+    "gaussian_rdf_obs", "gaussian_rdf_sem", "gaussian_rdf_joint",
+    "secrecy_term", "converse_equivocation_caps", "converse_min_r",
+    "sample_sigma1", "sample_sigma2", "inner_min_r", "inner_bound_scan",
+    "draw_inner_samples",
     # binary model
     "SemanticSourceBinary", "WiretapChannelBinary", "binary_secrecy_term",
     "binary_converse_caps", "binary_min_r", "delta_s_curve",

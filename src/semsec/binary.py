@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .info import binary_entropy, star
 from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
-from .regions import EquivocationCaps, MinRateResult, TradeoffCurve
-from .gaussian import DISABLED, EquivocationTargets
+from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
+                      equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceBinary",
@@ -97,12 +97,26 @@ def binary_secrecy_term(ch: WiretapChannelBinary, gamma: float) -> float:
     return float(binary_entropy(p_z) - binary_entropy(p_y))
 
 
-def _resolve_gamma2(case: int, gamma2: float | None) -> float:
-    if case == 1:
-        if gamma2 is not None and gamma2 != 0.0:
-            raise DomainError("case 1 fixes the observation-side gamma at 0")
-        return 0.0
-    return 0.0 if gamma2 is None else gamma2
+def _components(src, target_s, target_u, case, gamma1, gamma2):
+    """Joint RDF and the (name, entropy, RDF, gamma) converse components.
+
+    The observation component uses the conditional entropy H_b(alpha).
+    """
+    if case == 1 and gamma2 not in (None, 0.0):
+        raise DomainError("case 1 fixes the observation-side gamma at 0")
+    r_s = binary_rdf_sem(src.alpha, target_s, case)
+    if math.isinf(r_s):
+        raise InfeasibleError(
+            f"restricted encoder cannot reach semantic distortion {target_s} "
+            f"< alpha {src.alpha}"
+        )
+    r_u = binary_rdf_obs(src.alpha, target_u)
+    r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
+    return r_j, (
+        ("delta_s", 1.0, r_s, gamma1),
+        ("delta_u", src.h_alpha, r_u, 0.0 if gamma2 is None else gamma2),
+        ("delta_su", src.h_alpha + 1.0, r_j, 0.0),
+    )
 
 
 def binary_converse_caps(
@@ -123,26 +137,10 @@ def binary_converse_caps(
     additionally clamped at the unconditional entropy of its component —
     1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
     """
-    if r < 0.0:
-        raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
-    if R_k < 0.0:
-        raise DomainError(f"key rate must be nonnegative, got {R_k}")
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    gamma2 = _resolve_gamma2(case, gamma2)
-    r_s = binary_rdf_sem(src.alpha, target_s, case)
-    if math.isinf(r_s):
-        raise InfeasibleError(
-            f"restricted encoder cannot reach semantic distortion {target_s} "
-            f"< alpha {src.alpha}"
-        )
-    r_u = binary_rdf_obs(src.alpha, target_u)
-    r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
-    raw_s = R_k + r * binary_secrecy_term(ch, gamma1) + 1.0 - r_s
-    raw_u = R_k + r * binary_secrecy_term(ch, gamma2) + src.h_alpha - r_u
-    raw_su = R_k + r * binary_secrecy_term(ch, 0.0) + src.h_alpha + 1.0 - r_j
-    return EquivocationCaps.from_raw(
-        raw_s, raw_u, raw_su, src.h_s, src.h_u, src.h_su
+    _, comps = _components(src, target_s, target_u, case, gamma1, gamma2)
+    return equivocation_caps(
+        comps, r, R_k, lambda gamma: binary_secrecy_term(ch, gamma),
+        (src.h_s, src.h_u, src.h_su),
     )
 
 
@@ -161,44 +159,13 @@ def binary_min_r(
     Maximum of the joint-RDF-over-capacity bound and the secrecy-driven
     bound of every enabled equivocation target not already met at r = 0.
     """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    gamma2 = _resolve_gamma2(case, gamma2)
     try:
-        r_s = binary_rdf_sem(src.alpha, target_s, case)
-        if math.isinf(r_s):
-            raise InfeasibleError(
-                f"restricted encoder cannot reach semantic distortion {target_s} "
-                f"< alpha {src.alpha}"
-            )
-        r_u = binary_rdf_obs(src.alpha, target_u)
-        r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
+        r_j, comps = _components(src, target_s, target_u, case, gamma1, gamma2)
     except InfeasibleError as exc:
         return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    cap = ch.capacity_main
-    if r_j > 0.0 and cap <= 0.0:
-        return MinRateResult(None, False, reason="rate_infeasible")
-    r_min = r_j / cap if r_j > 0.0 else 0.0
-    binding = "rate"
-    components = (
-        ("delta_s", targets.delta_s, 1.0, r_s, gamma1),
-        ("delta_u", targets.delta_u, src.h_alpha, r_u, gamma2),
-        ("delta_su", targets.delta_su, src.h_alpha + 1.0, r_j, 0.0),
+    return min_ratio(
+        r_j, ch.capacity_main, comps, targets, lambda gamma: binary_secrecy_term(ch, gamma)
     )
-    for name, tgt, h_term, rdf, gamma in components:
-        if tgt == DISABLED:
-            continue
-        need = tgt - (targets.R_k + h_term - rdf)
-        if need <= 0.0:
-            continue
-        slope = binary_secrecy_term(ch, gamma)
-        if slope <= 0.0:
-            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
-        cand = need / slope
-        if cand > r_min:
-            r_min = cand
-            binding = name
-    return MinRateResult(r_min, True, binding=binding)
 
 
 def delta_s_curve(
@@ -207,17 +174,16 @@ def delta_s_curve(
     r: float,
     R_k: float = 0.0,
     case: int = 1,
-    d_s_grid: Sequence[float] | None = None,
+    d_s_grid: int | Sequence[float] = 200,
     gamma1: float = 0.0,
-    metadata: dict | None = None,
 ) -> TradeoffCurve:
     """Semantic equivocation cap as a function of the distortion budget.
 
     Sweeps D_s at fixed (r, R_k); the raw cap rises with D_s until it hits
     the one-bit entropy ceiling at the saturation distortion, beyond which
-    the clamped curve is exactly flat. The default grid spans the feasible
-    range for the requested case (starting just above alpha for the
-    restricted encoder) with 200 points.
+    the clamped curve is exactly flat. An integer ``d_s_grid`` is a point
+    count spanning the feasible range for the requested case (starting just
+    above alpha for the restricted encoder) up to 1/2.
     """
     if r < 0.0:
         raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
@@ -225,9 +191,9 @@ def delta_s_curve(
         raise DomainError(f"key rate must be nonnegative, got {R_k}")
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
-    if d_s_grid is None:
+    if isinstance(d_s_grid, int):
         lo = src.alpha + 1e-4 if case == 1 else 1e-4
-        d_s_grid = np.linspace(lo, 0.5, 200)
+        d_s_grid = np.linspace(lo, 0.5, d_s_grid)
     grid = np.asarray(d_s_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
         raise DomainError("D_s grid must be one-dimensional and strictly increasing")
@@ -245,23 +211,10 @@ def delta_s_curve(
     capped = raw > 1.0
     star_idx = np.flatnonzero(capped)
     d_s_star = float(grid[star_idx[0]]) if star_idx.size else None
-    meta = {
-        "kind": "delta_s_curve",
-        "case": case,
-        "r": r,
-        "R_k": R_k,
-        "gamma1": gamma1,
-        "alpha": src.alpha,
-        "eps1": ch.eps1,
-        "eps2": ch.eps2,
-    }
-    if metadata:
-        meta.update(metadata)
     return TradeoffCurve(
         d_s=grid,
         delta_s_max=clamped,
         raw=raw,
         capped=capped,
         d_s_star=d_s_star,
-        metadata=meta,
     )

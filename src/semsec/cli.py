@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary import binary_min_r, delta_s_curve
+from .binary import delta_s_curve
 from .config import (
     RunConfig,
     build_channel,
@@ -43,17 +43,17 @@ from .config import (
 )
 from .errors import DomainError, InfeasibleError, SamplerStarvationError, ValidationError
 from .gaussian import (
-    converse_min_r,
     gaussian_rdf_joint,
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     inner_bound_scan,
 )
 from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
+from .regions import converse_surface
 from .verify import run_verification
 
-ARTIFACT_MARKER = "# semsec-artifact v1"
-SURFACE_COLUMNS = ("case", "D_s", "D_u", "r_min", "feasible", "capped", "samples")
+ARTIFACT_MARKER = "# semsec-artifact v2"
+SURFACE_COLUMNS = ("case", "D_s", "D_u", "r_min", "feasible", "samples")
 CURVE_COLUMNS = ("D_s", "delta_s_max", "capped")
 
 
@@ -67,18 +67,18 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _render_csv(columns, rows, cfg: RunConfig) -> str:
-    lines = [
-        ARTIFACT_MARKER,
-        f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
+    """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``."""
+    if fmt != "json":
+        lines = [
+            ARTIFACT_MARKER,
+            f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
+            ",".join(columns),
+        ]
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
+        return "\n".join(lines) + "\n"
 
-
-def _render_json(columns, rows, cfg: RunConfig, metadata=None) -> str:
     def clean(v):
         if v is None:
             return None
@@ -98,6 +98,16 @@ def _render_json(columns, rows, cfg: RunConfig, metadata=None) -> str:
     if metadata:
         payload["metadata"] = _encode(metadata)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None) -> str:
+    """One surface artifact from a {case: RegionSurface} mapping."""
+    rows = [
+        (case, row["D_s"], row["D_u"], row["value"], row["feasible"], row["samples"])
+        for case, surface in surfaces.items()
+        for row in surface.rows()
+    ]
+    return _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -160,41 +170,20 @@ def _resolve_config(args, subcommand: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _grid_pair(cfg: RunConfig, src):
-    if cfg.model == "gaussian":
-        hi_s, hi_u = src.P_s, src.P_u
-    else:
-        hi_s = hi_u = 0.5
-    return (
-        resolve_distortion_grid(cfg.d_s_grid, hi_s),
-        resolve_distortion_grid(cfg.d_u_grid, hi_u),
-    )
-
-
 def _cmd_converse(args) -> int:
     cfg = _resolve_config(args, "converse")
     src = build_source(cfg)
     ch = build_channel(cfg)
-    d_s_grid, d_u_grid = _grid_pair(cfg, src)
+    hi_s, hi_u = (src.P_s, src.P_u) if cfg.model == "gaussian" else (0.5, 0.5)
+    d_s_grid = resolve_distortion_grid(cfg.d_s_grid, hi_s)
+    d_u_grid = resolve_distortion_grid(cfg.d_u_grid, hi_u)
     targets = cfg.targets()
-    rows = []
-    any_feasible = False
-    for case in cfg.cases:
-        for d_s in d_s_grid:
-            for d_u in d_u_grid:
-                if cfg.model == "gaussian":
-                    res = converse_min_r(src, ch, float(d_s), float(d_u), targets, case=case)
-                else:
-                    res = binary_min_r(src, ch, float(d_s), float(d_u), targets, case=case)
-                any_feasible |= res.feasible
-                rows.append((
-                    case, float(d_s), float(d_u),
-                    res.r_min if res.feasible else None,
-                    res.feasible, False, 0,
-                ))
-    render = _render_json if args.format == "json" else _render_csv
-    _emit(render(SURFACE_COLUMNS, rows, cfg), args.out)
-    if not any_feasible:
+    surfaces = {
+        case: converse_surface(src, ch, targets, case, d_s_grid, d_u_grid)
+        for case in cfg.cases
+    }
+    _emit(_render_surfaces(surfaces, cfg, args.format), args.out)
+    if not any(surface.feasible.any() for surface in surfaces.values()):
         print("no feasible cell on the requested grid", file=sys.stderr)
         return 3
     return 0
@@ -204,43 +193,19 @@ def _cmd_inner(args) -> int:
     cfg = _resolve_config(args, "inner")
     src = build_source(cfg)
     ch = build_channel(cfg)
-
-    def edges(grid, hi, name):
-        if isinstance(grid, int) and not isinstance(grid, bool):
-            return np.linspace(0.0, hi, grid + 1)
+    counts = (cfg.d_s_grid, cfg.d_u_grid)
+    if not all(isinstance(n, int) for n in counts):
         raise ValidationError([
-            f"{name}: the inner-bound scan needs an integer bucket count"
+            "d_s_grid, d_u_grid: the inner-bound scan needs integer bucket counts"
         ])
-
-    grid = (
-        edges(cfg.d_s_grid, src.P_s, "d_s_grid"),
-        edges(cfg.d_u_grid, src.P_u, "d_u_grid"),
-    )
     targets = cfg.targets()
-    rows = []
-    total_accepted = 0
-    metadata = {}
-    for case in cfg.cases:
-        surface = inner_bound_scan(
-            src, ch, targets, case, cfg.samples, cfg.seed, grid=grid
-        )
-        total_accepted += surface.metadata["accepted"]
-        metadata[f"case{case}"] = {
-            "accepted": surface.metadata["accepted"],
-            "discard_reasons": surface.metadata["discard_reasons"],
-        }
-        for row in surface.rows():
-            rows.append((
-                case, row["D_s"], row["D_u"],
-                row["value"] if row["feasible"] else None,
-                row["feasible"], row["capped"], row["samples"],
-            ))
-    if args.format == "json":
-        text = _render_json(SURFACE_COLUMNS, rows, cfg, metadata=metadata)
-    else:
-        text = _render_csv(SURFACE_COLUMNS, rows, cfg)
-    _emit(text, args.out)
-    if total_accepted == 0:
+    surfaces = {
+        case: inner_bound_scan(src, ch, targets, case, cfg.samples, cfg.seed, grid=counts)
+        for case in cfg.cases
+    }
+    metadata = {f"case{case}": surface.metadata for case, surface in surfaces.items()}
+    _emit(_render_surfaces(surfaces, cfg, args.format, metadata), args.out)
+    if not any(surface.metadata["accepted"] for surface in surfaces.values()):
         print("no draw satisfied the requested targets", file=sys.stderr)
         return 3
     return 0
@@ -252,20 +217,18 @@ def _cmd_curve(args) -> int:
     ch = build_channel(cfg)
     variants = [(case, r_k) for case in cfg.cases for r_k in cfg.key_rates()]
     multi = len(variants) > 1
+    if isinstance(cfg.d_s_grid, int):
+        grid = cfg.d_s_grid
+    else:
+        grid = resolve_distortion_grid(cfg.d_s_grid, 0.5)
     for case, r_k in variants:
-        if isinstance(cfg.d_s_grid, int) and not isinstance(cfg.d_s_grid, bool):
-            lo = src.alpha + 1e-4 if case == 1 else 1e-4
-            grid = np.linspace(lo, 0.5, cfg.d_s_grid)
-        else:
-            grid = resolve_distortion_grid(cfg.d_s_grid, 0.5)
         curve = delta_s_curve(
             src, ch, r=cfg.r, R_k=r_k, case=case, d_s_grid=grid
         )
         rows = [
             (row["D_s"], row["delta_s_max"], row["capped"]) for row in curve.rows()
         ]
-        render = _render_json if args.format == "json" else _render_csv
-        text = render(CURVE_COLUMNS, rows, cfg)
+        text = _render(CURVE_COLUMNS, rows, cfg, args.format)
         if args.out is None:
             if multi:
                 sys.stdout.write(f"# variant case={case} R_k={r_k:g}\n")
@@ -299,8 +262,7 @@ def _cmd_rdf(args) -> int:
             rows.append((case, d_s, d_u, True, r_s, r_u, r_j))
         except InfeasibleError:
             rows.append((case, d_s, d_u, False, None, None, None))
-    render = _render_json if args.format == "json" else _render_csv
-    _emit(render(columns, rows, cfg), args.out)
+    _emit(_render(columns, rows, cfg, args.format), args.out)
     if not any(row[3] for row in rows):
         return 3
     return 0

@@ -21,12 +21,8 @@ import numpy as np
 
 from .binary import SemanticSourceBinary, WiretapChannelBinary
 from .errors import DomainError, ValidationError
-from .gaussian import (
-    DISABLED,
-    EquivocationTargets,
-    SemanticSourceGaussian,
-    WiretapChannelGaussian,
-)
+from .gaussian import SemanticSourceGaussian, WiretapChannelGaussian
+from .regions import DISABLED, EquivocationTargets
 
 __all__ = [
     "RunConfig",
@@ -37,7 +33,6 @@ __all__ = [
     "preset_names",
     "build_source",
     "build_channel",
-    "build_targets",
     "resolve_distortion_grid",
 ]
 
@@ -48,7 +43,6 @@ BINARY_CHANNEL_DEFAULT = {"eps1": 0.1, "eps2": 0.3}
 
 _MODELS = ("gaussian", "binary")
 _MODES = ("converse", "inner", "curve")
-_BETA_POLICIES = ("fixed", "sweep")
 
 
 @dataclass(frozen=True)
@@ -74,12 +68,10 @@ class RunConfig:
     R_k: float = 0.0
     d_s_grid: Any = 40
     d_u_grid: Any = 40
-    d_u: float | None = None
     r: float = 1.0
     R_k_values: tuple[float, ...] | None = None
     samples: int = 100_000
     seed: int = 2024
-    beta_policy: str = "fixed"
     name: str | None = None
 
     def __post_init__(self):
@@ -161,10 +153,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"mode: must be one of {_MODES}, got {cfg.mode!r}")
     if not cfg.cases or any(c not in (1, 2) for c in cfg.cases):
         problems.append(f"cases: must be a nonempty subset of (1, 2), got {cfg.cases}")
-    if cfg.beta_policy not in _BETA_POLICIES:
-        problems.append(
-            f"beta_policy: must be one of {_BETA_POLICIES}, got {cfg.beta_policy!r}"
-        )
     for key, val in dict(cfg.source).items():
         _check_number(problems, f"source.{key}", val)
     for key, val in dict(cfg.channel).items():
@@ -194,10 +182,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             _check_number(problems, f"R_k_values[{i}]", val, minimum=0.0)
     _check_grid(problems, "d_s_grid", cfg.d_s_grid)
     _check_grid(problems, "d_u_grid", cfg.d_u_grid)
-    if cfg.d_u is not None:
-        _check_number(problems, "d_u", cfg.d_u)
-        if isinstance(cfg.d_u, (int, float)) and not cfg.d_u > 0:
-            problems.append(f"d_u: must be positive, got {cfg.d_u}")
     _check_number(problems, "r", cfg.r, minimum=0.0)
     if not isinstance(cfg.samples, int) or cfg.samples < 1:
         problems.append(f"samples: must be a positive integer, got {cfg.samples!r}")
@@ -231,10 +215,6 @@ def build_channel(cfg: RunConfig):
         return WiretapChannelGaussian(**params)
     params = {**BINARY_CHANNEL_DEFAULT, **cfg.channel}
     return WiretapChannelBinary(**params)
-
-
-def build_targets(cfg: RunConfig, R_k: float | None = None) -> EquivocationTargets:
-    return cfg.targets(R_k)
 
 
 def resolve_distortion_grid(grid: Any, hi_default: float) -> np.ndarray:
@@ -374,7 +354,6 @@ def _preset_binary_tradeoff_fig5() -> RunConfig:
         mode="curve",
         cases=(1, 2),
         r=1.0,
-        d_u=0.25,
         d_s_grid=200,
         R_k_values=(0.0, 0.1),
         name="binary-tradeoff-fig5",

@@ -25,21 +25,19 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, SamplerStarvationError
 from .info import LN2, TWO_PI_E, CovMatrix
-from .regions import EquivocationCaps, MinRateResult, RegionSurface
+from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
+                      RegionSurface, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
     "WiretapChannelGaussian",
-    "EquivocationTargets",
     "InnerSample",
-    "DISABLED",
     "gaussian_rdf_obs",
     "gaussian_rdf_sem",
     "gaussian_rdf_joint",
     "secrecy_term",
     "converse_equivocation_caps",
     "converse_min_r",
-    "converse_surface",
     "sample_sigma1",
     "sample_sigma2",
     "inner_min_r",
@@ -52,9 +50,6 @@ __all__ = [
 
 _TOL = 1e-9
 _TINY = 1e-300
-
-#: Sentinel for a disabled equivocation target.
-DISABLED = float("-inf")
 
 SIGMA1_LABELS = ("S", "U", "Sc", "Sp", "Uc", "Up")
 SIGMA2_LABELS = ("Wc", "Wu", "Qs", "Qu", "X", "Y", "Z")
@@ -161,41 +156,6 @@ class WiretapChannelGaussian:
 
 
 @dataclass(frozen=True)
-class EquivocationTargets:
-    """Secrecy thresholds (bits) plus the shared-key rate.
-
-    A target of ``-inf`` (the :data:`DISABLED` sentinel) disables that
-    constraint entirely; finite targets may be negative (differential
-    equivocations can be). ``+inf`` and NaN are rejected.
-    """
-
-    delta_s: float
-    delta_u: float
-    delta_su: float
-    R_k: float = 0.0
-
-    def __post_init__(self):
-        for name, val in (("delta_s", self.delta_s), ("delta_u", self.delta_u),
-                          ("delta_su", self.delta_su)):
-            if math.isnan(val) or val == float("inf"):
-                raise DomainError(f"{name} must be finite or -inf, got {val}")
-        if math.isnan(self.R_k) or not (0.0 <= self.R_k < float("inf")):
-            raise DomainError(f"R_k must be finite and nonnegative, got {self.R_k}")
-
-    @classmethod
-    def no_secrecy(cls, R_k: float = 0.0) -> "EquivocationTargets":
-        return cls(DISABLED, DISABLED, DISABLED, R_k)
-
-    def active(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, val in (("delta_s", self.delta_s), ("delta_u", self.delta_u),
-                              ("delta_su", self.delta_su))
-            if val != DISABLED
-        )
-
-
-@dataclass(frozen=True)
 class InnerSample:
     """One Monte-Carlo draw of the inner-bound auxiliary structure."""
 
@@ -204,9 +164,6 @@ class InnerSample:
     case: int
     d_s: float
     d_u: float
-    r_min: float | None = None
-    feasible: bool | None = None
-    reason: str | None = None
 
     @classmethod
     def from_covariances(cls, sigma1: CovMatrix, sigma2: CovMatrix, case: int) -> "InnerSample":
@@ -316,12 +273,18 @@ def secrecy_term(ch: WiretapChannelGaussian, beta: float) -> float:
     )
 
 
-def _resolve_beta2(case: int, beta2: float | None) -> float:
-    if case == 1:
-        if beta2 is not None and beta2 != 1.0:
-            raise DomainError("case 1 fixes the observation-side beta at 1")
-        return 1.0
-    return 1.0 if beta2 is None else beta2
+def _components(src, target_s, target_u, case, beta1, beta2):
+    """Joint RDF and the (name, entropy, RDF, beta) converse components."""
+    if case == 1 and beta2 not in (None, 1.0):
+        raise DomainError("case 1 fixes the observation-side beta at 1")
+    r_s = gaussian_rdf_sem(src, target_s, case)
+    r_u = gaussian_rdf_obs(src, target_u)
+    r_j = gaussian_rdf_joint(src, target_s, target_u, case)
+    return r_j, (
+        ("delta_s", src.h_s, r_s, beta1),
+        ("delta_u", src.h_u, r_u, 1.0 if beta2 is None else beta2),
+        ("delta_su", src.h_su, r_j, 1.0),
+    )
 
 
 def converse_equivocation_caps(
@@ -343,20 +306,10 @@ def converse_equivocation_caps(
     :class:`EquivocationCaps` for both values and the clamp flags).
     Infeasible distortions propagate as :class:`InfeasibleError`.
     """
-    if r < 0.0:
-        raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
-    if R_k < 0.0:
-        raise DomainError(f"key rate must be nonnegative, got {R_k}")
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    beta2 = _resolve_beta2(case, beta2)
-    r_s = gaussian_rdf_sem(src, target_s, case)
-    r_u = gaussian_rdf_obs(src, target_u)
-    r_j = gaussian_rdf_joint(src, target_s, target_u, case)
-    raw_s = R_k + r * secrecy_term(ch, beta1) + src.h_s - r_s
-    raw_u = R_k + r * secrecy_term(ch, beta2) + src.h_u - r_u
-    raw_su = R_k + r * secrecy_term(ch, 1.0) + src.h_su - r_j
-    return EquivocationCaps.from_raw(raw_s, raw_u, raw_su, src.h_s, src.h_u, src.h_su)
+    _, comps = _components(src, target_s, target_u, case, beta1, beta2)
+    return equivocation_caps(
+        comps, r, R_k, lambda beta: secrecy_term(ch, beta), (src.h_s, src.h_u, src.h_su)
+    )
 
 
 def converse_min_r(
@@ -376,81 +329,11 @@ def converse_min_r(
     r = 0, the secrecy-driven bound. Infeasible when an unmet target has a
     zero secrecy slope, or when the distortion pair itself is infeasible.
     """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    beta2 = _resolve_beta2(case, beta2)
     try:
-        r_s = gaussian_rdf_sem(src, target_s, case)
-        r_u = gaussian_rdf_obs(src, target_u)
-        r_j = gaussian_rdf_joint(src, target_s, target_u, case)
+        r_j, comps = _components(src, target_s, target_u, case, beta1, beta2)
     except InfeasibleError as exc:
         return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    r_min = r_j / ch.capacity_main
-    binding = "rate"
-    components = (
-        ("delta_s", targets.delta_s, src.h_s, r_s, beta1),
-        ("delta_u", targets.delta_u, src.h_u, r_u, beta2),
-        ("delta_su", targets.delta_su, src.h_su, r_j, 1.0),
-    )
-    for name, tgt, h_comp, rdf, beta in components:
-        if tgt == DISABLED:
-            continue
-        need = tgt - (targets.R_k + h_comp - rdf)
-        if need <= 0.0:
-            continue  # already met at r = 0
-        slope = secrecy_term(ch, beta)
-        if slope <= 0.0:
-            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
-        cand = need / slope
-        if cand > r_min:
-            r_min = cand
-            binding = name
-    return MinRateResult(r_min, True, binding=binding)
-
-
-def converse_surface(
-    src: SemanticSourceGaussian,
-    ch: WiretapChannelGaussian,
-    targets: EquivocationTargets,
-    case: int,
-    d_s_grid: Sequence[float],
-    d_u_grid: Sequence[float],
-    beta1: float = 1.0,
-    beta2: float | None = None,
-    metadata: dict | None = None,
-) -> RegionSurface:
-    """Evaluate :func:`converse_min_r` over a (D_s, D_u) grid."""
-    d_s_grid = np.asarray(d_s_grid, dtype=float)
-    d_u_grid = np.asarray(d_u_grid, dtype=float)
-    shape = (len(d_s_grid), len(d_u_grid))
-    values = np.full(shape, np.nan)
-    feasible = np.zeros(shape, dtype=bool)
-    for i, d_s in enumerate(d_s_grid):
-        for j, d_u in enumerate(d_u_grid):
-            res = converse_min_r(src, ch, float(d_s), float(d_u), targets, beta1, beta2, case)
-            if res.feasible:
-                values[i, j] = res.r_min
-                feasible[i, j] = True
-    meta = {
-        "kind": "converse",
-        "case": case,
-        "targets": {
-            "delta_s": targets.delta_s,
-            "delta_u": targets.delta_u,
-            "delta_su": targets.delta_su,
-            "R_k": targets.R_k,
-        },
-    }
-    if metadata:
-        meta.update(metadata)
-    return RegionSurface(
-        axes={"D_s": d_s_grid, "D_u": d_u_grid},
-        values=values,
-        feasible=feasible,
-        capped=np.zeros(shape, dtype=bool),
-        samples=np.zeros(shape, dtype=int),
-        metadata=meta,
-    )
+    return min_ratio(r_j, ch.capacity_main, comps, targets, lambda beta: secrecy_term(ch, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +707,19 @@ def _sound_regime_mask(
     return mask, reason
 
 
+def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
+                  src: SemanticSourceGaussian):
+    """(r, accepted, reason_code) of draws both feasible and in the sound
+    regime; r is NaN where a draw is discarded, and a feasibility reason
+    takes precedence over an unsound-regime one."""
+    sound, sound_reason = _sound_regime_mask(t, targets, src)
+    r, feas, reason = _inner_min_r_batch(t, targets, (src.h_s, src.h_u, src.h_su))
+    first = (sound_reason != 0) & (reason == 0)
+    reason[first] = sound_reason[first]
+    accepted = feas & sound
+    return np.where(accepted, r, np.nan), accepted, reason
+
+
 def inner_min_r(
     sample: InnerSample,
     targets: EquivocationTargets,
@@ -834,7 +730,8 @@ def inner_min_r(
     The full inequality system is piecewise linear in r and solved exactly;
     structurally infeasible draws (for example the r-free public-layer
     constraint failing) come back infeasible with a reason code naming the
-    violated constraint.
+    violated constraint. Draws outside the sound regime of an active target
+    are discarded exactly as :func:`draw_inner_samples` discards them.
     """
     if case is None:
         case = sample.case
@@ -844,8 +741,8 @@ def inner_min_r(
         raise DomainError("the inner bound is evaluated for zero key rate only")
     t = _inner_terms(sample.sigma1.entries[None], sample.sigma2.entries[None], case)
     src = _source_from_sigma1(sample.sigma1)
-    r, feas, reason = _inner_min_r_batch(t, targets, (src.h_s, src.h_u, src.h_su))
-    if feas[0]:
+    r, accepted, reason = _accept_draws(t, targets, src)
+    if accepted[0]:
         return MinRateResult(float(r[0]), True)
     return MinRateResult(None, False, reason=REASON_NAMES[int(reason[0])])
 
@@ -895,16 +792,10 @@ def draw_inner_samples(
                 f"rejected {rejections} draws (budget {_REJECTION_BUDGET})"
             )
         t = _inner_terms(s1, s2, case)
-        sound, sound_reason = _sound_regime_mask(t, targets, src)
-        r, feas, reason = _inner_min_r_batch(
-            t, targets, (src.h_s, src.h_u, src.h_su)
-        )
-        reason = reason.copy()
-        unsound = sound_reason != 0
-        reason[unsound & (reason == 0)] = sound_reason[unsound & (reason == 0)]
+        r, accepted, reason = _accept_draws(t, targets, src)
         reason[~psd] = 11
-        accepted = psd & feas & sound
-        r = np.where(accepted, r, np.nan)
+        accepted &= psd
+        r[~psd] = np.nan
         out["d_s"].append(t["d_s"])
         out["d_u"].append(t["d_u"])
         out["r"].append(r)
@@ -914,22 +805,25 @@ def draw_inner_samples(
 
 
 def _resolve_grid(grid, src: SemanticSourceGaussian):
+    """Bucket edges (D_s, D_u) for the inner-bound scan.
+
+    ``grid`` is a bucket count for both axes (None means 40) or a
+    (D_s, D_u) pair whose entries are each a bucket count over
+    [0, P_s] / [0, P_u] or an explicit edge array.
+    """
     if grid is None:
         grid = 40
     if isinstance(grid, int):
-        if grid < 1:
-            raise DomainError(f"grid must have at least one bucket, got {grid}")
-        return (
-            np.linspace(0.0, src.P_s, grid + 1),
-            np.linspace(0.0, src.P_u, grid + 1),
-        )
-    edges_s, edges_u = grid
-    edges_s = np.asarray(edges_s, dtype=float)
-    edges_u = np.asarray(edges_u, dtype=float)
-    for name, e in (("D_s", edges_s), ("D_u", edges_u)):
+        grid = (grid, grid)
+    edges = []
+    for name, spec, hi in (("D_s", grid[0], src.P_s), ("D_u", grid[1], src.P_u)):
+        if isinstance(spec, int) and spec < 1:
+            raise DomainError(f"{name} grid must have at least one bucket, got {spec}")
+        e = np.linspace(0.0, hi, spec + 1) if isinstance(spec, int) else np.asarray(spec, float)
         if e.ndim != 1 or len(e) < 2 or np.any(np.diff(e) <= 0):
             raise DomainError(f"{name} bucket edges must be strictly increasing")
-    return edges_s, edges_u
+        edges.append(e)
+    return tuple(edges)
 
 
 def inner_bound_scan(
@@ -940,7 +834,6 @@ def inner_bound_scan(
     n_samples: int,
     seed: int,
     grid=None,
-    metadata: dict | None = None,
 ) -> RegionSurface:
     """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
 
@@ -948,7 +841,8 @@ def inner_bound_scan(
     for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
     Buckets without accepted samples are reported as no-data (never
     interpolated). Deterministic for a fixed seed, with a stable prefix
-    under sample-count growth.
+    under sample-count growth. ``grid`` is a bucket count for both axes
+    (default 40) or a (D_s, D_u) pair of counts or bucket-edge arrays.
     """
     edges_s, edges_u = _resolve_grid(grid, src)
     n_bs, n_bu = len(edges_s) - 1, len(edges_u) - 1
@@ -965,23 +859,7 @@ def inner_bound_scan(
         REASON_NAMES[int(code)]: int(cnt)
         for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))
     }
-    meta = {
-        "kind": "inner",
-        "case": case,
-        "n_samples": n_samples,
-        "seed": seed,
-        "targets": {
-            "delta_s": targets.delta_s,
-            "delta_u": targets.delta_u,
-            "delta_su": targets.delta_su,
-            "R_k": targets.R_k,
-        },
-        "accepted": int(acc.sum()),
-        "discard_reasons": reason_counts,
-        "bucket_edges": {"D_s": edges_s.tolist(), "D_u": edges_u.tolist()},
-    }
-    if metadata:
-        meta.update(metadata)
+    meta = {"accepted": int(acc.sum()), "discard_reasons": reason_counts}
     has_data = counts > 0
     return RegionSurface(
         axes={
@@ -990,7 +868,6 @@ def inner_bound_scan(
         },
         values=np.where(has_data, r_grid, np.nan),
         feasible=has_data,
-        capped=np.zeros((n_bs, n_bu), dtype=bool),
         samples=counts,
         metadata=meta,
     )

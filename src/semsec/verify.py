@@ -15,11 +15,11 @@ import numpy as np
 from .binary import (
     SemanticSourceBinary,
     WiretapChannelBinary,
+    binary_min_r,
     binary_secrecy_term,
     delta_s_curve,
 )
 from .gaussian import (
-    EquivocationTargets,
     SemanticSourceGaussian,
     WiretapChannelGaussian,
     converse_min_r,
@@ -30,6 +30,7 @@ from .gaussian import (
 )
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, TwoConstraintSolver, hamming_distortion
+from .regions import DISABLED, EquivocationTargets
 
 __all__ = ["run_verification"]
 
@@ -169,6 +170,16 @@ def _binary_checks():
     checks.append(_check(
         "binary-secrecy-term", abs(slope - 0.4558231113837489) < 1e-12,
         f"secrecy term at gamma=0: {slope:.10f}",
+    ))
+    res = binary_min_r(
+        src, ch, 0.3, 0.25, EquivocationTargets(1.0, DISABLED, DISABLED), case=1
+    )
+    ok = (res.feasible and res.binding == "delta_s"
+          and abs(res.r_min - 1.1649352416527126) < 1e-10)
+    checks.append(_check(
+        "binary-converse-min-r", ok,
+        f"semantic-secrecy minimal ratio at (0.3, 0.25), case 1: "
+        f"{res.r_min if res.feasible else res.reason} (binding {res.binding})",
     ))
     grid = np.linspace(0.26, 0.5, 60)
     low = delta_s_curve(src, ch, r=1.0, R_k=0.0, case=1, d_s_grid=grid)

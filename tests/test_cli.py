@@ -55,7 +55,7 @@ class TestRdfCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "# semsec-artifact v1"
+        assert lines[0] == "# semsec-artifact v2"
         assert lines[1].startswith("# config-hash=")
         assert "seed=" in lines[1]
         assert lines[2] == "case,D_s,D_u,feasible,R_s,R_u,R_joint"
@@ -90,7 +90,7 @@ class TestConverseCommand:
         code, out, _ = run_cli(["converse", "--config", str(cfg)], capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[2] == "case,D_s,D_u,r_min,feasible,capped,samples"
+        assert lines[2] == "case,D_s,D_u,r_min,feasible,samples"
         data = [line.split(",") for line in lines[3:]]
         assert len(data) == 2 * 16
         assert "nan" not in out and "inf" not in out
@@ -184,7 +184,7 @@ class TestInnerCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["artifact"] == "semsec-artifact v1"
+        assert doc["artifact"] == "semsec-artifact v2"
         assert doc["rows"]
         samples_col = doc["columns"].index("samples")
         accepted = sum(row[samples_col] for row in doc["rows"])

@@ -434,6 +434,27 @@ class TestInnerMinR:
         assert not res.feasible
         assert res.reason == "public_rate"
 
+    def test_discards_unsound_draws_like_the_scan(self):
+        # A single draw must be discarded exactly as the scan discards it:
+        # draws outside the sound regime of an active target can lie below
+        # the converse.
+        src, ch = default_source(), default_channel()
+        tg = EquivocationTargets(src.h_s, float("-inf"), src.h_s)
+        for case in (1, 2):
+            rng = np.random.default_rng(5)
+            reasons = set()
+            for _ in range(300):
+                sample = InnerSample.from_covariances(
+                    sample_sigma1(src, rng, case=case), sample_sigma2(ch, rng), case
+                )
+                res = inner_min_r(sample, tg)
+                reasons.add(res.reason)
+                if res.feasible:
+                    lower = converse_min_r(src, ch, sample.d_s, sample.d_u, tg, case=case)
+                    assert lower.feasible
+                    assert res.r_min >= lower.r_min - 1e-6
+            assert {None, "unsound_s", "unsound_su"} <= reasons
+
     def test_sandwich_against_converse(self):
         src, ch = default_source(), default_channel()
         tg = EquivocationTargets.no_secrecy()
