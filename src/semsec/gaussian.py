@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, SamplerStarvationError
-from .info import LN2, TWO_PI_E, CovMatrix
+from .info import _PSD_EIG_FLOOR, TWO_PI_E, CovMatrix
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
                       RegionSurface, equivocation_caps, min_ratio)
 
@@ -66,8 +65,8 @@ REASON_NAMES = {
     7: "unsound_s",
     8: "unsound_u",
     9: "unsound_su",
-    10: "degenerate",
-    11: "not_psd",
+    10: "degenerate",  # a singular index set made a term NaN or infinite
+    11: "not_psd",  # the sampler could not certify the PSD gate (_gram_mask)
 }
 
 
@@ -345,8 +344,8 @@ _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
 _REJECTION_BUDGET = 100_000
 
 
-def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng) -> np.ndarray:
-    """Draw ``n`` source-side factor structures; returns (n, 6, 6).
+def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
+    """Draw ``n`` source-side factor structures; returns ((n, 6, 6), valid).
 
     Coordinates: (S, U, Sc, Sp, Uc, Up). Factor dimensions: 0-1 span the
     (S, U) plane, 2 is the common-layer noise (shared with the observation
@@ -357,6 +356,10 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng) ->
     four modes covers the region: general draws plus three corner modes
     (layered-efficient, semantic-only, observation-only) that land near the
     rate-optimal boundary.
+
+    Each draw is the Gram matrix g gᵀ of a 6x6 factor g, except that the
+    (S, U) block is overwritten with K. ``valid`` is the PSD certificate of
+    :func:`_gram_mask` for that overwrite, Δ = K - (g gᵀ)[:2, :2].
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
@@ -422,8 +425,10 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng) ->
         g[:, 2:, :2] = proj[..., None] * w[None, None, :]
 
     s1 = g @ g.transpose(0, 2, 1)
+    delta = src.K - s1[:, :2, :2]
+    valid = _gram_mask(np.sqrt((delta**2).sum(axis=(1, 2))), np.trace(s1, axis1=1, axis2=2), 6)
     s1[:, :2, :2] = src.K  # exact source block
-    return s1
+    return s1, valid
 
 
 def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
@@ -431,8 +436,8 @@ def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
     return rng.dirichlet(np.ones(parts), size=k)
 
 
-def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng) -> np.ndarray:
-    """Draw ``n`` channel-side layer structures; returns (n, 7, 7).
+def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
+    """Draw ``n`` channel-side layer structures; returns ((n, 7, 7), valid).
 
     Coordinates: (Wc, Wu, Qs, Qu, X, Y, Z). Each auxiliary layer carries an
     independent signal component; X sums the signals plus an independent
@@ -441,6 +446,12 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng) -> np.ndarray:
     conditionally independent of (Y, Z) given X. Four modes: general
     stick-breaking splits with private noises, a clean full-power split, and
     two corner-heavy splits that favor the confidential layers.
+
+    Each draw is the Gram matrix of the factor rows (Wc, Wu, Qs, Qu, X,
+    X + N1, X + N1 + N2), except that the nine (X, Y, Z) entries, which
+    depend on |row X|², are set from P. The overwrite is Δ = δ J with
+    δ = P - |row X|² and J the 3x3 all-ones block, so |Δ|₂ = 3|δ|;
+    ``valid`` is the PSD certificate of :func:`_gram_mask`.
     """
     p, n1, ntot = ch.P, ch.P_N1, ch.P_N
     mode = rng.choice(4, size=n, p=_MODE_PROBS)
@@ -486,6 +497,10 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng) -> np.ndarray:
     g2[:, 4, 1:5] = sig
     g2[:, 4, 0] = np.sqrt(np.maximum(p - (sig**2).sum(axis=1), 0.0))
     s5 = g2 @ g2.transpose(0, 2, 1)
+    x2 = s5[:, 4, 4].copy()
+    # Nine inner products per entry, plus two noise additions on the Z diagonal.
+    gram_trace = np.trace(s5, axis1=1, axis2=2) + 2.0 * x2 + n1 + ntot
+    valid = _gram_mask(3.0 * np.abs(p - x2), gram_trace, 11)
     s5[:, 4, 4] = p  # exact input power
 
     s2 = np.zeros((n, 7, 7))
@@ -501,37 +516,60 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng) -> np.ndarray:
     s2[:, 5, 5] = p + n1
     s2[:, 5, 6] = s2[:, 6, 5] = p + n1
     s2[:, 6, 6] = p + ntot
-    return s2
+    return s2, valid
 
 
-def _psd_mask(mats: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(sym)
-    return eigs[:, 0] >= -1e-9
+def _gram_mask(delta_norm: np.ndarray, gram_trace: np.ndarray, terms: int) -> np.ndarray:
+    """Certify that a sampled matrix passes the PSD gate λ_min >= -1e-9.
+
+    A sampler stores Σ = Ĝ + Δ, where Ĝ is the computed Gram matrix of its
+    factor rows g_i and Δ the entries it overwrites. Each entry of Ĝ is a
+    sum of at most ``terms`` rounded operations, so it lies within
+    γ |g_i| |g_j| of the exact Gram matrix G, with γ = terms·u/(1 - terms·u)
+    and u the unit roundoff; hence |Ĝ - G|₂ <= |Ĝ - G|_F <= γ trace(G).
+    G is PSD, so Weyl's inequality gives
+    λ_min(Σ) >= -|Δ|₂ - γ trace(G) >= -(``delta_norm`` + (terms + 1) u ``gram_trace``),
+    where ``delta_norm`` bounds |Δ|₂ and ``gram_trace`` is trace(Ĝ). A draw
+    passes when that bound is at least -1e-9, so every accepted draw
+    provably meets the gate that :class:`CovMatrix` applies; a failing draw
+    is discarded as ``not_psd``. The rounding term grows with the scale of
+    the covariances, so beyond a trace of about 1e6 (variances of about
+    1e5) draws stop being certified.
+    """
+    rounding = (terms + 1) * (0.5 * np.finfo(float).eps) * gram_trace
+    return delta_norm + rounding <= -_PSD_EIG_FLOOR
 
 
-def _single_draw(batch_fn, labels, budget=_REJECTION_BUDGET):
+def _single_draw(batch_fn, labels):
     rejections = 0
     while True:
-        mat = batch_fn(1)[0]
-        if _psd_mask(mat[None])[0]:
-            return CovMatrix(mat, labels)
+        mats, valid = batch_fn(1)
+        if valid[0]:
+            return CovMatrix(mats[0], labels)
         rejections += 1
-        if rejections >= budget:
+        if rejections >= _REJECTION_BUDGET:
             raise SamplerStarvationError(
                 f"rejected {rejections} consecutive draws; sampler starved"
             )
 
 
 def sample_sigma1(src: SemanticSourceGaussian, rng, case: int = 2) -> CovMatrix:
-    """One source-side covariance draw with the (S, U) block fixed exactly."""
+    """One source-side covariance draw with the (S, U) block fixed exactly.
+
+    A draw that fails the sampler's PSD certificate (:func:`_gram_mask`) is
+    redrawn; :class:`SamplerStarvationError` after ``_REJECTION_BUDGET``
+    consecutive failures.
+    """
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
     return _single_draw(lambda k: _sample_sigma1_batch(src, case, k, rng), SIGMA1_LABELS)
 
 
 def sample_sigma2(ch: WiretapChannelGaussian, rng) -> CovMatrix:
-    """One channel-side covariance draw with the (X, Y, Z) block fixed exactly."""
+    """One channel-side covariance draw with the (X, Y, Z) block fixed exactly.
+
+    Redrawn on a failed PSD certificate, as in :func:`sample_sigma1`.
+    """
     return _single_draw(lambda k: _sample_sigma2_batch(ch, k, rng), SIGMA2_LABELS)
 
 
@@ -540,21 +578,46 @@ def sample_sigma2(ch: WiretapChannelGaussian, rng) -> CovMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _logdet_batch(s: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    sub = s[:, idx][:, :, idx]
-    sign, val = np.linalg.slogdet(sub)
-    return np.where(sign > 0, val / LN2, -np.inf)
+# Orderings whose leading prefixes are the index sets the information terms
+# need; see _inner_terms for the terms and the coordinates.
+_SOURCE_CHAINS = {
+    1: ((2, 3, 0), (1, 2, 3), (2, 4, 5, 1)),
+    2: ((2, 3, 0, 1), (0, 1, 2), (2, 4, 5, 1, 0)),
+}
+_CHANNEL_CHAINS = ((5, 0, 2), (0, 2, 6), (6, 0, 1, 3), (0, 1, 3, 2, 6), (0, 1, 5, 3))
 
 
-def _mi_batch(s: np.ndarray, a: Sequence[int], b: Sequence[int], c: Sequence[int] = ()) -> np.ndarray:
-    a, b, c = list(a), list(b), list(c)
-    ld_c = _logdet_batch(s, c) if c else 0.0
-    val = 0.5 * (
-        _logdet_batch(s, a + c)
-        + _logdet_batch(s, b + c)
-        - ld_c
-        - _logdet_batch(s, a + b + c)
-    )
+def _prefix_logdets(s: np.ndarray, chains) -> dict[frozenset, np.ndarray]:
+    """log2 det of ``s`` on every leading prefix of every chain, batched.
+
+    One symmetric Gaussian elimination (a Cholesky factorization without
+    square roots) per chain: the j-th pivot is the variance of coordinate j
+    given the j - 1 before it, so the log-det of a prefix is the running sum
+    of the log2 pivots. The elimination reads the lower triangle and needs
+    no structure beyond symmetry. A nonpositive (or NaN) pivot makes that
+    prefix and every longer one -inf; for a PSD matrix a prefix containing a
+    singular one is singular itself. Returns {index set: (n,) log-dets}.
+    """
+    out = {}
+    for chain in chains:
+        idx = np.asarray(chain)
+        a = s[:, idx[:, None], idx]
+        piv = np.empty((len(chain), len(s)))
+        for j in range(len(chain)):
+            piv[j] = a[:, j, j]
+            col = a[:, j + 1:, j]
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * (col / piv[j, :, None])[:, None, :]
+        bad = np.logical_or.accumulate(~(piv > 0.0), axis=0)
+        ld = np.where(bad, -np.inf, np.cumsum(np.log2(np.where(bad, 1.0, piv)), axis=0))
+        for j in range(len(chain)):
+            out.setdefault(frozenset(chain[: j + 1]), ld[j])
+    return out
+
+
+def _mi(ld, a, b, c=()) -> np.ndarray:
+    """I(A; B | C) in bits from the prefix log-dets ``ld``, clamped at 0."""
+    a, b, c = frozenset(a), frozenset(b), frozenset(c)
+    val = 0.5 * (ld[a | c] + ld[b | c] - (ld[c] if c else 0.0) - ld[a | b | c])
     return np.maximum(val, 0.0)
 
 
@@ -574,23 +637,33 @@ def _inner_terms(s1: np.ndarray, s2: np.ndarray, case: int) -> dict[str, np.ndar
     * leakage gaps ``gqs_y`` = I(Qs; Y | Wc), ``gqs_z`` = I(Qs; Z | Wc),
       ``gqu_y`` = I(Qu; Y | Wc, Wu), ``gqu_z`` = I(Qu; Z | Wc, Wu),
       ``gj_z`` = I(Qs, Qu; Z | Wc, Wu).
+
+    Every term is the Gaussian log-determinant identity
+    I(A; B | C) = (ld(AC) + ld(BC) - ld(C) - ld(ABC)) / 2 and
+    Var(i | C) = 2^(ld(iC) - ld(C)). The log-dets come from
+    :func:`_prefix_logdets` over a few chains per side: for example the
+    source chain (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and
+    {S, U, Sc, Sp}. A singular index set gives -inf, so its terms come out
+    NaN or infinite and the draw is discarded as ``degenerate``.
     """
     v = [1] if case == 1 else [0, 1]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = _prefix_logdets(s1, _SOURCE_CHAINS[case])
+        l2 = _prefix_logdets(s2, _CHANNEL_CHAINS)
         terms = {
-            "a1": _mi_batch(s1, [2], v),
-            "a2": _mi_batch(s1, [2, 3], v),
-            "a3": _mi_batch(s1, [4, 5], v, [2]),
-            "d_s": np.exp2(_logdet_batch(s1, [0, 2, 3]) - _logdet_batch(s1, [2, 3])),
-            "d_u": np.exp2(_logdet_batch(s1, [1, 2, 4, 5]) - _logdet_batch(s1, [2, 4, 5])),
-            "b1": _mi_batch(s2, [0], [5]),
-            "b2": _mi_batch(s2, [0, 2], [5]),
-            "b3": _mi_batch(s2, [1, 3], [5], [0]),
-            "gqs_y": _mi_batch(s2, [2], [5], [0]),
-            "gqs_z": _mi_batch(s2, [2], [6], [0]),
-            "gqu_y": _mi_batch(s2, [3], [5], [0, 1]),
-            "gqu_z": _mi_batch(s2, [3], [6], [0, 1]),
-            "gj_z": _mi_batch(s2, [2, 3], [6], [0, 1]),
+            "a1": _mi(l1, [2], v),
+            "a2": _mi(l1, [2, 3], v),
+            "a3": _mi(l1, [4, 5], v, [2]),
+            "d_s": np.exp2(l1[frozenset({0, 2, 3})] - l1[frozenset({2, 3})]),
+            "d_u": np.exp2(l1[frozenset({1, 2, 4, 5})] - l1[frozenset({2, 4, 5})]),
+            "b1": _mi(l2, [0], [5]),
+            "b2": _mi(l2, [0, 2], [5]),
+            "b3": _mi(l2, [1, 3], [5], [0]),
+            "gqs_y": _mi(l2, [2], [5], [0]),
+            "gqs_z": _mi(l2, [2], [6], [0]),
+            "gqu_y": _mi(l2, [3], [5], [0, 1]),
+            "gqu_z": _mi(l2, [3], [6], [0, 1]),
+            "gj_z": _mi(l2, [2, 3], [6], [0, 1]),
         }
     return terms
 
@@ -781,11 +854,11 @@ def draw_inner_samples(
     rejections = 0
     for ci in range(n_chunks):
         rng = np.random.default_rng(children[ci])
-        s1 = _sample_sigma1_batch(src, case, _CHUNK, rng)
-        s2 = _sample_sigma2_batch(ch, _CHUNK, rng)
+        s1, valid1 = _sample_sigma1_batch(src, case, _CHUNK, rng)
+        s2, valid2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
         s1, s2 = s1[:take], s2[:take]
-        psd = _psd_mask(s1) & _psd_mask(s2)
+        psd = valid1[:take] & valid2[:take]
         rejections += int((~psd).sum())
         if rejections > _REJECTION_BUDGET:
             raise SamplerStarvationError(

@@ -132,11 +132,6 @@ class DistortionMatrix:
         object.__setattr__(self, "entries", arr)
 
     @property
-    def row_min(self) -> np.ndarray:
-        """Per-row minimum cost (used for pointwise feasibility floors)."""
-        return self.entries.min(axis=1)
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semsec.gaussian as gaussian_mod
 from semsec import (
@@ -49,6 +52,120 @@ def default_source():
 
 def default_channel():
     return WiretapChannelGaussian(1.0, 0.1, 0.4)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the information terms from batched LAPACK slogdet, and the PSD gate
+# from eigvalsh. The library computes both without LAPACK; these are the
+# references it is checked against.
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+# (A, B, C) of each I(A; B | C) and (i, C) of each Var(i | C), per side.
+SOURCE_MI = {
+    1: {"a1": ([2], [1], []), "a2": ([2, 3], [1], []), "a3": ([4, 5], [1], [2])},
+    2: {"a1": ([2], [0, 1], []), "a2": ([2, 3], [0, 1], []), "a3": ([4, 5], [0, 1], [2])},
+}
+SOURCE_VAR = {"d_s": (0, [2, 3]), "d_u": (1, [2, 4, 5])}
+CHANNEL_MI = {
+    "b1": ([0], [5], []),
+    "b2": ([0, 2], [5], []),
+    "b3": ([1, 3], [5], [0]),
+    "gqs_y": ([2], [5], [0]),
+    "gqs_z": ([2], [6], [0]),
+    "gqu_y": ([3], [5], [0, 1]),
+    "gqu_z": ([3], [6], [0, 1]),
+    "gj_z": ([2, 3], [6], [0, 1]),
+}
+TERM_NAMES = ("a1", "a2", "a3", "d_s", "d_u", *CHANNEL_MI)
+
+
+def _psd_mask(mats):
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    return np.linalg.eigvalsh(sym)[:, 0] >= -1e-9
+
+
+def _logdet_batch(s, idx):
+    sub = s[:, idx][:, :, idx]
+    sign, val = np.linalg.slogdet(sub)
+    return np.where(sign > 0, val / math.log(2.0), -np.inf)
+
+
+def _mi_batch(s, a, b, c=()):
+    a, b, c = list(a), list(b), list(c)
+    ld_c = _logdet_batch(s, c) if c else 0.0
+    val = 0.5 * (
+        _logdet_batch(s, a + c) + _logdet_batch(s, b + c) - ld_c - _logdet_batch(s, a + b + c)
+    )
+    return np.maximum(val, 0.0)
+
+
+def _oracle_terms(s1, s2, case):
+    with np.errstate(invalid="ignore"):
+        terms = {name: _mi_batch(s1, *abc) for name, abc in SOURCE_MI[case].items()}
+        for name, (i, c) in SOURCE_VAR.items():
+            terms[name] = np.exp2(_logdet_batch(s1, [i] + c) - _logdet_batch(s1, c))
+        terms.update({name: _mi_batch(s2, *abc) for name, abc in CHANNEL_MI.items()})
+    return terms
+
+
+def _term_support(name, case):
+    """(side, sorted union of the index sets the term reads)."""
+    if name in CHANNEL_MI:
+        return 2, sorted(set().union(*CHANNEL_MI[name]))
+    if name in SOURCE_VAR:
+        i, c = SOURCE_VAR[name]
+        return 1, sorted({i, *c})
+    return 1, sorted(set().union(*SOURCE_MI[case][name]))
+
+
+def _sampler_draws(case, n, seed, src=None, ch=None):
+    rng = np.random.default_rng(seed)
+    s1, valid1 = gaussian_mod._sample_sigma1_batch(src or default_source(), case, n, rng)
+    s2, valid2 = gaussian_mod._sample_sigma2_batch(ch or default_channel(), n, rng)
+    return s1, s2, valid1, valid2
+
+
+@st.composite
+def random_psd(draw, dim):
+    """A random PSD matrix G Gᵀ of any rank, some coordinates exactly zero.
+
+    Returns (matrix, set of zeroed coordinates)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rank = draw(st.integers(1, dim + 2))
+    zero = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+    spread = draw(st.floats(0.0, 1.5))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, rank)) * 10.0 ** rng.uniform(-spread, spread, (dim, 1))
+    g[sorted(zero)] = 0.0
+    return g @ g.T, zero
+
+
+def _mp_terms(s1, s2, case):
+    """The terms of one draw from 50-digit log-determinants."""
+    with mpmath.workdps(50):
+        def ld(s, idx):
+            if not idx:
+                return mpmath.mpf(0)
+            det = mpmath.det(mpmath.matrix([[s[i, j] for j in idx] for i in idx]))
+            return mpmath.log(det, 2) if det > 0 else mpmath.mpf("-inf")
+
+        def mi(s, a, b, c):
+            return max(0.5 * (ld(s, a + c) + ld(s, b + c) - ld(s, c) - ld(s, a + b + c)), 0)
+
+        terms = {name: mi(s1, *abc) for name, abc in SOURCE_MI[case].items()}
+        for name, (i, c) in SOURCE_VAR.items():
+            terms[name] = mpmath.power(2, ld(s1, [i] + c) - ld(s1, c))
+        terms.update({name: mi(s2, *abc) for name, abc in CHANNEL_MI.items()})
+        return {name: float(val) for name, val in terms.items()}
+
+
+def _bits_error(name, got, want):
+    """Error in bits; the distortions are compared through their log2."""
+    if name in SOURCE_VAR:
+        return np.abs(np.log2(got) - np.log2(want))
+    return np.abs(got - want)
 
 
 class TestSource:
@@ -375,6 +492,139 @@ class TestInnerTerms:
         assert t["d_s"][0] == pytest.approx(cond_var(0, [2, 3]), rel=1e-6)
         assert t["d_u"][0] == pytest.approx(cond_var(1, [2, 4, 5]), rel=1e-6)
 
+    def test_nonpositive_pivot_makes_longer_prefixes_singular(self):
+        mats = np.array([
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[4.0, 2.0], [2.0, 2.0]],
+        ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ld = gaussian_mod._prefix_logdets(mats, [(0, 1)])
+        np.testing.assert_array_equal(ld[frozenset({0})], [-np.inf, -np.inf, 0.0, 2.0])
+        np.testing.assert_array_equal(ld[frozenset({0, 1})], [-np.inf, -np.inf, -np.inf, 2.0])
+        np.testing.assert_array_equal(ld[frozenset({0, 1})], _logdet_batch(mats, [0, 1]))
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_every_term_matches_direct_formulas(self, case):
+        src, ch = default_source(), default_channel()
+        rng = np.random.default_rng(100 + case)
+        for _ in range(5):
+            s1 = sample_sigma1(src, rng, case=case)
+            s2 = sample_sigma2(ch, rng)
+            t = gaussian_mod._inner_terms(s1.entries[None], s2.entries[None], case)
+            assert set(t) == set(TERM_NAMES)
+            for name, abc in SOURCE_MI[case].items():
+                assert t[name][0] == pytest.approx(gaussian_mi(s1, *abc), abs=1e-8), name
+            for name, abc in CHANNEL_MI.items():
+                assert t[name][0] == pytest.approx(gaussian_mi(s2, *abc), abs=1e-8), name
+            s = s1.entries
+            for name, (i, c) in SOURCE_VAR.items():
+                cross = s[i, c]
+                direct = s[i, i] - cross @ np.linalg.solve(s[np.ix_(c, c)], cross)
+                assert t[name][0] == pytest.approx(direct, rel=1e-9), name
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_terms_match_slogdet_oracle_on_sampler_draws(self, case):
+        s1, s2, _, _ = _sampler_draws(case, 3000, seed=30 + case)
+        got = gaussian_mod._inner_terms(s1, s2, case)
+        want = _oracle_terms(s1, s2, case)
+        for name in TERM_NAMES:
+            side, idx = _term_support(name, case)
+            s = s1 if side == 1 else s2
+            cond = np.linalg.cond(s[:, idx][:, :, idx])
+            finite = np.isfinite(want[name])
+            np.testing.assert_array_equal(np.isfinite(got[name]), finite, err_msg=name)
+            err = _bits_error(name, got[name], want[name])
+            assert np.all(err[finite & (cond <= 1e5)] <= 1e-9), name
+            assert np.all(err[finite] <= 1e-4), name
+
+    @PROPERTY
+    @given(case=st.sampled_from([1, 2]), m1=random_psd(6), m2=random_psd(7))
+    def test_terms_match_oracle_on_random_psd(self, case, m1, m2):
+        (s1, zero1), (s2, zero2) = m1, m2
+        got = gaussian_mod._inner_terms(s1[None], s2[None], case)
+        want = _oracle_terms(s1[None], s2[None], case)
+        for name in TERM_NAMES:
+            side, idx = _term_support(name, case)
+            s, zero = (s1, zero1) if side == 1 else (s2, zero2)
+            rest = [i for i in idx if i not in zero]
+            if rest and np.linalg.cond(s[np.ix_(rest, rest)]) > 1e5:
+                continue  # numerically singular: rounding decides either way
+            g, w = got[name][0], want[name][0]
+            if zero & set(idx):
+                # Exactly singular: the same -inf log-dets enter both, so the
+                # same NaN, infinity or zero distortion comes out.
+                assert (np.isnan(g) and np.isnan(w)) or g == w, name
+            else:
+                assert np.isfinite(g) and np.isfinite(w), name
+                assert _bits_error(name, g, w) <= 1e-9, name
+
+    def test_worst_conditioned_draws_against_high_precision(self):
+        # 50-digit log-dets of the stored entries; the source terms of the
+        # worst-conditioned draws lose up to ~1e-5 bits in double precision.
+        for case in (1, 2):
+            s1, s2, _, _ = _sampler_draws(case, 2000, seed=40 + case)
+            keep = [0, 1, 2, 3, 5, 6]  # no channel term reads X
+            cond = np.maximum(np.linalg.cond(s1), np.linalg.cond(s2[:, keep][:, :, keep]))
+            worst = np.argsort(cond)[-10:]
+            got = gaussian_mod._inner_terms(s1[worst], s2[worst], case)
+            want = _oracle_terms(s1[worst], s2[worst], case)
+            for k, i in enumerate(worst):
+                ref = _mp_terms(s1[i], s2[i], case)
+                for name in TERM_NAMES:
+                    assert _bits_error(name, got[name][k], ref[name]) <= 1e-4, name
+                    assert _bits_error(name, want[name][k], ref[name]) <= 1e-4, name
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_acceptance_matches_oracle_terms(self, case):
+        src = default_source()
+        s1, s2, valid1, valid2 = _sampler_draws(case, 20_000, seed=2024 + case)
+        assert valid1.all() and valid2.all()
+        got = gaussian_mod._inner_terms(s1, s2, case)
+        want = _oracle_terms(s1, s2, case)
+        for tg in (
+            EquivocationTargets.no_secrecy(),
+            EquivocationTargets(src.h_s, float("-inf"), src.h_s),
+        ):
+            r_got, acc_got, reason_got = gaussian_mod._accept_draws(got, tg, src)
+            r_want, acc_want, reason_want = gaussian_mod._accept_draws(want, tg, src)
+            np.testing.assert_array_equal(acc_got, acc_want)
+            np.testing.assert_array_equal(reason_got, reason_want)
+            np.testing.assert_allclose(r_got[acc_got], r_want[acc_got], rtol=1e-6)
+
+
+class TestSamplerMask:
+    def test_certificate_bound(self):
+        u = 0.5 * np.finfo(float).eps
+        mask = gaussian_mod._gram_mask(
+            np.array([0.0, 0.0, 1.1e-9, 0.5e-9, 0.5e-9, 0.0]),
+            np.array([1.0, 1e3, 1.0, 0.4e-9 / (7 * u), 0.6e-9 / (7 * u), 1e7]),
+            6,
+        )
+        np.testing.assert_array_equal(mask, [True, True, False, True, False, False])
+
+    @PROPERTY
+    @given(
+        scale_s=st.floats(-3.0, 3.0),
+        scale_u=st.floats(-3.0, 3.0),
+        rho=st.floats(-1.0, 1.0),
+        scale_p=st.floats(-3.0, 3.0),
+        n1=st.floats(1e-3, 1e3),
+        n2=st.floats(0.0, 1e3),
+        case=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mask_implies_psd_gate(self, scale_s, scale_u, rho, scale_p, n1, n2, case, seed):
+        p_s, p_u = 10.0**scale_s, 10.0**scale_u
+        src = SemanticSourceGaussian(p_s, p_u, rho * math.sqrt(p_s * p_u))
+        ch = WiretapChannelGaussian(10.0**scale_p, n1, n2)
+        s1, s2, valid1, valid2 = _sampler_draws(case, 256, seed, src, ch)
+        assert np.all(_psd_mask(s1)[valid1])
+        assert np.all(_psd_mask(s2)[valid2])
+        # At these scales the certificate never rejects a draw.
+        assert valid1.all() and valid2.all()
+
 
 def _handmade_sample(src, ch, aux_coupled=True):
     """A deliberately simple auxiliary structure built by hand.
@@ -488,7 +738,8 @@ class TestDrawSamples:
     def test_starvation(self, monkeypatch):
         src, ch = default_source(), default_channel()
         monkeypatch.setattr(
-            gaussian_mod, "_psd_mask", lambda mats: np.zeros(len(mats), dtype=bool)
+            gaussian_mod, "_gram_mask",
+            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
         )
         monkeypatch.setattr(gaussian_mod, "_REJECTION_BUDGET", 50)
         with pytest.raises(SamplerStarvationError):
@@ -496,6 +747,18 @@ class TestDrawSamples:
                 src, ch, EquivocationTargets.no_secrecy(), case=2,
                 n_samples=200, seed=1,
             )
+
+    def test_single_draw_starvation(self, monkeypatch):
+        monkeypatch.setattr(
+            gaussian_mod, "_gram_mask",
+            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
+        )
+        monkeypatch.setattr(gaussian_mod, "_REJECTION_BUDGET", 5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(SamplerStarvationError):
+            sample_sigma1(default_source(), rng)
+        with pytest.raises(SamplerStarvationError):
+            sample_sigma2(default_channel(), rng)
 
 
 class TestInnerScan:
