@@ -66,7 +66,7 @@ REASON_NAMES = {
     8: "unsound_u",
     9: "unsound_su",
     10: "degenerate",  # a singular index set made a term NaN or infinite
-    11: "not_psd",  # the sampler could not certify the PSD gate (_gram_mask)
+    11: "not_psd",  # the draw failed the sampler's PSD gate (_psd_mask)
 }
 
 
@@ -358,8 +358,11 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     rate-optimal boundary.
 
     Each draw is the Gram matrix g gᵀ of a 6x6 factor g, except that the
-    (S, U) block is overwritten with K. ``valid`` is the PSD certificate of
-    :func:`_gram_mask` for that overwrite, Δ = K - (g gᵀ)[:2, :2].
+    (S, U) block is overwritten with K: Σ1 = G + (Ĝ - G) + Δ with G the
+    exact Gram matrix, Ĝ the computed one and Δ = K - Ĝ[:2, :2] on the
+    source block only. Each entry of Ĝ is a dot product of length 6, so
+    :func:`_gram_mask` is called with |Δ|_F and ``terms`` = 6. ``valid`` is
+    :func:`_psd_mask` of that certificate.
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
@@ -428,7 +431,7 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     delta = src.K - s1[:, :2, :2]
     valid = _gram_mask(np.sqrt((delta**2).sum(axis=(1, 2))), np.trace(s1, axis1=1, axis2=2), 6)
     s1[:, :2, :2] = src.K  # exact source block
-    return s1, valid
+    return s1, _psd_mask(s1, valid)
 
 
 def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
@@ -448,10 +451,24 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     two corner-heavy splits that favor the confidential layers.
 
     Each draw is the Gram matrix of the factor rows (Wc, Wu, Qs, Qu, X,
-    X + N1, X + N1 + N2), except that the nine (X, Y, Z) entries, which
-    depend on |row X|², are set from P. The overwrite is Δ = δ J with
-    δ = P - |row X|² and J the 3x3 all-ones block, so |Δ|₂ = 3|δ|;
-    ``valid`` is the PSD certificate of :func:`_gram_mask`.
+    X + N1, X + N1 + N2), with N1 and N2 orthogonal to everything else,
+    except that the nine (X, Y, Z) entries, which depend on |row X|², are
+    set from P. Only the 5x5 Gram matrix Ĝ of the rows (Wc, Wu, Qs, Qu, X)
+    is computed (dot products of length 9); the Y and Z columns copy its X
+    column. So Σ2 = A + E_g + δ J + E_n, where A is the exact 7x7 Gram
+    matrix (PSD), J the all-ones block on (X, Y, Z), δ = P - Ĝ[4, 4], E_g
+    the rounding of Ĝ with the X row and column repeated three times, and
+    E_n the rounding of the stored sums fl(P + P_N1), on the (Y, Y), (Y, Z)
+    and (Z, Y) entries, and fl(P + P_N) with P_N = fl(P_N1 + P_N2), on (Z, Z):
+
+    * |δ J|₂ = 3|δ|;
+    * |E_g|_F <= γ₉ (trace Ĝ + 2 Ĝ[4, 4]) to first order, since X enters
+      three rows and three columns;
+    * |E_n|_F <= (1 + √2) u (P + P_N1) + u (P + 2 P_N), which the slack of
+      ``terms`` = 11 over 9 (2u (trace Ĝ + 2 Ĝ[4, 4]) >= 6u P) together
+      with the ``+ P_N1 + P_N`` added to the trace (12u (P_N1 + P_N)) covers.
+
+    ``valid`` is :func:`_psd_mask` of that certificate.
     """
     p, n1, ntot = ch.P, ch.P_N1, ch.P_N
     mode = rng.choice(4, size=n, p=_MODE_PROBS)
@@ -516,28 +533,48 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     s2[:, 5, 5] = p + n1
     s2[:, 5, 6] = s2[:, 6, 5] = p + n1
     s2[:, 6, 6] = p + ntot
-    return s2, valid
+    return s2, _psd_mask(s2, valid)
 
 
 def _gram_mask(delta_norm: np.ndarray, gram_trace: np.ndarray, terms: int) -> np.ndarray:
-    """Certify that a sampled matrix passes the PSD gate λ_min >= -1e-9.
+    """Certificate that a sampled matrix has λ_min >= -1e-9.
 
     A sampler stores Σ = Ĝ + Δ, where Ĝ is the computed Gram matrix of its
     factor rows g_i and Δ the entries it overwrites. Each entry of Ĝ is a
-    sum of at most ``terms`` rounded operations, so it lies within
+    dot product of at most ``terms`` products, so it lies within
     γ |g_i| |g_j| of the exact Gram matrix G, with γ = terms·u/(1 - terms·u)
     and u the unit roundoff; hence |Ĝ - G|₂ <= |Ĝ - G|_F <= γ trace(G).
     G is PSD, so Weyl's inequality gives
     λ_min(Σ) >= -|Δ|₂ - γ trace(G) >= -(``delta_norm`` + (terms + 1) u ``gram_trace``),
-    where ``delta_norm`` bounds |Δ|₂ and ``gram_trace`` is trace(Ĝ). A draw
-    passes when that bound is at least -1e-9, so every accepted draw
-    provably meets the gate that :class:`CovMatrix` applies; a failing draw
-    is discarded as ``not_psd``. The rounding term grows with the scale of
-    the covariances, so beyond a trace of about 1e6 (variances of about
-    1e5) draws stop being certified.
+    where ``delta_norm`` bounds |Δ|₂ and ``gram_trace`` is trace(Ĝ) plus
+    whatever slack the sampler needs for its other rounded entries. The
+    extra u per term covers the second-order terms, such as trace(Ĝ)
+    against trace(G). A draw passes when that bound is at least -1e-9, so
+    the exact eigenvalues of every certified draw meet the floor that
+    :class:`CovMatrix` applies to computed ones. The rounding term grows
+    with the scale of the covariances: beyond a trace of about 1e6
+    (variances of about 1e5) draws stop being certified, and
+    :func:`_psd_mask` falls back to ``eigvalsh`` for them.
     """
     rounding = (terms + 1) * (0.5 * np.finfo(float).eps) * gram_trace
     return delta_norm + rounding <= -_PSD_EIG_FLOOR
+
+
+def _psd_mask(mats: np.ndarray, certified: np.ndarray) -> np.ndarray:
+    """The PSD gate of a sampled batch.
+
+    Draws that :func:`_gram_mask` certified pass without a factorization.
+    The rest, none at unit-scale inputs, take the gate :class:`CovMatrix`
+    applies: the smallest ``eigvalsh`` eigenvalue at least -1e-9. A draw
+    that fails is discarded as ``not_psd``.
+    """
+    rest = np.flatnonzero(~certified)
+    if rest.size == 0:
+        return certified
+    sym = 0.5 * (mats[rest] + mats[rest].transpose(0, 2, 1))
+    valid = certified.copy()
+    valid[rest] = np.linalg.eigvalsh(sym)[:, 0] >= _PSD_EIG_FLOOR
+    return valid
 
 
 def _single_draw(batch_fn, labels):
@@ -556,7 +593,7 @@ def _single_draw(batch_fn, labels):
 def sample_sigma1(src: SemanticSourceGaussian, rng, case: int = 2) -> CovMatrix:
     """One source-side covariance draw with the (S, U) block fixed exactly.
 
-    A draw that fails the sampler's PSD certificate (:func:`_gram_mask`) is
+    A draw that fails the sampler's PSD gate (:func:`_psd_mask`) is
     redrawn; :class:`SamplerStarvationError` after ``_REJECTION_BUDGET``
     consecutive failures.
     """
@@ -568,7 +605,7 @@ def sample_sigma1(src: SemanticSourceGaussian, rng, case: int = 2) -> CovMatrix:
 def sample_sigma2(ch: WiretapChannelGaussian, rng) -> CovMatrix:
     """One channel-side covariance draw with the (X, Y, Z) block fixed exactly.
 
-    Redrawn on a failed PSD certificate, as in :func:`sample_sigma1`.
+    Redrawn on a failed PSD gate, as in :func:`sample_sigma1`.
     """
     return _single_draw(lambda k: _sample_sigma2_batch(ch, k, rng), SIGMA2_LABELS)
 

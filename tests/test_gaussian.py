@@ -1,6 +1,7 @@
 """Gaussian model: converse bounds, samplers, and the Monte-Carlo inner bound."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -125,6 +126,13 @@ def _sampler_draws(case, n, seed, src=None, ch=None):
     s1, valid1 = gaussian_mod._sample_sigma1_batch(src or default_source(), case, n, rng)
     s2, valid2 = gaussian_mod._sample_sigma2_batch(ch or default_channel(), n, rng)
     return s1, s2, valid1, valid2
+
+
+def _certified_draws(case, n, seed, src, ch):
+    """Sampler draws whose masks are the certificate alone, without the
+    eigvalsh fallback of the sampler's PSD gate."""
+    with mock.patch.object(gaussian_mod, "_psd_mask", lambda mats, certified: certified):
+        return _sampler_draws(case, n, seed, src, ch)
 
 
 @st.composite
@@ -619,11 +627,33 @@ class TestSamplerMask:
         p_s, p_u = 10.0**scale_s, 10.0**scale_u
         src = SemanticSourceGaussian(p_s, p_u, rho * math.sqrt(p_s * p_u))
         ch = WiretapChannelGaussian(10.0**scale_p, n1, n2)
-        s1, s2, valid1, valid2 = _sampler_draws(case, 256, seed, src, ch)
+        s1, s2, valid1, valid2 = _certified_draws(case, 256, seed, src, ch)
         assert np.all(_psd_mask(s1)[valid1])
         assert np.all(_psd_mask(s2)[valid2])
         # At these scales the certificate never rejects a draw.
         assert valid1.all() and valid2.all()
+
+    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
+    def test_large_scale_gate_matches_eigvalsh(self, scale, monkeypatch):
+        # Beyond variances of about 1e5 the certificate stops covering
+        # draws, and the gate must then give exactly what the eigvalsh gate
+        # alone gives: at 1e8 that gate rejects thousands of draws.
+        src = SemanticSourceGaussian(0.7 * scale, scale, 0.6 * scale)
+        ch = WiretapChannelGaussian(scale, 0.1 * scale, 0.4 * scale)
+        tg = EquivocationTargets.no_secrecy()
+        got = {case: inner_bound_scan(src, ch, tg, case, 20_000, seed=3, grid=20)
+               for case in (1, 2)}
+        monkeypatch.setattr(
+            gaussian_mod, "_gram_mask",
+            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
+        )
+        for case, surf in got.items():
+            want = inner_bound_scan(src, ch, tg, case, 20_000, seed=3, grid=20)
+            assert surf.metadata == want.metadata
+            np.testing.assert_array_equal(surf.samples, want.samples)
+            np.testing.assert_array_equal(surf.values, want.values)
+            assert surf.metadata["accepted"] > 5000
+            assert (surf.metadata["discard_reasons"].get("not_psd", 0) > 0) == (scale > 1e6)
 
 
 def _handmade_sample(src, ch, aux_coupled=True):
@@ -738,8 +768,7 @@ class TestDrawSamples:
     def test_starvation(self, monkeypatch):
         src, ch = default_source(), default_channel()
         monkeypatch.setattr(
-            gaussian_mod, "_gram_mask",
-            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
+            gaussian_mod, "_psd_mask", lambda mats, certified: np.zeros(len(mats), dtype=bool)
         )
         monkeypatch.setattr(gaussian_mod, "_REJECTION_BUDGET", 50)
         with pytest.raises(SamplerStarvationError):
@@ -750,8 +779,7 @@ class TestDrawSamples:
 
     def test_single_draw_starvation(self, monkeypatch):
         monkeypatch.setattr(
-            gaussian_mod, "_gram_mask",
-            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
+            gaussian_mod, "_psd_mask", lambda mats, certified: np.zeros(len(mats), dtype=bool)
         )
         monkeypatch.setattr(gaussian_mod, "_REJECTION_BUDGET", 5)
         rng = np.random.default_rng(0)
