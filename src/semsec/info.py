@@ -53,12 +53,24 @@ _RIDGE_COND = 1e12
 _RIDGE = 1e-12
 
 
+def _entr(x: float) -> float:
+    """``scipy.special.entr`` for one float in [0, 1] or NaN."""
+    if x > 0.0:
+        return -x * math.log(x)
+    return 0.0 if x == 0.0 else math.nan
+
+
 def binary_entropy(p):
     """Binary entropy H_b(p) in bits, with 0*log(0) = 0.
 
     Accepts scalars or numpy arrays; raises :class:`DomainError` outside
-    [0, 1].
+    [0, 1]. A float takes a ``math`` path that gives the same bits as the
+    array path (both use the C library's ``log``) in a fraction of its time.
     """
+    if isinstance(p, float):
+        if p < 0.0 or p > 1.0:
+            raise DomainError(f"binary_entropy argument outside [0, 1]: {p!r}")
+        return (_entr(p) + _entr(1.0 - p)) / LN2
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError(f"binary_entropy argument outside [0, 1]: {p!r}")
@@ -72,7 +84,14 @@ def star(a, b):
     """Binary convolution ``a * b = a(1-b) + (1-a)b``.
 
     Commutative; 0 is the identity and 0.5 is absorbing (returned exactly).
+    Two floats take a plain-arithmetic path with the array path's bits.
     """
+    if isinstance(a, float) and isinstance(b, float):
+        if a < 0.0 or a > 1.0 or b < 0.0 or b > 1.0:
+            raise DomainError(f"star arguments outside [0, 1]: ({a!r}, {b!r})")
+        if a == 0.5 or b == 0.5:
+            return 0.5
+        return a * (1.0 - b) + (1.0 - a) * b
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any(a_arr < 0.0) or np.any(a_arr > 1.0) or np.any(b_arr < 0.0) or np.any(b_arr > 1.0):

@@ -111,7 +111,7 @@ def _discrete_checks():
     checks = []
     src = DiscreteSemanticSource.doubly_symmetric(0.25)
     d = hamming_distortion(2)
-    solver = TwoConstraintSolver(grid_size=12)
+    solver = TwoConstraintSolver()
     from .rdf import rdf_semantic_case2
 
     point = rdf_semantic_case2(src, d, d, 0.3, 0.25, solver)

@@ -82,21 +82,26 @@ def test_criterion_2a_solver_matches_closed_forms():
         Pmf(np.array([[0.75, 0.0], [0.0, 0.25]])), ("a", "b"), ("a", "b")
     )
     gaps = []
+    certified = []  # primal rate minus certified dual bound, per cell
     # Identical components, semantic constraint slack: classic binary RDF.
     for du in np.linspace(0.02, 0.24, 17):
-        got = rdf_semantic_case2(copy, ham, ham, 1.0, du).rate
-        gaps.append(abs(got - (binary_entropy(0.25) - binary_entropy(du))))
+        got = rdf_semantic_case2(copy, ham, ham, 1.0, du)
+        gaps.append(abs(got.rate - (binary_entropy(0.25) - binary_entropy(du))))
+        certified.append(got.rate - got.dual_bound)
     # Doubly symmetric source, observation constraint slack.
     for ds in np.linspace(0.03, 0.45, 17):
-        got = rdf_semantic_case2(dsbs, ham, ham, ds, 0.5).rate
-        gaps.append(abs(got - (1.0 - binary_entropy(ds))))
+        got = rdf_semantic_case2(dsbs, ham, ham, ds, 0.5)
+        gaps.append(abs(got.rate - (1.0 - binary_entropy(ds))))
+        certified.append(got.rate - got.dual_bound)
     # Restricted encoder against the crossover-adjusted closed form.
     for ds in np.linspace(0.26, 0.48, 16):
-        got = rdf_semantic_case1(dsbs, ham, ham, ds, 0.5).rate
-        gaps.append(abs(got - (1.0 - binary_entropy((ds - 0.25) / 0.5))))
+        got = rdf_semantic_case1(dsbs, ham, ham, ds, 0.5)
+        gaps.append(abs(got.rate - (1.0 - binary_entropy((ds - 0.25) / 0.5))))
+        certified.append(got.rate - got.dual_bound)
     worst = max(gaps)
-    _report(2, "solver vs closed forms (50-point grid)", worst <= 5e-3,
-            f"worst |solver - closed form| = {worst:.2e}")
+    worst_gap = max(certified)
+    _report(2, "solver vs closed forms (50-point grid)", worst <= 5e-3 and worst_gap <= 1e-6,
+            f"worst |solver - closed form| = {worst:.2e}, worst certified gap {worst_gap:.1e}")
 
 
 def test_criterion_2b_solver_vs_exhaustive_search():
@@ -116,20 +121,20 @@ def test_criterion_2b_solver_vs_exhaustive_search():
         (dsbs, 0.35, 0.3, 1, 11, 0.01),
         (dsbs, 0.45, 0.4, 1, 11, 0.01),
     ]
-    worst_over = worst_under = 0.0
+    worst_over = worst_under = worst_gap = 0.0
     for src, ds, du, case, grid, allowance in corpus:
         brute = brute_force_rdf(src, ham, ham, ds, du, case=case, grid=grid).rate
-        if case == 2:
-            solved = rdf_semantic_case2(src, ham, ham, ds, du).rate
-        else:
-            solved = rdf_semantic_case1(src, ham, ham, ds, du).rate
+        solve = rdf_semantic_case2 if case == 2 else rdf_semantic_case1
+        point = solve(src, ham, ham, ds, du)
+        solved = point.rate
         worst_over = max(worst_over, solved - brute)      # must stay <= 5e-3
         worst_under = max(worst_under, (brute - solved) - allowance)
+        worst_gap = max(worst_gap, point.rate - point.dual_bound)
     elapsed = time.time() - started
-    ok = worst_over <= 5e-3 and worst_under <= 0.0 and elapsed < 60.0
+    ok = worst_over <= 5e-3 and worst_under <= 0.0 and worst_gap <= 1e-6 and elapsed < 60.0
     _report(2, "solver vs exhaustive grid search", ok,
             f"max solver excess {worst_over:.2e}, grid-allowance slack "
-            f"{worst_under:+.2e}, {elapsed:.0f}s")
+            f"{worst_under:+.2e}, worst certified gap {worst_gap:.1e}, {elapsed:.0f}s")
 
 
 def test_criterion_3_inner_bound_sandwich():

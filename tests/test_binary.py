@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semsec import (
+    DiscreteSemanticSource,
     DomainError,
     EquivocationTargets,
     InfeasibleError,
@@ -12,10 +13,11 @@ from semsec import (
     binary_converse_caps,
     binary_entropy,
     binary_min_r,
-    binary_rdf_joint,
     binary_rdf_sem,
     binary_secrecy_term,
     delta_s_curve,
+    hamming_distortion,
+    rdf_semantic_case2,
 )
 
 # Frozen oracles for the default operating point (alpha 0.25, eps 0.1/0.3).
@@ -150,12 +152,15 @@ class TestMinR:
         assert not res.feasible
         assert "delta_s" in res.reason
 
-    def test_case2_uses_solver_rate(self):
+    def test_case2_uses_certified_dual_bound(self):
+        # The doubly symmetric source is solved at the sorted pair.
         src, ch = default_source(), default_channel()
         res = binary_min_r(src, ch, 0.3, 0.25, EquivocationTargets.no_secrecy(), case=2)
-        expected = binary_rdf_joint(0.25, 0.3, 0.25, 2) / C_MAIN
+        ham = hamming_distortion(2)
+        point = rdf_semantic_case2(DiscreteSemanticSource.doubly_symmetric(0.25), ham, ham, 0.25, 0.3)
         assert res.feasible
-        assert res.r_min == pytest.approx(expected, abs=1e-9)
+        assert res.r_min == pytest.approx(point.dual_bound / C_MAIN, abs=1e-12)
+        assert res.r_min <= point.rate / C_MAIN
 
     def test_case1_infinite_rdf_infeasible(self):
         src, ch = default_source(), default_channel()

@@ -61,6 +61,12 @@ class TestBinaryEntropy:
     def test_range(self, p):
         assert 0.0 <= binary_entropy(p) <= 1.0
 
+    @given(st.one_of(probs, st.just(math.nan), st.sampled_from([5e-324, 1e-300, 1.0 - 2**-53])))
+    def test_float_path_matches_array_path_bitwise(self, p):
+        got, ref = binary_entropy(p), float(binary_entropy(np.array(p)))
+        assert type(got) is float
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
+
 
 class TestStar:
     def test_identity_and_absorbing(self):
@@ -82,6 +88,13 @@ class TestStar:
     def test_commutative_and_in_range(self, a, b):
         assert star(a, b) == pytest.approx(star(b, a), abs=1e-12)
         assert 0.0 <= star(a, b) <= 1.0
+
+    @given(st.one_of(probs, st.just(0.5), st.just(math.nan)),
+           st.one_of(probs, st.just(0.5), st.just(math.nan)))
+    def test_float_path_matches_array_path_bitwise(self, a, b):
+        got, ref = star(a, b), float(star(np.array(a), np.array(b)))
+        assert type(got) is float
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
 
     @given(probs, probs, probs)
     @settings(max_examples=60)

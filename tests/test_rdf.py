@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from nm_oracle import NelderMeadSolver
 
+from semsec import rdf
 from semsec import (
     DiscreteSemanticSource,
     DistortionMatrix,
@@ -23,13 +27,16 @@ from semsec import (
     rdf_semantic_case1,
     rdf_semantic_case2,
 )
-from semsec.rdf import _ba_tilted
+from semsec.info import star
+from semsec.rdf import _ba_tilted, _case1_problem, _case2_problem, _dual_bound
 
 # Frozen from the exhaustive grid search (resolution 6) on the doubly
 # symmetric quarter-crossover source at Hamming targets (0.3, 0.25).
 JOINT_CASE2_03_025 = 0.215816
 
-FAST_SOLVER = TwoConstraintSolver(grid_size=14, refine_gap=1e-3)
+# A channel inside the 1e-9 distortion slack may undercut R(D) by about
+# lam * 1e-9, so a certified bound can exceed such a rate by that much.
+SLACK_RATE = 1e-8
 
 
 def dsbs(alpha=0.25):
@@ -100,17 +107,22 @@ class TestBaCore:
         assert len(trace) > 3
         assert np.all(np.diff(trace) <= 1e-10)
 
-    def test_trace_rejected_for_batches(self):
-        p = np.array([0.5, 0.5])
-        with pytest.raises(DomainError):
-            _ba_tilted(p, np.zeros((4, 2, 2)), return_trace=True)
+    def test_warm_start_at_the_fixed_point_stops_at_once(self):
+        p = np.array([0.3, 0.3, 0.4])
+        tilt = 2.0 * np.random.default_rng(5).uniform(size=(3, 3))
+        cold = _ba_tilted(p, tilt, tol=1e-12)
+        warm = _ba_tilted(p, tilt, tol=1e-12, q0=cold["q"])
+        assert cold["converged"] and warm["converged"]
+        assert warm["iterations"] == 1
+        assert warm["rate"] == pytest.approx(cold["rate"], abs=1e-10)
+
 
 
 class TestTwoConstraintSolver:
     def test_matches_classic_when_one_constraint_slack(self):
         src = dsbs(0.25)
         ham = hamming_distortion(2)
-        point = rdf_semantic_case2(src, ham, ham, 0.15, 1.0, FAST_SOLVER)
+        point = rdf_semantic_case2(src, ham, ham, 0.15, 1.0)
         expected = 1.0 - binary_entropy(0.15)
         assert point.rate == pytest.approx(expected, abs=5e-3)
 
@@ -125,7 +137,7 @@ class TestTwoConstraintSolver:
         src = dsbs(0.25)
         ham = hamming_distortion(2)
         rates = [
-            rdf_semantic_case2(src, ham, ham, d, d, FAST_SOLVER).rate
+            rdf_semantic_case2(src, ham, ham, d, d).rate
             for d in (0.1, 0.2, 0.35)
         ]
         assert rates[0] >= rates[1] - 1e-6
@@ -134,7 +146,7 @@ class TestTwoConstraintSolver:
     def test_zero_rate_detected(self):
         src = dsbs(0.25)
         ham = hamming_distortion(2)
-        point = rdf_semantic_case2(src, ham, ham, 0.5, 0.5, FAST_SOLVER)
+        point = rdf_semantic_case2(src, ham, ham, 0.5, 0.5)
         assert point.rate == 0.0
         assert point.multipliers == (0.0, 0.0)
 
@@ -142,12 +154,12 @@ class TestTwoConstraintSolver:
         src = dsbs(0.25)
         ham = hamming_distortion(2)
         with pytest.raises(InfeasibleError):
-            rdf_semantic_case2(src, ham, ham, -0.05, 0.2, FAST_SOLVER)
+            rdf_semantic_case2(src, ham, ham, -0.05, 0.2)
 
     def test_case1_matches_modified_closed_form(self):
         src = dsbs(0.25)
         ham = hamming_distortion(2)
-        point = rdf_semantic_case1(src, ham, ham, 0.35, 1.0, FAST_SOLVER)
+        point = rdf_semantic_case1(src, ham, ham, 0.35, 1.0)
         expected = 1.0 - binary_entropy((0.35 - 0.25) / 0.5)
         assert point.rate == pytest.approx(expected, abs=5e-3)
 
@@ -155,7 +167,84 @@ class TestTwoConstraintSolver:
         src = dsbs(0.25)
         ham = hamming_distortion(2)
         with pytest.raises(InfeasibleError):
-            rdf_semantic_case1(src, ham, ham, 0.1, 0.5, FAST_SOLVER)
+            rdf_semantic_case1(src, ham, ham, 0.1, 0.5)
+
+
+class TestCertifiedDual:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(0.05, 0.5), d=st.floats(0.01, 0.5), lam=st.floats(0.0, 12.0),
+        q=st.lists(st.floats(1e-9, 1.0), min_size=2, max_size=2),
+    )
+    def test_bound_holds_at_any_output_distribution(self, a, d, lam, q):
+        # Bernoulli(a) under Hamming distortion: R(D) = h(a) - h(D) below a.
+        p = np.array([1.0 - a, a])
+        ham = hamming_distortion(2).entries
+        exact = max(binary_entropy(a) - binary_entropy(min(d, a)), 0.0)
+        assert _dual_bound(p, np.array(q), lam * ham, lam * d) <= exact + 1e-12
+
+    def test_case1_bound_below_exhaustive_search(self):
+        # Csiszar's value without the max-c term read 0.278350 here, above
+        # the grid search's 0.278072, which upper-bounds the RDF.
+        src, ham = dsbs(0.25), hamming_distortion(2)
+        point = rdf_semantic_case1(src, ham, ham, 0.35, 0.3)
+        brute = brute_force_rdf(src, ham, ham, 0.35, 0.3, case=1, grid=11)
+        assert point.dual_bound <= brute.rate
+
+    def test_dsbs_case2_bound_below_exact_value(self):
+        # The uncorrected value read 0.663183 against 1 - h(1/16) = 0.662710.
+        ham = hamming_distortion(2)
+        point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.0625, 0.3125)
+        exact = 1.0 - binary_entropy(0.0625)
+        assert point.dual_bound <= exact + 1e-12
+        assert point.rate - point.dual_bound <= 1e-6
+
+
+def dsbs_case2_closed_form(alpha, d_s, d_u):
+    """Exact R(D_s, D_u) of the DSBS where it is known, else None."""
+    if star(d_s, d_u) <= alpha:  # Shannon lower bound is tight
+        return 1.0 + binary_entropy(alpha) - binary_entropy(d_s) - binary_entropy(d_u)
+    if d_u >= star(alpha, d_s):  # reconstructing U as S_hat meets D_u
+        return 1.0 - binary_entropy(d_s)
+    if d_s >= star(alpha, d_u):
+        return 1.0 - binary_entropy(d_u)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.floats(0.01, 0.49), d_s=st.floats(0.005, 0.495), d_u=st.floats(0.005, 0.495))
+def test_dsbs_case2_over_the_parameter_space(alpha, d_s, d_u):
+    ham = hamming_distortion(2)
+    point = rdf_semantic_case2(dsbs(alpha), ham, ham, d_s, d_u)
+    assert point.converged
+    assert point.dual_bound <= point.rate + SLACK_RATE
+    assert point.rate <= point.dual_bound + 1e-6
+    exact = dsbs_case2_closed_form(alpha, d_s, d_u)
+    if exact is not None:
+        assert point.dual_bound <= exact + 1e-12
+        assert point.rate == pytest.approx(exact, abs=1e-6)
+
+
+ASYM = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])), ("a", "b"), ("x", "y"))
+# Criterion 2b's corpus and the benchmark's four binary case-2 cells.
+ORACLE_CELLS = [
+    ("dsbs", 0.3, 0.25, 2), ("dsbs", 0.2, 0.2, 2), ("asym", 0.3, 0.25, 2),
+    ("asym", 0.4, 0.2, 2), ("dsbs", 0.35, 0.3, 1), ("dsbs", 0.45, 0.4, 1),
+    ("dsbs", 0.0625, 0.0625, 2), ("dsbs", 0.0625, 0.3125, 2),
+    ("dsbs", 0.3125, 0.0625, 2), ("dsbs", 0.3125, 0.3125, 2),
+]
+
+
+@pytest.mark.parametrize("name,d_s,d_u,case", ORACLE_CELLS)
+def test_rate_no_worse_than_the_nelder_mead_oracle(name, d_s, d_u, case):
+    src = ASYM if name == "asym" else dsbs(0.25)
+    ham = hamming_distortion(2)
+    problem = (_case2_problem if case == 2 else _case1_problem)(src, ham, ham)
+    new = TwoConstraintSolver().solve(*problem, d_s, d_u)
+    old = NelderMeadSolver().solve(*problem, d_s, d_u)
+    assert new.converged
+    assert new.rate <= old.rate + 1e-6
+    assert new.rate - new.dual_bound <= 1e-6
 
 
 class TestBruteForce:
@@ -232,3 +321,28 @@ class TestBinaryClosedForms:
             r_u = max(0.0, 1.0 - binary_entropy(min(du, 0.5)))
             assert joint >= max(r_s, r_u) - 5e-3
             assert joint <= r_s + r_u + 5e-3
+
+    def test_joint_case2_is_the_certified_bound(self):
+        ham = hamming_distortion(2)
+        point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.25, 0.3)
+        assert point.dual_bound < point.rate
+        assert binary_rdf_joint(0.25, 0.25, 0.3, 2) == point.dual_bound
+
+    def test_joint_case2_swapped_cells_share_one_solve(self):
+        rdf._binary_joint_case2_cached.cache_clear()
+        first = binary_rdf_joint(0.2, 0.1, 0.35, 2)
+        swapped = binary_rdf_joint(0.2, 0.35, 0.1, 2)
+        assert first == swapped
+        info = rdf._binary_joint_case2_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_joint_case2_warns_when_the_solver_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(rdf, "_BINARY_SOLVER", TwoConstraintSolver(ba_max_iter=2))
+        rdf._binary_joint_case2_cached.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match=r"\(D_s, D_u\)=\(0\.3, 0\.25\).*gap"):
+                value = binary_rdf_joint(0.25, 0.3, 0.25, 2)
+        finally:
+            rdf._binary_joint_case2_cached.cache_clear()
+        # Starved or not, the value is a certified lower bound.
+        assert 0.0 <= value <= JOINT_CASE2_03_025 + 1e-3
