@@ -57,7 +57,7 @@ _GRAD_TOL = 1e-10  # stationarity: well inside the distortion slack
 _FD_STEP = 1e-6  # relative forward-difference step for the Hessian
 _BACKTRACKS = 8
 _BISECTIONS = 30
-_LINE_BISECTIONS = 10  # an ascent step needs no exact line maximum
+_LINE_BISECTIONS = 10  # neither an ascent step nor the ray scale needs more
 _POLISH_EVERY = 8  # Blahut-Arimoto iterations between Newton steps on q
 
 
@@ -282,8 +282,7 @@ def _newton_output(p, b, q):
 
 
 def _expected_distortions(p, w, *costs):
-    pw = p.reshape((1,) * (w.ndim - 2) + (len(p), 1))
-    return tuple(float((pw * w * c).sum(axis=(-1, -2))) if w.ndim == 2 else (pw * w * c).sum(axis=(-1, -2)) for c in costs)
+    return tuple(float((p[:, None] * w * c).sum()) for c in costs)
 
 
 def _dual_bound(p, q, tilt, lam_dot_d):
@@ -559,7 +558,7 @@ class _NewtonAscent:
             s *= 4.0
         if hi is None:
             return
-        for _ in range(_BISECTIONS):
+        for _ in range(_LINE_BISECTIONS):
             mid = 0.5 * (lo + hi)
             ev = self.evaluate(cur.lam * (1.0 + mid), q)
             if ev.feasible:

@@ -25,7 +25,6 @@ from semsec.rdf import (
     RdfPoint,
     _channel_feasibility,
     _channel_rate,
-    _expected_distortions,
     _zero_rate_point,
 )
 
@@ -68,6 +67,11 @@ def ba_rate_stop(p, tilt, tol=1e-9, max_iter=10_000):
     }
 
 
+def expected_distortions(p, w, *costs):
+    """Per-cost E d under channel(s) ``w`` of shape (..., m, n)."""
+    return tuple((p[:, None] * w * c).sum(axis=(-1, -2)) for c in costs)
+
+
 def csiszar_value(p, q, tilt, lam_dot_d):
     """-lam.D - sum_x p log2 sum_xh q 2^-tilt: the dual value at ``q``."""
     shift = tilt.min(axis=-1, keepdims=True)
@@ -107,7 +111,7 @@ class NelderMeadSolver:
         lb = lb.ravel()
         tilt = la[:, None, None] * cost_a[None] + lb[:, None, None] * cost_b[None]
         out = ba_rate_stop(p, tilt, tol=self.ba_tol, max_iter=self.grid_max_iter)
-        ea, eb = _expected_distortions(p, out["w"], cost_a, cost_b)
+        ea, eb = expected_distortions(p, out["w"], cost_a, cost_b)
         best_dual = float(np.max(csiszar_value(p, out["q"], tilt, la * d_a + lb * d_b)))
         feas = (ea <= d_a + _SLACK) & (eb <= d_b + _SLACK)
         if np.any(feas):
@@ -118,7 +122,7 @@ class NelderMeadSolver:
             conv = bool(out["converged"][idx])
         else:
             rate = _channel_rate(p, w_lp)
-            ea_lp, eb_lp = _expected_distortions(p, w_lp, cost_a, cost_b)
+            ea_lp, eb_lp = expected_distortions(p, w_lp, cost_a, cost_b)
             achieved = (float(ea_lp), float(eb_lp))
             mult = (float("nan"), float("nan"))
             conv = True
@@ -134,7 +138,7 @@ class NelderMeadSolver:
             p, tilt, tol=self.ba_tol,
             max_iter=self.ba_max_iter if budget is None else budget,
         )
-        ea, eb = _expected_distortions(p, out["w"], cost_a, cost_b)
+        ea, eb = expected_distortions(p, out["w"], cost_a, cost_b)
         dual = float(csiszar_value(p, out["q"], tilt, lam_a * d_a + lam_b * d_b))
         return out, float(ea), float(eb), dual
 

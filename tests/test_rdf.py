@@ -163,6 +163,21 @@ class TestTwoConstraintSolver:
         expected = 1.0 - binary_entropy((0.35 - 0.25) / 0.5)
         assert point.rate == pytest.approx(expected, abs=5e-3)
 
+    def test_fallbacks_gain_dual_and_restore_feasibility(self):
+        ham = hamming_distortion(2)
+        p, cost_a, cost_b = _case2_problem(dsbs(0.25), ham, ham)
+        ascent = rdf._NewtonAscent(
+            TwoConstraintSolver(), p, np.stack([cost_a, cost_b]), np.array([0.3, 0.25])
+        )
+        start = ascent.evaluate(np.array([0.2, 0.2]))
+        assert not start.feasible and ascent.best is None
+        step = ascent._bisection_step(start)
+        assert step.dual > start.dual
+        ascent._restore_feasibility(start)
+        assert ascent.best is not None and ascent.best.feasible
+        assert ascent.best.lam[0] / 0.2 == pytest.approx(ascent.best.lam[1] / 0.2)
+        assert ascent.best_dual <= JOINT_CASE2_03_025 + 1e-6
+
     def test_case1_floor(self):
         src = dsbs(0.25)
         ham = hamming_distortion(2)
