@@ -56,7 +56,7 @@ _NEWTON_MAX_ITER = 50
 _GRAD_TOL = 1e-10  # stationarity: well inside the distortion slack
 _FD_STEP = 1e-6  # relative forward-difference step for the Hessian
 _BACKTRACKS = 8
-_BISECTIONS = 30
+_BRACKET_STEPS = 30  # growth steps of a bisection bracket
 _LINE_BISECTIONS = 10  # neither an ascent step nor the ray scale needs more
 _POLISH_EVERY = 8  # Blahut-Arimoto iterations between Newton steps on q
 
@@ -395,7 +395,8 @@ class TwoConstraintSolver:
     Every solve yields a certified dual lower bound (:func:`_dual_bound`);
     ``dual_bound`` is the best of them and ``rate`` is the least rate among
     the feasible channels met. ``converged`` means the projected gradient
-    fell below 1e-10 and the final Blahut-Arimoto solve met ``ba_tol``.
+    fell below 1e-10 and the reported channel's Blahut-Arimoto solve met
+    ``ba_tol``.
     """
 
     ba_tol: float = 1e-12
@@ -520,51 +521,48 @@ class _NewtonAscent:
         d = cur.proj_grad
         shrink = d < 0.0
         t_wall = float(np.min(-cur.lam[shrink] / d[shrink])) if shrink.any() else math.inf
-        lo, hi, best = 0.0, None, None
-        t = min(1.0, t_wall)
-        for _ in range(_BISECTIONS):
-            ev = self.evaluate(np.maximum(cur.lam + t * d, 0.0), cur.ba["q"])
-            if float(d @ ev.grad) < 0.0:
-                hi = t
-                break
-            lo, best = t, ev
-            if t == t_wall:
-                return best
-            t = min(2.0 * t, t_wall)
-        if hi is None:
-            return best
-        for _ in range(_LINE_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            ev = self.evaluate(np.maximum(cur.lam + mid * d, 0.0), cur.ba["q"])
-            if float(d @ ev.grad) >= 0.0:
-                lo, best = mid, ev
-            else:
-                hi = mid
-        return best
+        return self._last_before(
+            cur, lambda t: np.maximum(cur.lam + t * d, 0.0),
+            lambda ev: float(d @ ev.grad) >= 0.0, min(1.0, t_wall), 2.0, t_wall,
+        )
 
     def _restore_feasibility(self, cur: _Eval) -> None:
         """Scale the multipliers by 1 + s until the channel meets both targets.
 
-        s grows fourfold from 1e-9 until feasible, then is bisected.
+        s grows fourfold from 1e-9 and is then bisected; :meth:`evaluate`
+        keeps the feasible channel of least rate.
         """
-        lo, hi, q = 0.0, None, cur.ba["q"]
-        s = 1e-9
-        for _ in range(_BISECTIONS):
-            ev = self.evaluate(cur.lam * (1.0 + s), q)
-            if ev.feasible:
-                hi = s
+        self._last_before(cur, lambda s: cur.lam * (1.0 + s),
+                          lambda ev: not ev.feasible, 1e-9, 4.0)
+
+    def _last_before(self, cur, lam_at, before, t, grow, t_max=math.inf):
+        """Last evaluation before the flip of a predicate monotone in t.
+
+        ``lam_at(t)`` is the multiplier pair at t, and ``before`` holds up
+        to some t* and fails beyond it. t grows by ``grow`` (up to
+        ``t_max``) until ``before`` fails, then the bracket is bisected.
+        Each solve is warm-started from the last one before the flip.
+        """
+        lo, hi, last, q = 0.0, None, None, cur.ba["q"]
+        for _ in range(_BRACKET_STEPS):
+            ev = self.evaluate(lam_at(t), q)
+            if not before(ev):
+                hi = t
                 break
-            lo, q = s, ev.ba["q"]
-            s *= 4.0
+            lo, last, q = t, ev, ev.ba["q"]
+            if t >= t_max:
+                return last
+            t = min(t * grow, t_max)
         if hi is None:
-            return
+            return last
         for _ in range(_LINE_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            ev = self.evaluate(cur.lam * (1.0 + mid), q)
-            if ev.feasible:
-                hi = mid
+            ev = self.evaluate(lam_at(mid), q)
+            if before(ev):
+                lo, last, q = mid, ev, ev.ba["q"]
             else:
-                lo, q = mid, ev.ba["q"]
+                hi = mid
+        return last
 
 
 def _channel_rate(p, w):

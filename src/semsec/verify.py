@@ -29,7 +29,7 @@ from .gaussian import (
     secrecy_term,
 )
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
-from .rdf import DiscreteSemanticSource, TwoConstraintSolver, hamming_distortion
+from .rdf import DiscreteSemanticSource, hamming_distortion
 from .regions import DISABLED, EquivocationTargets
 
 __all__ = ["run_verification"]
@@ -111,10 +111,9 @@ def _discrete_checks():
     checks = []
     src = DiscreteSemanticSource.doubly_symmetric(0.25)
     d = hamming_distortion(2)
-    solver = TwoConstraintSolver()
     from .rdf import rdf_semantic_case2
 
-    point = rdf_semantic_case2(src, d, d, 0.3, 0.25, solver)
+    point = rdf_semantic_case2(src, d, d, 0.3, 0.25)
     ok = abs(point.rate - 0.215816) < 5e-3
     checks.append(_check(
         "two-constraint-solver", ok,
