@@ -42,7 +42,6 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import (
-    InnerSample,
     SemanticSourceGaussian,
     WiretapChannelGaussian,
     converse_equivocation_caps,
@@ -52,9 +51,6 @@ from .gaussian import (
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     inner_bound_scan,
-    inner_min_r,
-    sample_sigma1,
-    sample_sigma2,
     secrecy_term,
 )
 from .info import (
@@ -116,11 +112,10 @@ __all__ = [
     "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
     "RegionSurface", "TradeoffCurve", "converse_surface",
     # Gaussian model
-    "SemanticSourceGaussian", "WiretapChannelGaussian", "InnerSample",
+    "SemanticSourceGaussian", "WiretapChannelGaussian",
     "gaussian_rdf_obs", "gaussian_rdf_sem", "gaussian_rdf_joint",
     "secrecy_term", "converse_equivocation_caps", "converse_min_r",
-    "sample_sigma1", "sample_sigma2", "inner_min_r", "inner_bound_scan",
-    "draw_inner_samples",
+    "inner_bound_scan", "draw_inner_samples",
     # binary model
     "SemanticSourceBinary", "WiretapChannelBinary", "binary_secrecy_term",
     "binary_converse_caps", "binary_min_r", "delta_s_curve",

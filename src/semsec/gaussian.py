@@ -10,9 +10,10 @@ sees only U (case 1) or both components (case 2).
 The converse evaluator uses closed-form rate-distortion functions and the
 secrecy-capacity term; the inner-bound evaluator draws jointly Gaussian
 auxiliary structures for the source side (6x6 covariance over
-S, U, Sc, Sp, Uc, Up) and the channel side (7x7 covariance over
-Wc, Wu, Qs, Qu, X, Y, Z), evaluates every information term in closed form,
-and solves the piecewise-linear system for the minimal feasible r.
+S, U, Sc, Sp, Uc, Up) and the channel side (a signal and a private-noise
+power for each of the independent layers Wc, Wu, Qs, Qu superposed into X),
+evaluates every information term in closed form, and solves the
+piecewise-linear system for the minimal feasible r.
 """
 
 from __future__ import annotations
@@ -23,35 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, SamplerStarvationError
-from .info import _PSD_EIG_FLOOR, TWO_PI_E, CovMatrix
+from .info import _PSD_EIG_FLOOR, TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
                       RegionSurface, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
     "WiretapChannelGaussian",
-    "InnerSample",
     "gaussian_rdf_obs",
     "gaussian_rdf_sem",
     "gaussian_rdf_joint",
     "secrecy_term",
     "converse_equivocation_caps",
     "converse_min_r",
-    "sample_sigma1",
-    "sample_sigma2",
-    "inner_min_r",
     "inner_bound_scan",
     "draw_inner_samples",
-    "SIGMA1_LABELS",
-    "SIGMA2_LABELS",
     "REASON_NAMES",
 ]
 
 _TOL = 1e-9
 _TINY = 1e-300
-
-SIGMA1_LABELS = ("S", "U", "Sc", "Sp", "Uc", "Up")
-SIGMA2_LABELS = ("Wc", "Wu", "Qs", "Qu", "X", "Y", "Z")
 
 #: Per-sample discard reason codes for the inner-bound evaluation.
 REASON_NAMES = {
@@ -66,7 +58,7 @@ REASON_NAMES = {
     8: "unsound_u",
     9: "unsound_su",
     10: "degenerate",  # a singular index set made a term NaN or infinite
-    11: "not_psd",  # the draw failed the sampler's PSD gate (_psd_mask)
+    11: "not_psd",  # the source-side draw failed its PSD gate (_psd_mask)
 }
 
 
@@ -152,26 +144,6 @@ class WiretapChannelGaussian:
     def channel_block(self) -> np.ndarray:
         p, n1, n = self.P, self.P_N1, self.P_N
         return np.array([[p, p, p], [p, p + n1, p + n1], [p, p + n1, p + n]])
-
-
-@dataclass(frozen=True)
-class InnerSample:
-    """One Monte-Carlo draw of the inner-bound auxiliary structure."""
-
-    sigma1: CovMatrix
-    sigma2: CovMatrix
-    case: int
-    d_s: float
-    d_u: float
-
-    @classmethod
-    def from_covariances(cls, sigma1: CovMatrix, sigma2: CovMatrix, case: int) -> "InnerSample":
-        if case not in (1, 2):
-            raise DomainError(f"case must be 1 or 2, got {case}")
-        if sigma1.dim != 6 or sigma2.dim != 7:
-            raise DomainError("need a 6x6 source-side and a 7x7 channel-side covariance")
-        t = _inner_terms(sigma1.entries[None], sigma2.entries[None], case)
-        return cls(sigma1, sigma2, case, float(t["d_s"][0]), float(t["d_u"][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +332,9 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     Each draw is the Gram matrix g gᵀ of a 6x6 factor g, except that the
     (S, U) block is overwritten with K: Σ1 = G + (Ĝ - G) + Δ with G the
     exact Gram matrix, Ĝ the computed one and Δ = K - Ĝ[:2, :2] on the
-    source block only. Each entry of Ĝ is a dot product of length 6, so
-    :func:`_gram_mask` is called with |Δ|_F and ``terms`` = 6. ``valid`` is
-    :func:`_psd_mask` of that certificate.
+    source block only. Each entry of Ĝ is a dot product of length 6, the
+    length :func:`_gram_mask` assumes, so it is called with |Δ|_F.
+    ``valid`` is :func:`_psd_mask` of that certificate.
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
@@ -429,7 +401,7 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
 
     s1 = g @ g.transpose(0, 2, 1)
     delta = src.K - s1[:, :2, :2]
-    valid = _gram_mask(np.sqrt((delta**2).sum(axis=(1, 2))), np.trace(s1, axis1=1, axis2=2), 6)
+    valid = _gram_mask(np.sqrt((delta**2).sum(axis=(1, 2))), np.trace(s1, axis1=1, axis2=2))
     s1[:, :2, :2] = src.K  # exact source block
     return s1, _psd_mask(s1, valid)
 
@@ -440,37 +412,18 @@ def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
 
 
 def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
-    """Draw ``n`` channel-side layer structures; returns ((n, 7, 7), valid).
+    """Draw ``n`` channel-side layer structures; returns (σ², ν²), each (n, 4).
 
-    Coordinates: (Wc, Wu, Qs, Qu, X, Y, Z). Each auxiliary layer carries an
-    independent signal component; X sums the signals plus an independent
-    residual that tops the input power up to P exactly, so the (X, Y, Z)
-    block is the fixed channel block for every draw and each auxiliary is
+    Layers: (Wc, Wu, Qs, Qu). Layer k is W_k = S_k + M_k, an independent
+    signal component S_k of power σ_k² = share_k·P plus a private noise M_k
+    of power ν_k². X sums the signals plus an independent residual that tops
+    the input power up to P, and Y = X + N1, Z = Y + N2, so each auxiliary is
     conditionally independent of (Y, Z) given X. Four modes: general
     stick-breaking splits with private noises, a clean full-power split, and
-    two corner-heavy splits that favor the confidential layers.
-
-    Each draw is the Gram matrix of the factor rows (Wc, Wu, Qs, Qu, X,
-    X + N1, X + N1 + N2), with N1 and N2 orthogonal to everything else,
-    except that the nine (X, Y, Z) entries, which depend on |row X|², are
-    set from P. Only the 5x5 Gram matrix Ĝ of the rows (Wc, Wu, Qs, Qu, X)
-    is computed (dot products of length 9); the Y and Z columns copy its X
-    column. So Σ2 = A + E_g + δ J + E_n, where A is the exact 7x7 Gram
-    matrix (PSD), J the all-ones block on (X, Y, Z), δ = P - Ĝ[4, 4], E_g
-    the rounding of Ĝ with the X row and column repeated three times, and
-    E_n the rounding of the stored sums fl(P + P_N1), on the (Y, Y), (Y, Z)
-    and (Z, Y) entries, and fl(P + P_N) with P_N = fl(P_N1 + P_N2), on (Z, Z):
-
-    * |δ J|₂ = 3|δ|;
-    * |E_g|_F <= γ₉ (trace Ĝ + 2 Ĝ[4, 4]) to first order, since X enters
-      three rows and three columns;
-    * |E_n|_F <= (1 + √2) u (P + P_N1) + u (P + 2 P_N), which the slack of
-      ``terms`` = 11 over 9 (2u (trace Ĝ + 2 Ĝ[4, 4]) >= 6u P) together
-      with the ``+ P_N1 + P_N`` added to the trace (12u (P_N1 + P_N)) covers.
-
-    ``valid`` is :func:`_psd_mask` of that certificate.
+    two corner-heavy splits that favor the confidential layers. Every draw is
+    a valid covariance by construction, so no draw is gated.
     """
-    p, n1, ntot = ch.P, ch.P_N1, ch.P_N
+    p = ch.P
     mode = rng.choice(4, size=n, p=_MODE_PROBS)
     shares = np.zeros((n, 4))
     noise = np.zeros((n, 4))
@@ -506,67 +459,39 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
         shares[idx3, 2] = rest3[:, 1]
         shares[idx3, 3] = rest3[:, 2]
 
-    sig = np.sqrt(np.clip(shares, 0.0, None) * p)
-    g2 = np.zeros((n, 5, 9))
-    for layer in range(4):
-        g2[:, layer, 1 + layer] = sig[:, layer]
-        g2[:, layer, 5 + layer] = noise[:, layer]
-    g2[:, 4, 1:5] = sig
-    g2[:, 4, 0] = np.sqrt(np.maximum(p - (sig**2).sum(axis=1), 0.0))
-    s5 = g2 @ g2.transpose(0, 2, 1)
-    x2 = s5[:, 4, 4].copy()
-    # Nine inner products per entry, plus two noise additions on the Z diagonal.
-    gram_trace = np.trace(s5, axis1=1, axis2=2) + 2.0 * x2 + n1 + ntot
-    valid = _gram_mask(3.0 * np.abs(p - x2), gram_trace, 11)
-    s5[:, 4, 4] = p  # exact input power
-
-    s2 = np.zeros((n, 7, 7))
-    s2[:, :5, :5] = s5
-    # Auxiliaries relate to Y and Z exactly as they relate to X (the channel
-    # only adds independent noise), and the (X, Y, Z) block is fixed.
-    s2[:, :4, 5] = s5[:, :4, 4]
-    s2[:, 5, :4] = s5[:, 4, :4]
-    s2[:, :4, 6] = s5[:, :4, 4]
-    s2[:, 6, :4] = s5[:, 4, :4]
-    s2[:, 4, 5] = s2[:, 5, 4] = p
-    s2[:, 4, 6] = s2[:, 6, 4] = p
-    s2[:, 5, 5] = p + n1
-    s2[:, 5, 6] = s2[:, 6, 5] = p + n1
-    s2[:, 6, 6] = p + ntot
-    return s2, _psd_mask(s2, valid)
+    return shares * p, noise**2
 
 
-def _gram_mask(delta_norm: np.ndarray, gram_trace: np.ndarray, terms: int) -> np.ndarray:
-    """Certificate that a sampled matrix has λ_min >= -1e-9.
+def _gram_mask(delta_norm: np.ndarray, gram_trace: np.ndarray) -> np.ndarray:
+    """Certificate that a source-side draw (Σ1) has λ_min >= -1e-9.
 
-    A sampler stores Σ = Ĝ + Δ, where Ĝ is the computed Gram matrix of its
-    factor rows g_i and Δ the entries it overwrites. Each entry of Ĝ is a
-    dot product of at most ``terms`` products, so it lies within
-    γ |g_i| |g_j| of the exact Gram matrix G, with γ = terms·u/(1 - terms·u)
-    and u the unit roundoff; hence |Ĝ - G|₂ <= |Ĝ - G|_F <= γ trace(G).
-    G is PSD, so Weyl's inequality gives
-    λ_min(Σ) >= -|Δ|₂ - γ trace(G) >= -(``delta_norm`` + (terms + 1) u ``gram_trace``),
-    where ``delta_norm`` bounds |Δ|₂ and ``gram_trace`` is trace(Ĝ) plus
-    whatever slack the sampler needs for its other rounded entries. The
-    extra u per term covers the second-order terms, such as trace(Ĝ)
-    against trace(G). A draw passes when that bound is at least -1e-9, so
-    the exact eigenvalues of every certified draw meet the floor that
-    :class:`CovMatrix` applies to computed ones. The rounding term grows
-    with the scale of the covariances: beyond a trace of about 1e6
+    The Σ1 sampler stores Σ = Ĝ + Δ, where Ĝ is the computed Gram matrix of
+    its factor rows g_i and Δ the entries it overwrites. Each entry of Ĝ is
+    a dot product of 6 products, so it lies within γ |g_i| |g_j| of the
+    exact Gram matrix G, with γ = 6u/(1 - 6u) and u the unit roundoff;
+    hence |Ĝ - G|₂ <= |Ĝ - G|_F <= γ trace(G). G is PSD, so Weyl's
+    inequality gives λ_min(Σ) >= -|Δ|₂ - γ trace(G) >= -(``delta_norm`` +
+    7u ``gram_trace``), where ``delta_norm`` bounds |Δ|₂ and ``gram_trace``
+    is trace(Ĝ). The seventh u covers the second-order terms, such as
+    trace(Ĝ) against trace(G). A draw passes when that bound is at least
+    -1e-9, so the exact eigenvalues of every certified draw meet the floor
+    that :class:`CovMatrix` applies to computed ones. The rounding term
+    grows with the scale of the covariances: beyond a trace of about 1e6
     (variances of about 1e5) draws stop being certified, and
     :func:`_psd_mask` falls back to ``eigvalsh`` for them.
     """
-    rounding = (terms + 1) * (0.5 * np.finfo(float).eps) * gram_trace
+    rounding = 7 * (0.5 * np.finfo(float).eps) * gram_trace
     return delta_norm + rounding <= -_PSD_EIG_FLOOR
 
 
 def _psd_mask(mats: np.ndarray, certified: np.ndarray) -> np.ndarray:
-    """The PSD gate of a sampled batch.
+    """The PSD gate of a batch of source-side draws (Σ1).
 
     Draws that :func:`_gram_mask` certified pass without a factorization.
     The rest, none at unit-scale inputs, take the gate :class:`CovMatrix`
     applies: the smallest ``eigvalsh`` eigenvalue at least -1e-9. A draw
-    that fails is discarded as ``not_psd``.
+    that fails is discarded as ``not_psd``. The channel side has no gate:
+    its layer powers are a valid covariance by construction.
     """
     rest = np.flatnonzero(~certified)
     if rest.size == 0:
@@ -577,51 +502,17 @@ def _psd_mask(mats: np.ndarray, certified: np.ndarray) -> np.ndarray:
     return valid
 
 
-def _single_draw(batch_fn, labels):
-    rejections = 0
-    while True:
-        mats, valid = batch_fn(1)
-        if valid[0]:
-            return CovMatrix(mats[0], labels)
-        rejections += 1
-        if rejections >= _REJECTION_BUDGET:
-            raise SamplerStarvationError(
-                f"rejected {rejections} consecutive draws; sampler starved"
-            )
-
-
-def sample_sigma1(src: SemanticSourceGaussian, rng, case: int = 2) -> CovMatrix:
-    """One source-side covariance draw with the (S, U) block fixed exactly.
-
-    A draw that fails the sampler's PSD gate (:func:`_psd_mask`) is
-    redrawn; :class:`SamplerStarvationError` after ``_REJECTION_BUDGET``
-    consecutive failures.
-    """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    return _single_draw(lambda k: _sample_sigma1_batch(src, case, k, rng), SIGMA1_LABELS)
-
-
-def sample_sigma2(ch: WiretapChannelGaussian, rng) -> CovMatrix:
-    """One channel-side covariance draw with the (X, Y, Z) block fixed exactly.
-
-    Redrawn on a failed PSD gate, as in :func:`sample_sigma1`.
-    """
-    return _single_draw(lambda k: _sample_sigma2_batch(ch, k, rng), SIGMA2_LABELS)
-
-
 # ---------------------------------------------------------------------------
 # inner bound: information terms and the piecewise-linear minimal r
 # ---------------------------------------------------------------------------
 
 
-# Orderings whose leading prefixes are the index sets the information terms
+# Orderings whose leading prefixes are the index sets the source-side terms
 # need; see _inner_terms for the terms and the coordinates.
 _SOURCE_CHAINS = {
     1: ((2, 3, 0), (1, 2, 3), (2, 4, 5, 1)),
     2: ((2, 3, 0, 1), (0, 1, 2), (2, 4, 5, 1, 0)),
 }
-_CHANNEL_CHAINS = ((5, 0, 2), (0, 2, 6), (6, 0, 1, 3), (0, 1, 3, 2, 6), (0, 1, 5, 3))
 
 
 def _prefix_logdets(s: np.ndarray, chains) -> dict[frozenset, np.ndarray]:
@@ -658,49 +549,67 @@ def _mi(ld, a, b, c=()) -> np.ndarray:
     return np.maximum(val, 0.0)
 
 
-def _inner_terms(s1: np.ndarray, s2: np.ndarray, case: int) -> dict[str, np.ndarray]:
+def _inner_terms(s1: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
+                 ch: WiretapChannelGaussian, case: int) -> dict[str, np.ndarray]:
     """All information terms of the inner bound, batched.
 
-    Source side (coordinates S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5; the encoder
-    input V is U in case 1 and (S, U) in case 2):
+    Source side (coordinates S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5 of ``s1``; the
+    encoder input V is U in case 1 and (S, U) in case 2):
 
     * ``a1`` = I(Sc; V), ``a2`` = I(Sc, Sp; V), ``a3`` = I(Uc, Up; V | Sc);
     * ``d_s`` = Var(S | Sc, Sp), ``d_u`` = Var(U | Sc, Uc, Up) (minimum
       mean-square-error reconstruction distortions).
 
-    Channel side (Wc=0, Wu=1, Qs=2, Qu=3, X=4, Y=5, Z=6):
+    Each is the Gaussian log-determinant identity
+    I(A; B | C) = (ld(AC) + ld(BC) - ld(C) - ld(ABC)) / 2 or
+    Var(i | C) = 2^(ld(iC) - ld(C)), with the log-dets from
+    :func:`_prefix_logdets` over a few chains: for example the chain
+    (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and {S, U, Sc, Sp}.
+
+    Channel side (layers Wc, Wu, Qs, Qu with the signal powers ``sig2`` and
+    private-noise powers ``nu2`` of :func:`_sample_sigma2_batch`):
 
     * ``b1`` = I(Wc; Y), ``b2`` = I(Wc, Qs; Y), ``b3`` = I(Wu, Qu; Y | Wc);
     * leakage gaps ``gqs_y`` = I(Qs; Y | Wc), ``gqs_z`` = I(Qs; Z | Wc),
       ``gqu_y`` = I(Qu; Y | Wc, Wu), ``gqu_z`` = I(Qu; Z | Wc, Wu),
       ``gj_z`` = I(Qs, Qu; Z | Wc, Wu).
 
-    Every term is the Gaussian log-determinant identity
-    I(A; B | C) = (ld(AC) + ld(BC) - ld(C) - ld(ABC)) / 2 and
-    Var(i | C) = 2^(ld(iC) - ld(C)). The log-dets come from
-    :func:`_prefix_logdets` over a few chains per side: for example the
-    source chain (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and
-    {S, U, Sc, Sp}. A singular index set gives -inf, so its terms come out
-    NaN or infinite and the draw is discarded as ``degenerate``.
+    The layers are independent, so conditioning on a layer set C removes
+    e_C = Σ_{k∈C} e_k from the output variance v, with
+    e_k = σ_k⁴ / (σ_k² + ν_k²) = Cov(W_k, X)² / Var(W_k), and
+    I(A; Y | C) = ½ log2((v_Y - e_C) / (v_Y - e_C - e_A)) with
+    v_Y = P + P_N1; the Z terms use v_Z = P + P_N.
+
+    A singular index set (on the channel side, a layer with σ = ν = 0, whose
+    e_k is NaN) makes its terms NaN or infinite, and the draw is discarded as
+    ``degenerate``.
     """
     v = [1] if case == 1 else [0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         l1 = _prefix_logdets(s1, _SOURCE_CHAINS[case])
-        l2 = _prefix_logdets(s2, _CHANNEL_CHAINS)
+        wc, wu, qs, qu = (sig2**2 / (sig2 + nu2)).T
+
+        def gain(out_var, a, c=0.0):
+            # ½ log2(rest / (rest - a)); log1p keeps tiny gains to full
+            # relative precision.
+            rest = out_var - c
+            return np.log1p(a / (rest - a)) / (2.0 * math.log(2.0))
+
+        v_y, v_z = ch.P + ch.P_N1, ch.P + ch.P_N
         terms = {
             "a1": _mi(l1, [2], v),
             "a2": _mi(l1, [2, 3], v),
             "a3": _mi(l1, [4, 5], v, [2]),
             "d_s": np.exp2(l1[frozenset({0, 2, 3})] - l1[frozenset({2, 3})]),
             "d_u": np.exp2(l1[frozenset({1, 2, 4, 5})] - l1[frozenset({2, 4, 5})]),
-            "b1": _mi(l2, [0], [5]),
-            "b2": _mi(l2, [0, 2], [5]),
-            "b3": _mi(l2, [1, 3], [5], [0]),
-            "gqs_y": _mi(l2, [2], [5], [0]),
-            "gqs_z": _mi(l2, [2], [6], [0]),
-            "gqu_y": _mi(l2, [3], [5], [0, 1]),
-            "gqu_z": _mi(l2, [3], [6], [0, 1]),
-            "gj_z": _mi(l2, [2, 3], [6], [0, 1]),
+            "b1": gain(v_y, wc),
+            "b2": gain(v_y, wc + qs),
+            "b3": gain(v_y, wu + qu, wc),
+            "gqs_y": gain(v_y, qs, wc),
+            "gqs_z": gain(v_z, qs, wc),
+            "gqu_y": gain(v_y, qu, wc + wu),
+            "gqu_z": gain(v_z, qu, wc + wu),
+            "gj_z": gain(v_z, qs + qu, wc + wu),
         }
     return terms
 
@@ -830,38 +739,6 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     return np.where(accepted, r, np.nan), accepted, reason
 
 
-def inner_min_r(
-    sample: InnerSample,
-    targets: EquivocationTargets,
-    case: int | None = None,
-) -> MinRateResult:
-    """Minimal channel-use ratio for one auxiliary-structure draw.
-
-    The full inequality system is piecewise linear in r and solved exactly;
-    structurally infeasible draws (for example the r-free public-layer
-    constraint failing) come back infeasible with a reason code naming the
-    violated constraint. Draws outside the sound regime of an active target
-    are discarded exactly as :func:`draw_inner_samples` discards them.
-    """
-    if case is None:
-        case = sample.case
-    elif case != sample.case:
-        raise DomainError(f"case {case} disagrees with the sample's case {sample.case}")
-    if targets.R_k != 0.0:
-        raise DomainError("the inner bound is evaluated for zero key rate only")
-    t = _inner_terms(sample.sigma1.entries[None], sample.sigma2.entries[None], case)
-    src = _source_from_sigma1(sample.sigma1)
-    r, accepted, reason = _accept_draws(t, targets, src)
-    if accepted[0]:
-        return MinRateResult(float(r[0]), True)
-    return MinRateResult(None, False, reason=REASON_NAMES[int(reason[0])])
-
-
-def _source_from_sigma1(sigma1: CovMatrix) -> SemanticSourceGaussian:
-    k = sigma1.entries[:2, :2]
-    return SemanticSourceGaussian(float(k[0, 0]), float(k[1, 1]), float(k[0, 1]))
-
-
 def draw_inner_samples(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -877,7 +754,8 @@ def draw_inner_samples(
     ``reason`` codes (see :data:`REASON_NAMES`). Sampling is chunked with
     per-chunk substreams spawned from the master seed, so the first k
     samples are identical for every ``n_samples >= k`` (fixed-seed prefix
-    stability).
+    stability). This is the one inner-bound evaluator; ``n_samples=1``
+    evaluates a single draw.
     """
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
@@ -891,17 +769,16 @@ def draw_inner_samples(
     rejections = 0
     for ci in range(n_chunks):
         rng = np.random.default_rng(children[ci])
-        s1, valid1 = _sample_sigma1_batch(src, case, _CHUNK, rng)
-        s2, valid2 = _sample_sigma2_batch(ch, _CHUNK, rng)
+        s1, valid = _sample_sigma1_batch(src, case, _CHUNK, rng)
+        sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
-        s1, s2 = s1[:take], s2[:take]
-        psd = valid1[:take] & valid2[:take]
+        psd = valid[:take]
         rejections += int((~psd).sum())
         if rejections > _REJECTION_BUDGET:
             raise SamplerStarvationError(
                 f"rejected {rejections} draws (budget {_REJECTION_BUDGET})"
             )
-        t = _inner_terms(s1, s2, case)
+        t = _inner_terms(s1[:take], sig2[:take], nu2[:take], ch, case)
         r, accepted, reason = _accept_draws(t, targets, src)
         reason[~psd] = 11
         accepted &= psd

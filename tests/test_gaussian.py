@@ -15,7 +15,6 @@ from semsec import (
     DomainError,
     EquivocationTargets,
     InfeasibleError,
-    InnerSample,
     SamplerStarvationError,
     SemanticSourceGaussian,
     WiretapChannelGaussian,
@@ -28,12 +27,8 @@ from semsec import (
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     inner_bound_scan,
-    inner_min_r,
-    sample_sigma1,
-    sample_sigma2,
     secrecy_term,
 )
-from semsec.gaussian import SIGMA1_LABELS, SIGMA2_LABELS
 
 # Frozen oracles for the default operating point.
 H_S = 1.789808998765762            # 0.5*log2(2*pi*e*0.7)
@@ -56,9 +51,11 @@ def default_channel():
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the information terms from batched LAPACK slogdet, and the PSD gate
-# from eigvalsh. The library computes both without LAPACK; these are the
-# references it is checked against.
+# Oracle: the channel side as a 7x7 covariance over (Wc, Wu, Qs, Qu, X, Y, Z),
+# the information terms from batched LAPACK slogdet, and the PSD gate from
+# eigvalsh. The library computes the terms without LAPACK (the channel side
+# in closed form from its layer powers); these are the references it is
+# checked against.
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -80,6 +77,23 @@ CHANNEL_MI = {
     "gj_z": ([2, 3], [6], [0, 1]),
 }
 TERM_NAMES = ("a1", "a2", "a3", "d_s", "d_u", *CHANNEL_MI)
+
+
+def _sigma2_oracle(ch, sig2, nu2):
+    """The 7x7 channel-side covariances of layer draws (σ², ν²), each (n, 4).
+
+    Layer k is W_k = S_k + M_k with Var(S_k) = σ_k², Var(M_k) = ν_k², all
+    independent; X = sum of the S_k plus an independent residual, Y = X + N1,
+    Z = Y + N2. So Var(W_k) = σ_k² + ν_k², and Cov(W_k, ·) = σ_k² for each
+    of X, Y and Z, whose block is the channel's.
+    """
+    s2 = np.zeros((len(sig2), 7, 7))
+    layer = np.arange(4)
+    s2[:, layer, layer] = sig2 + nu2
+    s2[:, :4, 4:] = sig2[:, :, None]
+    s2[:, 4:, :4] = sig2[:, None, :]
+    s2[:, 4:, 4:] = ch.channel_block()
+    return s2
 
 
 def _psd_mask(mats):
@@ -122,17 +136,11 @@ def _term_support(name, case):
 
 
 def _sampler_draws(case, n, seed, src=None, ch=None):
+    """(Σ1, its PSD mask, σ², ν²) of ``n`` seeded sampler draws."""
     rng = np.random.default_rng(seed)
     s1, valid1 = gaussian_mod._sample_sigma1_batch(src or default_source(), case, n, rng)
-    s2, valid2 = gaussian_mod._sample_sigma2_batch(ch or default_channel(), n, rng)
-    return s1, s2, valid1, valid2
-
-
-def _certified_draws(case, n, seed, src, ch):
-    """Sampler draws whose masks are the certificate alone, without the
-    eigvalsh fallback of the sampler's PSD gate."""
-    with mock.patch.object(gaussian_mod, "_psd_mask", lambda mats, certified: certified):
-        return _sampler_draws(case, n, seed, src, ch)
+    sig2, nu2 = gaussian_mod._sample_sigma2_batch(ch or default_channel(), n, rng)
+    return s1, valid1, sig2, nu2
 
 
 @st.composite
@@ -148,6 +156,23 @@ def random_psd(draw, dim):
     g = rng.normal(size=(dim, rank)) * 10.0 ** rng.uniform(-spread, spread, (dim, 1))
     g[sorted(zero)] = 0.0
     return g @ g.T, zero
+
+
+@st.composite
+def layer_params(draw):
+    """A channel and the (σ², ν²) of one layer draw, each (1, 4): powers
+    spanning decades, some exactly zero, signal powers summing to at most P.
+
+    Returns (channel, σ², ν², set of layers with σ = ν = 0)."""
+    power = st.one_of(st.just(0.0), st.floats(-8.0, 1.0).map(lambda x: 10.0**x))
+    ch = WiretapChannelGaussian(
+        10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 1e3))
+    )
+    shares = np.array(draw(st.lists(power, min_size=4, max_size=4)))
+    sig2 = shares / max(shares.sum(), 1.0) * ch.P
+    nu2 = np.array(draw(st.lists(power, min_size=4, max_size=4))) * ch.P
+    zero = set(np.flatnonzero((sig2 == 0.0) & (nu2 == 0.0)).tolist())
+    return ch, sig2[None], nu2[None], zero
 
 
 def _mp_terms(s1, s2, case):
@@ -414,64 +439,53 @@ class TestConverseSurface:
 class TestSamplers:
     def test_sigma1_structure(self):
         src = default_source()
-        rng = np.random.default_rng(3)
         for case in (1, 2):
-            for _ in range(10):
-                draw = sample_sigma1(src, rng, case=case)
-                assert draw.labels == SIGMA1_LABELS
-                s = draw.entries
-                np.testing.assert_array_equal(s[:2, :2], src.K)
-                assert np.linalg.eigvalsh(s).min() >= -1e-9
+            s, valid = gaussian_mod._sample_sigma1_batch(src, case, 10, np.random.default_rng(3))
+            assert valid.all()
+            np.testing.assert_array_equal(s[:, :2, :2], np.broadcast_to(src.K, (10, 2, 2)))
+            assert np.linalg.eigvalsh(s).min() >= -1e-9
 
     def test_sigma1_case1_markov(self):
         # Restricted encoder: auxiliaries depend on the source only through
         # the observable component, so Cov(S, aux | U) must vanish.
-        src = default_source()
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            s = sample_sigma1(src, rng, case=1).entries
-            cond = s[0, 2:] - s[0, 1] / s[1, 1] * s[1, 2:]
-            np.testing.assert_allclose(cond, 0.0, atol=1e-9)
+        s, _ = gaussian_mod._sample_sigma1_batch(default_source(), 1, 50, np.random.default_rng(7))
+        cond = s[:, 0, 2:] - (s[:, 0, 1] / s[:, 1, 1])[:, None] * s[:, 1, 2:]
+        np.testing.assert_allclose(cond, 0.0, atol=1e-9)
 
     def test_sigma2_structure(self):
         ch = default_channel()
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            draw = sample_sigma2(ch, rng)
-            assert draw.labels == SIGMA2_LABELS
-            s = draw.entries
-            np.testing.assert_array_equal(
-                s[np.ix_([4, 5, 6], [4, 5, 6])], ch.channel_block()
-            )
-            # The receiver/eavesdropper outputs add independent noise, so
-            # covariances with the auxiliaries match those with the input.
-            np.testing.assert_array_equal(s[:4, 5], s[:4, 4])
-            np.testing.assert_array_equal(s[:4, 6], s[:4, 4])
-            assert np.linalg.eigvalsh(s).min() >= -1e-9
+        sig2, nu2 = gaussian_mod._sample_sigma2_batch(ch, 200, np.random.default_rng(5))
+        assert sig2.shape == nu2.shape == (200, 4)
+        assert np.all(sig2 >= 0.0) and np.all(nu2 >= 0.0)
+        # The layer signals share the input power; the residual tops it up.
+        assert np.all(sig2.sum(axis=1) <= ch.P * (1.0 + 1e-12))
+        # Both the clean full-power split and noisy layers are drawn.
+        clean = np.all(nu2 == 0.0, axis=1)
+        assert clean.any() and not clean.all()
+        assert np.linalg.eigvalsh(_sigma2_oracle(ch, sig2, nu2)).min() >= -1e-9
 
     def test_sampler_determinism(self):
         src, ch = default_source(), default_channel()
-        a = sample_sigma1(src, np.random.default_rng(42), case=2).entries
-        b = sample_sigma1(src, np.random.default_rng(42), case=2).entries
+        a, _ = gaussian_mod._sample_sigma1_batch(src, 2, 8, np.random.default_rng(42))
+        b, _ = gaussian_mod._sample_sigma1_batch(src, 2, 8, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
-        c = sample_sigma2(ch, np.random.default_rng(42)).entries
-        d = sample_sigma2(ch, np.random.default_rng(42)).entries
+        c = gaussian_mod._sample_sigma2_batch(ch, 8, np.random.default_rng(42))
+        d = gaussian_mod._sample_sigma2_batch(ch, 8, np.random.default_rng(42))
         np.testing.assert_array_equal(c, d)
 
 
 class TestInnerTerms:
     def test_terms_match_direct_mutual_information(self):
-        src, ch = default_source(), default_channel()
-        rng = np.random.default_rng(99)
-        s1 = sample_sigma1(src, rng, case=2)
-        s2 = sample_sigma2(ch, rng)
-        t = gaussian_mod._inner_terms(s1.entries[None], s2.entries[None], case=2)
+        ch = default_channel()
+        s1, _, sig2, nu2 = _sampler_draws(2, 1, seed=99)
+        t = gaussian_mod._inner_terms(s1, sig2, nu2, ch, case=2)
+        cov1, cov2 = CovMatrix(s1[0]), CovMatrix(_sigma2_oracle(ch, sig2, nu2)[0])
 
         def mi1(a, b, c=()):
-            return gaussian_mi(s1, a, b, c)
+            return gaussian_mi(cov1, a, b, c)
 
         def mi2(a, b, c=()):
-            return gaussian_mi(s2, a, b, c)
+            return gaussian_mi(cov2, a, b, c)
 
         v = [0, 1]
         assert t["a1"][0] == pytest.approx(mi1([2], v), abs=1e-8)
@@ -485,11 +499,9 @@ class TestInnerTerms:
         assert t["gj_z"][0] == pytest.approx(mi2([2, 3], [6], [0, 1]), abs=1e-8)
 
     def test_distortions_are_conditional_variances(self):
-        src = default_source()
-        rng = np.random.default_rng(123)
-        s1 = sample_sigma1(src, rng, case=2)
-        t = gaussian_mod._inner_terms(s1.entries[None], np.eye(7)[None], case=2)
-        s = s1.entries
+        s1, _, sig2, nu2 = _sampler_draws(2, 1, seed=123)
+        t = gaussian_mod._inner_terms(s1, sig2, nu2, default_channel(), case=2)
+        s = s1[0]
 
         def cond_var(i, given):
             idx = list(given)
@@ -515,27 +527,29 @@ class TestInnerTerms:
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_every_term_matches_direct_formulas(self, case):
-        src, ch = default_source(), default_channel()
-        rng = np.random.default_rng(100 + case)
-        for _ in range(5):
-            s1 = sample_sigma1(src, rng, case=case)
-            s2 = sample_sigma2(ch, rng)
-            t = gaussian_mod._inner_terms(s1.entries[None], s2.entries[None], case)
-            assert set(t) == set(TERM_NAMES)
+        ch = default_channel()
+        s1, _, sig2, nu2 = _sampler_draws(case, 5, seed=100 + case)
+        t = gaussian_mod._inner_terms(s1, sig2, nu2, ch, case)
+        assert set(t) == set(TERM_NAMES)
+        s2 = _sigma2_oracle(ch, sig2, nu2)
+        for k in range(5):
+            cov1, cov2 = CovMatrix(s1[k]), CovMatrix(s2[k])
             for name, abc in SOURCE_MI[case].items():
-                assert t[name][0] == pytest.approx(gaussian_mi(s1, *abc), abs=1e-8), name
+                assert t[name][k] == pytest.approx(gaussian_mi(cov1, *abc), abs=1e-8), name
             for name, abc in CHANNEL_MI.items():
-                assert t[name][0] == pytest.approx(gaussian_mi(s2, *abc), abs=1e-8), name
-            s = s1.entries
+                assert t[name][k] == pytest.approx(gaussian_mi(cov2, *abc), abs=1e-8), name
+            s = s1[k]
             for name, (i, c) in SOURCE_VAR.items():
                 cross = s[i, c]
                 direct = s[i, i] - cross @ np.linalg.solve(s[np.ix_(c, c)], cross)
-                assert t[name][0] == pytest.approx(direct, rel=1e-9), name
+                assert t[name][k] == pytest.approx(direct, rel=1e-9), name
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_terms_match_slogdet_oracle_on_sampler_draws(self, case):
-        s1, s2, _, _ = _sampler_draws(case, 3000, seed=30 + case)
-        got = gaussian_mod._inner_terms(s1, s2, case)
+        ch = default_channel()
+        s1, _, sig2, nu2 = _sampler_draws(case, 3000, seed=30 + case)
+        s2 = _sigma2_oracle(ch, sig2, nu2)
+        got = gaussian_mod._inner_terms(s1, sig2, nu2, ch, case)
         want = _oracle_terms(s1, s2, case)
         for name in TERM_NAMES:
             side, idx = _term_support(name, case)
@@ -548,10 +562,11 @@ class TestInnerTerms:
             assert np.all(err[finite] <= 1e-4), name
 
     @PROPERTY
-    @given(case=st.sampled_from([1, 2]), m1=random_psd(6), m2=random_psd(7))
-    def test_terms_match_oracle_on_random_psd(self, case, m1, m2):
-        (s1, zero1), (s2, zero2) = m1, m2
-        got = gaussian_mod._inner_terms(s1[None], s2[None], case)
+    @given(case=st.sampled_from([1, 2]), m1=random_psd(6), layers=layer_params())
+    def test_terms_match_oracle_on_random_psd(self, case, m1, layers):
+        (s1, zero1), (ch, sig2, nu2, zero2) = m1, layers
+        s2 = _sigma2_oracle(ch, sig2, nu2)[0]
+        got = gaussian_mod._inner_terms(s1[None], sig2, nu2, ch, case)
         want = _oracle_terms(s1[None], s2[None], case)
         for name in TERM_NAMES:
             side, idx = _term_support(name, case)
@@ -561,36 +576,64 @@ class TestInnerTerms:
                 continue  # numerically singular: rounding decides either way
             g, w = got[name][0], want[name][0]
             if zero & set(idx):
-                # Exactly singular: the same -inf log-dets enter both, so the
-                # same NaN, infinity or zero distortion comes out.
+                # Exactly singular: a zero coordinate (on the channel side, a
+                # layer with σ = ν = 0) gives the same NaN, infinity or zero
+                # distortion on both paths.
                 assert (np.isnan(g) and np.isnan(w)) or g == w, name
             else:
                 assert np.isfinite(g) and np.isfinite(w), name
                 assert _bits_error(name, g, w) <= 1e-9, name
 
+    @PROPERTY
+    @given(case=st.sampled_from([1, 2]), layers=layer_params())
+    def test_channel_terms_on_layer_parameters(self, case, layers):
+        # I(A; · | C) vanishes exactly when no layer of A carries signal, and
+        # a layer with σ = ν = 0 makes its terms NaN and the draw degenerate.
+        ch, sig2, nu2, zero = layers
+        src = default_source()
+        s1, _, _, _ = _sampler_draws(case, 1, seed=0, src=src)
+        t = gaussian_mod._inner_terms(s1, sig2, nu2, ch, case)
+        silent = set(np.flatnonzero(sig2[0] == 0.0).tolist())
+        for name, (a, _, c) in CHANNEL_MI.items():
+            val = t[name][0]
+            if zero & set(a + c):
+                assert np.isnan(val), name
+            elif set(a) <= silent:
+                assert val == 0.0, name
+            else:
+                assert np.isfinite(val) and val > 0.0, name
+        _, accepted, reason = gaussian_mod._accept_draws(t, EquivocationTargets.no_secrecy(), src)
+        assert (reason[0] == 10) == bool(zero)
+        assert not (zero and accepted[0])
+
     def test_worst_conditioned_draws_against_high_precision(self):
-        # 50-digit log-dets of the stored entries; the source terms of the
-        # worst-conditioned draws lose up to ~1e-5 bits in double precision.
+        # 50-digit log-dets of the stored entries, on the 10 worst-conditioned
+        # draws of each side: the source terms of the worst-conditioned Σ1
+        # draws lose up to ~1e-5 bits in double precision, the closed-form
+        # channel terms nothing measurable.
+        ch = default_channel()
         for case in (1, 2):
-            s1, s2, _, _ = _sampler_draws(case, 2000, seed=40 + case)
+            s1, _, sig2, nu2 = _sampler_draws(case, 2000, seed=40 + case)
+            s2 = _sigma2_oracle(ch, sig2, nu2)
             keep = [0, 1, 2, 3, 5, 6]  # no channel term reads X
-            cond = np.maximum(np.linalg.cond(s1), np.linalg.cond(s2[:, keep][:, :, keep]))
-            worst = np.argsort(cond)[-10:]
-            got = gaussian_mod._inner_terms(s1[worst], s2[worst], case)
+            cond2 = np.linalg.cond(s2[:, keep][:, :, keep])
+            worst = np.union1d(np.argsort(np.linalg.cond(s1))[-10:], np.argsort(cond2)[-10:])
+            got = gaussian_mod._inner_terms(s1[worst], sig2[worst], nu2[worst], ch, case)
             want = _oracle_terms(s1[worst], s2[worst], case)
             for k, i in enumerate(worst):
                 ref = _mp_terms(s1[i], s2[i], case)
                 for name in TERM_NAMES:
-                    assert _bits_error(name, got[name][k], ref[name]) <= 1e-4, name
+                    tol = 1e-12 if name in CHANNEL_MI else 1e-4
+                    assert _bits_error(name, got[name][k], ref[name]) <= tol, name
                     assert _bits_error(name, want[name][k], ref[name]) <= 1e-4, name
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_acceptance_matches_oracle_terms(self, case):
-        src = default_source()
-        s1, s2, valid1, valid2 = _sampler_draws(case, 20_000, seed=2024 + case)
-        assert valid1.all() and valid2.all()
-        got = gaussian_mod._inner_terms(s1, s2, case)
-        want = _oracle_terms(s1, s2, case)
+        src, ch = default_source(), default_channel()
+        s1, valid1, sig2, nu2 = _sampler_draws(case, 20_000, seed=2024 + case)
+        assert valid1.all()
+        got = gaussian_mod._inner_terms(s1, sig2, nu2, ch, case)
+        want = _oracle_terms(s1, _sigma2_oracle(ch, sig2, nu2), case)
         for tg in (
             EquivocationTargets.no_secrecy(),
             EquivocationTargets(src.h_s, float("-inf"), src.h_s),
@@ -608,7 +651,6 @@ class TestSamplerMask:
         mask = gaussian_mod._gram_mask(
             np.array([0.0, 0.0, 1.1e-9, 0.5e-9, 0.5e-9, 0.0]),
             np.array([1.0, 1e3, 1.0, 0.4e-9 / (7 * u), 0.6e-9 / (7 * u), 1e7]),
-            6,
         )
         np.testing.assert_array_equal(mask, [True, True, False, True, False, False])
 
@@ -627,17 +669,20 @@ class TestSamplerMask:
         p_s, p_u = 10.0**scale_s, 10.0**scale_u
         src = SemanticSourceGaussian(p_s, p_u, rho * math.sqrt(p_s * p_u))
         ch = WiretapChannelGaussian(10.0**scale_p, n1, n2)
-        s1, s2, valid1, valid2 = _certified_draws(case, 256, seed, src, ch)
+        # The certificate alone, without the eigvalsh fallback of the gate.
+        with mock.patch.object(gaussian_mod, "_psd_mask", lambda mats, certified: certified):
+            s1, valid1, sig2, nu2 = _sampler_draws(case, 256, seed, src, ch)
         assert np.all(_psd_mask(s1)[valid1])
-        assert np.all(_psd_mask(s2)[valid2])
         # At these scales the certificate never rejects a draw.
-        assert valid1.all() and valid2.all()
+        assert valid1.all()
+        # The channel side has no gate: its layer powers are PSD by construction.
+        assert np.all(_psd_mask(_sigma2_oracle(ch, sig2, nu2)))
 
     @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
     def test_large_scale_gate_matches_eigvalsh(self, scale, monkeypatch):
         # Beyond variances of about 1e5 the certificate stops covering
         # draws, and the gate must then give exactly what the eigvalsh gate
-        # alone gives: at 1e8 that gate rejects thousands of draws.
+        # alone gives; with the channel side ungated, that gate rejects none.
         src = SemanticSourceGaussian(0.7 * scale, scale, 0.6 * scale)
         ch = WiretapChannelGaussian(scale, 0.1 * scale, 0.4 * scale)
         tg = EquivocationTargets.no_secrecy()
@@ -645,7 +690,7 @@ class TestSamplerMask:
                for case in (1, 2)}
         monkeypatch.setattr(
             gaussian_mod, "_gram_mask",
-            lambda delta_norm, gram_trace, terms: np.zeros(len(delta_norm), dtype=bool),
+            lambda delta_norm, gram_trace: np.zeros(len(delta_norm), dtype=bool),
         )
         for case, surf in got.items():
             want = inner_bound_scan(src, ch, tg, case, 20_000, seed=3, grid=20)
@@ -653,16 +698,12 @@ class TestSamplerMask:
             np.testing.assert_array_equal(surf.samples, want.samples)
             np.testing.assert_array_equal(surf.values, want.values)
             assert surf.metadata["accepted"] > 5000
-            assert (surf.metadata["discard_reasons"].get("not_psd", 0) > 0) == (scale > 1e6)
+            assert surf.metadata["discard_reasons"].get("not_psd", 0) == 0
 
 
-def _handmade_sample(src, ch, aux_coupled=True):
-    """A deliberately simple auxiliary structure built by hand.
-
-    Source side: Sc = S + n1, Sp = n2, Uc = U + n3, Up = n4 with small
-    independent perturbations. Channel side: either a useful structure or
-    one whose auxiliaries carry no information about the channel input.
-    """
+def _handmade_sigma1(src):
+    """A deliberately simple source-side structure built by hand: Sc = S + n1,
+    Sp = n2, Uc = U + n3, Up = n4 with small independent perturbations."""
     k = src.K
     s1 = np.zeros((6, 6))
     s1[:2, :2] = k
@@ -675,65 +716,25 @@ def _handmade_sample(src, ch, aux_coupled=True):
     s1[4, 2] = s1[2, 4] = k[0, 1]
     s1[4, 4] = k[1, 1] + noise
     s1[5, 5] = noise
-    sigma1 = CovMatrix(s1, SIGMA1_LABELS)
-
-    s2 = np.zeros((7, 7))
-    s2[4:, 4:] = ch.channel_block()
-    if aux_coupled:
-        for i in range(4):
-            s2[i, i] = ch.P / 4.0 + noise
-            s2[i, 4] = s2[4, i] = ch.P / 4.0
-            s2[i, 5] = s2[5, i] = ch.P / 4.0
-            s2[i, 6] = s2[6, i] = ch.P / 4.0
-        s2[:4, :4] += np.full((4, 4), 1e-6)
-        np.fill_diagonal(s2[:4, :4], np.diag(s2[:4, :4]))
-    else:
-        for i in range(4):
-            s2[i, i] = noise
-    sigma2 = CovMatrix(s2, SIGMA2_LABELS)
-    return InnerSample.from_covariances(sigma1, sigma2, case=2)
+    return s1
 
 
 class TestInnerMinR:
     def test_key_rate_rejected(self):
         src, ch = default_source(), default_channel()
-        sample = _handmade_sample(src, ch)
         with pytest.raises(DomainError):
-            inner_min_r(sample, EquivocationTargets.no_secrecy(R_k=0.1))
-
-    def test_case_mismatch_rejected(self):
-        src, ch = default_source(), default_channel()
-        sample = _handmade_sample(src, ch)
-        with pytest.raises(DomainError):
-            inner_min_r(sample, EquivocationTargets.no_secrecy(), case=1)
+            draw_inner_samples(src, ch, EquivocationTargets.no_secrecy(R_k=0.1), 2, 1, seed=0)
 
     def test_public_rate_violation_reason(self):
+        # Layers that carry no signal (every e_k = 0) give the public layer
+        # no rate, while Sc describes the source.
         src, ch = default_source(), default_channel()
-        sample = _handmade_sample(src, ch, aux_coupled=False)
-        res = inner_min_r(sample, EquivocationTargets.no_secrecy())
-        assert not res.feasible
-        assert res.reason == "public_rate"
-
-    def test_discards_unsound_draws_like_the_scan(self):
-        # A single draw must be discarded exactly as the scan discards it:
-        # draws outside the sound regime of an active target can lie below
-        # the converse.
-        src, ch = default_source(), default_channel()
-        tg = EquivocationTargets(src.h_s, float("-inf"), src.h_s)
-        for case in (1, 2):
-            rng = np.random.default_rng(5)
-            reasons = set()
-            for _ in range(300):
-                sample = InnerSample.from_covariances(
-                    sample_sigma1(src, rng, case=case), sample_sigma2(ch, rng), case
-                )
-                res = inner_min_r(sample, tg)
-                reasons.add(res.reason)
-                if res.feasible:
-                    lower = converse_min_r(src, ch, sample.d_s, sample.d_u, tg, case=case)
-                    assert lower.feasible
-                    assert res.r_min >= lower.r_min - 1e-6
-            assert {None, "unsound_s", "unsound_su"} <= reasons
+        sig2, nu2 = np.zeros((1, 4)), np.full((1, 4), 0.01)
+        t = gaussian_mod._inner_terms(_handmade_sigma1(src)[None], sig2, nu2, ch, case=2)
+        assert t["b1"][0] == 0.0 and t["a1"][0] > 0.0
+        r, accepted, reason = gaussian_mod._accept_draws(t, EquivocationTargets.no_secrecy(), src)
+        assert not accepted[0] and np.isnan(r[0])
+        assert gaussian_mod.REASON_NAMES[int(reason[0])] == "public_rate"
 
     def test_sandwich_against_converse(self):
         src, ch = default_source(), default_channel()
@@ -776,17 +777,6 @@ class TestDrawSamples:
                 src, ch, EquivocationTargets.no_secrecy(), case=2,
                 n_samples=200, seed=1,
             )
-
-    def test_single_draw_starvation(self, monkeypatch):
-        monkeypatch.setattr(
-            gaussian_mod, "_psd_mask", lambda mats, certified: np.zeros(len(mats), dtype=bool)
-        )
-        monkeypatch.setattr(gaussian_mod, "_REJECTION_BUDGET", 5)
-        rng = np.random.default_rng(0)
-        with pytest.raises(SamplerStarvationError):
-            sample_sigma1(default_source(), rng)
-        with pytest.raises(SamplerStarvationError):
-            sample_sigma2(default_channel(), rng)
 
 
 class TestInnerScan:
