@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     InfeasibleError,
     NotPsdError,
-    SamplerStarvationError,
     SemsecError,
     SingularBlockError,
     ValidationError,
@@ -98,7 +97,6 @@ __all__ = [
     # errors
     "SemsecError", "DomainError", "ValidationError", "NotPsdError",
     "SingularBlockError", "ConsistencyError", "InfeasibleError",
-    "SamplerStarvationError",
     # information primitives
     "Pmf", "CovMatrix", "binary_entropy", "star", "entropy",
     "mutual_information", "gaussian_entropy", "gaussian_mi",

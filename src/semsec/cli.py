@@ -10,7 +10,7 @@ verify     fast self-check battery (machine-readable report)
 preset     list or show the bundled run presets
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
-3 infeasible everywhere, 4 sampler starvation.
+3 infeasible everywhere.
 
 Artifacts are deterministic byte-for-byte for a fixed config and seed.
 CSV files start with two comment lines: an artifact-format marker and the
@@ -41,7 +41,7 @@ from .config import (
     resolve_distortion_grid,
     _encode,
 )
-from .errors import DomainError, InfeasibleError, SamplerStarvationError, ValidationError
+from .errors import DomainError, InfeasibleError, ValidationError
 from .gaussian import (
     gaussian_rdf_joint,
     gaussian_rdf_obs,
@@ -359,9 +359,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SamplerStarvationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -43,6 +43,3 @@ class ConsistencyError(SemsecError, RuntimeError):
 class InfeasibleError(SemsecError, ValueError):
     """A distortion or secrecy demand is unattainable for the given model."""
 
-
-class SamplerStarvationError(SemsecError, RuntimeError):
-    """The rejection sampler exhausted its budget without an accepted draw."""

@@ -9,11 +9,13 @@ sees only U (case 1) or both components (case 2).
 
 The converse evaluator uses closed-form rate-distortion functions and the
 secrecy-capacity term; the inner-bound evaluator draws jointly Gaussian
-auxiliary structures for the source side (6x6 covariance over
-S, U, Sc, Sp, Uc, Up) and the channel side (a signal and a private-noise
-power for each of the independent layers Wc, Wu, Qs, Qu superposed into X),
-evaluates every information term in closed form, and solves the
-piecewise-linear system for the minimal feasible r.
+auxiliary structures for the source side (a 6x6 factor whose rows are
+S, U, Sc, Sp, Uc, Up, so that its Gram matrix is their covariance) and the
+channel side (a signal and a private-noise power for each of the independent
+layers Wc, Wu, Qs, Qu superposed into X), evaluates the source terms by
+Gram-Schmidt on the factor rows and the channel terms in closed form, and
+solves the piecewise-linear system for the minimal feasible r. Every draw is
+a valid covariance by construction, so none is gated.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, SamplerStarvationError
-from .info import _PSD_EIG_FLOOR, TWO_PI_E
+from .errors import DomainError, InfeasibleError
+from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
                       RegionSurface, equivocation_caps, min_ratio)
 
@@ -58,7 +60,6 @@ REASON_NAMES = {
     8: "unsound_u",
     9: "unsound_su",
     10: "degenerate",  # a singular index set made a term NaN or infinite
-    11: "not_psd",  # the source-side draw failed its PSD gate (_psd_mask)
 }
 
 
@@ -313,11 +314,10 @@ def converse_min_r(
 
 _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
-_REJECTION_BUDGET = 100_000
 
 
 def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
-    """Draw ``n`` source-side factor structures; returns ((n, 6, 6), valid).
+    """Draw ``n`` source-side factor structures; returns the factors g, (n, 6, 6).
 
     Coordinates: (S, U, Sc, Sp, Uc, Up). Factor dimensions: 0-1 span the
     (S, U) plane, 2 is the common-layer noise (shared with the observation
@@ -329,12 +329,11 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     (layered-efficient, semantic-only, observation-only) that land near the
     rate-optimal boundary.
 
-    Each draw is the Gram matrix g gᵀ of a 6x6 factor g, except that the
-    (S, U) block is overwritten with K: Σ1 = G + (Ĝ - G) + Δ with G the
-    exact Gram matrix, Ĝ the computed one and Δ = K - Ĝ[:2, :2] on the
-    source block only. Each entry of Ĝ is a dot product of length 6, the
-    length :func:`_gram_mask` assumes, so it is called with |Δ|_F.
-    ``valid`` is :func:`_psd_mask` of that certificate.
+    Σ1 is the Gram matrix g gᵀ of the returned factor g: row i of g is
+    coordinate i, and rows 0-1 are the Cholesky rows of K, so the (S, U)
+    block of Σ1 is K up to rounding. Every draw is a valid covariance by
+    construction, so no draw is gated; :func:`_inner_terms` reads the
+    source-side terms from the rows of g without forming Σ1.
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
@@ -398,12 +397,7 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
         w = l[1] / np.linalg.norm(l[1])
         proj = g[:, 2:, :2] @ w
         g[:, 2:, :2] = proj[..., None] * w[None, None, :]
-
-    s1 = g @ g.transpose(0, 2, 1)
-    delta = src.K - s1[:, :2, :2]
-    valid = _gram_mask(np.sqrt((delta**2).sum(axis=(1, 2))), np.trace(s1, axis1=1, axis2=2))
-    s1[:, :2, :2] = src.K  # exact source block
-    return s1, _psd_mask(s1, valid)
+    return g
 
 
 def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
@@ -462,46 +456,6 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     return shares * p, noise**2
 
 
-def _gram_mask(delta_norm: np.ndarray, gram_trace: np.ndarray) -> np.ndarray:
-    """Certificate that a source-side draw (Σ1) has λ_min >= -1e-9.
-
-    The Σ1 sampler stores Σ = Ĝ + Δ, where Ĝ is the computed Gram matrix of
-    its factor rows g_i and Δ the entries it overwrites. Each entry of Ĝ is
-    a dot product of 6 products, so it lies within γ |g_i| |g_j| of the
-    exact Gram matrix G, with γ = 6u/(1 - 6u) and u the unit roundoff;
-    hence |Ĝ - G|₂ <= |Ĝ - G|_F <= γ trace(G). G is PSD, so Weyl's
-    inequality gives λ_min(Σ) >= -|Δ|₂ - γ trace(G) >= -(``delta_norm`` +
-    7u ``gram_trace``), where ``delta_norm`` bounds |Δ|₂ and ``gram_trace``
-    is trace(Ĝ). The seventh u covers the second-order terms, such as
-    trace(Ĝ) against trace(G). A draw passes when that bound is at least
-    -1e-9, so the exact eigenvalues of every certified draw meet the floor
-    that :class:`CovMatrix` applies to computed ones. The rounding term
-    grows with the scale of the covariances: beyond a trace of about 1e6
-    (variances of about 1e5) draws stop being certified, and
-    :func:`_psd_mask` falls back to ``eigvalsh`` for them.
-    """
-    rounding = 7 * (0.5 * np.finfo(float).eps) * gram_trace
-    return delta_norm + rounding <= -_PSD_EIG_FLOOR
-
-
-def _psd_mask(mats: np.ndarray, certified: np.ndarray) -> np.ndarray:
-    """The PSD gate of a batch of source-side draws (Σ1).
-
-    Draws that :func:`_gram_mask` certified pass without a factorization.
-    The rest, none at unit-scale inputs, take the gate :class:`CovMatrix`
-    applies: the smallest ``eigvalsh`` eigenvalue at least -1e-9. A draw
-    that fails is discarded as ``not_psd``. The channel side has no gate:
-    its layer powers are a valid covariance by construction.
-    """
-    rest = np.flatnonzero(~certified)
-    if rest.size == 0:
-        return certified
-    sym = 0.5 * (mats[rest] + mats[rest].transpose(0, 2, 1))
-    valid = certified.copy()
-    valid[rest] = np.linalg.eigvalsh(sym)[:, 0] >= _PSD_EIG_FLOOR
-    return valid
-
-
 # ---------------------------------------------------------------------------
 # inner bound: information terms and the piecewise-linear minimal r
 # ---------------------------------------------------------------------------
@@ -515,31 +469,38 @@ _SOURCE_CHAINS = {
 }
 
 
-def _prefix_logdets(s: np.ndarray, chains) -> dict[frozenset, np.ndarray]:
-    """log2 det of ``s`` on every leading prefix of every chain, batched.
+def _prefix_logdets(g: np.ndarray, chains):
+    """Source-side log-dets and pivots from the factor rows, batched.
 
-    One symmetric Gaussian elimination (a Cholesky factorization without
-    square roots) per chain: the j-th pivot is the variance of coordinate j
-    given the j - 1 before it, so the log-det of a prefix is the running sum
-    of the log2 pivots. The elimination reads the lower triangle and needs
-    no structure beyond symmetry. A nonpositive (or NaN) pivot makes that
-    prefix and every longer one -inf; for a PSD matrix a prefix containing a
-    singular one is singular itself. Returns {index set: (n,) log-dets}.
+    Σ1 = g gᵀ is the Gram matrix of the rows of ``g`` (n, 6, 6). One
+    modified Gram-Schmidt pass per chain (Björck, BIT 7, 1967), with the
+    draws along the last, contiguous axis: the j-th pivot is the squared norm
+    of row j's residual after the j - 1 rows before it, which is the
+    variance of coordinate j given them. The log2 det of a prefix is the
+    running sum of the log2 pivots. A pivot is a sum of squares, so it is
+    never negative, at any scale of the inputs; a zero (or NaN) pivot makes
+    that prefix and every longer one -inf. Chains that share a prefix share
+    its work. Returns ({index set: (n,) log-dets}, {prefix: (n,) pivot of
+    its last coordinate}).
     """
-    out = {}
+    rows = np.ascontiguousarray(g.transpose(1, 2, 0))  # (coordinate, factor dim, n)
+    basis = {(): ([], 0.0)}  # prefix -> (its unit residual rows, its log-det)
+    ld, piv = {}, {}
     for chain in chains:
-        idx = np.asarray(chain)
-        a = s[:, idx[:, None], idx]
-        piv = np.empty((len(chain), len(s)))
-        for j in range(len(chain)):
-            piv[j] = a[:, j, j]
-            col = a[:, j + 1:, j]
-            a[:, j + 1:, j + 1:] -= col[:, :, None] * (col / piv[j, :, None])[:, None, :]
-        bad = np.logical_or.accumulate(~(piv > 0.0), axis=0)
-        ld = np.where(bad, -np.inf, np.cumsum(np.log2(np.where(bad, 1.0, piv)), axis=0))
-        for j in range(len(chain)):
-            out.setdefault(frozenset(chain[: j + 1]), ld[j])
-    return out
+        for j in range(1, len(chain) + 1):
+            prefix = tuple(chain[:j])
+            if prefix in basis:
+                continue
+            units, ld_prev = basis[prefix[:-1]]
+            v = rows[prefix[-1]]
+            for q in units:
+                v = v - np.einsum("ij,ij->j", q, v) * q
+            p = np.einsum("ij,ij->j", v, v)
+            ld_cur = np.where((p > 0.0) & (ld_prev > -np.inf), ld_prev + np.log2(p), -np.inf)
+            basis[prefix] = (units + [v / np.sqrt(p)], ld_cur)
+            ld[frozenset(prefix)] = ld_cur
+            piv[prefix] = p
+    return ld, piv
 
 
 def _mi(ld, a, b, c=()) -> np.ndarray:
@@ -549,22 +510,24 @@ def _mi(ld, a, b, c=()) -> np.ndarray:
     return np.maximum(val, 0.0)
 
 
-def _inner_terms(s1: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
+def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
                  ch: WiretapChannelGaussian, case: int) -> dict[str, np.ndarray]:
     """All information terms of the inner bound, batched.
 
-    Source side (coordinates S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5 of ``s1``; the
-    encoder input V is U in case 1 and (S, U) in case 2):
+    Source side (rows S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5 of the factor ``g``
+    of :func:`_sample_sigma1_batch`; the encoder input V is U in case 1 and
+    (S, U) in case 2):
 
     * ``a1`` = I(Sc; V), ``a2`` = I(Sc, Sp; V), ``a3`` = I(Uc, Up; V | Sc);
     * ``d_s`` = Var(S | Sc, Sp), ``d_u`` = Var(U | Sc, Uc, Up) (minimum
       mean-square-error reconstruction distortions).
 
-    Each is the Gaussian log-determinant identity
-    I(A; B | C) = (ld(AC) + ld(BC) - ld(C) - ld(ABC)) / 2 or
-    Var(i | C) = 2^(ld(iC) - ld(C)), with the log-dets from
-    :func:`_prefix_logdets` over a few chains: for example the chain
+    Each mutual information is the Gaussian log-determinant identity
+    I(A; B | C) = (ld(AC) + ld(BC) - ld(C) - ld(ABC)) / 2, with the log-dets
+    from :func:`_prefix_logdets` over a few chains: for example the chain
     (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and {S, U, Sc, Sp}.
+    Each distortion is a pivot of those chains: Var(S | Sc, Sp) is the third
+    pivot of (Sc, Sp, S).
 
     Channel side (layers Wc, Wu, Qs, Qu with the signal powers ``sig2`` and
     private-noise powers ``nu2`` of :func:`_sample_sigma2_batch`):
@@ -580,13 +543,13 @@ def _inner_terms(s1: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
     I(A; Y | C) = ½ log2((v_Y - e_C) / (v_Y - e_C - e_A)) with
     v_Y = P + P_N1; the Z terms use v_Z = P + P_N.
 
-    A singular index set (on the channel side, a layer with σ = ν = 0, whose
-    e_k is NaN) makes its terms NaN or infinite, and the draw is discarded as
-    ``degenerate``.
+    A singular index set (on the source side, a zero pivot; on the channel
+    side, a layer with σ = ν = 0, whose e_k is NaN) makes its terms NaN or
+    infinite, and the draw is discarded as ``degenerate``.
     """
     v = [1] if case == 1 else [0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        l1 = _prefix_logdets(s1, _SOURCE_CHAINS[case])
+        l1, piv = _prefix_logdets(g, _SOURCE_CHAINS[case])
         wc, wu, qs, qu = (sig2**2 / (sig2 + nu2)).T
 
         def gain(out_var, a, c=0.0):
@@ -600,8 +563,8 @@ def _inner_terms(s1: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
             "a1": _mi(l1, [2], v),
             "a2": _mi(l1, [2, 3], v),
             "a3": _mi(l1, [4, 5], v, [2]),
-            "d_s": np.exp2(l1[frozenset({0, 2, 3})] - l1[frozenset({2, 3})]),
-            "d_u": np.exp2(l1[frozenset({1, 2, 4, 5})] - l1[frozenset({2, 4, 5})]),
+            "d_s": piv[(2, 3, 0)],
+            "d_u": piv[(2, 4, 5, 1)],
             "b1": gain(v_y, wc),
             "b2": gain(v_y, wc + qs),
             "b3": gain(v_y, wu + qu, wc),
@@ -766,23 +729,13 @@ def draw_inner_samples(
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     out = {key: [] for key in ("d_s", "d_u", "r", "accepted", "reason")}
-    rejections = 0
     for ci in range(n_chunks):
         rng = np.random.default_rng(children[ci])
-        s1, valid = _sample_sigma1_batch(src, case, _CHUNK, rng)
+        g = _sample_sigma1_batch(src, case, _CHUNK, rng)
         sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
-        psd = valid[:take]
-        rejections += int((~psd).sum())
-        if rejections > _REJECTION_BUDGET:
-            raise SamplerStarvationError(
-                f"rejected {rejections} draws (budget {_REJECTION_BUDGET})"
-            )
-        t = _inner_terms(s1[:take], sig2[:take], nu2[:take], ch, case)
+        t = _inner_terms(g[:take], sig2[:take], nu2[:take], ch, case)
         r, accepted, reason = _accept_draws(t, targets, src)
-        reason[~psd] = 11
-        accepted &= psd
-        r[~psd] = np.nan
         out["d_s"].append(t["d_s"])
         out["d_u"].append(t["d_u"])
         out["r"].append(r)

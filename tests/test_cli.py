@@ -190,6 +190,23 @@ class TestInnerCommand:
         accepted = sum(row[samples_col] for row in doc["rows"])
         assert accepted > 0
 
+    def test_large_variances(self, tmp_path, capsys):
+        # Variances near 1e9: no draw is gated, so the scan still accepts.
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({
+            "model": "gaussian", "mode": "inner", "cases": [1, 2], "samples": 3000, "seed": 3,
+            "d_s_grid": 10, "d_u_grid": 10,
+            "source": {"P_s": 0.7e9, "P_u": 1e9, "P_su": 0.6e9},
+            "channel": {"P": 1e9, "P_N1": 1e8, "P_N2": 4e8},
+        }))
+        code, out, _ = run_cli(["inner", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        for case in ("case1", "case2"):
+            meta = doc["metadata"][case]
+            assert meta["accepted"] > 0
+            assert "not_psd" not in meta["discard_reasons"]
+
 
 class TestExitCodes:
     def test_bad_config_exit2(self, tmp_path, capsys):
