@@ -35,9 +35,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     InfeasibleError,
-    NotPsdError,
     SemsecError,
-    SingularBlockError,
     ValidationError,
 )
 from .gaussian import (
@@ -53,15 +51,11 @@ from .gaussian import (
     secrecy_term,
 )
 from .info import (
-    CovMatrix,
     Pmf,
     appendix_inequality_slack,
     binary_entropy,
     entropy,
-    gaussian_entropy,
-    gaussian_mi,
     mutual_information,
-    schur_conditional,
     star,
 )
 from .rdf import (
@@ -72,7 +66,6 @@ from .rdf import (
     binary_rdf_joint,
     binary_rdf_obs,
     binary_rdf_sem,
-    brute_force_rdf,
     hamming_distortion,
     modified_distortion,
     rdf_classic,
@@ -95,17 +88,16 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # errors
-    "SemsecError", "DomainError", "ValidationError", "NotPsdError",
-    "SingularBlockError", "ConsistencyError", "InfeasibleError",
+    "SemsecError", "DomainError", "ValidationError", "ConsistencyError",
+    "InfeasibleError",
     # information primitives
-    "Pmf", "CovMatrix", "binary_entropy", "star", "entropy",
-    "mutual_information", "gaussian_entropy", "gaussian_mi",
-    "schur_conditional", "appendix_inequality_slack",
+    "Pmf", "binary_entropy", "star", "entropy", "mutual_information",
+    "appendix_inequality_slack",
     # discrete RDF machinery
     "DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
     "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
     "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2",
-    "brute_force_rdf", "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
+    "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
     # targets, shared result types and the converse surface
     "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
     "RegionSurface", "TradeoffCurve", "converse_surface",

@@ -24,14 +24,6 @@ class ValidationError(SemsecError, ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class NotPsdError(SemsecError, ValueError):
-    """A matrix required to be positive semidefinite is not (beyond tolerance)."""
-
-
-class SingularBlockError(SemsecError, ValueError):
-    """A conditioning block is singular even after regularization."""
-
-
 class ConsistencyError(SemsecError, RuntimeError):
     """An internal identity was violated beyond round-off tolerance.
 

@@ -79,9 +79,11 @@ class SemanticSourceGaussian:
     def __post_init__(self):
         if not (self.P_s > 0.0 and self.P_u > 0.0):
             raise DomainError(f"variances must be positive, got ({self.P_s}, {self.P_u})")
-        if self.det_k < -1e-12:
+        # Relative, so that the check does not depend on the units.
+        if self.P_su**2 > self.P_s * self.P_u * (1.0 + 1e-12):
             raise DomainError(
-                f"covariance block not PSD: determinant {self.det_k} < 0"
+                f"covariance block not PSD: |P_su| = {abs(self.P_su)} exceeds "
+                f"sqrt(P_s P_u) = {math.sqrt(self.P_s * self.P_u)}"
             )
 
     @property
@@ -141,10 +143,6 @@ class WiretapChannelGaussian:
     @property
     def capacity_main(self) -> float:
         return 0.5 * math.log2(1.0 + self.P / self.P_N1)
-
-    def channel_block(self) -> np.ndarray:
-        p, n1, n = self.P, self.P_N1, self.P_N
-        return np.array([[p, p, p], [p, p + n1, p + n1], [p, p + n1, p + n]])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,9 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     coordinate i, and rows 0-1 are the Cholesky rows of K, so the (S, U)
     block of Σ1 is K up to rounding. Every draw is a valid covariance by
     construction, so no draw is gated; :func:`_inner_terms` reads the
-    source-side terms from the rows of g without forming Σ1.
+    source-side terms from the rows of g without forming Σ1. Every entry is
+    a Cholesky entry or a unit-free draw times ``amp`` = sqrt(max(P_s, P_u)),
+    so a seed draws the same structures, rescaled, for a rescaled source.
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
@@ -348,8 +348,8 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     idx2 = np.flatnonzero(mode == 2)
     idx3 = np.flatnonzero(mode == 3)
 
-    def _noise(size, lo=1e-2, hi=2.0, scale=amp):
-        return np.exp(rng.uniform(math.log(lo), math.log(hi), size)) * scale
+    def _noise(size, lo=1e-2, hi=2.0):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), size)) * amp
 
     if idx0.size:
         k = idx0.size
@@ -369,25 +369,25 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
         g[idx1, 3, :2] = sem_dir
         g[idx1, 4, :2] = l[1]
         g[idx1, 5, :2] = l[1]
-        sig = np.exp(rng.uniform(math.log(3e-2), math.log(3.0), (k, 4)))
+        sig = _noise((k, 4), 3e-2, 3.0)
         g[idx1, 2, 2] = sig[:, 0]
         g[idx1, 3, 3] = sig[:, 1]
         g[idx1, 4, 4] = sig[:, 2]
         g[idx1, 5, 5] = sig[:, 3]
     if idx2.size:
         k = idx2.size
-        g[idx2, 2, 2] = 1.0
+        g[idx2, 2, 2] = amp
         g[idx2, 3, :2] = sem_dir
-        g[idx2, 3, 3] = np.exp(rng.uniform(math.log(3e-2), math.log(3.0), k))
-        g[idx2, 4, 4] = 1.0
-        g[idx2, 5, 5] = 1.0
+        g[idx2, 3, 3] = _noise(k, 3e-2, 3.0)
+        g[idx2, 4, 4] = amp
+        g[idx2, 5, 5] = amp
     if idx3.size:
         k = idx3.size
-        g[idx3, 2, 2] = 1.0
-        g[idx3, 3, 3] = 1.0
+        g[idx3, 2, 2] = amp
+        g[idx3, 3, 3] = amp
         g[idx3, 4, :2] = l[1]
         g[idx3, 5, :2] = l[1]
-        sig = np.exp(rng.uniform(math.log(3e-2), math.log(3.0), (k, 2)))
+        sig = _noise((k, 2), 3e-2, 3.0)
         g[idx3, 4, 4] = sig[:, 0]
         g[idx3, 5, 5] = sig[:, 1]
 

@@ -1,43 +1,32 @@
-"""Scalar and matrix information-theoretic kernels.
+"""Discrete information-theoretic kernels.
 
 Conventions used throughout the package:
 
 * all logarithms are base 2 and all information quantities are in bits;
 * ``0 * log 0 == 0``;
 * mutual informations that evaluate in ``[-1e-9, 0)`` due to round-off are
-  clamped to 0, while values below ``-1e-9`` raise :class:`ConsistencyError`;
-* positive semidefiniteness means the minimum eigenvalue of the symmetrized
-  matrix is at least ``-1e-9``.
+  clamped to 0, while values below ``-1e-9`` raise :class:`ConsistencyError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import entr
 
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    NotPsdError,
-    SingularBlockError,
-)
+from .errors import ConsistencyError, DomainError
 
 __all__ = [
     "LN2",
     "TWO_PI_E",
     "Pmf",
-    "CovMatrix",
     "binary_entropy",
     "star",
     "entropy",
     "mutual_information",
-    "schur_conditional",
-    "gaussian_entropy",
-    "gaussian_mi",
     "appendix_inequality_slack",
 ]
 
@@ -46,11 +35,6 @@ TWO_PI_E = 2.0 * math.pi * math.e
 
 #: Negative round-off on information quantities tolerated before raising.
 _MI_CLAMP_FLOOR = -1e-9
-#: Eigenvalue floor for the positive-semidefiniteness test.
-_PSD_EIG_FLOOR = -1e-9
-#: Condition-number threshold beyond which conditioning blocks get a ridge.
-_RIDGE_COND = 1e12
-_RIDGE = 1e-12
 
 
 def _entr(x: float) -> float:
@@ -203,175 +187,6 @@ def _clamp_information(value: float, what: str) -> float:
     if value < _MI_CLAMP_FLOOR:
         raise ConsistencyError(f"{what} evaluated to {value}, below {_MI_CLAMP_FLOOR}")
     return max(value, 0.0)
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    """A symmetric positive-semidefinite matrix with named coordinates.
-
-    Symmetry is required within 1e-10 (the stored matrix is symmetrized);
-    the minimum eigenvalue of the symmetrized matrix must be >= -1e-9.
-    """
-
-    entries: np.ndarray
-    labels: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError(f"covariance must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("covariance entries must be finite")
-        asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if asym > 1e-10:
-            raise DomainError(f"matrix asymmetry {asym} exceeds 1e-10")
-        arr = 0.5 * (arr + arr.T)
-        min_eig = float(np.linalg.eigvalsh(arr).min()) if arr.size else 0.0
-        if min_eig < _PSD_EIG_FLOOR:
-            raise NotPsdError(f"minimum eigenvalue {min_eig} below {_PSD_EIG_FLOOR}")
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"x{i}" for i in range(arr.shape[0])
-        )
-        if len(labels) != arr.shape[0]:
-            raise DomainError(
-                f"{len(labels)} labels for dimension {arr.shape[0]}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def index(self, names: Iterable[str] | Iterable[int]) -> tuple[int, ...]:
-        """Resolve labels (or pass through integer indices) to positions."""
-        out = []
-        for name in names:
-            if isinstance(name, str):
-                try:
-                    out.append(self.labels.index(name))
-                except ValueError:
-                    raise DomainError(
-                        f"unknown coordinate {name!r}; have {self.labels}"
-                    ) from None
-            else:
-                i = int(name)
-                if not 0 <= i < self.dim:
-                    raise DomainError(f"index {i} out of range for dim {self.dim}")
-                out.append(i)
-        return tuple(out)
-
-    def block(self, rows, cols=None) -> np.ndarray:
-        r = self.index(rows)
-        c = r if cols is None else self.index(cols)
-        return self.entries[np.ix_(r, c)]
-
-
-def schur_conditional(cov: CovMatrix, target, given) -> CovMatrix:
-    """Conditional covariance of ``target`` given ``given``.
-
-    Returns ``S_T - S_TG S_G^{-1} S_GT``. If the conditioning block has
-    condition number above 1e12 it is regularized by ``+1e-12 * I``; if it is
-    still effectively singular, :class:`SingularBlockError` is raised. An
-    empty ``given`` set returns the target block unchanged.
-    """
-    t = cov.index(target)
-    g = cov.index(given)
-    if set(t) & set(g):
-        raise DomainError("target and given sets must be disjoint")
-    s_t = cov.entries[np.ix_(t, t)]
-    labels = tuple(cov.labels[i] for i in t)
-    if not g:
-        return CovMatrix(s_t, labels)
-    s_g = cov.entries[np.ix_(g, g)]
-    s_tg = cov.entries[np.ix_(t, g)]
-    cond = np.linalg.cond(s_g)
-    if not np.isfinite(cond) or cond > _RIDGE_COND:
-        s_g = s_g + _RIDGE * np.eye(len(g))
-        cond = np.linalg.cond(s_g)
-        if not np.isfinite(cond) or cond > 1e18:
-            raise SingularBlockError(
-                f"conditioning block singular (condition number {cond}) after ridge"
-            )
-    try:
-        solved = np.linalg.solve(s_g, s_tg.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(str(exc)) from exc
-    result = s_t - s_tg @ solved
-    result = 0.5 * (result + result.T)
-    # Floor tiny negative round-off so the result stays a valid CovMatrix.
-    eigvals, eigvecs = np.linalg.eigh(result)
-    if eigvals.min() < _PSD_EIG_FLOOR:
-        raise NotPsdError(
-            f"conditional covariance has eigenvalue {eigvals.min()} below {_PSD_EIG_FLOOR}"
-        )
-    if eigvals.min() < 0.0:
-        result = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-        result = 0.5 * (result + result.T)
-    return CovMatrix(result, labels)
-
-
-def _as_cov_array(cov) -> np.ndarray:
-    if isinstance(cov, CovMatrix):
-        return cov.entries
-    arr = np.asarray(cov, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    return arr
-
-
-def gaussian_entropy(cov) -> float:
-    """Differential entropy in bits of a Gaussian with covariance ``cov``.
-
-    ``0.5 * log2((2*pi*e)^d * det)``; may be negative; returns ``-inf`` for a
-    singular covariance. Accepts a CovMatrix, ndarray, or scalar variance.
-    """
-    arr = _as_cov_array(cov)
-    if not isinstance(cov, CovMatrix):
-        CovMatrix(arr)  # validate symmetry/PSD
-    d = arr.shape[0]
-    sign, logdet = np.linalg.slogdet(arr)
-    if sign <= 0:
-        return float("-inf")
-    return 0.5 * (d * math.log(TWO_PI_E) + logdet) / LN2
-
-
-def _logdet_block(arr: np.ndarray, idx: Sequence[int]) -> float:
-    if not idx:
-        return 0.0
-    sub = arr[np.ix_(idx, idx)]
-    sign, logdet = np.linalg.slogdet(sub)
-    if sign <= 0:
-        return float("-inf")
-    return logdet / LN2
-
-
-def gaussian_mi(cov: CovMatrix, axes_a, axes_b, axes_cond=()) -> float:
-    """Conditional mutual information I(A; B | C) in bits for a Gaussian.
-
-    Computed from log-determinants of sub-blocks; clamped at 0 from below.
-    A singular conditioning or marginal block that makes the expression
-    ill-defined raises :class:`SingularBlockError`.
-    """
-    a = cov.index(axes_a)
-    b = cov.index(axes_b)
-    c = cov.index(axes_cond)
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
-        raise DomainError(f"axis sets must be disjoint: {a}, {b}, {c}")
-    arr = cov.entries
-    ld_ac = _logdet_block(arr, list(a) + list(c))
-    ld_bc = _logdet_block(arr, list(b) + list(c))
-    ld_c = _logdet_block(arr, list(c))
-    ld_abc = _logdet_block(arr, list(a) + list(b) + list(c))
-    terms = (ld_ac, ld_bc, ld_c, ld_abc)
-    if any(t == float("-inf") for t in terms):
-        raise SingularBlockError(
-            "singular block in conditional mutual information "
-            f"(log-determinants {terms})"
-        )
-    return _clamp_information(0.5 * (ld_ac + ld_bc - ld_c - ld_abc), "gaussian_mi")
 
 
 def appendix_inequality_slack(p: Pmf) -> float:

@@ -1,6 +1,6 @@
 """Discrete-alphabet rate-distortion solvers for classic and semantic sources.
 
-Three layers:
+Two layers:
 
 * closed forms for the binary symmetric semantic source
   (:func:`binary_rdf_obs`, :func:`binary_rdf_sem`, :func:`binary_rdf_joint`);
@@ -10,8 +10,7 @@ Three layers:
   Newton ascent on the 2-D concave dual. Every point also carries Csiszar's
   certified dual lower bound, valid at any output distribution, so the
   optimality gap is observable and binary case-2 values can be lower
-  bounds;
-* an exhaustive grid oracle (:func:`brute_force_rdf`) for small instances.
+  bounds.
 
 Distortion targets are treated as ``<= D`` with a slack tolerance of 1e-9.
 Rates are bits per source symbol; multipliers are in bits per unit distortion.
@@ -19,7 +18,6 @@ Rates are bits per source symbol; multipliers are in bits per unit distortion.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ __all__ = [
     "rdf_classic",
     "rdf_semantic_case1",
     "rdf_semantic_case2",
-    "brute_force_rdf",
     "binary_rdf_obs",
     "binary_rdf_sem",
     "binary_rdf_joint",
@@ -88,13 +85,9 @@ class DiscreteSemanticSource:
         keep_s = tuple(int(i) for i in np.flatnonzero(ps > 0.0))
         keep_u = tuple(int(j) for j in np.flatnonzero(pu > 0.0))
         if len(keep_s) < arr.shape[0] or len(keep_u) < arr.shape[1]:
-            pruned = arr[np.ix_(keep_s, keep_u)]
-            object.__setattr__(self, "joint", Pmf(pruned))
-            object.__setattr__(self, "s_support", keep_s)
-            object.__setattr__(self, "u_support", keep_u)
-        else:
-            object.__setattr__(self, "s_support", keep_s)
-            object.__setattr__(self, "u_support", keep_u)
+            object.__setattr__(self, "joint", Pmf(arr[np.ix_(keep_s, keep_u)]))
+        object.__setattr__(self, "s_support", keep_s)
+        object.__setattr__(self, "u_support", keep_u)
 
     @classmethod
     def doubly_symmetric(cls, alpha: float) -> "DiscreteSemanticSource":
@@ -160,7 +153,7 @@ class RdfPoint:
     """One evaluated point of a rate-distortion function.
 
     ``dual_bound`` is a valid lower bound on the true RDF at the requested
-    distortions (None when the evaluation is closed-form or exhaustive).
+    distortions (None when the evaluation carries no certificate).
     """
 
     rate: float
@@ -716,105 +709,6 @@ def rdf_semantic_case1(
             f"semantic target {target_s} below the restricted-encoder floor {floor}"
         )
     return solver.solve(p, cost_a, cost_b, target_s, target_u)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    out = []
-    for dividers in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        row = []
-        for d in dividers:
-            row.append(d - prev - 1)
-            prev = d
-        row.append(total + parts - 2 - prev)
-        out.append(row)
-    return np.asarray(out, dtype=float)
-
-
-def brute_force_rdf(
-    src: DiscreteSemanticSource,
-    d_s: DistortionMatrix,
-    d_u: DistortionMatrix,
-    target_s: float,
-    target_u: float,
-    case: int,
-    grid: int = 11,
-    chunk: int = 200_000,
-) -> RdfPoint:
-    """Exhaustive search over conditionals quantized to a simplex grid.
-
-    Upper-bounds the true RDF by construction (the search is restricted to
-    grid-valued channels). Guards keep instances small: joint alphabet at
-    most 4, reconstruction alphabets at most 2 each, grid at most 21 points
-    per simplex axis.
-    """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    if grid < 2 or grid > 21:
-        raise DomainError(f"grid must lie in [2, 21], got {grid} (instance too large)")
-    if src.n_s * src.n_u > 4:
-        raise DomainError("instance too large: joint alphabet exceeds 4")
-    if case == 2:
-        p, cost_a, cost_b = _case2_problem(src, d_s, d_u)
-    else:
-        p, cost_a, cost_b = _case1_problem(src, d_s, d_u)
-    n = cost_a.shape[1]
-    if n > 4:
-        raise DomainError("instance too large: reconstruction alphabets exceed 2 each")
-
-    rows = _compositions(grid - 1, n) / float(grid - 1)  # (N, n)
-    big_n = rows.shape[0]
-    active = np.flatnonzero(p > 0.0)
-    k = len(active)
-    if big_n**k > 2e8:
-        raise DomainError(
-            f"instance too large: {big_n}^{k} grid channels; reduce the grid"
-        )
-    # Per active row: precomputed weighted distortion contributions.
-    con_a = [p[i] * rows @ cost_a[i] for i in active]
-    con_b = [p[i] * rows @ cost_b[i] for i in active]
-
-    total = big_n**k
-    best_rate = np.inf
-    best = None
-    p_active = p[active]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        idx = np.empty((k, stop - start), dtype=np.int64)
-        rem = flat
-        for j in range(k - 1, -1, -1):
-            rem, idx[j] = np.divmod(rem, big_n)
-        ea = np.zeros(stop - start)
-        eb = np.zeros(stop - start)
-        for j in range(k):
-            ea += con_a[j][idx[j]]
-            eb += con_b[j][idx[j]]
-        mask = (ea <= target_s + _SLACK) & (eb <= target_u + _SLACK)
-        if not np.any(mask):
-            continue
-        sel = idx[:, mask]
-        w = rows[sel]  # (k, C, n)
-        w = np.swapaxes(w, 0, 1)  # (C, k, n)
-        q = np.einsum("i,cin->cn", p_active, w)
-        ratio = np.maximum(w, _TINY) / np.maximum(q[:, None, :], _TINY)
-        mi = (xlogy(p_active[None, :, None] * w, ratio)).sum(axis=(1, 2)) / LN2
-        j_best = int(np.argmin(mi))
-        if mi[j_best] < best_rate:
-            best_rate = float(mi[j_best])
-            cols = np.flatnonzero(mask)
-            best = (ea[cols[j_best]], eb[cols[j_best]])
-    if best is None:
-        raise InfeasibleError(
-            f"no grid channel meets ({target_s}, {target_u}) at resolution {grid}"
-        )
-    return RdfPoint(max(best_rate, 0.0), (float(best[0]), float(best[1])), (), True)
 
 
 # ---------------------------------------------------------------------------

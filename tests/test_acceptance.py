@@ -7,6 +7,7 @@ report lines alongside the pytest verdicts.
 import time
 
 import numpy as np
+from grid_oracle import brute_force_rdf
 
 from semsec import (
     DiscreteSemanticSource,
@@ -22,7 +23,6 @@ from semsec import (
     binary_rdf_obs,
     binary_rdf_sem,
     binary_secrecy_term,
-    brute_force_rdf,
     converse_equivocation_caps,
     converse_min_r,
     converse_surface,

@@ -8,19 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsec import (
-    ConsistencyError,
-    CovMatrix,
     DomainError,
-    NotPsdError,
     Pmf,
-    SingularBlockError,
     appendix_inequality_slack,
     binary_entropy,
     entropy,
-    gaussian_entropy,
-    gaussian_mi,
     mutual_information,
-    schur_conditional,
     star,
 )
 
@@ -170,99 +163,6 @@ class TestMutualInformation:
         rng = np.random.default_rng(rnd.getrandbits(32))
         p = Pmf(rng.dirichlet(np.ones(12)), shape=(3, 4))
         assert mutual_information(p, (0,), (1,)) >= 0.0
-
-
-class TestCovMatrix:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            CovMatrix(np.ones((2, 3)))
-        with pytest.raises(DomainError):
-            CovMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(NotPsdError):
-            CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_labels_and_block(self):
-        cov = CovMatrix(np.diag([1.0, 2.0, 3.0]), labels=("a", "b", "c"))
-        assert cov.index(("c", "a")) == (2, 0)
-        np.testing.assert_allclose(cov.block(("b",)), [[2.0]])
-        with pytest.raises(DomainError):
-            cov.index(("missing",))
-
-
-class TestSchurConditional:
-    def test_bivariate_oracle(self):
-        ps, pu, psu = 0.7, 1.0, 0.6
-        cov = CovMatrix(np.array([[ps, psu], [psu, pu]]), labels=("S", "U"))
-        out = schur_conditional(cov, ("S",), ("U",))
-        rho2 = psu**2 / (ps * pu)
-        assert out.entries[0, 0] == pytest.approx((1 - rho2) * ps, abs=1e-12)
-
-    def test_empty_given(self):
-        cov = CovMatrix(np.diag([1.0, 2.0]))
-        out = schur_conditional(cov, (0,), ())
-        assert out.entries[0, 0] == 1.0
-
-    def test_singular_conditioning_block(self):
-        cov = CovMatrix(np.array([[1.0, 1.0, 0.0],
-                                  [1.0, 1.0, 0.0],
-                                  [0.0, 0.0, 1.0]]))
-        # Conditioning on the two perfectly correlated coordinates still
-        # works through the ridge; conditioning on a zero-variance block of
-        # rank 0 relative to its size is handled the same way.
-        out = schur_conditional(cov, (2,), (0, 1))
-        assert out.entries[0, 0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_result_psd(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 4))
-        cov = CovMatrix(g @ g.T)
-        out = schur_conditional(cov, (0, 1), (2, 3))
-        assert np.linalg.eigvalsh(out.entries).min() >= 0.0
-
-
-class TestGaussianEntropy:
-    def test_scalar(self):
-        assert gaussian_entropy(2.0) == pytest.approx(
-            0.5 * math.log2(2 * math.pi * math.e * 2.0), abs=1e-12
-        )
-
-    def test_singular(self):
-        assert gaussian_entropy(np.zeros((2, 2))) == float("-inf")
-
-    def test_block_additivity(self):
-        a, b = 0.7, 1.3
-        h_joint = gaussian_entropy(np.diag([a, b]))
-        h_sum = gaussian_entropy(a) + gaussian_entropy(b)
-        assert h_joint == pytest.approx(h_sum, abs=1e-12)
-
-
-class TestGaussianMi:
-    def test_bivariate_oracle(self):
-        rho = 0.6
-        cov = CovMatrix(np.array([[1.0, rho], [rho, 1.0]]))
-        expected = -0.5 * math.log2(1 - rho**2)
-        assert gaussian_mi(cov, (0,), (1,)) == pytest.approx(expected, abs=1e-12)
-
-    def test_independent(self):
-        cov = CovMatrix(np.diag([1.0, 2.0]))
-        assert gaussian_mi(cov, (0,), (1,)) == 0.0
-
-    def test_data_processing_on_degraded_chain(self):
-        # X -> Y = X + N1 -> Z = Y + N2
-        p, n1, n2 = 1.0, 0.1, 0.4
-        cov = CovMatrix(np.array([
-            [p, p, p],
-            [p, p + n1, p + n1],
-            [p, p + n1, p + n1 + n2],
-        ]), labels=("X", "Y", "Z"))
-        assert gaussian_mi(cov, ("X",), ("Z",)) <= gaussian_mi(cov, ("X",), ("Y",))
-        # Markov chain: I(X; Z | Y) = 0
-        assert gaussian_mi(cov, ("X",), ("Z",), ("Y",)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_singular_raises(self):
-        cov = CovMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularBlockError):
-            gaussian_mi(cov, (0,), (1,))
 
 
 class TestAppendixInequality:

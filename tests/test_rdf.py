@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from grid_oracle import brute_force_rdf
 from nm_oracle import NelderMeadSolver
 
 from semsec import rdf
@@ -20,7 +21,6 @@ from semsec import (
     binary_rdf_joint,
     binary_rdf_obs,
     binary_rdf_sem,
-    brute_force_rdf,
     hamming_distortion,
     modified_distortion,
     rdf_classic,
