@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
@@ -77,10 +78,13 @@ class SemanticSourceGaussian:
     P_su: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.P_s, self.P_u, self.P_su)):
+            raise DomainError(f"source parameters must be finite, got "
+                              f"({self.P_s}, {self.P_u}, {self.P_su})")
         if not (self.P_s > 0.0 and self.P_u > 0.0):
             raise DomainError(f"variances must be positive, got ({self.P_s}, {self.P_u})")
         # Relative, so that the check does not depend on the units.
-        if self.P_su**2 > self.P_s * self.P_u * (1.0 + 1e-12):
+        if not self.P_su**2 <= self.P_s * self.P_u * (1.0 + 1e-12):
             raise DomainError(
                 f"covariance block not PSD: |P_su| = {abs(self.P_su)} exceeds "
                 f"sqrt(P_s P_u) = {math.sqrt(self.P_s * self.P_u)}"
@@ -727,10 +731,10 @@ def draw_inner_samples(
     if targets.R_k != 0.0:
         raise DomainError("the inner bound is evaluated for zero key rate only")
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    children = SeedSequence(seed).spawn(n_chunks)
     out = {key: [] for key in ("d_s", "d_u", "r", "accepted", "reason")}
     for ci in range(n_chunks):
-        rng = np.random.default_rng(children[ci])
+        rng = default_rng(children[ci])
         g = _sample_sigma1_batch(src, case, _CHUNK, rng)
         sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)

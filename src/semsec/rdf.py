@@ -10,7 +10,9 @@ Two layers:
   Newton ascent on the 2-D concave dual. Every point also carries Csiszar's
   certified dual lower bound, valid at any output distribution, so the
   optimality gap is observable and binary case-2 values can be lower
-  bounds.
+  bounds. The two linear programs that open a solve (joint feasibility of
+  the targets, and the best rate-0 point) have only two cost rows, and
+  both are solved exactly in numpy.
 
 Distortion targets are treated as ``<= D`` with a slack tolerance of 1e-9.
 Rates are bits per source symbol; multipliers are in bits per unit distortion.
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import xlogy
 
 from .errors import DomainError, InfeasibleError
 from .info import LN2, Pmf, binary_entropy
@@ -294,53 +294,97 @@ def _dual_bound(p, q, tilt, lam_dot_d):
 
 
 # ---------------------------------------------------------------------------
-# feasibility helpers (linear programs over test channels)
+# feasibility helpers (two linear programs over test channels, solved exactly)
 # ---------------------------------------------------------------------------
+
+#: Relative tolerance under which two letters of a row tie at the peak.
+_TIE_RTOL = 1e-12
 
 
 def _channel_feasibility(p, cost_a, cost_b, d_a, d_b):
     """Minimum uniform slack s such that some channel meets (d_a+s, d_b+s).
 
     Returns (s_star, W) where W is a feasible channel at slack s_star.
+    With a = p cost_a and b = p cost_b, LP duality gives s_star =
+    max(0, max over t in [0, 1] of f(t)), where f(t) = sum_x min_xh
+    [t a + (1-t) b](x, xh) - t d_a - (1-t) d_b. f is concave and piecewise
+    linear, with its breakpoints where two letters of one row cross. At a
+    point t, the letters of each row that tie for the minimum (within a
+    relative 1e-12) span f's one-sided slopes: the tied letter with the
+    largest slope a - b gives the slope left of t, the one with the least
+    slope the slope right of it. A bisection over the sorted breakpoints
+    (and 0 and 1) finds the first one right of which f no longer rises: the
+    peak t*. W mixes the two channels that pick those letters so that
+    E d_a - d_a = E d_b - d_b, which both equal f(t*) when t* is interior.
     """
-    m, n = cost_a.shape
-    nv = m * n + 1
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    row_a = np.append((p[:, None] * cost_a).ravel(), -1.0)
-    row_b = np.append((p[:, None] * cost_b).ravel(), -1.0)
-    a_ub = np.vstack([row_a, row_b])
-    b_ub = np.array([d_a, d_b])
-    a_eq = np.zeros((m, nv))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    b_eq = np.ones(m)
-    bounds = [(0.0, None)] * (m * n) + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise InfeasibleError(f"feasibility LP failed with status {res.status}")
-    w = res.x[:-1].reshape(m, n)
-    return float(res.x[-1]), w
+    a = p[:, None] * cost_a
+    b = p[:, None] * cost_b
+    slope = a - b
+    tol = _TIE_RTOL * np.maximum(a, b).max(axis=1, keepdims=True)
+    rows = np.arange(len(p))
+
+    def sides(t):
+        """f(t) and, per row, the tied letters of largest and least slope."""
+        v = t * a + (1.0 - t) * b
+        low = v.min(axis=1, keepdims=True)
+        tied = v <= low + tol
+        left = np.where(tied, slope, -np.inf).argmax(axis=1)
+        right = np.where(tied, slope, np.inf).argmin(axis=1)
+        return float(low.sum()) - t * d_a - (1.0 - t) * d_b, left, right
+
+    def rise(letters):
+        """f's slope where each row's minimum is the given letter."""
+        return float(slope[rows, letters].sum()) - d_a + d_b
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Letters j and k of a row cross where b_j + t s_j = b_k + t s_k.
+        cross = (b[:, None, :] - b[:, :, None]) / (slope[:, :, None] - slope[:, None, :])
+    # Duplicates are harmless, so a sort does (np.unique would import numpy.ma).
+    t = np.sort(np.concatenate(([0.0, 1.0], cross[(cross > 0.0) & (cross < 1.0)])))
+    lo, hi = 0, len(t) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rise(sides(t[mid])[2]) > 0.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    f_peak, left, right = sides(float(t[lo]))
+    g_left, g_right = rise(left), rise(right)
+    theta = 1.0 if g_left <= g_right else min(max(-g_right / (g_left - g_right), 0.0), 1.0)
+    w = np.zeros_like(a)
+    w[rows, left] += theta
+    w[rows, right] += 1.0 - theta
+    return max(f_peak, 0.0), w
 
 
 def _zero_rate_point(p, cost_a, cost_b, d_a, d_b):
-    """A rate-0 (constant-output-mixture) point meeting both targets, or None."""
-    ea = p @ cost_a
-    eb = p @ cost_b
-    n = len(ea)
-    res = linprog(
-        ea + eb,
-        A_ub=np.vstack([ea, eb]),
-        b_ub=np.array([d_a + _SLACK, d_b + _SLACK]),
-        A_eq=np.ones((1, n)),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * n,
-        method="highs",
-    )
-    if res.status != 0:
+    """A rate-0 (constant-output-mixture) point meeting both targets, or None.
+
+    Output letter k, used for every source symbol, gives the point
+    (p cost_a[:, k], p cost_b[:, k]), and mixtures fill their hull. The point
+    returned has the least sum in the hull within the box x <= d_a + 1e-9,
+    y <= d_b + 1e-9: a letter inside the box, or a point where the segment
+    between two letters crosses an edge of the box.
+    """
+    xs, ys = p @ cost_a, p @ cost_b
+    x_max, y_max = d_a + _SLACK, d_b + _SLACK
+    on_x = _crossings(xs, ys, x_max)
+    on_y = _crossings(ys, xs, y_max)
+    px = np.concatenate([xs, np.full(on_x.size, x_max), on_y])
+    py = np.concatenate([ys, on_x, np.full(on_y.size, y_max)])
+    inside = (px <= x_max) & (py <= y_max)
+    if not inside.any():
         return None
-    mu = res.x
-    return float(mu @ ea), float(mu @ eb)
+    best = int(np.argmin(np.where(inside, px + py, np.inf)))
+    return float(px[best]), float(py[best])
+
+
+def _crossings(u, v, level):
+    """v where the segments between the points (u, v) cross u = level."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (level - u[:, None]) / (u[None, :] - u[:, None])
+        hit = (frac >= 0.0) & (frac <= 1.0)
+        return (v[:, None] + frac * (v[None, :] - v[:, None]))[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +427,9 @@ class TwoConstraintSolver:
     output letter's mass reaches zero. A zero multiplier is reached through
     the projection. If the final channel misses a target by more than the
     slack, a warm-started bisection along the multiplier ray restores
-    feasibility. A cell costs tens of Blahut-Arimoto solves, about 10 ms.
+    feasibility. A cell costs tens of Blahut-Arimoto solves: on the doubly
+    symmetric source about 3 ms at the median and 6 ms at the 90th
+    percentile (2-CPU Xeon VM), of which the two exact LPs take 0.3 ms.
 
     Every solve yields a certified dual lower bound (:func:`_dual_bound`);
     ``dual_bound`` is the best of them and ``rate`` is the least rate among
@@ -560,9 +606,9 @@ class _NewtonAscent:
 
 def _channel_rate(p, w):
     """Mutual information in bits of source p through channel w."""
-    q = (p[:, None] * w).sum(axis=0)
-    ratio = np.maximum(w, _TINY) / np.maximum(q[None, :], _TINY)
-    return float((xlogy(p[:, None] * w, ratio)).sum() / LN2)
+    pw = p[:, None] * w
+    ratio = np.maximum(w, _TINY) / np.maximum(pw.sum(axis=0), _TINY)  # finite, positive
+    return float((pw * np.log(ratio)).sum() / LN2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ polishes with a Nelder-Mead ascent on Csiszar's dual value, a feasibility
 bisection along the multiplier ray and a boundary bisection on each
 zero-multiplier edge. Its ``dual_bound`` is Csiszar's value at the final
 output distribution, which is a lower bound only at the exact optimum.
+
+The two linear programs that open its solve run on HiGHS here
+(:func:`lp_channel_feasibility`, :func:`lp_zero_rate_point`); they are also
+the oracle for the exact numpy forms of the same programs in ``semsec.rdf``.
 """
 
 from __future__ import annotations
@@ -15,18 +19,57 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import xlogy
 
+from semsec.errors import InfeasibleError
 from semsec.info import LN2
-from semsec.rdf import (
-    _SLACK,
-    _TINY,
-    RdfPoint,
-    _channel_feasibility,
-    _channel_rate,
-    _zero_rate_point,
-)
+from semsec.rdf import _SLACK, _TINY, RdfPoint, _channel_rate
+
+
+def lp_channel_feasibility(p, cost_a, cost_b, d_a, d_b):
+    """Minimum uniform slack s such that some channel meets (d_a+s, d_b+s).
+
+    Returns (s_star, W) where W is a feasible channel at slack s_star.
+    """
+    m, n = cost_a.shape
+    nv = m * n + 1
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    row_a = np.append((p[:, None] * cost_a).ravel(), -1.0)
+    row_b = np.append((p[:, None] * cost_b).ravel(), -1.0)
+    a_ub = np.vstack([row_a, row_b])
+    b_ub = np.array([d_a, d_b])
+    a_eq = np.zeros((m, nv))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    b_eq = np.ones(m)
+    bounds = [(0.0, None)] * (m * n) + [(0.0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise InfeasibleError(f"feasibility LP failed with status {res.status}")
+    w = res.x[:-1].reshape(m, n)
+    return float(res.x[-1]), w
+
+
+def lp_zero_rate_point(p, cost_a, cost_b, d_a, d_b):
+    """A rate-0 (constant-output-mixture) point meeting both targets, or None."""
+    ea = p @ cost_a
+    eb = p @ cost_b
+    n = len(ea)
+    res = linprog(
+        ea + eb,
+        A_ub=np.vstack([ea, eb]),
+        b_ub=np.array([d_a + _SLACK, d_b + _SLACK]),
+        A_eq=np.ones((1, n)),
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * n,
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    mu = res.x
+    return float(mu @ ea), float(mu @ eb)
 
 
 def ba_rate_stop(p, tilt, tol=1e-9, max_iter=10_000):
@@ -98,8 +141,8 @@ class NelderMeadSolver:
         p = np.asarray(p, dtype=float)
         cost_a = np.asarray(cost_a, dtype=float)
         cost_b = np.asarray(cost_b, dtype=float)
-        _, w_lp = _channel_feasibility(p, cost_a, cost_b, d_a, d_b)
-        zero = _zero_rate_point(p, cost_a, cost_b, d_a, d_b)
+        _, w_lp = lp_channel_feasibility(p, cost_a, cost_b, d_a, d_b)
+        zero = lp_zero_rate_point(p, cost_a, cost_b, d_a, d_b)
         if zero is not None:
             return RdfPoint(0.0, zero, (0.0, 0.0), True, dual_bound=0.0)
 

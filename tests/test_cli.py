@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semsec
 from semsec import DISABLED, ValidationError, config_hash, dump_config, load_config
 from semsec.cli import main
 from semsec.config import RunConfig, get_preset, preset_names, validate_config
@@ -272,3 +278,43 @@ class TestConfigModule:
         names = preset_names()
         assert list(names) == sorted(names)
         assert set(PRESETS) <= set(names)
+
+
+class TestImportPath:
+    """The runtime needs numpy only: no CLI path may load scipy."""
+
+    SCRIPT = """
+import json, sys
+from semsec.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["verify", "--out", out + "/verify.json"]),
+    main(["converse", "--config", cfg, "--out", out + "/cell.csv"]),
+    main(["inner", "--preset", "gaussian-inner-nosecrecy", "--samples", "2000",
+          "--out", out + "/inner.csv"]),
+]
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
+"""
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        cfg = tmp_path / "cell.json"
+        cfg.write_text(json.dumps({
+            "model": "binary", "mode": "converse", "cases": [2],
+            "d_s_grid": [0.3], "d_u_grid": [0.25],
+        }))
+        src = str(Path(semsec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg), str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        assert result["scipy"] == []
+        rows = (tmp_path / "cell.csv").read_text().strip().splitlines()[3:]
+        assert len(rows) == 1 and rows[0].split(",")[4] == "1"
+
+    def test_no_scipy_import_in_src(self):
+        pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+        sources = sorted(Path(semsec.__file__).parent.glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if pattern.search(p.read_text())] == []

@@ -212,6 +212,17 @@ class TestSource:
         with pytest.raises(DomainError):
             SemanticSourceGaussian(0.7, 1.0, 0.9)  # |cov| > sqrt(P_s P_u)
 
+    @pytest.mark.parametrize("params", [
+        (0.7, 1.0, math.nan), (math.nan, 1.0, 0.3), (0.7, math.nan, 0.3),
+        (math.inf, 1.0, 0.3), (0.7, math.inf, 0.3), (math.inf, math.inf, 0.3),
+        (0.7, 1.0, -math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, params):
+        # A NaN P_su passed every comparison and the converse then reported
+        # a feasible r_min = 0 from a NaN rate-distortion value.
+        with pytest.raises(DomainError):
+            SemanticSourceGaussian(*params)
+
     @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
     def test_validation_is_unit_free(self, scale):
         # |rho| = 2 is rejected at every scale; a rank-one K whose P_su is

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from grid_oracle import brute_force_rdf
-from nm_oracle import NelderMeadSolver
+from nm_oracle import NelderMeadSolver, lp_channel_feasibility, lp_zero_rate_point
 
 from semsec import rdf
 from semsec import (
@@ -28,7 +28,8 @@ from semsec import (
     rdf_semantic_case2,
 )
 from semsec.info import star
-from semsec.rdf import _ba_tilted, _case1_problem, _case2_problem, _dual_bound
+from semsec.rdf import (_SLACK, _ba_tilted, _case1_problem, _case2_problem, _channel_feasibility,
+                        _dual_bound, _zero_rate_point)
 
 # Frozen from the exhaustive grid search (resolution 6) on the doubly
 # symmetric quarter-crossover source at Hamming targets (0.3, 0.25).
@@ -210,6 +211,88 @@ class TestCertifiedDual:
         exact = 1.0 - binary_entropy(0.0625)
         assert point.dual_bound <= exact + 1e-12
         assert point.rate - point.dual_bound <= 1e-6
+
+
+#: HiGHS's primal feasibility tolerance, the oracle LPs' resolution.
+HIGHS_TOL = 1e-7
+
+
+@st.composite
+def lp_problems(draw):
+    """(p, cost_a, cost_b, d_a, d_b) for the solver's two LPs.
+
+    Costs are uniform on a 1/32 grid or small integers (which make letters
+    tie), and each target lies on its floor, on a per-letter value or on a
+    grid around them. On these coarse grids a slack is either exactly zero
+    or far above HiGHS's tolerance, which could otherwise round it to zero.
+    """
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    p = np.array(draw(st.lists(st.integers(1, 20), min_size=m, max_size=m)), dtype=float)
+    p /= p.sum()
+    entry = draw(st.sampled_from([st.integers(0, 32).map(lambda k: k / 32.0),
+                                  st.integers(0, 3).map(float)]))
+    problem = [p]
+    targets = []
+    for _ in range(2):
+        cost = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+        floor, letters = float(p @ cost.min(axis=1)), p @ cost
+        span = float(letters.max()) - floor
+        problem.append(cost)
+        targets.append(draw(st.one_of(
+            st.sampled_from([floor, *letters.tolist()]),
+            st.integers(-8, 36).map(lambda k: floor + k / 32.0 * span),
+        )))
+    return (*problem, *targets)
+
+
+@settings(max_examples=250, deadline=None)
+@given(lp_problems())
+def test_channel_feasibility_matches_the_lp_oracle(problem):
+    p, cost_a, cost_b, d_a, d_b = problem
+    slack, w = _channel_feasibility(*problem)
+    assert slack == pytest.approx(lp_channel_feasibility(*problem)[0], abs=1e-12)
+    assert np.all(w >= 0.0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    e_a, e_b = ((p[:, None] * w * cost).sum() for cost in (cost_a, cost_b))
+    assert e_a <= d_a + slack + 1e-12
+    assert e_b <= d_b + slack + 1e-12
+
+
+@settings(max_examples=250, deadline=None)
+@given(lp_problems())
+def test_zero_rate_point_matches_the_lp_oracle(problem):
+    p, cost_a, cost_b, d_a, d_b = problem
+    point, lp = _zero_rate_point(*problem), lp_zero_rate_point(*problem)
+    shrunk = lp_zero_rate_point(p, cost_a, cost_b, d_a - HIGHS_TOL, d_b - HIGHS_TOL)
+    grown = lp_zero_rate_point(p, cost_a, cost_b, d_a + HIGHS_TOL, d_b + HIGHS_TOL)
+    if (shrunk is None) != (grown is None):
+        return  # a box edge within HiGHS's tolerance of the hull decides the verdict
+    assert (point is None) == (lp is None)
+    if point is None:
+        return
+    assert point[0] <= d_a + _SLACK and point[1] <= d_b + _SLACK
+    # HiGHS may trade feasibility within its tolerance for a smaller sum, so
+    # the sums must agree to 1e-12 plus what moving the box by that
+    # tolerance changes in the oracle's own sum.
+    give = abs(sum(shrunk) - sum(grown))
+    assert abs(sum(point) - sum(lp)) <= 1e-12 + give
+
+
+def test_zero_rate_point_with_every_letter_on_the_box_edge():
+    # For the DSBS under Hamming distortion every output letter gives
+    # (E d_s, E d_u) = (0.5, 0.5): at D = 0.5 all of them sit on the box edge.
+    ham = hamming_distortion(2)
+    problem = _case2_problem(dsbs(0.25), ham, ham)
+    assert _zero_rate_point(*problem, 0.5, 0.5) == (0.5, 0.5)
+    assert lp_zero_rate_point(*problem, 0.5, 0.5) == pytest.approx((0.5, 0.5), abs=1e-12)
+    for d_s, d_u in ((0.5 - 1e-8, 0.5), (0.5, 0.5 - 1e-8)):
+        assert _zero_rate_point(*problem, d_s, d_u) is None  # beyond the 1e-9 slack
+    assert lp_zero_rate_point(*problem, 0.5 - 1e-6, 0.5) is None  # beyond HiGHS's tolerance
+    slack, w = _channel_feasibility(*problem, 0.5, 0.5)
+    assert slack == 0.0
+    p, cost_a, cost_b = problem
+    assert (p[:, None] * w * cost_a).sum() <= 0.5
+    assert (p[:, None] * w * cost_b).sum() <= 0.5
 
 
 def slack_rate(point, targets):
