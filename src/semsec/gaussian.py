@@ -581,51 +581,49 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
     return terms
 
 
-def _mark(feas: np.ndarray, reason: np.ndarray, mask: np.ndarray, code: int) -> None:
-    reason[mask & (reason == 0)] = code
-    feas[mask] = False
+def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
+                  src: SemanticSourceGaussian):
+    """(r, accepted, reason_code) of each draw's inner-bound inequality system.
 
-
-def _inner_min_r_batch(
-    t: dict[str, np.ndarray],
-    targets: EquivocationTargets,
-    entropies: tuple[float, float, float],
-):
-    """Minimal r per sample for the inner-bound inequality system.
-
-    ``entropies`` is the (h(S), h(U), h(S,U)) triple of the source. Every
-    constraint is piecewise linear in r (the positive-part brackets
-    contribute at most one breakpoint), so the infimum feasible r is solved
-    exactly. Disabled (-inf) targets are skipped. Returns (r, feasible,
-    reason_code) arrays; strictness of the printed inequalities is absorbed
-    into a 1e-9 slack.
+    Every constraint is piecewise linear in r (the positive-part brackets
+    contribute at most one breakpoint), so the least feasible r is exact;
+    strictness of the printed inequalities is absorbed into a 1e-9 slack,
+    and disabled (-inf) targets are skipped. A draw is accepted when it is
+    feasible and in the sound regime: its source-coding rates stay within
+    the entropy budget of every active secrecy constraint (and its joint
+    leakage gap is nonnegative for the joint one), where the equivocation
+    bounds are fully backed by the coding argument. r is NaN where a draw
+    is discarded. Of several reasons the first in code order wins, checked
+    as 10, 1-6, then the unsound-regime codes 7-9.
     """
-    n = len(t["a1"])
-    feas = np.ones(n, dtype=bool)
-    reason = np.zeros(n, dtype=np.int8)
+    reason = np.zeros(len(t["a1"]), dtype=np.int8)
 
-    finite = np.ones(n, dtype=bool)
-    for key, val in t.items():
+    def mark(mask, code):
+        reason[mask & (reason == 0)] = code
+
+    finite = np.ones(len(reason), dtype=bool)
+    for val in t.values():
         finite &= np.isfinite(val)
-    _mark(feas, reason, ~finite, 10)
+    mark(~finite, 10)
 
     a1, a2, a3 = t["a1"], t["a2"], t["a3"]
     b1, b2, b3 = t["b1"], t["b2"], t["b3"]
+    hs, hu, hsu = src.h_s, src.h_u, src.h_su
     with np.errstate(invalid="ignore"):
         # Public-layer constraint as printed: no r multiplier.
-        _mark(feas, reason, finite & (a1 > b1 + _TOL), 1)
+        mark(finite & (a1 > b1 + _TOL), 1)
         r = np.maximum(
             np.where(a2 > _TOL, a2 / np.maximum(b2, _TINY), 0.0),
             np.where(a3 > _TOL, a3 / np.maximum(b3, _TINY), 0.0),
         )
-        _mark(feas, reason, finite & (a2 > _TOL) & (b2 <= _TOL), 2)
-        _mark(feas, reason, finite & (a3 > _TOL) & (b3 <= _TOL), 3)
+        mark(finite & (a2 > _TOL) & (b2 <= _TOL), 2)
+        mark(finite & (a3 > _TOL) & (b3 <= _TOL), 3)
 
         g_s = np.maximum(t["gqs_y"] - t["gqs_z"], 0.0)
         g_u = np.maximum(t["gqu_y"] - t["gqu_z"], 0.0)
-        g_su = np.maximum(t["gqs_y"] + t["gqu_y"] - t["gj_z"], 0.0)
+        leak_su = t["gqs_y"] + t["gqu_y"] - t["gj_z"]
+        g_su = np.maximum(leak_su, 0.0)
         gqu_y = t["gqu_y"]
-        hs, hu, hsu = entropies
 
         if targets.delta_s != DISABLED:
             ds_t = targets.delta_s
@@ -640,70 +638,29 @@ def _inner_min_r_batch(
             c2 = r4 + (ds_t - (base + r4 * g_s)) / np.maximum(g_s, _TINY)
             ok2 = m2 & (g_s > 0.0) & np.isfinite(r4)
             r_s = np.where(ok2, c2, r_s)
-            _mark(feas, reason, finite & m2 & ~ok2, 4)
+            mark(finite & m2 & ~ok2, 4)
             r = np.maximum(r, r_s)
         if targets.delta_u != DISABLED:
             need_u = targets.delta_u - np.maximum(hu - a3, 0.0)
             r = np.maximum(
                 r, np.where(need_u > 0.0, need_u / np.maximum(g_u, _TINY), 0.0)
             )
-            _mark(feas, reason, finite & (need_u > 0.0) & (g_u <= 0.0), 5)
+            mark(finite & (need_u > 0.0) & (g_u <= 0.0), 5)
         if targets.delta_su != DISABLED:
             need_su = targets.delta_su - np.maximum(hsu - a2 - a3, 0.0)
             r = np.maximum(
                 r, np.where(need_su > 0.0, need_su / np.maximum(g_su, _TINY), 0.0)
             )
-            _mark(feas, reason, finite & (need_su > 0.0) & (g_su <= 0.0), 6)
+            mark(finite & (need_su > 0.0) & (g_su <= 0.0), 6)
 
-    r = np.where(feas, np.maximum(r, 0.0), np.nan)
-    return r, feas, reason
-
-
-def _sound_regime_mask(
-    t: dict[str, np.ndarray],
-    targets: EquivocationTargets,
-    src: SemanticSourceGaussian,
-):
-    """Scan-level acceptance filter for active equivocation targets.
-
-    Keeps only draws whose source-coding rates stay within the entropy
-    budget of every active secrecy constraint (and whose joint leakage gap
-    is nonnegative for the joint constraint), the regime in which the
-    equivocation bounds are fully backed by the coding argument. Returns
-    (mask, reason_code) with codes 7-9 for the rejected draws.
-    """
-    n = len(t["a1"])
-    mask = np.ones(n, dtype=bool)
-    reason = np.zeros(n, dtype=np.int8)
     if targets.delta_s != DISABLED:
-        bad = ~(t["a2"] <= src.h_s + _TOL)
-        reason[bad & (reason == 0)] = 7
-        mask &= ~bad
+        mark(~(a2 <= hs + _TOL), 7)
     if targets.delta_u != DISABLED:
-        bad = ~((t["a1"] <= _TOL) & (t["a3"] <= src.h_u + _TOL))
-        reason[bad & (reason == 0)] = 8
-        mask &= ~bad
+        mark(~((a1 <= _TOL) & (a3 <= hu + _TOL)), 8)
     if targets.delta_su != DISABLED:
-        bad = ~(
-            (t["a2"] + t["a3"] <= src.h_su + _TOL)
-            & (t["gqs_y"] + t["gqu_y"] - t["gj_z"] >= -_TOL)
-        )
-        reason[bad & (reason == 0)] = 9
-        mask &= ~bad
-    return mask, reason
-
-
-def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
-                  src: SemanticSourceGaussian):
-    """(r, accepted, reason_code) of draws both feasible and in the sound
-    regime; r is NaN where a draw is discarded, and a feasibility reason
-    takes precedence over an unsound-regime one."""
-    sound, sound_reason = _sound_regime_mask(t, targets, src)
-    r, feas, reason = _inner_min_r_batch(t, targets, (src.h_s, src.h_u, src.h_su))
-    first = (sound_reason != 0) & (reason == 0)
-    reason[first] = sound_reason[first]
-    accepted = feas & sound
-    return np.where(accepted, r, np.nan), accepted, reason
+        mark(~((a2 + a3 <= hsu + _TOL) & (leak_su >= -_TOL)), 9)
+    accepted = reason == 0
+    return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 
 
 def draw_inner_samples(

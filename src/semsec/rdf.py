@@ -4,10 +4,11 @@ Two layers:
 
 * closed forms for the binary symmetric semantic source
   (:func:`binary_rdf_obs`, :func:`binary_rdf_sem`, :func:`binary_rdf_joint`);
-* a numeric two-constraint solver (:class:`TwoConstraintSolver`,
-  :func:`rdf_semantic_case1`, :func:`rdf_semantic_case2`,
-  :func:`rdf_classic`): warm-started Blahut-Arimoto inside a projected
-  Newton ascent on the 2-D concave dual. Every point also carries Csiszar's
+* one numeric two-constraint solver (:class:`TwoConstraintSolver`, behind
+  :func:`rdf_semantic_case1`, :func:`rdf_semantic_case2` and
+  :func:`rdf_classic`, the single-constraint case with a zero second cost):
+  warm-started Blahut-Arimoto inside a projected Newton ascent on the 2-D
+  concave dual. Every point also carries Csiszar's
   certified dual lower bound, valid at any output distribution, so the
   optimality gap is observable and binary case-2 values can be lower
   bounds. The two linear programs that open a solve (joint feasibility of
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,9 +54,12 @@ _NEWTON_MAX_ITER = 50
 _GRAD_TOL = 1e-10  # stationarity: well inside the distortion slack
 _FD_STEP = 1e-6  # relative forward-difference step for the Hessian
 _BACKTRACKS = 8
+_ARMIJO = 1e-4  # least share of the first-order gain an ascent step keeps
 _BRACKET_STEPS = 30  # growth steps of a bisection bracket
 _LINE_BISECTIONS = 10  # neither an ascent step nor the ray scale needs more
 _POLISH_EVERY = 8  # Blahut-Arimoto iterations between Newton steps on q
+_BA_TOL = 1e-12  # Blahut-Arimoto stop: log2 max c, in bits
+_BA_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +77,8 @@ class DiscreteSemanticSource:
     """
 
     joint: Pmf
-    s_support: tuple[int, ...] = ()
-    u_support: tuple[int, ...] = ()
+    s_support: tuple[int, ...] = field(init=False)
+    u_support: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.joint.n_axes != 2:
@@ -175,9 +179,8 @@ class RdfPoint:
 def _ba_tilted(
     p: np.ndarray,
     tilt: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
-    return_trace: bool = False,
+    tol: float = _BA_TOL,
+    max_iter: int = _BA_MAX_ITER,
     q0: np.ndarray | None = None,
 ):
     """Blahut-Arimoto for min_W I(p, W) + sum p W tilt.
@@ -196,8 +199,7 @@ def _ba_tilted(
 
     Returns a dict with the final channel ``w`` (paired with its exact output
     marginal ``q``), the achieved mutual information ``rate``, a convergence
-    flag, the iteration count, and (optionally) the per-iteration Lagrangian
-    trace, which the alternating minimization makes nonincreasing.
+    flag and the iteration count.
     """
     tilt = np.asarray(tilt, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -206,7 +208,6 @@ def _ba_tilted(
     q = np.full(n, 1.0 / n) if q0 is None else np.maximum(np.asarray(q0, dtype=float), 1e-12)
     q = q / q.sum()  # from here on sum(q * c) = sum(p) = 1 keeps q normalized
     stop = 2.0**tol
-    trace: list[float] = []
     iters = 0
     while True:
         iters += 1
@@ -218,9 +219,6 @@ def _ba_tilted(
             c_cand = (p / z_cand) @ b
             if c_cand.max() < c.max():
                 q, z, c = cand, z_cand, c_cand
-        if return_trace:
-            w = q * b / z[:, None]
-            trace.append(_channel_rate(p, w) + float((p[:, None] * w * tilt).sum()))
         converged = bool(c.max() <= stop)
         if converged or iters >= max_iter:
             break
@@ -228,16 +226,13 @@ def _ba_tilted(
 
     w = q * b / z[:, None]
     q_out = q * c
-    out = {
+    return {
         "w": w,
         "q": q_out / q_out.sum(),
         "rate": max(_channel_rate(p, w), 0.0),
         "converged": converged,
         "iterations": iters,
     }
-    if return_trace:
-        out["trace"] = np.asarray(trace)
-    return out
 
 
 def _newton_output(p, b, q):
@@ -411,7 +406,6 @@ class _Eval:
         return np.where((self.lam > 0.0) | (self.grad > 0.0), self.grad, 0.0)
 
 
-@dataclass(frozen=True)
 class TwoConstraintSolver:
     """Rate-distortion with two simultaneous average-distortion constraints.
 
@@ -420,11 +414,12 @@ class TwoConstraintSolver:
     minimizing channel. Strategy: from lam = (1, 1), a projected Newton
     ascent climbs g, each step taking the gradient from one warm-started
     Blahut-Arimoto solve and the 2x2 Hessian from two more (forward
-    differences), and accepting the step by backtracking. Where Newton
-    fails (the Hessian estimate is not negative definite, or no backtracked
-    step gains), a bisection on the directional derivative along the
-    projected gradient takes the step; this covers the kinks of g where an
-    output letter's mass reaches zero. A zero multiplier is reached through
+    differences), and accepting the step by backtracking with a
+    sufficient-gain (Armijo) test. Where Newton fails (the Hessian estimate
+    is not negative definite, or no backtracked step gains enough), a
+    bisection on the directional derivative along the projected gradient
+    takes the step; this covers the kinks of g where an output letter's
+    mass reaches zero. A zero multiplier is reached through
     the projection. If the final channel misses a target by more than the
     slack, a warm-started bisection along the multiplier ray restores
     feasibility. A cell costs tens of Blahut-Arimoto solves: on the doubly
@@ -435,11 +430,8 @@ class TwoConstraintSolver:
     ``dual_bound`` is the best of them and ``rate`` is the least rate among
     the feasible channels met. ``converged`` means the projected gradient
     fell below 1e-10 and the reported channel's Blahut-Arimoto solve met
-    ``ba_tol``.
+    its 1e-12 certificate within 10k iterations.
     """
-
-    ba_tol: float = 1e-12
-    ba_max_iter: int = 10_000
 
     def solve(self, p, cost_a, cost_b, d_a, d_b) -> RdfPoint:
         p = np.asarray(p, dtype=float)
@@ -468,14 +460,13 @@ class TwoConstraintSolver:
         zero = _zero_rate_point(p, cost_a, cost_b, d_a, d_b)
         if zero is not None:
             return RdfPoint(0.0, zero, (0.0, 0.0), True, dual_bound=0.0)
-        return _NewtonAscent(self, p, np.stack([cost_a, cost_b]), np.array([d_a, d_b])).run(w_lp)
+        return _NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([d_a, d_b])).run(w_lp)
 
 
 class _NewtonAscent:
     """State of one :meth:`TwoConstraintSolver.solve`: best bounds so far."""
 
-    def __init__(self, solver, p, costs, targets):
-        self.solver = solver
+    def __init__(self, p, costs, targets):
         self.p = p
         self.costs = costs
         self.targets = targets
@@ -484,8 +475,7 @@ class _NewtonAscent:
 
     def evaluate(self, lam, q0=None) -> _Eval:
         tilt = np.tensordot(lam, self.costs, axes=1)
-        out = _ba_tilted(self.p, tilt, tol=self.solver.ba_tol,
-                         max_iter=self.solver.ba_max_iter, q0=q0)
+        out = _ba_tilted(self.p, tilt, _BA_TOL, _BA_MAX_ITER, q0)
         ed = np.array(_expected_distortions(self.p, out["w"], *self.costs))
         dual = _dual_bound(self.p, out["q"], tilt, float(lam @ self.targets))
         ev = _Eval(lam, out, ed - self.targets, dual)
@@ -535,15 +525,20 @@ class _NewtonAscent:
         step = np.zeros(2)
         step[free] = -np.linalg.solve(hess, cur.grad[free])
         norm = np.linalg.norm(cur.proj_grad)
-        noise = 2.0 * self.solver.ba_tol + 1e-14
+        noise = 2.0 * _BA_TOL + 1e-14
         t = 1.0
         for _ in range(_BACKTRACKS):
             ev = self.evaluate(np.maximum(cur.lam + t * step, 0.0), cur.ba["q"])
-            # Far from the optimum the dual value decides; near it the gain
-            # sinks below the Blahut-Arimoto tolerance and the projected
-            # gradient, which stays accurate, decides instead.
-            if ev.dual > cur.dual + noise or (
-                ev.dual >= cur.dual - noise and np.linalg.norm(ev.proj_grad) < norm
+            # Far from the optimum the dual value decides, and the gain must
+            # be a share of the first-order gain (Armijo): at a kink of g the
+            # Hessian estimate is near zero, and the huge step it gives would
+            # otherwise pass on any gain. Near the optimum the gain sinks
+            # below the Blahut-Arimoto tolerance and the projected gradient,
+            # which stays accurate, decides instead.
+            gain = ev.dual - cur.dual
+            armijo = _ARMIJO * float(cur.grad @ (ev.lam - cur.lam))
+            if gain > max(noise, armijo) or (
+                abs(gain) <= noise and np.linalg.norm(ev.proj_grad) < norm
             ):
                 return ev
             t *= 0.5
@@ -639,9 +634,10 @@ def modified_distortion(src: DiscreteSemanticSource, d_s: DistortionMatrix) -> D
 
 
 def rdf_classic(p_u, d_u: DistortionMatrix, target: float) -> RdfPoint:
-    """Single-constraint rate-distortion function via Blahut-Arimoto.
+    """Single-constraint rate-distortion function.
 
-    ``p_u`` may be a 1-axis :class:`Pmf` or a probability vector.
+    ``p_u`` may be a 1-axis :class:`Pmf` or a probability vector. This is
+    :class:`TwoConstraintSolver` with a zero second cost and target.
     """
     p = p_u.probs if isinstance(p_u, Pmf) else np.asarray(p_u, dtype=float)
     if p.ndim != 1:
@@ -651,69 +647,29 @@ def rdf_classic(p_u, d_u: DistortionMatrix, target: float) -> RdfPoint:
         raise DomainError(
             f"distortion rows {cost.shape[0]} != alphabet size {len(p)}"
         )
-    floor = float(p @ cost.min(axis=1))
-    if target < floor - _SLACK:
-        raise InfeasibleError(f"distortion target {target} below floor {floor}")
-    constants = p @ cost
-    best_const = float(constants.min())
-    if target >= best_const - _SLACK:
-        return RdfPoint(0.0, (best_const,), (0.0,), True, dual_bound=0.0)
+    point = TwoConstraintSolver().solve(p, cost, np.zeros_like(cost), target, 0.0)
+    return RdfPoint(point.rate, point.distortions[:1], point.multipliers[:1],
+                    point.converged, dual_bound=point.dual_bound)
 
-    lo, hi = 1e-6, 1e6
 
-    def eval_lam(lam):
-        out = _ba_tilted(p, lam * cost, tol=1e-12, max_iter=20_000)
-        (ed,) = _expected_distortions(p, out["w"], cost)
-        return out, float(ed)
-
-    out_hi, ed_hi = eval_lam(hi)
-    if ed_hi > target + _SLACK:
-        # Target sits at (or numerically below) the floor; report the
-        # sharpest available point.
-        dual = float(_dual_bound(p, out_hi["q"], hi * cost, hi * target))
-        return RdfPoint(float(out_hi["rate"]), (ed_hi,), (hi,), bool(out_hi["converged"]), dual_bound=dual)
-    best = (out_hi, ed_hi, hi)
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        out_m, ed_m = eval_lam(mid)
-        if ed_m <= target + _SLACK:
-            best = (out_m, ed_m, mid)
-            hi = mid
-        else:
-            lo = mid
-    out_b, ed_b, lam_b = best
-    dual = float(_dual_bound(p, out_b["q"], lam_b * cost, lam_b * target))
-    return RdfPoint(
-        float(out_b["rate"]), (ed_b,), (lam_b,), bool(out_b["converged"]), dual_bound=dual
-    )
+def _product_costs(da, db):
+    """The two costs over the product reconstruction alphabet: in row x,
+    letter (i, j) costs da[x, i] and db[x, j]."""
+    return np.repeat(da, db.shape[1], axis=1), np.tile(db, (1, da.shape[1]))
 
 
 def _case2_problem(src, d_s, d_u):
     ds = _source_rows(d_s, src.s_support, src.n_s, "d_s")
     du = _source_rows(d_u, src.u_support, src.n_u, "d_u")
-    n_sh, n_uh = ds.shape[1], du.shape[1]
-    p = src.joint.probs.ravel()  # (s, u) row-major
-    cost_a = np.zeros((src.n_s * src.n_u, n_sh * n_uh))
-    cost_b = np.zeros_like(cost_a)
-    for s in range(src.n_s):
-        for u in range(src.n_u):
-            row = s * src.n_u + u
-            cost_a[row] = np.repeat(ds[s], n_uh)
-            cost_b[row] = np.tile(du[u], n_sh)
-    return p, cost_a, cost_b
+    # Rows are the (s, u) pairs in row-major order.
+    cost_a, cost_b = _product_costs(np.repeat(ds, src.n_u, axis=0), np.tile(du, (src.n_s, 1)))
+    return src.joint.probs.ravel(), cost_a, cost_b
 
 
 def _case1_problem(src, d_s, d_u):
     dhat = modified_distortion(src, d_s).entries  # (n_u, n_sh)
     du = _source_rows(d_u, src.u_support, src.n_u, "d_u")
-    n_sh, n_uh = dhat.shape[1], du.shape[1]
-    p = src.marginal_u
-    cost_a = np.zeros((src.n_u, n_sh * n_uh))
-    cost_b = np.zeros_like(cost_a)
-    for u in range(src.n_u):
-        cost_a[u] = np.repeat(dhat[u], n_uh)
-        cost_b[u] = np.tile(du[u], n_sh)
-    return p, cost_a, cost_b
+    return (src.marginal_u, *_product_costs(dhat, du))
 
 
 def rdf_semantic_case2(
@@ -722,16 +678,13 @@ def rdf_semantic_case2(
     d_u: DistortionMatrix,
     target_s: float,
     target_u: float,
-    solver: TwoConstraintSolver | None = None,
 ) -> RdfPoint:
     """min I(S,U; S_hat,U_hat) s.t. E d_s <= target_s and E d_u <= target_u.
 
     Encoder sees both source components; the optimization runs over test
     channels from (S, U) to the product reconstruction alphabet.
     """
-    solver = solver or TwoConstraintSolver()
-    p, cost_a, cost_b = _case2_problem(src, d_s, d_u)
-    return solver.solve(p, cost_a, cost_b, target_s, target_u)
+    return TwoConstraintSolver().solve(*_case2_problem(src, d_s, d_u), target_s, target_u)
 
 
 def rdf_semantic_case1(
@@ -740,21 +693,13 @@ def rdf_semantic_case1(
     d_u: DistortionMatrix,
     target_s: float,
     target_u: float,
-    solver: TwoConstraintSolver | None = None,
 ) -> RdfPoint:
     """min I(U; S_hat,U_hat) with the semantic constraint via modified distortion.
 
     Encoder sees only the observation U; the semantic fidelity constraint is
     enforced through the conditional-expectation distortion on (U, S_hat).
     """
-    solver = solver or TwoConstraintSolver()
-    p, cost_a, cost_b = _case1_problem(src, d_s, d_u)
-    floor = float(p @ cost_a.min(axis=1))
-    if target_s < floor - _SLACK:
-        raise InfeasibleError(
-            f"semantic target {target_s} below the restricted-encoder floor {floor}"
-        )
-    return solver.solve(p, cost_a, cost_b, target_s, target_u)
+    return TwoConstraintSolver().solve(*_case1_problem(src, d_s, d_u), target_s, target_u)
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +741,6 @@ def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
     raise DomainError(f"case must be 1 or 2, got {case}")
 
 
-#: Solver behind :func:`binary_rdf_joint` for case 2.
-_BINARY_SOLVER = TwoConstraintSolver()
 #: Certified gap beyond which a binary case-2 value draws a warning.
 _GAP_WARN = 1e-6
 
@@ -808,7 +751,7 @@ def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoi
     # R(D_u, D_s): callers pass the pair sorted and share one solve.
     src = DiscreteSemanticSource.doubly_symmetric(alpha)
     ham = hamming_distortion(2)
-    return rdf_semantic_case2(src, ham, ham, d_lo, d_hi, _BINARY_SOLVER)
+    return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
 
 
 def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) -> float:

@@ -78,9 +78,7 @@ def test_criterion_1_frozen_reference_values():
 def test_criterion_2a_solver_matches_closed_forms():
     ham = hamming_distortion(2)
     dsbs = DiscreteSemanticSource.doubly_symmetric(0.25)
-    copy = DiscreteSemanticSource(
-        Pmf(np.array([[0.75, 0.0], [0.0, 0.25]])), ("a", "b"), ("a", "b")
-    )
+    copy = DiscreteSemanticSource(Pmf(np.array([[0.75, 0.0], [0.0, 0.25]])))
     gaps = []
     certified = []  # primal rate minus certified dual bound, per cell
     # Identical components, semantic constraint slack: classic binary RDF.
@@ -108,9 +106,7 @@ def test_criterion_2b_solver_vs_exhaustive_search():
     started = time.time()
     ham = hamming_distortion(2)
     dsbs = DiscreteSemanticSource.doubly_symmetric(0.25)
-    asym = DiscreteSemanticSource(
-        Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])), ("a", "b"), ("x", "y")
-    )
+    asym = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])))
     # Allowances: solver tolerance plus the measured discretization excess
     # of the exhaustive channel grid (resolution 6 and 11 respectively).
     corpus = [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from grid_oracle import brute_force_rdf
 from nm_oracle import NelderMeadSolver, lp_channel_feasibility, lp_zero_rate_point
@@ -54,9 +54,18 @@ class TestSourceAndDistortion:
 
     def test_zero_mass_symbols_pruned(self):
         joint = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
-        src = DiscreteSemanticSource(Pmf(joint), tuple("ab"), tuple("xyz"))
+        src = DiscreteSemanticSource(Pmf(joint))
         assert src.n_u == 2
         assert src.u_support == (0, 1)
+
+    def test_supports_are_not_arguments(self):
+        # The kept indices always come from the pmf; labels passed for them
+        # would be dropped without a word.
+        joint = Pmf(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        with pytest.raises(TypeError):
+            DiscreteSemanticSource(joint, ("a", "b"), ("x", "y"))
+        with pytest.raises(TypeError):
+            DiscreteSemanticSource(joint, u_support=(0, 1))
 
     def test_hamming(self):
         d = hamming_distortion(2)
@@ -73,14 +82,24 @@ class TestSourceAndDistortion:
 
 
 class TestClassicRdf:
-    def test_binary_closed_form(self):
-        p = np.array([0.75, 0.25])
-        for d in (0.05, 0.1, 0.2):
-            point = rdf_classic(p, hamming_distortion(2), d)
-            expected = binary_entropy(0.25) - binary_entropy(d)
-            assert point.rate == pytest.approx(expected, abs=2e-4)
-            assert point.distortions[0] <= d + 1e-6
-            assert point.dual_bound <= point.rate + 1e-6
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(0.005, 0.5), frac=st.floats(0.0, 1.0))
+    @example(a=0.25, frac=0.0)
+    @example(a=0.25, frac=1.0)
+    @example(a=0.125, frac=1.192092896e-07)
+    def test_binary_closed_form(self, a, frac):
+        # Bernoulli(a) under Hamming distortion: R(D) = h(a) - h(D) on [0, a].
+        # At D = 1.49e-8 the ascent starts on the zero-rate kink, where the
+        # Hessian estimate is near zero and the Newton step it gives lands
+        # at a multiplier near 4e8, far past the optimum of 26.
+        d = frac * a
+        point = rdf_classic(np.array([1.0 - a, a]), hamming_distortion(2), d)
+        expected = binary_entropy(a) - binary_entropy(d)
+        assert point.converged
+        assert point.dual_bound <= expected + 1e-12
+        assert abs(point.rate - expected) <= 1e-6
+        assert point.distortions[0] <= d + 1e-6
+        assert point.dual_bound <= point.rate + 1e-6
 
     def test_zero_rate_region(self):
         p = np.array([0.75, 0.25])
@@ -96,13 +115,17 @@ class TestClassicRdf:
 class TestBaCore:
     def test_lagrangian_trace_nonincreasing(self):
         # The per-iteration rate need not be monotone, but the alternating
-        # minimization drives the Lagrangian down at every step.
+        # minimization drives the Lagrangian down at every step. The iteration
+        # is deterministic, so the run capped at k iterations ends on the
+        # k-th iterate.
         p = np.array([0.3, 0.3, 0.4])
         rng = np.random.default_rng(5)
         tilt = 2.0 * rng.uniform(size=(3, 3))
-        out = _ba_tilted(p, tilt, tol=1e-12, max_iter=500, return_trace=True)
-        trace = out["trace"]
-        assert len(trace) > 3
+        trace = []
+        for k in range(1, 40):
+            out = _ba_tilted(p, tilt, tol=1e-12, max_iter=k)
+            trace.append(out["rate"] + float((p[:, None] * out["w"] * tilt).sum()))
+        assert out["iterations"] > 3
         assert np.all(np.diff(trace) <= 1e-10)
 
     def test_warm_start_at_the_fixed_point_stops_at_once(self):
@@ -164,9 +187,7 @@ class TestTwoConstraintSolver:
     def test_fallbacks_gain_dual_and_restore_feasibility(self):
         ham = hamming_distortion(2)
         p, cost_a, cost_b = _case2_problem(dsbs(0.25), ham, ham)
-        ascent = rdf._NewtonAscent(
-            TwoConstraintSolver(), p, np.stack([cost_a, cost_b]), np.array([0.3, 0.25])
-        )
+        ascent = rdf._NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([0.3, 0.25]))
         start = ascent.evaluate(np.array([0.2, 0.2]))
         assert not start.feasible and ascent.best is None
         step = ascent._bisection_step(start)
@@ -331,7 +352,7 @@ def test_dsbs_case2_over_the_parameter_space(alpha, d_s, d_u):
         assert point.rate == pytest.approx(exact, abs=1e-6)
 
 
-ASYM = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])), ("a", "b"), ("x", "y"))
+ASYM = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])))
 # Criterion 2b's corpus and the benchmark's four binary case-2 cells.
 ORACLE_CELLS = [
     ("dsbs", 0.3, 0.25, 2), ("dsbs", 0.2, 0.2, 2), ("asym", 0.3, 0.25, 2),
@@ -443,7 +464,7 @@ class TestBinaryClosedForms:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_joint_case2_warns_when_the_solver_does_not_converge(self, monkeypatch):
-        monkeypatch.setattr(rdf, "_BINARY_SOLVER", TwoConstraintSolver(ba_max_iter=2))
+        monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
         rdf._binary_joint_case2_cached.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match=r"\(D_s, D_u\)=\(0\.3, 0\.25\).*gap"):
