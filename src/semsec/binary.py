@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .info import binary_entropy, star
 from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
-from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
-                      equivocation_caps, min_ratio)
+from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, RatioGrid,
+                      TradeoffCurve, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceBinary",
@@ -97,26 +97,40 @@ def binary_secrecy_term(ch: WiretapChannelBinary, gamma: float) -> float:
     return float(binary_entropy(p_z) - binary_entropy(p_y))
 
 
-def _components(src, target_s, target_u, case, gamma1, gamma2):
-    """Joint RDF and the (name, entropy, RDF, gamma) converse components.
+def _components(src, d_s, d_u, case, gamma1, gamma2):
+    """Joint RDF (n, m), the (name, entropy, RDF, gamma) converse components
+    and, per D_s, the reason the case-1 floor puts it out of reach (None
+    where it does not) over the grid ``d_s`` x ``d_u``.
 
-    The observation component uses the conditional entropy H_b(alpha).
+    The marginals take one scalar call per axis point. The case-1 joint is
+    their maximum; the case-2 joint is one cached solve per cell. The
+    observation component uses the conditional entropy H_b(alpha).
     """
     if case == 1 and gamma2 not in (None, 0.0):
         raise DomainError("case 1 fixes the observation-side gamma at 0")
-    r_s = binary_rdf_sem(src.alpha, target_s, case)
-    if math.isinf(r_s):
-        raise InfeasibleError(
-            f"restricted encoder cannot reach semantic distortion {target_s} "
-            f"< alpha {src.alpha}"
-        )
-    r_u = binary_rdf_obs(src.alpha, target_u)
-    r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
+    r_s = np.array([binary_rdf_sem(src.alpha, d, case) for d in d_s])[:, None]
+    blocked = [
+        f"restricted encoder cannot reach semantic distortion {d} < alpha {src.alpha}"
+        if math.isinf(r) else None
+        for d, r in zip(d_s, r_s[:, 0].tolist())
+    ]
+    r_u = np.array([binary_rdf_obs(src.alpha, d) for d in d_u])[None, :]
+    if case == 1:
+        r_j = np.maximum(r_s, r_u)
+    else:
+        r_j = np.array([[binary_rdf_joint(src.alpha, a, b, case) for b in d_u] for a in d_s])
     return r_j, (
         ("delta_s", 1.0, r_s, gamma1),
         ("delta_u", src.h_alpha, r_u, 0.0 if gamma2 is None else gamma2),
         ("delta_su", src.h_alpha + 1.0, r_j, 0.0),
-    )
+    ), blocked
+
+
+def _ratio_grid(src, ch, d_s, d_u, targets, case, gamma1=0.0, gamma2=None) -> RatioGrid:
+    """:func:`min_ratio` over the grid ``d_s`` x ``d_u``."""
+    r_j, comps, blocked = _components(src, d_s, d_u, case, gamma1, gamma2)
+    return min_ratio(r_j, ch.capacity_main, comps, targets,
+                     lambda gamma: binary_secrecy_term(ch, gamma), blocked)
 
 
 def binary_converse_caps(
@@ -137,7 +151,9 @@ def binary_converse_caps(
     additionally clamped at the unconditional entropy of its component —
     1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
     """
-    _, comps = _components(src, target_s, target_u, case, gamma1, gamma2)
+    _, comps, blocked = _components(src, [target_s], [target_u], case, gamma1, gamma2)
+    if blocked[0] is not None:
+        raise InfeasibleError(blocked[0])
     return equivocation_caps(
         comps, r, R_k, lambda gamma: binary_secrecy_term(ch, gamma),
         (src.h_s, src.h_u, src.h_su),
@@ -158,14 +174,9 @@ def binary_min_r(
 
     Maximum of the joint-RDF-over-capacity bound and the secrecy-driven
     bound of every enabled equivocation target not already met at r = 0.
+    This is the surface evaluation on a 1x1 grid, at any gammas.
     """
-    try:
-        r_j, comps = _components(src, target_s, target_u, case, gamma1, gamma2)
-    except InfeasibleError as exc:
-        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    return min_ratio(
-        r_j, ch.capacity_main, comps, targets, lambda gamma: binary_secrecy_term(ch, gamma)
-    )
+    return _ratio_grid(src, ch, [target_s], [target_u], targets, case, gamma1, gamma2).cell(0, 0)
 
 
 def delta_s_curve(

@@ -67,17 +67,17 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _csv(columns, lines, cfg: RunConfig) -> str:
+    """A CSV artifact: the two comment lines, the header and the row ``lines``."""
+    head = [ARTIFACT_MARKER, f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
+            ",".join(columns)]
+    return "\n".join(head + lines) + "\n"
+
+
 def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
     """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``."""
     if fmt != "json":
-        lines = [
-            ARTIFACT_MARKER,
-            f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
-            ",".join(columns),
-        ]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(columns, [",".join(_fmt(v) for v in row) for row in rows], cfg)
 
     def clean(v):
         if v is None:
@@ -100,14 +100,35 @@ def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _surface_cells(surfaces, axis):
+    """Per case and D_s: ``(case, D_s, cells)``, where ``cells`` yields
+    ``(D_u, value, feasible, samples)``; ``axis`` maps each axis array once."""
+    for case, surface in surfaces.items():
+        d_u = axis(surface.axes["D_u"])
+        for d_s, values, feasible, samples in zip(
+            axis(surface.axes["D_s"]), surface.values.tolist(),
+            surface.feasible.tolist(), surface.samples.tolist(),
+        ):
+            yield case, d_s, zip(d_u, values, feasible, samples)
+
+
 def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None) -> str:
-    """One surface artifact from a {case: RegionSurface} mapping."""
-    rows = [
-        (case, row["D_s"], row["D_u"], row["value"], row["feasible"], row["samples"])
-        for case, surface in surfaces.items()
-        for row in surface.rows()
+    """One surface artifact from a {case: RegionSurface} mapping, in case and
+    then row-major (D_s, D_u) order; an infeasible cell has no value."""
+    if fmt == "json":
+        rows = [
+            (case, d_s, d_u, value if ok else None, ok, n)
+            for case, d_s, cells in _surface_cells(surfaces, np.ndarray.tolist)
+            for d_u, value, ok, n in cells
+        ]
+        return _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
+    lines = [
+        f"{case},{d_s},{d_u},{value:.12g},1,{n}" if ok else f"{case},{d_s},{d_u},,0,{n}"
+        for case, d_s, cells in _surface_cells(
+            surfaces, lambda axis: [f"{v:.12g}" for v in axis.tolist()])
+        for d_u, value, ok, n in cells
     ]
-    return _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
+    return _csv(SURFACE_COLUMNS, lines, cfg)
 
 
 def _emit(text: str, out: Path | None) -> None:

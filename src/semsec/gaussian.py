@@ -20,6 +20,7 @@ a valid covariance by construction, so none is gated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
-                      RegionSurface, equivocation_caps, min_ratio)
+                      RatioGrid, RegionSurface, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
@@ -203,29 +204,68 @@ def gaussian_rdf_joint(
     """
     if target_s <= 0.0 or target_u <= 0.0:
         raise DomainError("distortions must be positive")
+    _, _, r_j, blocked = _rdf_grid(src, [target_s], [target_u], case)
+    if blocked[0] is not None:
+        raise InfeasibleError(blocked[0])
+    return float(r_j[0, 0])
+
+
+def _half_log2_plus(x: np.ndarray) -> np.ndarray:
+    """``0.5 * _log2_plus`` of every element, with libm's ``log2`` bits."""
+    out = np.zeros(x.shape)
+    big = ~(x <= 1.0)
+    out[big] = 0.5 * np.fromiter(map(math.log2, x[big].tolist()), float)
+    return out
+
+
+def _rdf_grid(src, d_s, d_u, case):
+    """Semantic (n, 1), observation (1, m) and joint (n, m) RDFs over the
+    grid ``d_s`` x ``d_u``, and per D_s the reason the case-1 floor puts it
+    out of reach (None where it does not; its semantic RDF is then +inf).
+
+    The marginals take one scalar call per axis point; only the joint is per
+    cell, as array expressions whose bits match the scalar closed form.
+    """
+    r_s, blocked = [], []
+    for d in d_s:
+        try:
+            r_s.append(gaussian_rdf_sem(src, d, case))
+            blocked.append(None)
+        except InfeasibleError as exc:
+            r_s.append(math.inf)
+            blocked.append(str(exc))
+    r_s = np.array(r_s)[:, None]
+    r_u = np.array([gaussian_rdf_obs(src, d) for d in d_u])[None, :]
     if case == 1:
-        return max(
-            gaussian_rdf_obs(src, target_u), gaussian_rdf_sem(src, target_s, 1)
-        )
-    if case != 2:
-        raise DomainError(f"case must be 1 or 2, got {case}")
+        return r_s, r_u, np.maximum(r_s, r_u), blocked
     ps, pu, rho2 = src.P_s, src.P_u, src.rho2
     det_k = max(src.det_k, 0.0)
-    dhs = max(ps - target_s, 0.0)
-    dhu = max(pu - target_u, 0.0)
-    if dhs > 0.0 and rho2 * dhs * pu > dhu * ps:
-        return 0.5 * _log2_plus(ps / target_s)
-    if dhu > 0.0 and rho2 * dhu * ps >= dhs * pu:
-        return 0.5 * _log2_plus(pu / target_u)
-    if rho2 * ps * pu < dhs * dhu:
-        return 0.5 * _log2_plus(det_k / (target_s * target_u))
-    corr = (math.sqrt(rho2 * ps * pu) - math.sqrt(dhs * dhu)) ** 2
-    denom = target_s * target_u - corr
-    if denom <= 0.0:
-        raise DomainError(
-            f"joint-RDF regime selection degenerate at ({target_s}, {target_u})"
-        )
-    return 0.5 * _log2_plus(det_k / denom)
+    t_s = np.array(d_s, dtype=float)[:, None]
+    t_u = np.array(d_u, dtype=float)[None, :]
+    dhs = np.maximum(ps - t_s, 0.0)
+    dhu = np.maximum(pu - t_u, 0.0)
+    # The four regimes, tested in this order per cell.
+    sem = (dhs > 0.0) & (rho2 * dhs * pu > dhu * ps)
+    obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
+    deficit = dhs * dhu
+    weak = ~(sem | obs) & (rho2 * ps * pu < deficit)
+    mid = ~(sem | obs | weak)
+    area = t_s * t_u
+    arg = np.ones(area.shape)
+    arg[weak] = det_k / area[weak]
+    if mid.any():
+        # ``**`` is libm's pow, which can differ from x * x in the last bit.
+        base = math.sqrt(rho2 * ps * pu) - np.sqrt(deficit[mid])
+        corr = np.fromiter(map(pow, base.tolist(), itertools.repeat(2)), float)
+        denom = area[mid] - corr
+        if np.any(denom <= 0.0):
+            i, j = np.argwhere(mid)[np.argmax(denom <= 0.0)]
+            raise DomainError(
+                f"joint-RDF regime selection degenerate at ({d_s[i]}, {d_u[j]})"
+            )
+        arg[mid] = det_k / denom
+    r_j = np.where(sem, r_s, np.where(obs, r_u, _half_log2_plus(arg)))
+    return r_s, r_u, r_j, blocked
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +287,24 @@ def secrecy_term(ch: WiretapChannelGaussian, beta: float) -> float:
     )
 
 
-def _components(src, target_s, target_u, case, beta1, beta2):
-    """Joint RDF and the (name, entropy, RDF, beta) converse components."""
+def _components(src, d_s, d_u, case, beta1, beta2):
+    """Joint RDF, the (name, entropy, RDF, beta) converse components and the
+    case-1 floor reasons, over the grid ``d_s`` x ``d_u`` (see :func:`_rdf_grid`)."""
     if case == 1 and beta2 not in (None, 1.0):
         raise DomainError("case 1 fixes the observation-side beta at 1")
-    r_s = gaussian_rdf_sem(src, target_s, case)
-    r_u = gaussian_rdf_obs(src, target_u)
-    r_j = gaussian_rdf_joint(src, target_s, target_u, case)
+    r_s, r_u, r_j, blocked = _rdf_grid(src, d_s, d_u, case)
     return r_j, (
         ("delta_s", src.h_s, r_s, beta1),
         ("delta_u", src.h_u, r_u, 1.0 if beta2 is None else beta2),
         ("delta_su", src.h_su, r_j, 1.0),
-    )
+    ), blocked
+
+
+def _ratio_grid(src, ch, d_s, d_u, targets, case, beta1=1.0, beta2=None) -> RatioGrid:
+    """:func:`min_ratio` over the grid ``d_s`` x ``d_u``."""
+    r_j, comps, blocked = _components(src, d_s, d_u, case, beta1, beta2)
+    return min_ratio(r_j, ch.capacity_main, comps, targets,
+                     lambda beta: secrecy_term(ch, beta), blocked)
 
 
 def converse_equivocation_caps(
@@ -280,7 +326,9 @@ def converse_equivocation_caps(
     :class:`EquivocationCaps` for both values and the clamp flags).
     Infeasible distortions propagate as :class:`InfeasibleError`.
     """
-    _, comps = _components(src, target_s, target_u, case, beta1, beta2)
+    _, comps, blocked = _components(src, [target_s], [target_u], case, beta1, beta2)
+    if blocked[0] is not None:
+        raise InfeasibleError(blocked[0])
     return equivocation_caps(
         comps, r, R_k, lambda beta: secrecy_term(ch, beta), (src.h_s, src.h_u, src.h_su)
     )
@@ -302,12 +350,9 @@ def converse_min_r(
     capacity) and, for each enabled equivocation target not already met at
     r = 0, the secrecy-driven bound. Infeasible when an unmet target has a
     zero secrecy slope, or when the distortion pair itself is infeasible.
+    This is :func:`converse_surface` on a 1x1 grid, at any betas.
     """
-    try:
-        r_j, comps = _components(src, target_s, target_u, case, beta1, beta2)
-    except InfeasibleError as exc:
-        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    return min_ratio(r_j, ch.capacity_main, comps, targets, lambda beta: secrecy_term(ch, beta))
+    return _ratio_grid(src, ch, [target_s], [target_u], targets, case, beta1, beta2).cell(0, 0)
 
 
 # ---------------------------------------------------------------------------

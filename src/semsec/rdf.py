@@ -633,11 +633,29 @@ def modified_distortion(src: DiscreteSemanticSource, d_s: DistortionMatrix) -> D
     return DistortionMatrix(cond.T @ ds)
 
 
+#: Certified gap beyond which a solver value draws a warning.
+_GAP_WARN = 1e-6
+
+
+def _warn_if_uncertified(point: RdfPoint, what: str) -> None:
+    """Raise a :class:`RuntimeWarning` naming ``what`` for the caller of the
+    public function when the solve did not converge or its primal-dual gap
+    exceeds 1e-6."""
+    gap = point.rate - point.dual_bound
+    if not point.converged or gap > _GAP_WARN:
+        warnings.warn(
+            f"{what}: converged={point.converged}, primal-dual gap {gap:.3g} bits",
+            RuntimeWarning, stacklevel=3,
+        )
+
+
 def rdf_classic(p_u, d_u: DistortionMatrix, target: float) -> RdfPoint:
     """Single-constraint rate-distortion function.
 
     ``p_u`` may be a 1-axis :class:`Pmf` or a probability vector. This is
-    :class:`TwoConstraintSolver` with a zero second cost and target.
+    :class:`TwoConstraintSolver` with a zero second cost and target. A solve
+    that did not converge, or whose primal-dual gap exceeds 1e-6, raises a
+    :class:`RuntimeWarning` naming the target.
     """
     p = p_u.probs if isinstance(p_u, Pmf) else np.asarray(p_u, dtype=float)
     if p.ndim != 1:
@@ -648,6 +666,7 @@ def rdf_classic(p_u, d_u: DistortionMatrix, target: float) -> RdfPoint:
             f"distortion rows {cost.shape[0]} != alphabet size {len(p)}"
         )
     point = TwoConstraintSolver().solve(p, cost, np.zeros_like(cost), target, 0.0)
+    _warn_if_uncertified(point, f"rdf_classic at target {target}")
     return RdfPoint(point.rate, point.distortions[:1], point.multipliers[:1],
                     point.converged, dual_bound=point.dual_bound)
 
@@ -741,10 +760,6 @@ def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
     raise DomainError(f"case must be 1 or 2, got {case}")
 
 
-#: Certified gap beyond which a binary case-2 value draws a warning.
-_GAP_WARN = 1e-6
-
-
 @lru_cache(maxsize=4096)
 def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoint:
     # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
@@ -778,12 +793,8 @@ def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) 
             raise DomainError("distortions must be nonnegative")
         lo, hi = sorted((float(target_s), float(target_u)))
         point = _binary_joint_case2_cached(float(alpha), lo, hi)
-        gap = point.rate - point.dual_bound
-        if not point.converged or gap > _GAP_WARN:
-            warnings.warn(
-                f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({target_s}, {target_u}): "
-                f"converged={point.converged}, primal-dual gap {gap:.3g} bits",
-                RuntimeWarning, stacklevel=2,
-            )
+        _warn_if_uncertified(
+            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({target_s}, {target_u})"
+        )
         return max(float(point.dual_bound), 0.0)
     raise DomainError(f"case must be 1 or 2, got {case}")

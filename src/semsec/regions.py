@@ -21,6 +21,7 @@ __all__ = [
     "EquivocationTargets",
     "EquivocationCaps",
     "MinRateResult",
+    "RatioGrid",
     "RegionSurface",
     "TradeoffCurve",
     "min_ratio",
@@ -31,9 +32,9 @@ __all__ = [
 #: Sentinel for a disabled equivocation target.
 DISABLED = float("-inf")
 
-#: ``(target name, entropy term, RDF value, secrecy split)``, in the order
-#: delta_s, delta_u, delta_su.
-Component = tuple[str, float, float, float]
+#: ``(target name, entropy term, RDF values, secrecy split)``, in the order
+#: delta_s, delta_u, delta_su; the RDF array broadcasts to the (D_s, D_u) grid.
+Component = tuple[str, float, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -134,42 +135,91 @@ class MinRateResult:
             raise DomainError("infeasible result must not carry an r_min value")
 
 
-def min_ratio(r_joint: float, capacity: float, components: Sequence[Component],
-              targets: EquivocationTargets, slope: Callable[[float], float]) -> MinRateResult:
-    """Maximum of the rate bound ``r_joint / capacity`` and, for each enabled
-    target not met at r = 0, its need over ``slope(split)``; the slope is
-    evaluated for unmet targets only. A target whose need over its slope is
-    not a finite number (zero slope, or an overflowing ratio) is infeasible."""
-    if r_joint > 0.0 and capacity <= 0.0:
-        return MinRateResult(None, False, reason="rate_infeasible")
-    r_min = r_joint / capacity if r_joint > 0.0 else 0.0
-    binding = "rate"
-    for name, h_term, rdf, split in components:
-        target = getattr(targets, name)
-        if target == DISABLED:
-            continue
-        need = target - (targets.R_k + h_term - rdf)
-        if need <= 0.0:
-            continue  # already met at r = 0
-        gain = slope(split)
-        cand = need / gain if gain > 0.0 else math.inf
-        if not math.isfinite(cand):
-            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
-        if cand > r_min:
-            r_min = cand
-            binding = name
-    return MinRateResult(r_min, True, binding=binding)
+#: What ``RatioGrid.binding`` codes name: the constraint that set the minimum.
+BINDINGS = ("rate", "delta_s", "delta_u", "delta_su")
+#: What ``RatioGrid.reason`` codes name; 0 is a feasible cell.
+REASONS = (None, "distortion_infeasible", "rate_infeasible", "secrecy_infeasible_delta_s",
+           "secrecy_infeasible_delta_u", "secrecy_infeasible_delta_su")
+_DISTORTION, _RATE = 1, 2
+
+
+@dataclass(frozen=True)
+class RatioGrid:
+    """Minimal channel-use ratios over a (D_s, D_u) grid, with their verdicts.
+
+    ``r_min`` is NaN where a cell is infeasible; ``binding`` indexes
+    :data:`BINDINGS` (meaningful where feasible); ``reason`` indexes
+    :data:`REASONS`, 0 where feasible. ``blocked`` holds, per D_s, why that
+    distortion is out of the encoder's reach (None where it is not).
+    """
+
+    r_min: np.ndarray
+    binding: np.ndarray
+    reason: np.ndarray
+    blocked: Sequence[str | None]
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.reason == 0
+
+    def cell(self, i: int, j: int) -> MinRateResult:
+        code = int(self.reason[i, j])
+        if code == 0:
+            return MinRateResult(float(self.r_min[i, j]), True,
+                                 binding=BINDINGS[self.binding[i, j]])
+        if code == _DISTORTION:
+            return MinRateResult(None, False, reason=f"distortion_infeasible: {self.blocked[i]}")
+        return MinRateResult(None, False, reason=REASONS[code])
+
+
+def min_ratio(r_joint: np.ndarray, capacity: float, components: Sequence[Component],
+              targets: EquivocationTargets, slope: Callable[[float], float],
+              blocked: Sequence[str | None]) -> RatioGrid:
+    """Per cell, the maximum of the rate bound ``r_joint / capacity`` and, for
+    each enabled target not met at r = 0, its need over ``slope(split)``.
+
+    ``r_joint`` is (n, m) and each component's RDF broadcasts to it; a D_s
+    row whose ``blocked`` entry is a reason is infeasible. The slope is
+    evaluated only for a target that some cell has not met. A cell where a
+    target's need over its slope is not a finite number (zero slope, or an
+    overflowing ratio) is infeasible, named after the first such target.
+    """
+    reason = np.zeros(r_joint.shape, dtype=np.int8)
+    reason[[b is not None for b in blocked], :] = _DISTORTION
+    positive = r_joint > 0.0
+    if capacity <= 0.0:
+        reason[positive & (reason == 0)] = _RATE
+    binding = np.zeros(r_joint.shape, dtype=np.int8)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_min = np.where(positive, r_joint / capacity, 0.0)
+        for name, h_term, rdf, split in components:
+            target = getattr(targets, name)
+            if target == DISABLED:
+                continue
+            need = target - (targets.R_k + h_term - rdf)
+            # Cells already infeasible are done; a NaN need counts as unmet.
+            unmet = (reason == 0) & ~(need <= 0.0)
+            if not unmet.any():
+                continue
+            gain = slope(split)
+            cand = need / gain if gain > 0.0 else np.full(need.shape, np.inf)
+            reason[unmet & ~np.isfinite(cand)] = REASONS.index(f"secrecy_infeasible_{name}")
+            higher = unmet & (cand > r_min)
+            r_min = np.where(higher, cand, r_min)
+            binding[higher] = BINDINGS.index(name)
+    return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason, blocked)
 
 
 def equivocation_caps(components: Sequence[Component], r: float, R_k: float,
                       slope: Callable[[float], float], clamps: tuple) -> EquivocationCaps:
-    """Raw caps ``R_k + r * slope(split) + h - R`` per component, clamped at
-    ``clamps`` (the unconditional component entropies)."""
+    """Raw caps ``R_k + r * slope(split) + h - R`` per component of a 1x1
+    grid, clamped at ``clamps`` (the unconditional component entropies)."""
     if r < 0.0:
         raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
     if R_k < 0.0:
         raise DomainError(f"key rate must be nonnegative, got {R_k}")
-    raw = [R_k + r * slope(split) + h_term - rdf for _, h_term, rdf, split in components]
+    raw = [(R_k + r * slope(split) + h_term - rdf).item()
+           for _, h_term, rdf, split in components]
     return EquivocationCaps.from_raw(*raw, *clamps)
 
 
@@ -204,20 +254,6 @@ class RegionSurface:
         object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "samples", samples)
 
-    def rows(self):
-        """Yield per-cell dicts in deterministic row-major order."""
-        names = list(self.axes)
-        grids = np.meshgrid(*(np.asarray(self.axes[n], dtype=float) for n in names),
-                            indexing="ij")
-        keys = (*names, "value", "feasible", "samples")
-        columns = [g.ravel().tolist() for g in grids] + [
-            np.where(self.feasible, self.values, None).ravel().tolist(),
-            self.feasible.ravel().tolist(),
-            self.samples.ravel().tolist(),
-        ]
-        for cell in zip(*columns):
-            yield dict(zip(keys, cell))
-
 
 def converse_surface(
     src,
@@ -227,26 +263,21 @@ def converse_surface(
     d_s_grid: Sequence[float],
     d_u_grid: Sequence[float],
 ) -> RegionSurface:
-    """Evaluate the model's converse minimal ratio (``binary_min_r`` or
-    ``converse_min_r``, by source type) over a (D_s, D_u) grid."""
+    """The model's converse minimal ratio over a (D_s, D_u) grid, at the
+    default splits, evaluated for the whole grid at once."""
     # Imported here because both model modules import this one.
-    from .binary import SemanticSourceBinary, binary_min_r
-    from .gaussian import converse_min_r
+    from .binary import SemanticSourceBinary, _ratio_grid as binary_grid
+    from .gaussian import _ratio_grid as gaussian_grid
 
-    min_r = binary_min_r if isinstance(src, SemanticSourceBinary) else converse_min_r
+    ratio_grid = binary_grid if isinstance(src, SemanticSourceBinary) else gaussian_grid
     d_s_grid = np.asarray(d_s_grid, dtype=float)
     d_u_grid = np.asarray(d_u_grid, dtype=float)
-    values = np.full((len(d_s_grid), len(d_u_grid)), np.nan)
-    for i, d_s in enumerate(d_s_grid.tolist()):
-        for j, d_u in enumerate(d_u_grid.tolist()):
-            res = min_r(src, ch, d_s, d_u, targets, case=case)
-            if res.feasible:
-                values[i, j] = res.r_min
+    grid = ratio_grid(src, ch, d_s_grid.tolist(), d_u_grid.tolist(), targets, case)
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
-        values=values,
-        feasible=~np.isnan(values),
-        samples=np.zeros(values.shape, dtype=int),
+        values=grid.r_min,
+        feasible=grid.feasible,
+        samples=np.zeros(grid.r_min.shape, dtype=int),
     )
 
 

@@ -1,0 +1,149 @@
+"""Per-cell converse oracle: the scalar closed forms and minimal-ratio loop.
+
+This is how ``semsec`` evaluated a converse surface before it evaluated the
+whole grid at once: the Gaussian case-2 joint RDF as a scalar four-regime
+closed form, one ``min_ratio`` call per cell and a Python loop over the
+cells. ``semsec.regions.converse_surface`` and the scalar entry points
+``converse_min_r`` and ``binary_min_r`` are checked against it bit for bit.
+The marginal RDFs, entropies, capacities and secrecy slopes are the
+package's own scalar functions, which both paths share.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from semsec.binary import SemanticSourceBinary, binary_secrecy_term
+from semsec.errors import DomainError, InfeasibleError
+from semsec.gaussian import _log2_plus, gaussian_rdf_obs, gaussian_rdf_sem, secrecy_term
+from semsec.rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
+from semsec.regions import DISABLED, MinRateResult
+
+
+def gaussian_rdf_joint(src, target_s, target_u, case):
+    """Joint Gaussian RDF; case 2 selects among four regimes per cell."""
+    if target_s <= 0.0 or target_u <= 0.0:
+        raise DomainError("distortions must be positive")
+    if case == 1:
+        return max(
+            gaussian_rdf_obs(src, target_u), gaussian_rdf_sem(src, target_s, 1)
+        )
+    if case != 2:
+        raise DomainError(f"case must be 1 or 2, got {case}")
+    ps, pu, rho2 = src.P_s, src.P_u, src.rho2
+    det_k = max(src.det_k, 0.0)
+    dhs = max(ps - target_s, 0.0)
+    dhu = max(pu - target_u, 0.0)
+    if dhs > 0.0 and rho2 * dhs * pu > dhu * ps:
+        return 0.5 * _log2_plus(ps / target_s)
+    if dhu > 0.0 and rho2 * dhu * ps >= dhs * pu:
+        return 0.5 * _log2_plus(pu / target_u)
+    if rho2 * ps * pu < dhs * dhu:
+        return 0.5 * _log2_plus(det_k / (target_s * target_u))
+    corr = (math.sqrt(rho2 * ps * pu) - math.sqrt(dhs * dhu)) ** 2
+    denom = target_s * target_u - corr
+    if denom <= 0.0:
+        raise DomainError(
+            f"joint-RDF regime selection degenerate at ({target_s}, {target_u})"
+        )
+    return 0.5 * _log2_plus(det_k / denom)
+
+
+def gaussian_regime(src, target_s, target_u):
+    """Which of the four case-2 branches of :func:`gaussian_rdf_joint` a cell takes (1-4)."""
+    ps, pu, rho2 = src.P_s, src.P_u, src.rho2
+    dhs = max(ps - target_s, 0.0)
+    dhu = max(pu - target_u, 0.0)
+    if dhs > 0.0 and rho2 * dhs * pu > dhu * ps:
+        return 1
+    if dhu > 0.0 and rho2 * dhu * ps >= dhs * pu:
+        return 2
+    return 3 if rho2 * ps * pu < dhs * dhu else 4
+
+
+def _gaussian_components(src, target_s, target_u, case, beta1, beta2):
+    if case == 1 and beta2 not in (None, 1.0):
+        raise DomainError("case 1 fixes the observation-side beta at 1")
+    r_s = gaussian_rdf_sem(src, target_s, case)
+    r_u = gaussian_rdf_obs(src, target_u)
+    r_j = gaussian_rdf_joint(src, target_s, target_u, case)
+    return r_j, (
+        ("delta_s", src.h_s, r_s, beta1),
+        ("delta_u", src.h_u, r_u, 1.0 if beta2 is None else beta2),
+        ("delta_su", src.h_su, r_j, 1.0),
+    )
+
+
+def _binary_components(src, target_s, target_u, case, gamma1, gamma2):
+    if case == 1 and gamma2 not in (None, 0.0):
+        raise DomainError("case 1 fixes the observation-side gamma at 0")
+    r_s = binary_rdf_sem(src.alpha, target_s, case)
+    if math.isinf(r_s):
+        raise InfeasibleError(
+            f"restricted encoder cannot reach semantic distortion {target_s} "
+            f"< alpha {src.alpha}"
+        )
+    r_u = binary_rdf_obs(src.alpha, target_u)
+    r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
+    return r_j, (
+        ("delta_s", 1.0, r_s, gamma1),
+        ("delta_u", src.h_alpha, r_u, 0.0 if gamma2 is None else gamma2),
+        ("delta_su", src.h_alpha + 1.0, r_j, 0.0),
+    )
+
+
+def min_ratio(r_joint, capacity, components, targets, slope):
+    """One cell: the rate bound and each unmet target's need over its slope."""
+    if r_joint > 0.0 and capacity <= 0.0:
+        return MinRateResult(None, False, reason="rate_infeasible")
+    r_min = r_joint / capacity if r_joint > 0.0 else 0.0
+    binding = "rate"
+    for name, h_term, rdf, split in components:
+        target = getattr(targets, name)
+        if target == DISABLED:
+            continue
+        need = target - (targets.R_k + h_term - rdf)
+        if need <= 0.0:
+            continue  # already met at r = 0
+        gain = slope(split)
+        cand = need / gain if gain > 0.0 else math.inf
+        if not math.isfinite(cand):
+            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
+        if cand > r_min:
+            r_min = cand
+            binding = name
+    return MinRateResult(r_min, True, binding=binding)
+
+
+def converse_min_r(src, ch, target_s, target_u, targets, beta1=1.0, beta2=None, case=2):
+    try:
+        r_j, comps = _gaussian_components(src, target_s, target_u, case, beta1, beta2)
+    except InfeasibleError as exc:
+        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
+    return min_ratio(r_j, ch.capacity_main, comps, targets, lambda beta: secrecy_term(ch, beta))
+
+
+def binary_min_r(src, ch, target_s, target_u, targets, gamma1=0.0, gamma2=None, case=2):
+    try:
+        r_j, comps = _binary_components(src, target_s, target_u, case, gamma1, gamma2)
+    except InfeasibleError as exc:
+        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
+    return min_ratio(
+        r_j, ch.capacity_main, comps, targets, lambda gamma: binary_secrecy_term(ch, gamma)
+    )
+
+
+def converse_surface(src, ch, targets, case, d_s_grid, d_u_grid):
+    """(values, feasible) of the surface, one ``min_r`` call per cell."""
+    min_r = binary_min_r if isinstance(src, SemanticSourceBinary) else converse_min_r
+    d_s_grid = np.asarray(d_s_grid, dtype=float)
+    d_u_grid = np.asarray(d_u_grid, dtype=float)
+    values = np.full((len(d_s_grid), len(d_u_grid)), np.nan)
+    for i, d_s in enumerate(d_s_grid.tolist()):
+        for j, d_u in enumerate(d_u_grid.tolist()):
+            res = min_r(src, ch, d_s, d_u, targets, case=case)
+            if res.feasible:
+                values[i, j] = res.r_min
+    return values, ~np.isnan(values)

@@ -1,5 +1,6 @@
 """Command-line surface: artifact formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -136,6 +137,36 @@ class TestConverseCommand:
         lines = out.strip().splitlines()
         assert "seed=9" in lines[1]
         assert all(line.split(",")[0] == "1" for line in lines[3:])
+
+
+#: sha256 of converse artifacts, frozen before surfaces were evaluated grid at
+#: once; both paths must write the same bytes. The digests hold for glibc's
+#: libm, since the values carry its log2 and pow bits.
+CONVERSE_PINS = {
+    ("gaussian-fig3", "csv"): "c2ac8afa55be7b5547b9b56c9a26b584845b9128620e58e36fafc43e27553764",
+    ("gaussian-fig3", "json"): "c743b44935268f972f832c59fc2e0e8016e47782d61429563d90af8e10ee0bde",
+    ("binary-case1", "csv"): "4d5cea0e717a38399da999716eb061ab91b0f57bb3b90b5ea2e092c80d5d7360",
+    ("binary-case1", "json"): "7291a7a3047821fa31b1747da239a6e17854f5998a464ae8620c533933c7a662",
+    ("binary-case2-cell", "csv"): "bfd43f8dbbc13cfcc5c709e84f39a8583df22bc997b848aed702489926f95720",
+    ("binary-case2-cell", "json"): "a15c916048880fcc9fbea117e20ac730f7599feb8525cf3c7b2685afce4bcf27",
+}
+
+
+@pytest.mark.parametrize("which, fmt", sorted(CONVERSE_PINS))
+def test_converse_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
+    if which == "gaussian-fig3":  # both cases, with semantic-secrecy targets
+        argv = ["converse", "--preset", "gaussian-converse-fig3"]
+    elif which == "binary-case1":  # the default binary grid, 40 x 40
+        argv = ["converse", "--model", "binary", "--case", "1"]
+    else:  # one solver cell, where the dual bound exceeds the rate
+        path = tmp_path / "cell.json"
+        dump_config(RunConfig(model="binary", mode="converse", cases=(2,),
+                              d_s_grid={"points": [0.0625]},
+                              d_u_grid={"points": [0.3125]}), path)
+        argv = ["converse", "--config", str(path)]
+    code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONVERSE_PINS[which, fmt]
 
 
 class TestCurveCommand:

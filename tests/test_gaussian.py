@@ -25,6 +25,8 @@ from semsec import (
     inner_bound_scan,
     secrecy_term,
 )
+from semsec.cli import _render_surfaces
+from semsec.config import RunConfig
 
 # Frozen oracles for the default operating point.
 H_S = 1.789808998765762            # 0.5*log2(2*pi*e*0.7)
@@ -449,10 +451,11 @@ class TestConverseSurface:
             src, ch, EquivocationTargets.no_secrecy(), 2,
             [0.3, 0.5], [0.4, 0.6, 0.8],
         )
-        assert surf.values.shape == (2, 3)
-        rows = list(surf.rows())
+        assert surf.values.shape == surf.feasible.shape == surf.samples.shape == (2, 3)
+        rows = _render_surfaces({2: surf}, RunConfig(), "csv").splitlines()[3:]
         assert len(rows) == 6
-        assert set(rows[0]) >= {"D_s", "D_u", "value", "feasible"}
+        assert rows[0].split(",")[:3] == ["2", "0.3", "0.4"]
+        assert rows[-1].split(",")[:3] == ["2", "0.5", "0.8"]
 
 
 class TestSamplers:

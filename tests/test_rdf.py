@@ -111,6 +111,14 @@ class TestClassicRdf:
         with pytest.raises(InfeasibleError):
             rdf_classic(p, hamming_distortion(2), -0.01)
 
+    def test_warns_when_the_solver_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
+        with pytest.warns(RuntimeWarning, match=r"rdf_classic at target 0\.1:.*gap"):
+            point = rdf_classic(np.array([0.75, 0.25]), hamming_distortion(2), 0.1)
+        assert not point.converged
+        # Starved or not, the value is a certified lower bound.
+        assert point.dual_bound <= binary_entropy(0.25) - binary_entropy(0.1) + 1e-12
+
 
 class TestBaCore:
     def test_lagrangian_trace_nonincreasing(self):

@@ -1,13 +1,17 @@
 """The shared converse routine over the parameter space of both models.
 
 Both models run in both encoder cases. Binary case 2 runs the numeric
-two-constraint solver once per example (its joint RDF is cached), and a
-solve that did not converge to a 1e-6 gap fails the test.
+two-constraint solver once per cell (its joint RDF is cached), and a
+solve that did not converge to a 1e-6 gap fails the test. Surfaces, which
+are evaluated for the whole grid at once, and the scalar minimal ratios
+are checked bit for bit against the per-cell oracle in ``converse_oracle``.
 """
 
 import math
 from dataclasses import replace
 
+import converse_oracle as oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +29,13 @@ from semsec import (
     binary_rdf_sem,
     binary_secrecy_term,
     converse_min_r,
+    converse_surface,
     gaussian_rdf_joint,
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     secrecy_term,
 )
+import semsec.gaussian as gaussian_mod
 from semsec.regions import min_ratio
 
 NAMES = ("delta_s", "delta_u", "delta_su")
@@ -47,7 +53,7 @@ def gaussian_points(draw):
     rho = draw(st.floats(-0.95, 0.95))
     src = SemanticSourceGaussian(p_s, p_u, rho * math.sqrt(p_s * p_u))
     ch = WiretapChannelGaussian(
-        draw(st.floats(0.2, 3.0)), draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 1.0))
+        draw(st.floats(0.2, 3.0)), draw(st.floats(0.05, 1.0)), draw(sometimes(0.0, 1.0))
     )
     floor = (1.0 - src.rho2) * p_s
     d_s = floor + (1.2 * p_s - floor) * draw(unit)
@@ -164,11 +170,19 @@ def test_slope_is_evaluated_only_for_unmet_targets():
     def no_slope(split):
         raise AssertionError(f"slope evaluated at {split}")
 
-    comps = (("delta_s", 1.0, 0.5, 0.0), ("delta_u", 1.0, 0.5, 0.0),
-             ("delta_su", 2.0, 0.5, 0.0))
+    def comps(rdf):
+        rdf = np.array([[rdf]])
+        return (("delta_s", 1.0, rdf, 0.0), ("delta_u", 1.0, rdf, 0.0),
+                ("delta_su", 2.0, rdf, 0.0))
+
     met = EquivocationTargets(0.5, DISABLED, 1.0)
-    res = min_ratio(0.5, 2.0, comps, met, no_slope)
+    res = min_ratio(np.array([[0.5]]), 2.0, comps(0.5), met, no_slope, [None]).cell(0, 0)
     assert res.feasible and res.r_min == 0.25 and res.binding == "rate"
+    # An unmet target on a cell out of the encoder's reach is never priced.
+    unmet = EquivocationTargets(3.0, DISABLED, DISABLED)
+    res = min_ratio(np.array([[np.inf]]), 2.0, comps(np.inf), unmet, no_slope,
+                    ["below the floor"]).cell(0, 0)
+    assert res.reason == "distortion_infeasible: below the floor"
 
 
 def test_overflowing_secrecy_ratio_is_infeasible():
@@ -179,3 +193,105 @@ def test_overflowing_secrecy_ratio_is_infeasible():
     )
     assert not res.feasible
     assert res.reason == "secrecy_infeasible_delta_su"
+
+
+# ---------------------------------------------------------------------------
+# grid-at-once surfaces against the per-cell oracle
+# ---------------------------------------------------------------------------
+
+scale = st.lists(st.floats(0.005, 1.3), max_size=4)
+
+
+def sometimes(edge, other):
+    """``edge`` in one draw of five (a zero secrecy slope or capacity),
+    otherwise a float between ``edge`` and ``other``."""
+    return st.one_of(st.just(edge), *[st.floats(min(edge, other), max(edge, other))] * 4)
+
+
+@st.composite
+def gaussian_grids(draw):
+    """A source, a channel and a grid whose anchors hit every case-2 regime,
+    straddle the case-1 floor and reach past P_s and P_u."""
+    p_s, p_u = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    src = SemanticSourceGaussian(p_s, p_u, draw(st.floats(-0.95, 0.95)) * math.sqrt(p_s * p_u))
+    ch = WiretapChannelGaussian(
+        draw(st.floats(0.2, 3.0)), draw(st.floats(0.05, 1.0)), draw(sometimes(0.0, 1.0))
+    )
+    floor = (1.0 - src.rho2) * p_s
+    mid = 1.0 - 0.9 * math.sqrt(src.rho2)  # both deficits at 0.9 rho: the fourth regime
+    d_s = [0.01 * p_s, mid * p_s, 1.1 * p_s, floor, math.nextafter(floor, 0.0),
+           math.nextafter(floor, 2.0 * floor)] + [p_s * x for x in draw(scale)]
+    d_u = [0.01 * p_u, mid * p_u, 1.1 * p_u] + [p_u * x for x in draw(scale)]
+    return src, ch, draw(st.permutations(d_s)), draw(st.permutations(d_u))
+
+
+@st.composite
+def binary_grids(draw):
+    """A source, a channel and a grid that straddles the case-1 floor alpha
+    and reaches past 1/2."""
+    alpha = draw(st.floats(0.02, 0.45))
+    src = SemanticSourceBinary(alpha)
+    ch = WiretapChannelBinary(draw(sometimes(0.5, 0.0)), draw(sometimes(0.0, 0.5)))
+    d_s = [alpha, math.nextafter(alpha, 0.0), 0.5, 0.55] + [0.5 * x for x in draw(scale)[:2]]
+    d_u = [0.55] + [0.5 * x for x in draw(scale)[:2]]
+    return src, ch, draw(st.permutations(d_s)), draw(st.permutations(d_u))
+
+
+def _splits(data, case, free_default):
+    """A random first split and a second one that the case allows."""
+    first = data.draw(st.floats(0.0, 1.0))
+    if case == 1:
+        return first, data.draw(st.sampled_from((None, free_default)))
+    return first, data.draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+
+
+#: model: (grids, scalar minimal ratio, its oracle, default second split)
+GRIDS = {
+    "gaussian": (gaussian_grids(), converse_min_r, oracle.converse_min_r, 1.0),
+    "binary": (binary_grids(), binary_min_r, oracle.binary_min_r, 0.0),
+}
+
+
+def _check_against_oracle(model, data):
+    points, min_r, oracle_min_r, free_default = GRIDS[model]
+    src, ch, d_s, d_u = data.draw(points)
+    tg, case = data.draw(targets), data.draw(st.sampled_from((1, 2)))
+    got = converse_surface(src, ch, tg, case, d_s, d_u)
+    want, feasible = oracle.converse_surface(src, ch, tg, case, d_s, d_u)
+    np.testing.assert_array_equal(got.feasible, feasible)
+    np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64))
+    s1, s2 = _splits(data, case, free_default)
+    blocked = set()
+    for t_s in d_s:
+        for t_u in d_u:
+            res = min_r(src, ch, t_s, t_u, tg, s1, s2, case=case)
+            assert res == oracle_min_r(src, ch, t_s, t_u, tg, s1, s2, case=case)
+            blocked.add(str(res.reason).startswith("distortion_infeasible"))
+    # The grid straddles the case-1 floor.
+    assert blocked == ({False, True} if case == 1 else {False})
+    return src, case, d_s, d_u
+
+
+@PROPERTY
+@given(data=st.data())
+def test_gaussian_surface_matches_the_per_cell_oracle(data):
+    src, case, d_s, d_u = _check_against_oracle("gaussian", data)
+    if case == 2 and src.rho2 >= 1e-3:
+        regimes = {oracle.gaussian_regime(src, t_s, t_u) for t_s in d_s for t_u in d_u}
+        assert regimes == {1, 2, 3, 4}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_binary_surface_matches_the_per_cell_oracle(data):
+    _check_against_oracle("binary", data)
+
+
+def test_gaussian_joint_rdf_keeps_libm_bits():
+    # On this grid numpy's log2 and x * x differ from libm's log2 and pow in
+    # the last bit on some regime-3 and regime-4 cells; the grid must not.
+    src = SemanticSourceGaussian(1.3, 0.9, 0.7)
+    d = np.linspace(0.01, 1.4, 300).tolist()
+    got = gaussian_mod._rdf_grid(src, d, d, 2)[2]
+    want = [[oracle.gaussian_rdf_joint(src, t_s, t_u, 2) for t_u in d] for t_s in d]
+    np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
