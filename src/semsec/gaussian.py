@@ -364,7 +364,7 @@ _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
 
 
 def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
-    """Draw ``n`` source-side factor structures; returns the factors g, (n, 6, 6).
+    """Draw ``n`` source-side factor structures; returns the factors g, (6, 6, n).
 
     Coordinates: (S, U, Sc, Sp, Uc, Up). Factor dimensions: 0-1 span the
     (S, U) plane, 2 is the common-layer noise (shared with the observation
@@ -376,19 +376,22 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     (layered-efficient, semantic-only, observation-only) that land near the
     rate-optimal boundary.
 
-    Σ1 is the Gram matrix g gᵀ of the returned factor g: row i of g is
-    coordinate i, and rows 0-1 are the Cholesky rows of K, so the (S, U)
-    block of Σ1 is K up to rounding. Every draw is a valid covariance by
-    construction, so no draw is gated; :func:`_inner_terms` reads the
-    source-side terms from the rows of g without forming Σ1. Every entry is
-    a Cholesky entry or a unit-free draw times ``amp`` = sqrt(max(P_s, P_u)),
-    so a seed draws the same structures, rescaled, for a rescaled source.
+    g is coordinate-major, (coordinate, factor dim, draw), the layout that
+    :func:`_prefix_logdets` reads: g[i, :, k] is row i of draw k's factor.
+    Σ1 is the Gram matrix of each draw's rows, and rows 0-1 are the Cholesky
+    rows of K, so the (S, U) block of Σ1 is K up to rounding. Rows 0-5 have
+    1, 2, 3, 3, 5 and 5 factor dims that can be nonzero. Every draw is a
+    valid covariance by construction, so no draw is gated;
+    :func:`_inner_terms` reads the source-side terms from the rows of g
+    without forming Σ1. Every entry is a Cholesky entry or a unit-free draw
+    times ``amp`` = sqrt(max(P_s, P_u)), so a seed draws the same
+    structures, rescaled, for a rescaled source.
     """
     l = src.cholesky()
     amp = math.sqrt(max(src.P_s, src.P_u))
-    g = np.zeros((n, 6, 6))
-    g[:, 0, :2] = l[0]
-    g[:, 1, :2] = l[1]
+    g = np.zeros((6, 6, n))
+    g[0, :2] = l[0][:, None]
+    g[1, :2] = l[1][:, None]
     sem_dir = l[0] if case == 2 else l[1]
 
     mode = rng.choice(4, size=n, p=_MODE_PROBS)
@@ -400,52 +403,60 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     def _noise(size, lo=1e-2, hi=2.0):
         return np.exp(rng.uniform(math.log(lo), math.log(hi), size)) * amp
 
+    def _plane(row, idx, load):
+        # Source-plane loading (dims 0-1) of ``row`` for the draws ``idx``:
+        # one 2-vector, or one per draw as (k, 2).
+        g[row, 0, idx] = load[..., 0]
+        g[row, 1, idx] = load[..., 1]
+
     if idx0.size:
         k = idx0.size
-        g[np.ix_(idx0, [2, 3, 4, 5], [0, 1])] = rng.uniform(-1.5, 1.5, (k, 4, 2)) * amp
-        g[idx0, 2, 2] = _noise(k)
-        g[idx0, 3, 3] = _noise(k)
-        g[idx0, 4, 4] = _noise(k)
-        g[idx0, 5, 5] = _noise(k)
+        load = rng.uniform(-1.5, 1.5, (k, 4, 2)) * amp
+        for j in range(4):
+            _plane(2 + j, idx0, load[:, j])
+        g[2, 2, idx0] = _noise(k)
+        g[3, 3, idx0] = _noise(k)
+        g[4, 4, idx0] = _noise(k)
+        g[5, 5, idx0] = _noise(k)
         signs = rng.choice([-1.0, 1.0], size=(k, 4))
-        g[idx0, 4, 2] = signs[:, 0] * _noise(k)
-        g[idx0, 5, 2] = signs[:, 1] * _noise(k)
-        g[idx0, 4, 5] = signs[:, 2] * _noise(k)
-        g[idx0, 5, 4] = signs[:, 3] * _noise(k)
+        g[4, 2, idx0] = signs[:, 0] * _noise(k)
+        g[5, 2, idx0] = signs[:, 1] * _noise(k)
+        g[4, 5, idx0] = signs[:, 2] * _noise(k)
+        g[5, 4, idx0] = signs[:, 3] * _noise(k)
     if idx1.size:
         k = idx1.size
-        g[np.ix_(idx1, [2], [0, 1])] = (rng.uniform(-1.0, 1.0, (k, 1, 2))) * amp
-        g[idx1, 3, :2] = sem_dir
-        g[idx1, 4, :2] = l[1]
-        g[idx1, 5, :2] = l[1]
+        _plane(2, idx1, rng.uniform(-1.0, 1.0, (k, 2)) * amp)
+        _plane(3, idx1, sem_dir)
+        _plane(4, idx1, l[1])
+        _plane(5, idx1, l[1])
         sig = _noise((k, 4), 3e-2, 3.0)
-        g[idx1, 2, 2] = sig[:, 0]
-        g[idx1, 3, 3] = sig[:, 1]
-        g[idx1, 4, 4] = sig[:, 2]
-        g[idx1, 5, 5] = sig[:, 3]
+        g[2, 2, idx1] = sig[:, 0]
+        g[3, 3, idx1] = sig[:, 1]
+        g[4, 4, idx1] = sig[:, 2]
+        g[5, 5, idx1] = sig[:, 3]
     if idx2.size:
         k = idx2.size
-        g[idx2, 2, 2] = amp
-        g[idx2, 3, :2] = sem_dir
-        g[idx2, 3, 3] = _noise(k, 3e-2, 3.0)
-        g[idx2, 4, 4] = amp
-        g[idx2, 5, 5] = amp
+        g[2, 2, idx2] = amp
+        _plane(3, idx2, sem_dir)
+        g[3, 3, idx2] = _noise(k, 3e-2, 3.0)
+        g[4, 4, idx2] = amp
+        g[5, 5, idx2] = amp
     if idx3.size:
         k = idx3.size
-        g[idx3, 2, 2] = amp
-        g[idx3, 3, 3] = amp
-        g[idx3, 4, :2] = l[1]
-        g[idx3, 5, :2] = l[1]
+        g[2, 2, idx3] = amp
+        g[3, 3, idx3] = amp
+        _plane(4, idx3, l[1])
+        _plane(5, idx3, l[1])
         sig = _noise((k, 2), 3e-2, 3.0)
-        g[idx3, 4, 4] = sig[:, 0]
-        g[idx3, 5, 5] = sig[:, 1]
+        g[4, 4, idx3] = sig[:, 0]
+        g[5, 5, idx3] = sig[:, 1]
 
     if case == 1:
         # Restricted encoder: auxiliaries may depend on the source only
         # through U, so project their source-plane loadings onto the U row.
         w = l[1] / np.linalg.norm(l[1])
-        proj = g[:, 2:, :2] @ w
-        g[:, 2:, :2] = proj[..., None] * w[None, None, :]
+        proj = np.matmul(w, g[2:, :2])
+        g[2:, :2] = proj[:, None, :] * w[:, None]
     return g
 
 
@@ -518,22 +529,76 @@ _SOURCE_CHAINS = {
 }
 
 
+def _positions(dims, sub):
+    """Where the sorted dims ``sub`` sit in the sorted dims ``dims``: a slice
+    when they are a contiguous run, else an index list."""
+    pos = [dims.index(d) for d in sub]
+    start = pos[0] if pos else 0
+    if pos == list(range(start, start + len(pos))):
+        return slice(start, start + len(pos))
+    return pos
+
+
+def _dot(a, b):
+    """Σ_i a[i] b[i] over the first axis, summed in increasing i for every
+    draw, so a draw's bits do not depend on the draws evaluated with it.
+    einsum sums in that order over two or more draws; over one contiguous
+    draw it sums in another, so a lone draw is evaluated twice over."""
+    if a.shape[1] == 1:
+        return _dot(np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1))[:1]
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _project_out(dims, v, q_dims, q):
+    """(dims, values) of v - (q·v) q, with v and q carried on their sorted
+    dims and the result on their union; v's values may be updated in place.
+    The dot product runs over the shared dims in increasing order, which is
+    the dense sum without its exact-zero terms, so for finite q it has the
+    dense bits."""
+    shared = tuple(d for d in dims if d in q_dims)
+    dot = _dot(q[_positions(q_dims, shared)], v[_positions(dims, shared)])
+    union = tuple(sorted(set(dims) | set(q_dims)))
+    if union != dims:
+        out = np.zeros((len(union), v.shape[1]))
+        out[_positions(union, dims)] = v
+        dims, v = union, out
+    v[_positions(dims, q_dims)] -= dot * q
+    return dims, v
+
+
 def _prefix_logdets(g: np.ndarray, chains):
     """Source-side log-dets and pivots from the factor rows, batched.
 
-    Σ1 = g gᵀ is the Gram matrix of the rows of ``g`` (n, 6, 6). One
-    modified Gram-Schmidt pass per chain (Björck, BIT 7, 1967), with the
-    draws along the last, contiguous axis: the j-th pivot is the squared norm
-    of row j's residual after the j - 1 rows before it, which is the
-    variance of coordinate j given them. The log2 det of a prefix is the
-    running sum of the log2 pivots. A pivot is a sum of squares, so it is
-    never negative, at any scale of the inputs; a zero (or NaN) pivot makes
-    that prefix and every longer one -inf. Chains that share a prefix share
-    its work. Returns ({index set: (n,) log-dets}, {prefix: (n,) pivot of
-    its last coordinate}).
+    ``g`` is coordinate-major, (coordinate, factor dim, draw), as
+    :func:`_sample_sigma1_batch` returns it, and Σ1 is the Gram matrix of
+    each draw's rows. One modified Gram-Schmidt pass per chain (Björck,
+    BIT 7, 1967), with the draws along the last, contiguous axis: the j-th
+    pivot is the squared norm of row j's residual after the j - 1 rows
+    before it, which is the variance of coordinate j given them. The log2
+    det of a prefix is the running sum of the log2 pivots. A pivot is a sum
+    of squares, so it is never negative, at any scale of the inputs; a zero
+    (or NaN) pivot makes that prefix and every longer one -inf. Chains that
+    share a prefix share its work, and the unit vector of a prefix that no
+    chain extends is never formed.
+
+    Only nonzero work is done: the factor dims that are zero for every draw
+    (``g.any(axis=2)``) are dropped once per call, and each row, residual
+    and unit vector is carried on the dims it can be nonzero on. Each sum
+    runs over those dims in increasing order, so every log-det and pivot
+    has the bits of the same pass over all dims. After a singular prefix,
+    that dense pass gets NaN pivots from the 0/0 entries of its unit
+    vectors in the dims dropped here, so those pivots are set to NaN
+    explicitly. Where the last projection read every dim, this pass formed
+    the dense entries too, and the pivot right after the singular one is
+    kept (+inf when a squared norm only underflowed to 0). Inputs are
+    finite, and their squared norms do not overflow. Returns ({index set:
+    (n,) log-dets}, {prefix: (n,) pivot of its last coordinate}).
     """
-    rows = np.ascontiguousarray(g.transpose(1, 2, 0))  # (coordinate, factor dim, n)
-    basis = {(): ([], 0.0)}  # prefix -> (its unit residual rows, its log-det)
+    n_dim = g.shape[1]
+    support = g.any(axis=2)  # (coordinate, factor dim): nonzero for some draw
+    extended = {tuple(chain[:j]) for chain in chains for j in range(1, len(chain))}
+    # prefix -> (its unit residuals as (dims, values), its log-det)
+    basis = {(): ([], 0.0)}
     ld, piv = {}, {}
     for chain in chains:
         for j in range(1, len(chain) + 1):
@@ -541,12 +606,20 @@ def _prefix_logdets(g: np.ndarray, chains):
             if prefix in basis:
                 continue
             units, ld_prev = basis[prefix[:-1]]
-            v = rows[prefix[-1]]
-            for q in units:
-                v = v - np.einsum("ij,ij->j", q, v) * q
-            p = np.einsum("ij,ij->j", v, v)
+            dims = tuple(np.flatnonzero(support[prefix[-1]]).tolist())
+            v = g[prefix[-1], list(dims)]
+            for q_dims, q in units:
+                full = len(dims) == len(q_dims) == n_dim
+                dims, v = _project_out(dims, v, q_dims, q)
+            p = _dot(v, v)
+            if units:
+                keep = ld_prev > -np.inf
+                if full:  # dense arithmetic where only the previous pivot is singular
+                    keep |= basis[prefix[:-2]][1] > -np.inf
+                p = np.where(keep, p, np.nan)
             ld_cur = np.where((p > 0.0) & (ld_prev > -np.inf), ld_prev + np.log2(p), -np.inf)
-            basis[prefix] = (units + [v / np.sqrt(p)], ld_cur)
+            unit = [(dims, v / np.sqrt(p))] if prefix in extended else []
+            basis[prefix] = (units + unit, ld_cur)
             ld[frozenset(prefix)] = ld_cur
             piv[prefix] = p
     return ld, piv
@@ -563,8 +636,9 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
                  ch: WiretapChannelGaussian, case: int) -> dict[str, np.ndarray]:
     """All information terms of the inner bound, batched.
 
-    Source side (rows S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5 of the factor ``g``
-    of :func:`_sample_sigma1_batch`; the encoder input V is U in case 1 and
+    Source side (rows S=0, U=1, Sc=2, Sp=3, Uc=4, Up=5 of the
+    coordinate-major factors ``g``, (coordinate, factor dim, draw), of
+    :func:`_sample_sigma1_batch`; the encoder input V is U in case 1 and
     (S, U) in case 2):
 
     * ``a1`` = I(Sc; V), ``a2`` = I(Sc, Sp; V), ``a3`` = I(Uc, Up; V | Sc);
@@ -576,7 +650,8 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
     from :func:`_prefix_logdets` over a few chains: for example the chain
     (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and {S, U, Sc, Sp}.
     Each distortion is a pivot of those chains: Var(S | Sc, Sp) is the third
-    pivot of (Sc, Sp, S).
+    pivot of (Sc, Sp, S). The pass skips the factor dims that are zero for
+    every draw, with the bits of a pass over all of them.
 
     Channel side (layers Wc, Wu, Qs, Qu with the signal powers ``sig2`` and
     private-noise powers ``nu2`` of :func:`_sample_sigma2_batch`):
@@ -740,7 +815,7 @@ def draw_inner_samples(
         g = _sample_sigma1_batch(src, case, _CHUNK, rng)
         sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
-        t = _inner_terms(g[:take], sig2[:take], nu2[:take], ch, case)
+        t = _inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case)
         r, accepted, reason = _accept_draws(t, targets, src)
         out["d_s"].append(t["d_s"])
         out["d_u"].append(t["d_u"])

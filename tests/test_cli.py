@@ -15,6 +15,7 @@ import semsec
 from semsec import DISABLED, ValidationError, config_hash, dump_config, load_config
 from semsec.cli import main
 from semsec.config import RunConfig, get_preset, preset_names, validate_config
+from semsec.gaussian import REASON_NAMES
 
 PRESETS = (
     "binary-tradeoff-fig5",
@@ -169,6 +170,33 @@ def test_converse_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CONVERSE_PINS[which, fmt]
 
 
+#: sha256 of inner-scan artifacts (20k draws, seed 2468), frozen before the
+#: sampler wrote coordinate-major factors and the Gram-Schmidt pass skipped
+#: zero dims; both must write the same bytes. The digests hold for numpy's
+#: ``Generator`` streams (PCG64 and its distribution methods) and for
+#: glibc's libm, since the draws carry both.
+INNER_PINS = {
+    ("nosecrecy", 1, "csv"): "6ac04874749408f61690e31fec2bc96fbb628cb9f97e93635edaa3b9f3e9a1d0",
+    ("nosecrecy", 1, "json"): "bbe648dbf15db0fae724738dbdf8358d5e0d9f2a7165664dc5f5ec5bff46d243",
+    ("nosecrecy", 2, "csv"): "83a2003440b94de24c00b8130ff26a701a4a08b0270b0854c525c721befbc189",
+    ("nosecrecy", 2, "json"): "7f22e30d9d17623fbda765411ec2ef4d8f9c1ff35657b90e8aef7c323883271b",
+    ("semantic", 1, "csv"): "897f78a94166a2da27a762c9174ace3d7c2a3f4ff8a8fd85e62ec423120a5523",
+    ("semantic", 1, "json"): "ec7b1adf6297f3c7101f00146ac826a0b23d38e481dc119d530212e6579d4662",
+    ("semantic", 2, "csv"): "a9fbceb426479f13d7bab52510bf22fd830a52c2a8eb378e6ce19cf0ae14be66",
+    ("semantic", 2, "json"): "0f90f03c470a2d27c67738ac9ae854af3707d08fcce1c7085693ed7295401358",
+}
+
+
+@pytest.mark.parametrize("preset, case, fmt", sorted(INNER_PINS))
+def test_inner_artifact_bytes_are_pinned(preset, case, fmt, capsys):
+    code, out, _ = run_cli(
+        ["inner", "--preset", f"gaussian-inner-{preset}", "--case", str(case),
+         "--samples", "20000", "--seed", "2468", "--format", fmt], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INNER_PINS[preset, case, fmt]
+
+
 class TestCurveCommand:
     def test_variant_files_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a" / "fig5.csv"
@@ -242,7 +270,9 @@ class TestInnerCommand:
         for case in ("case1", "case2"):
             meta = doc["metadata"][case]
             assert meta["accepted"] > 0
-            assert "not_psd" not in meta["discard_reasons"]
+            reasons = meta["discard_reasons"]
+            assert "degenerate" not in reasons
+            assert set(reasons) <= set(REASON_NAMES.values())
 
 
 class TestExitCodes:

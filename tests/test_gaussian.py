@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gram_oracle
 import semsec.gaussian as gaussian_mod
 from semsec import (
     DomainError,
@@ -97,9 +98,30 @@ def _sigma2_oracle(ch, sig2, nu2):
     return s2
 
 
+#: Factor rows in chain order (0, 1, 2), one draw each: a zero first row; a
+#: second row dependent on the first, then an independent third; a regular
+#: draw with pivots 4, 1, 1; and a first row whose squared norm underflows
+#: to 0, so that the residuals after it are infinite. Coordinate-major:
+#: (coordinate, factor dim, draw).
+SINGULAR_FACTORS = np.stack([
+    [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+    [[2.0, 0.0, 0.0], [-4.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 3.0, 1.0]],
+    [[1e-170, 1e-170, 1e-170], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]],
+], axis=-1)
+
+
+def _draw_major(g):
+    """A coordinate-major factor batch (coordinate, factor dim, draw), the
+    layout of the sampler and of the Gram-Schmidt pass, viewed draw-major as
+    (draw, coordinate, factor dim), the layout these tests index."""
+    return g.transpose(2, 0, 1)
+
+
 def _gram(g):
-    """Σ1 = g gᵀ of a batch of source-side factors."""
-    return g @ g.transpose(0, 2, 1)
+    """Σ1 = g gᵀ of each draw of a coordinate-major factor batch."""
+    d = _draw_major(g)
+    return d @ d.transpose(0, 2, 1)
 
 
 def _logdet_batch(s, idx):
@@ -137,7 +159,7 @@ def _term_support(name, case):
 
 
 def _sampler_draws(case, n, seed, src=None, ch=None):
-    """(factor g, σ², ν²) of ``n`` seeded sampler draws."""
+    """(coordinate-major factors g, σ², ν²) of ``n`` seeded sampler draws."""
     rng = np.random.default_rng(seed)
     g = gaussian_mod._sample_sigma1_batch(src or default_source(), case, n, rng)
     sig2, nu2 = gaussian_mod._sample_sigma2_batch(ch or default_channel(), n, rng)
@@ -158,6 +180,39 @@ def random_psd(draw, dim):
     g = rng.normal(size=(dim, rank)) * 10.0 ** rng.uniform(-spread, spread, (dim, 1))
     g[sorted(zero)] = 0.0
     return g, zero
+
+
+@st.composite
+def factor_batch(draw):
+    """A coordinate-major factor batch and chains over its coordinates.
+
+    Either the singular fixtures; or 1-64 sampler draws with the chains of
+    their case; or 1-6 rows over 1-6 factor dims and 1-64 draws with some
+    dims zero for every draw, some rows zero, entries zero in single draws,
+    a row that is twice another and rows whose squared norms underflow in
+    some draws. Chains other than the sampler's are 1-3 prefixes of random
+    orderings of the coordinates. Returns (g, chains)."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        g = SINGULAR_FACTORS
+    elif kind == 1:
+        case = draw(st.sampled_from([1, 2]))
+        g, _, _ = _sampler_draws(case, draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1)))
+        return g, list(gaussian_mod._SOURCE_CHAINS[case])
+    else:
+        n_coord, n_dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(n_coord, n_dim, draw(st.integers(1, 64))))
+        g[rng.random(g.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+        g[:, sorted(draw(st.sets(st.integers(0, n_dim - 1))))] = 0.0
+        g[sorted(draw(st.sets(st.integers(0, n_coord - 1))))] = 0.0
+        if draw(st.booleans()):
+            g[rng.integers(n_coord)] = 2.0 * g[rng.integers(n_coord)]
+        tiny = rng.random(g.shape[2]) < draw(st.sampled_from([0.0, 0.3]))
+        g[rng.integers(n_coord), :, tiny] *= 1e-170
+    n_coord = g.shape[0]
+    orders = draw(st.lists(st.permutations(range(n_coord)), min_size=1, max_size=3))
+    return g, [tuple(p[:draw(st.integers(1, n_coord))]) for p in orders]
 
 
 @st.composite
@@ -463,10 +518,11 @@ class TestSamplers:
         src = default_source()
         for case in (1, 2):
             g = gaussian_mod._sample_sigma1_batch(src, case, 10, np.random.default_rng(3))
-            assert g.shape == (10, 6, 6)
+            d = _draw_major(g)
+            assert d.shape == (10, 6, 6)
             # Rows 0-1 are the Cholesky rows of K, so Σ1's source block is K.
-            np.testing.assert_array_equal(g[:, :2, :2], np.broadcast_to(src.cholesky(), (10, 2, 2)))
-            assert np.all(g[:, :2, 2:] == 0.0)
+            np.testing.assert_array_equal(d[:, :2, :2], np.broadcast_to(src.cholesky(), (10, 2, 2)))
+            assert np.all(d[:, :2, 2:] == 0.0)
             np.testing.assert_allclose(_gram(g)[:, :2, :2], np.broadcast_to(src.K, (10, 2, 2)),
                                        rtol=1e-14)
 
@@ -539,16 +595,7 @@ class TestInnerTerms:
         assert t["d_u"][0] == pytest.approx(cond_var(1, [2, 4, 5]), rel=1e-6)
 
     def test_nonpositive_pivot_makes_longer_prefixes_singular(self):
-        # Factor rows in chain order (0, 1, 2): a zero first row; a second
-        # row dependent on the first, then an independent third; a regular
-        # draw with pivots 4, 1, 1; and a first row whose squared norm
-        # underflows to 0, so that the residuals after it are infinite.
-        g = np.array([
-            [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
-            [[2.0, 0.0, 0.0], [-4.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
-            [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 3.0, 1.0]],
-            [[1e-170, 1e-170, 1e-170], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]],
-        ])
+        g = SINGULAR_FACTORS
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ld, piv = gaussian_mod._prefix_logdets(g, [(0, 1, 2)])
         np.testing.assert_array_equal(piv[(0,)], [0.0, 4.0, 4.0, 0.0])
@@ -560,6 +607,25 @@ class TestInnerTerms:
         for prefix in ([0], [0, 1], [0, 1, 2]):
             np.testing.assert_allclose(ld[frozenset(prefix)], _logdet_batch(_gram(g), prefix),
                                        rtol=1e-15)
+
+    @settings(max_examples=400, deadline=None)
+    @given(batch=factor_batch())
+    def test_pass_matches_the_dense_oracle(self, batch):
+        # Skipping the dims that are zero for every draw changes no bit: every
+        # log-det, and every pivot, NaN after a singular prefix included.
+        # einsum sums a lone contiguous draw in another order than a batch
+        # of them, so the oracle sees every draw twice.
+        g, chains = batch
+        n = g.shape[2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ld, piv = gaussian_mod._prefix_logdets(g, chains)
+            ld_want, piv_want = gram_oracle._prefix_logdets(np.tile(_draw_major(g), (2, 1, 1)),
+                                                            chains)
+        assert ld.keys() == ld_want.keys() and piv.keys() == piv_want.keys()
+        for key, want in ld_want.items():
+            assert np.array_equal(ld[key], want[:n]), key
+        for key, want in piv_want.items():
+            assert np.array_equal(piv[key], want[:n], equal_nan=True), key
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_every_term_matches_direct_formulas(self, case):
@@ -601,7 +667,7 @@ class TestInnerTerms:
     def test_terms_match_oracle_on_random_psd(self, case, m1, layers):
         (g, zero1), (ch, sig2, nu2, zero2) = m1, layers
         s1, s2 = g @ g.T, _sigma2_oracle(ch, sig2, nu2)[0]
-        got = gaussian_mod._inner_terms(g[None], sig2, nu2, ch, case)
+        got = gaussian_mod._inner_terms(g[..., None], sig2, nu2, ch, case)
         want = _oracle_terms(s1[None], s2[None], case)
         for name in TERM_NAMES:
             side, idx = _term_support(name, case)
@@ -655,10 +721,10 @@ class TestInnerTerms:
             keep = [0, 1, 2, 3, 5, 6]  # no channel term reads X
             cond2 = np.linalg.cond(s2[:, keep][:, :, keep])
             worst = np.union1d(np.argsort(np.linalg.cond(s1))[-10:], np.argsort(cond2)[-10:])
-            got = gaussian_mod._inner_terms(g[worst], sig2[worst], nu2[worst], ch, case)
+            got = gaussian_mod._inner_terms(g[..., worst], sig2[worst], nu2[worst], ch, case)
             want = _oracle_terms(s1[worst], s2[worst], case)
             for k, i in enumerate(worst):
-                ref = _mp_terms(g[i], s2[i], case)
+                ref = _mp_terms(g[..., i], s2[i], case)
                 for name in TERM_NAMES:
                     tol = 1e-12 if name in CHANNEL_MI else 1e-9
                     assert _bits_error(name, got[name][k], ref[name]) <= tol, name
@@ -729,7 +795,7 @@ class TestInnerMinR:
         # no rate, while Sc describes the source.
         src, ch = default_source(), default_channel()
         sig2, nu2 = np.zeros((1, 4)), np.full((1, 4), 0.01)
-        t = gaussian_mod._inner_terms(_handmade_factor(src)[None], sig2, nu2, ch, case=2)
+        t = gaussian_mod._inner_terms(_handmade_factor(src)[..., None], sig2, nu2, ch, case=2)
         assert t["b1"][0] == 0.0 and t["a1"][0] > 0.0
         r, accepted, reason = gaussian_mod._accept_draws(t, EquivocationTargets.no_secrecy(), src)
         assert not accepted[0] and np.isnan(r[0])
@@ -757,6 +823,17 @@ class TestDrawSamples:
         large = draw_inner_samples(src, ch, tg, case=2, n_samples=5000, seed=11)
         for key in ("d_s", "d_u", "r", "accepted", "reason"):
             np.testing.assert_array_equal(small[key], large[key][:600])
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_prefix_stability_with_a_one_draw_chunk(self, case):
+        # The last chunk of 4097 draws holds one draw. Its sums run in the
+        # same order as inside a full chunk, so its bits are the same.
+        src, ch = default_source(), default_channel()
+        tg = EquivocationTargets.no_secrecy()
+        small = draw_inner_samples(src, ch, tg, case, n_samples=4097, seed=2)
+        large = draw_inner_samples(src, ch, tg, case, n_samples=8192, seed=2)
+        for key in ("d_s", "d_u", "r", "accepted", "reason"):
+            np.testing.assert_array_equal(small[key], large[key][:4097])
 
     def test_reason_codes_in_range(self):
         src, ch = default_source(), default_channel()
