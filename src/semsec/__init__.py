@@ -20,7 +20,6 @@ from .binary import (
     WiretapChannelBinary,
     binary_converse_caps,
     binary_min_r,
-    binary_secrecy_term,
     delta_s_curve,
 )
 from .config import (
@@ -48,7 +47,6 @@ from .gaussian import (
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     inner_bound_scan,
-    secrecy_term,
 )
 from .info import (
     Pmf,
@@ -104,10 +102,10 @@ __all__ = [
     # Gaussian model
     "SemanticSourceGaussian", "WiretapChannelGaussian",
     "gaussian_rdf_obs", "gaussian_rdf_sem", "gaussian_rdf_joint",
-    "secrecy_term", "converse_equivocation_caps", "converse_min_r",
+    "converse_equivocation_caps", "converse_min_r",
     "inner_bound_scan", "draw_inner_samples",
     # binary model
-    "SemanticSourceBinary", "WiretapChannelBinary", "binary_secrecy_term",
+    "SemanticSourceBinary", "WiretapChannelBinary",
     "binary_converse_caps", "binary_min_r", "delta_s_curve",
     # config and verification
     "RunConfig", "load_config", "dump_config", "config_hash",

@@ -6,8 +6,8 @@ component S is U passed through a bit-flip channel with crossover alpha, so
 (S, U) is doubly symmetric. The legitimate link is a BSC with crossover
 eps1 and the eavesdropper sees a further cascade with crossover eps2
 (overall crossover eps1 * eps2 in the star-convolution sense). Hamming
-distortion on both components; time-sharing parameter gamma in [0, 1]
-(gamma = 0 gives the strongest secrecy term and is always a valid choice).
+distortion on both components. The converse's secrecy slope is the
+channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .info import binary_entropy, star
 from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
-from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, RatioGrid,
-                      TradeoffCurve, equivocation_caps, min_ratio)
+from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
+                      _finite_nonnegative, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceBinary",
     "WiretapChannelBinary",
-    "binary_secrecy_term",
     "binary_converse_caps",
     "binary_min_r",
     "delta_s_curve",
@@ -82,32 +81,21 @@ class WiretapChannelBinary:
     def capacity_main(self) -> float:
         return 1.0 - binary_entropy(self.eps1)
 
-
-def binary_secrecy_term(ch: WiretapChannelBinary, gamma: float) -> float:
-    """Entropy gap between the eavesdropper and legitimate observations.
-
-    Equals H_b(gamma * eps1 * eps2) - H_b(gamma * eps1) in star-convolution
-    notation. Nonnegative, maximal at gamma = 0, and zero when the extra
-    leg is noiseless (eps2 = 0) or gamma = 1/2.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-    p_z = star(gamma, ch.eps_z)
-    p_y = star(gamma, ch.eps1)
-    return float(binary_entropy(p_z) - binary_entropy(p_y))
+    @property
+    def secrecy_capacity(self) -> float:
+        """H_b(eps_z) - H_b(eps1); zero when the extra leg is noiseless (eps2 = 0)."""
+        return binary_entropy(self.eps_z) - binary_entropy(self.eps1)
 
 
-def _components(src, d_s, d_u, case, gamma1, gamma2):
-    """Joint RDF (n, m), the (name, entropy, RDF, gamma) converse components
-    and, per D_s, the reason the case-1 floor puts it out of reach (None
-    where it does not) over the grid ``d_s`` x ``d_u``.
+def _components(src, d_s, d_u, case):
+    """Joint RDF (n, m), the (name, entropy, RDF) converse components and,
+    per D_s, the reason the case-1 floor puts it out of reach (None where it
+    does not) over the grid ``d_s`` x ``d_u``.
 
     The marginals take one scalar call per axis point. The case-1 joint is
     their maximum; the case-2 joint is one cached solve per cell. The
     observation component uses the conditional entropy H_b(alpha).
     """
-    if case == 1 and gamma2 not in (None, 0.0):
-        raise DomainError("case 1 fixes the observation-side gamma at 0")
     r_s = np.array([binary_rdf_sem(src.alpha, d, case) for d in d_s])[:, None]
     blocked = [
         f"restricted encoder cannot reach semantic distortion {d} < alpha {src.alpha}"
@@ -120,17 +108,10 @@ def _components(src, d_s, d_u, case, gamma1, gamma2):
     else:
         r_j = np.array([[binary_rdf_joint(src.alpha, a, b, case) for b in d_u] for a in d_s])
     return r_j, (
-        ("delta_s", 1.0, r_s, gamma1),
-        ("delta_u", src.h_alpha, r_u, 0.0 if gamma2 is None else gamma2),
-        ("delta_su", src.h_alpha + 1.0, r_j, 0.0),
+        ("delta_s", 1.0, r_s),
+        ("delta_u", src.h_alpha, r_u),
+        ("delta_su", src.h_alpha + 1.0, r_j),
     ), blocked
-
-
-def _ratio_grid(src, ch, d_s, d_u, targets, case, gamma1=0.0, gamma2=None) -> RatioGrid:
-    """:func:`min_ratio` over the grid ``d_s`` x ``d_u``."""
-    r_j, comps, blocked = _components(src, d_s, d_u, case, gamma1, gamma2)
-    return min_ratio(r_j, ch.capacity_main, comps, targets,
-                     lambda gamma: binary_secrecy_term(ch, gamma), blocked)
 
 
 def binary_converse_caps(
@@ -140,8 +121,6 @@ def binary_converse_caps(
     target_u: float,
     r: float,
     R_k: float = 0.0,
-    gamma1: float = 0.0,
-    gamma2: float | None = None,
     case: int = 2,
 ) -> EquivocationCaps:
     """Equivocation upper bounds for the binary model.
@@ -151,13 +130,8 @@ def binary_converse_caps(
     additionally clamped at the unconditional entropy of its component —
     1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
     """
-    _, comps, blocked = _components(src, [target_s], [target_u], case, gamma1, gamma2)
-    if blocked[0] is not None:
-        raise InfeasibleError(blocked[0])
-    return equivocation_caps(
-        comps, r, R_k, lambda gamma: binary_secrecy_term(ch, gamma),
-        (src.h_s, src.h_u, src.h_su),
-    )
+    _, comps, blocked = _components(src, [target_s], [target_u], case)
+    return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
 def binary_min_r(
@@ -166,17 +140,15 @@ def binary_min_r(
     target_s: float,
     target_u: float,
     targets: EquivocationTargets,
-    gamma1: float = 0.0,
-    gamma2: float | None = None,
     case: int = 2,
 ) -> MinRateResult:
     """Minimal channel-use ratio compatible with the binary converse bound.
 
     Maximum of the joint-RDF-over-capacity bound and the secrecy-driven
     bound of every enabled equivocation target not already met at r = 0.
-    This is the surface evaluation on a 1x1 grid, at any gammas.
+    This is the surface evaluation on a 1x1 grid.
     """
-    return _ratio_grid(src, ch, [target_s], [target_u], targets, case, gamma1, gamma2).cell(0, 0)
+    return min_ratio(ch, targets, *_components(src, [target_s], [target_u], case)).cell(0, 0)
 
 
 def delta_s_curve(
@@ -186,7 +158,6 @@ def delta_s_curve(
     R_k: float = 0.0,
     case: int = 1,
     d_s_grid: int | Sequence[float] = 200,
-    gamma1: float = 0.0,
 ) -> TradeoffCurve:
     """Semantic equivocation cap as a function of the distortion budget.
 
@@ -196,10 +167,8 @@ def delta_s_curve(
     count spanning the feasible range for the requested case (starting just
     above alpha for the restricted encoder) up to 1/2.
     """
-    if r < 0.0:
-        raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
-    if R_k < 0.0:
-        raise DomainError(f"key rate must be nonnegative, got {R_k}")
+    _finite_nonnegative("channel-use ratio", r)
+    _finite_nonnegative("key rate", R_k)
     if case not in (1, 2):
         raise DomainError(f"case must be 1 or 2, got {case}")
     if isinstance(d_s_grid, int):
@@ -214,7 +183,7 @@ def delta_s_curve(
         raise DomainError(
             f"case-1 grid must start above the distortion floor alpha = {src.alpha}"
         )
-    slope = binary_secrecy_term(ch, gamma1)
+    slope = ch.secrecy_capacity
     raw = np.empty(len(grid))
     for i, d_s in enumerate(grid):
         raw[i] = R_k + r * slope + 1.0 - binary_rdf_sem(src.alpha, float(d_s), case)

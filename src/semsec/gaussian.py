@@ -30,7 +30,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
-                      RatioGrid, RegionSurface, equivocation_caps, min_ratio)
+                      RegionSurface, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_rdf_obs",
     "gaussian_rdf_sem",
     "gaussian_rdf_joint",
-    "secrecy_term",
     "converse_equivocation_caps",
     "converse_min_r",
     "inner_bound_scan",
@@ -148,6 +147,13 @@ class WiretapChannelGaussian:
     @property
     def capacity_main(self) -> float:
         return 0.5 * math.log2(1.0 + self.P / self.P_N1)
+
+    @property
+    def secrecy_capacity(self) -> float:
+        """Main minus eavesdropper capacity; zero when P_N2 = 0."""
+        return 0.5 * (
+            math.log2(1.0 + self.P / self.P_N1) - math.log2(1.0 + self.P / self.P_N)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +279,15 @@ def _rdf_grid(src, d_s, d_u, case):
 # ---------------------------------------------------------------------------
 
 
-def secrecy_term(ch: WiretapChannelGaussian, beta: float) -> float:
-    """Half the log-ratio gap between the legitimate and eavesdropper SNRs.
-
-    Nondecreasing in beta on [0, 1]; zero when the eavesdropper sees the
-    same noise as the legitimate receiver (P_N2 = 0).
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    p_eff = beta * ch.P
-    return 0.5 * (
-        math.log2(1.0 + p_eff / ch.P_N1) - math.log2(1.0 + p_eff / ch.P_N)
-    )
-
-
-def _components(src, d_s, d_u, case, beta1, beta2):
-    """Joint RDF, the (name, entropy, RDF, beta) converse components and the
+def _components(src, d_s, d_u, case):
+    """Joint RDF, the (name, entropy, RDF) converse components and the
     case-1 floor reasons, over the grid ``d_s`` x ``d_u`` (see :func:`_rdf_grid`)."""
-    if case == 1 and beta2 not in (None, 1.0):
-        raise DomainError("case 1 fixes the observation-side beta at 1")
     r_s, r_u, r_j, blocked = _rdf_grid(src, d_s, d_u, case)
     return r_j, (
-        ("delta_s", src.h_s, r_s, beta1),
-        ("delta_u", src.h_u, r_u, 1.0 if beta2 is None else beta2),
-        ("delta_su", src.h_su, r_j, 1.0),
+        ("delta_s", src.h_s, r_s),
+        ("delta_u", src.h_u, r_u),
+        ("delta_su", src.h_su, r_j),
     ), blocked
-
-
-def _ratio_grid(src, ch, d_s, d_u, targets, case, beta1=1.0, beta2=None) -> RatioGrid:
-    """:func:`min_ratio` over the grid ``d_s`` x ``d_u``."""
-    r_j, comps, blocked = _components(src, d_s, d_u, case, beta1, beta2)
-    return min_ratio(r_j, ch.capacity_main, comps, targets,
-                     lambda beta: secrecy_term(ch, beta), blocked)
 
 
 def converse_equivocation_caps(
@@ -314,24 +297,18 @@ def converse_equivocation_caps(
     target_u: float,
     r: float,
     R_k: float = 0.0,
-    beta1: float = 1.0,
-    beta2: float | None = None,
     case: int = 2,
 ) -> EquivocationCaps:
     """Equivocation upper bounds at channel-use ratio ``r`` and key rate ``R_k``.
 
-    Each bound is the key rate plus ``r`` times a secrecy term plus the
+    Each bound is the key rate plus ``r`` times the secrecy capacity plus the
     source-component entropy minus the matching RDF; each is additionally
     clamped at the unconditional component entropy (see
     :class:`EquivocationCaps` for both values and the clamp flags).
     Infeasible distortions propagate as :class:`InfeasibleError`.
     """
-    _, comps, blocked = _components(src, [target_s], [target_u], case, beta1, beta2)
-    if blocked[0] is not None:
-        raise InfeasibleError(blocked[0])
-    return equivocation_caps(
-        comps, r, R_k, lambda beta: secrecy_term(ch, beta), (src.h_s, src.h_u, src.h_su)
-    )
+    _, comps, blocked = _components(src, [target_s], [target_u], case)
+    return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
 def converse_min_r(
@@ -340,19 +317,17 @@ def converse_min_r(
     target_s: float,
     target_u: float,
     targets: EquivocationTargets,
-    beta1: float = 1.0,
-    beta2: float | None = None,
     case: int = 2,
 ) -> MinRateResult:
     """Minimal channel-use ratio compatible with the converse bound.
 
     The maximum of the rate-driven bound (joint RDF over main-channel
     capacity) and, for each enabled equivocation target not already met at
-    r = 0, the secrecy-driven bound. Infeasible when an unmet target has a
-    zero secrecy slope, or when the distortion pair itself is infeasible.
-    This is :func:`converse_surface` on a 1x1 grid, at any betas.
+    r = 0, the secrecy-driven bound. Infeasible when an unmet target meets a
+    zero secrecy capacity, or when the distortion pair itself is infeasible.
+    This is :func:`converse_surface` on a 1x1 grid.
     """
-    return _ratio_grid(src, ch, [target_s], [target_u], targets, case, beta1, beta2).cell(0, 0)
+    return min_ratio(ch, targets, *_components(src, [target_s], [target_u], case)).cell(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Equivocation targets, the converse routines and the result containers
 shared by the Gaussian and binary models.
 
-Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / slope)``
-over the enabled targets; a model supplies only its RDFs, entropy terms,
-capacity and secrecy slope.
+Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / C_s)``
+over the enabled targets, with C the main-channel capacity and C_s the
+secrecy capacity of the channel; a model supplies only its RDFs and entropy
+terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "DISABLED",
@@ -32,9 +33,15 @@ __all__ = [
 #: Sentinel for a disabled equivocation target.
 DISABLED = float("-inf")
 
-#: ``(target name, entropy term, RDF values, secrecy split)``, in the order
-#: delta_s, delta_u, delta_su; the RDF array broadcasts to the (D_s, D_u) grid.
-Component = tuple[str, float, np.ndarray, float]
+#: ``(target name, entropy term, RDF values)``, in the order delta_s,
+#: delta_u, delta_su; the RDF array broadcasts to the (D_s, D_u) grid.
+Component = tuple[str, float, np.ndarray]
+
+
+def _finite_nonnegative(name: str, value: float) -> None:
+    """Reject NaN, infinite and negative rates with :class:`DomainError`."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ class EquivocationTargets:
                           ("delta_su", self.delta_su)):
             if math.isnan(val) or val == float("inf"):
                 raise DomainError(f"{name} must be finite or -inf, got {val}")
-        if math.isnan(self.R_k) or not (0.0 <= self.R_k < float("inf")):
-            raise DomainError(f"R_k must be finite and nonnegative, got {self.R_k}")
+        _finite_nonnegative("R_k", self.R_k)
 
     @classmethod
     def no_secrecy(cls, R_k: float = 0.0) -> "EquivocationTargets":
@@ -172,18 +178,20 @@ class RatioGrid:
         return MinRateResult(None, False, reason=REASONS[code])
 
 
-def min_ratio(r_joint: np.ndarray, capacity: float, components: Sequence[Component],
-              targets: EquivocationTargets, slope: Callable[[float], float],
-              blocked: Sequence[str | None]) -> RatioGrid:
-    """Per cell, the maximum of the rate bound ``r_joint / capacity`` and, for
-    each enabled target not met at r = 0, its need over ``slope(split)``.
+def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
+              components: Sequence[Component], blocked: Sequence[str | None]) -> RatioGrid:
+    """Per cell, the maximum of the rate bound ``r_joint / ch.capacity_main``
+    and, for each enabled target not met at r = 0, its need over
+    ``ch.secrecy_capacity``.
 
     ``r_joint`` is (n, m) and each component's RDF broadcasts to it; a D_s
-    row whose ``blocked`` entry is a reason is infeasible. The slope is
-    evaluated only for a target that some cell has not met. A cell where a
-    target's need over its slope is not a finite number (zero slope, or an
-    overflowing ratio) is infeasible, named after the first such target.
+    row whose ``blocked`` entry is a reason is infeasible. The secrecy
+    capacity is read only for a target that some cell has not met. A cell
+    where a target's need over it is not a finite number (zero secrecy
+    capacity, or an overflowing ratio) is infeasible, named after the first
+    such target.
     """
+    capacity = ch.capacity_main
     reason = np.zeros(r_joint.shape, dtype=np.int8)
     reason[[b is not None for b in blocked], :] = _DISTORTION
     positive = r_joint > 0.0
@@ -192,7 +200,7 @@ def min_ratio(r_joint: np.ndarray, capacity: float, components: Sequence[Compone
     binding = np.zeros(r_joint.shape, dtype=np.int8)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_min = np.where(positive, r_joint / capacity, 0.0)
-        for name, h_term, rdf, split in components:
+        for name, h_term, rdf in components:
             target = getattr(targets, name)
             if target == DISABLED:
                 continue
@@ -201,7 +209,7 @@ def min_ratio(r_joint: np.ndarray, capacity: float, components: Sequence[Compone
             unmet = (reason == 0) & ~(need <= 0.0)
             if not unmet.any():
                 continue
-            gain = slope(split)
+            gain = ch.secrecy_capacity
             cand = need / gain if gain > 0.0 else np.full(need.shape, np.inf)
             reason[unmet & ~np.isfinite(cand)] = REASONS.index(f"secrecy_infeasible_{name}")
             higher = unmet & (cand > r_min)
@@ -210,17 +218,19 @@ def min_ratio(r_joint: np.ndarray, capacity: float, components: Sequence[Compone
     return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason, blocked)
 
 
-def equivocation_caps(components: Sequence[Component], r: float, R_k: float,
-                      slope: Callable[[float], float], clamps: tuple) -> EquivocationCaps:
-    """Raw caps ``R_k + r * slope(split) + h - R`` per component of a 1x1
-    grid, clamped at ``clamps`` (the unconditional component entropies)."""
-    if r < 0.0:
-        raise DomainError(f"channel-use ratio must be nonnegative, got {r}")
-    if R_k < 0.0:
-        raise DomainError(f"key rate must be nonnegative, got {R_k}")
-    raw = [(R_k + r * slope(split) + h_term - rdf).item()
-           for _, h_term, rdf, split in components]
-    return EquivocationCaps.from_raw(*raw, *clamps)
+def equivocation_caps(src, ch, r: float, R_k: float, components: Sequence[Component],
+                      blocked: Sequence[str | None]) -> EquivocationCaps:
+    """Raw caps ``R_k + r * ch.secrecy_capacity + h - R`` per component of a
+    1x1 grid, clamped at the unconditional entropies ``src.h_s``, ``src.h_u``
+    and ``src.h_su``. A distortion out of the encoder's reach raises
+    :class:`InfeasibleError`."""
+    _finite_nonnegative("channel-use ratio", r)
+    _finite_nonnegative("key rate", R_k)
+    if blocked[0] is not None:
+        raise InfeasibleError(blocked[0])
+    raw = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
+           for _, h_term, rdf in components]
+    return EquivocationCaps.from_raw(*raw, src.h_s, src.h_u, src.h_su)
 
 
 @dataclass(frozen=True)
@@ -263,16 +273,17 @@ def converse_surface(
     d_s_grid: Sequence[float],
     d_u_grid: Sequence[float],
 ) -> RegionSurface:
-    """The model's converse minimal ratio over a (D_s, D_u) grid, at the
-    default splits, evaluated for the whole grid at once."""
+    """The model's converse minimal ratio over a (D_s, D_u) grid, evaluated
+    for the whole grid at once."""
     # Imported here because both model modules import this one.
-    from .binary import SemanticSourceBinary, _ratio_grid as binary_grid
-    from .gaussian import _ratio_grid as gaussian_grid
+    from .binary import SemanticSourceBinary, _components as binary_components
+    from .gaussian import _components as gaussian_components
 
-    ratio_grid = binary_grid if isinstance(src, SemanticSourceBinary) else gaussian_grid
+    components = (binary_components if isinstance(src, SemanticSourceBinary)
+                  else gaussian_components)
     d_s_grid = np.asarray(d_s_grid, dtype=float)
     d_u_grid = np.asarray(d_u_grid, dtype=float)
-    grid = ratio_grid(src, ch, d_s_grid.tolist(), d_u_grid.tolist(), targets, case)
+    grid = min_ratio(ch, targets, *components(src, d_s_grid.tolist(), d_u_grid.tolist(), case))
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
         values=grid.r_min,

@@ -16,7 +16,6 @@ from .binary import (
     SemanticSourceBinary,
     WiretapChannelBinary,
     binary_min_r,
-    binary_secrecy_term,
     delta_s_curve,
 )
 from .gaussian import (
@@ -26,7 +25,6 @@ from .gaussian import (
     draw_inner_samples,
     gaussian_rdf_joint,
     gaussian_rdf_sem,
-    secrecy_term,
 )
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion
@@ -55,7 +53,7 @@ def _spot_values():
         "gaussian-main-capacity", abs(ch.capacity_main - 1.7297158093186) < 1e-10,
         f"C_main = {ch.capacity_main:.10f}",
     ))
-    cs1 = secrecy_term(ch, 1.0)
+    cs1 = ch.secrecy_capacity
     checks.append(_check(
         "gaussian-secrecy-term", abs(cs1 - 0.9372345589580706) < 1e-10,
         f"secrecy term at beta=1: {cs1:.10f}",
@@ -165,7 +163,7 @@ def _binary_checks():
     checks = []
     src = SemanticSourceBinary(0.25)
     ch = WiretapChannelBinary(0.1, 0.3)
-    slope = binary_secrecy_term(ch, 0.0)
+    slope = ch.secrecy_capacity
     checks.append(_check(
         "binary-secrecy-term", abs(slope - 0.4558231113837489) < 1e-12,
         f"secrecy term at gamma=0: {slope:.10f}",

@@ -5,8 +5,14 @@ whole grid at once: the Gaussian case-2 joint RDF as a scalar four-regime
 closed form, one ``min_ratio`` call per cell and a Python loop over the
 cells. ``semsec.regions.converse_surface`` and the scalar entry points
 ``converse_min_r`` and ``binary_min_r`` are checked against it bit for bit.
-The marginal RDFs, entropies, capacities and secrecy slopes are the
+The marginal RDFs, entropies, capacities and secrecy capacities are the
 package's own scalar functions, which both paths share.
+
+The oracle's minimal ratio also takes any secrecy slope, and
+:func:`gaussian_slope` and :func:`binary_slope` give the slope at a Gaussian
+power share beta or a binary time-sharing gamma. The package fixes the slope
+at the secrecy capacity, their value at beta = 1 and gamma = 0; the tests
+check that no other share gives a larger slope, and so no smaller ratio.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ import math
 
 import numpy as np
 
-from semsec.binary import SemanticSourceBinary, binary_secrecy_term
+from semsec.binary import SemanticSourceBinary
 from semsec.errors import DomainError, InfeasibleError
-from semsec.gaussian import _log2_plus, gaussian_rdf_obs, gaussian_rdf_sem, secrecy_term
+from semsec.gaussian import _log2_plus, gaussian_rdf_obs, gaussian_rdf_sem
+from semsec.info import binary_entropy, star
 from semsec.rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
 from semsec.regions import DISABLED, MinRateResult
 
@@ -63,22 +70,35 @@ def gaussian_regime(src, target_s, target_u):
     return 3 if rho2 * ps * pu < dhs * dhu else 4
 
 
-def _gaussian_components(src, target_s, target_u, case, beta1, beta2):
-    if case == 1 and beta2 not in (None, 1.0):
-        raise DomainError("case 1 fixes the observation-side beta at 1")
+def gaussian_slope(ch, beta):
+    """Half the log-ratio gap between the legitimate and eavesdropper SNRs
+    when a share ``beta`` of the power carries the secret; the secrecy
+    capacity at beta = 1."""
+    p_eff = beta * ch.P
+    return 0.5 * (
+        math.log2(1.0 + p_eff / ch.P_N1) - math.log2(1.0 + p_eff / ch.P_N)
+    )
+
+
+def binary_slope(ch, gamma):
+    """H_b(gamma * eps_z) - H_b(gamma * eps1) in star-convolution notation;
+    the secrecy capacity at gamma = 0."""
+    p_z, p_y = star(gamma, ch.eps_z), star(gamma, ch.eps1)
+    return float(binary_entropy(p_z) - binary_entropy(p_y))
+
+
+def _gaussian_components(src, target_s, target_u, case):
     r_s = gaussian_rdf_sem(src, target_s, case)
     r_u = gaussian_rdf_obs(src, target_u)
     r_j = gaussian_rdf_joint(src, target_s, target_u, case)
     return r_j, (
-        ("delta_s", src.h_s, r_s, beta1),
-        ("delta_u", src.h_u, r_u, 1.0 if beta2 is None else beta2),
-        ("delta_su", src.h_su, r_j, 1.0),
+        ("delta_s", src.h_s, r_s),
+        ("delta_u", src.h_u, r_u),
+        ("delta_su", src.h_su, r_j),
     )
 
 
-def _binary_components(src, target_s, target_u, case, gamma1, gamma2):
-    if case == 1 and gamma2 not in (None, 0.0):
-        raise DomainError("case 1 fixes the observation-side gamma at 0")
+def _binary_components(src, target_s, target_u, case):
     r_s = binary_rdf_sem(src.alpha, target_s, case)
     if math.isinf(r_s):
         raise InfeasibleError(
@@ -88,27 +108,26 @@ def _binary_components(src, target_s, target_u, case, gamma1, gamma2):
     r_u = binary_rdf_obs(src.alpha, target_u)
     r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
     return r_j, (
-        ("delta_s", 1.0, r_s, gamma1),
-        ("delta_u", src.h_alpha, r_u, 0.0 if gamma2 is None else gamma2),
-        ("delta_su", src.h_alpha + 1.0, r_j, 0.0),
+        ("delta_s", 1.0, r_s),
+        ("delta_u", src.h_alpha, r_u),
+        ("delta_su", src.h_alpha + 1.0, r_j),
     )
 
 
 def min_ratio(r_joint, capacity, components, targets, slope):
-    """One cell: the rate bound and each unmet target's need over its slope."""
+    """One cell: the rate bound and each unmet target's need over ``slope``."""
     if r_joint > 0.0 and capacity <= 0.0:
         return MinRateResult(None, False, reason="rate_infeasible")
     r_min = r_joint / capacity if r_joint > 0.0 else 0.0
     binding = "rate"
-    for name, h_term, rdf, split in components:
+    for name, h_term, rdf in components:
         target = getattr(targets, name)
         if target == DISABLED:
             continue
         need = target - (targets.R_k + h_term - rdf)
         if need <= 0.0:
             continue  # already met at r = 0
-        gain = slope(split)
-        cand = need / gain if gain > 0.0 else math.inf
+        cand = need / slope if slope > 0.0 else math.inf
         if not math.isfinite(cand):
             return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
         if cand > r_min:
@@ -117,22 +136,23 @@ def min_ratio(r_joint, capacity, components, targets, slope):
     return MinRateResult(r_min, True, binding=binding)
 
 
-def converse_min_r(src, ch, target_s, target_u, targets, beta1=1.0, beta2=None, case=2):
+def _min_r(components, src, ch, target_s, target_u, targets, case, slope):
     try:
-        r_j, comps = _gaussian_components(src, target_s, target_u, case, beta1, beta2)
+        r_j, comps = components(src, target_s, target_u, case)
     except InfeasibleError as exc:
         return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    return min_ratio(r_j, ch.capacity_main, comps, targets, lambda beta: secrecy_term(ch, beta))
+    slope = ch.secrecy_capacity if slope is None else slope
+    return min_ratio(r_j, ch.capacity_main, comps, targets, slope)
 
 
-def binary_min_r(src, ch, target_s, target_u, targets, gamma1=0.0, gamma2=None, case=2):
-    try:
-        r_j, comps = _binary_components(src, target_s, target_u, case, gamma1, gamma2)
-    except InfeasibleError as exc:
-        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
-    return min_ratio(
-        r_j, ch.capacity_main, comps, targets, lambda gamma: binary_secrecy_term(ch, gamma)
-    )
+def converse_min_r(src, ch, target_s, target_u, targets, case=2, slope=None):
+    """The Gaussian minimal ratio at ``slope`` (the secrecy capacity if None)."""
+    return _min_r(_gaussian_components, src, ch, target_s, target_u, targets, case, slope)
+
+
+def binary_min_r(src, ch, target_s, target_u, targets, case=2, slope=None):
+    """The binary minimal ratio at ``slope`` (the secrecy capacity if None)."""
+    return _min_r(_binary_components, src, ch, target_s, target_u, targets, case, slope)
 
 
 def converse_surface(src, ch, targets, case, d_s_grid, d_u_grid):

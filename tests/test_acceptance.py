@@ -22,7 +22,6 @@ from semsec import (
     binary_entropy,
     binary_rdf_obs,
     binary_rdf_sem,
-    binary_secrecy_term,
     converse_equivocation_caps,
     converse_min_r,
     converse_surface,
@@ -35,7 +34,6 @@ from semsec import (
     inner_bound_scan,
     rdf_semantic_case1,
     rdf_semantic_case2,
-    secrecy_term,
 )
 from semsec.cli import main as cli_main
 from semsec.config import build_channel, build_source, get_preset, resolve_distortion_grid
@@ -62,9 +60,9 @@ def test_criterion_1_frozen_reference_values():
     tg = EquivocationTargets(src.h_s, float("-inf"), src.h_s)
     checks = [
         ("H_b(1/4)", binary_entropy(0.25), 0.8113),
-        ("binary secrecy slope", binary_secrecy_term(bch, 0.0), 0.4558),
+        ("binary secrecy slope", bch.secrecy_capacity, 0.4558),
         ("gaussian main capacity", ch.capacity_main, 1.7297),
-        ("gaussian secrecy capacity", secrecy_term(ch, 1.0), 0.9372),
+        ("gaussian secrecy capacity", ch.secrecy_capacity, 0.9372),
         ("restricted-encoder floor", (1.0 - src.rho2) * src.P_s, 0.34),
         ("joint RDF (0.5, 0.6)", gaussian_rdf_joint(src, 0.5, 0.6, 2), 0.3849),
         ("semantic-secrecy min ratio",
@@ -259,7 +257,7 @@ def test_criterion_7_reduction_identities():
         )
         # Restricted encoder: the observation cap uses the full-power slope.
         caps1 = converse_equivocation_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
-        expect_u = r_k + r * secrecy_term(ch, 1.0) + src.h_u - gaussian_rdf_obs(src, d_u)
+        expect_u = r_k + r * ch.secrecy_capacity + src.h_u - gaussian_rdf_obs(src, d_u)
         worst = max(worst, abs(caps1.raw_delta_u - expect_u))
     for _ in range(50):
         alpha = rng.uniform(0.05, 0.45)
@@ -278,7 +276,7 @@ def test_criterion_7_reduction_identities():
         )
         capsr = binary_converse_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
         expect_u = (
-            r_k + r * binary_secrecy_term(ch, 0.0) + src.h_alpha
+            r_k + r * ch.secrecy_capacity + src.h_alpha
             - binary_rdf_obs(alpha, d_u)
         )
         worst = max(worst, abs(capsr.raw_delta_u - expect_u))

@@ -7,14 +7,16 @@ import pkgutil
 import pytest
 
 import semsec
-from semsec import rdf
+from semsec import binary, gaussian, rdf, regions
 
 MODULES = [importlib.import_module(f"semsec.{m.name}") for m in pkgutil.iter_modules(semsec.__path__)]
 REMOVED = (
     "CovMatrix", "gaussian_mi", "schur_conditional", "gaussian_entropy",
     "NotPsdError", "SingularBlockError", "brute_force_rdf",
+    "secrecy_term", "binary_secrecy_term",
 )
-# Options that nothing at run time set: the solver has no knobs.
+# Options that nothing at run time set: the solver has no knobs, and the
+# converse no split.
 REMOVED_PARAMETERS = (
     (rdf.TwoConstraintSolver, "ba_tol"),
     (rdf.TwoConstraintSolver, "ba_max_iter"),
@@ -23,6 +25,16 @@ REMOVED_PARAMETERS = (
     (rdf._ba_tilted, "return_trace"),
     (rdf.DiscreteSemanticSource, "s_support"),
     (rdf.DiscreteSemanticSource, "u_support"),
+    # The converse's secrecy slope is the channel's secrecy capacity.
+    (gaussian.converse_min_r, "beta1"),
+    (gaussian.converse_min_r, "beta2"),
+    (gaussian.converse_equivocation_caps, "beta1"),
+    (gaussian.converse_equivocation_caps, "beta2"),
+    (binary.binary_min_r, "gamma1"),
+    (binary.binary_min_r, "gamma2"),
+    (binary.binary_converse_caps, "gamma1"),
+    (binary.binary_converse_caps, "gamma2"),
+    (binary.delta_s_curve, "gamma1"),
 )
 
 
@@ -43,3 +55,12 @@ def test_removed_names_are_gone(name):
                          ids=lambda x: x if isinstance(x, str) else x.__name__)
 def test_removed_parameters_are_gone(func, name):
     assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("func", [regions.min_ratio, regions.equivocation_caps],
+                         ids=lambda f: f.__name__)
+def test_converse_routines_take_no_callable(func):
+    # They read the secrecy capacity from the channel, not a slope callback.
+    params = inspect.signature(func).parameters
+    assert "slope" not in params
+    assert not any("Callable" in str(p.annotation) for p in params.values())

@@ -14,7 +14,6 @@ from semsec import (
     binary_entropy,
     binary_min_r,
     binary_rdf_sem,
-    binary_secrecy_term,
     delta_s_curve,
     hamming_distortion,
     rdf_semantic_case2,
@@ -61,21 +60,10 @@ class TestTypes:
 
 class TestSecrecyTerm:
     def test_gamma_zero_pin(self):
-        assert binary_secrecy_term(default_channel(), 0.0) == pytest.approx(
-            SLOPE_GAMMA0, abs=1e-15
-        )
-
-    def test_decreasing_in_gamma(self):
-        ch = default_channel()
-        gammas = np.linspace(0.0, 0.5, 11)
-        vals = [binary_secrecy_term(ch, g) for g in gammas]
-        assert np.all(np.diff(vals) < 0)
-        assert vals[-1] == pytest.approx(0.0, abs=1e-12)
+        assert default_channel().secrecy_capacity == pytest.approx(SLOPE_GAMMA0, abs=1e-15)
 
     def test_no_degradation_no_secrecy(self):
-        ch = WiretapChannelBinary(0.1, 0.0)
-        for g in (0.0, 0.2):
-            assert binary_secrecy_term(ch, g) == pytest.approx(0.0, abs=1e-15)
+        assert WiretapChannelBinary(0.1, 0.0).secrecy_capacity == 0.0
 
 
 class TestCaps:
@@ -101,11 +89,6 @@ class TestCaps:
         caps = binary_converse_caps(src, ch, 0.3, 0.1, r=0.0, case=2)
         r_u = H_ALPHA - binary_entropy(0.1)
         assert caps.raw_delta_u == pytest.approx(H_ALPHA - r_u, abs=1e-12)
-
-    def test_case1_eavesdropper_split_fixed(self):
-        src, ch = default_source(), default_channel()
-        with pytest.raises(DomainError):
-            binary_converse_caps(src, ch, 0.3, 0.25, r=1.0, case=1, gamma2=0.2)
 
     def test_case1_below_crossover_infeasible(self):
         src, ch = default_source(), default_channel()
@@ -205,13 +188,6 @@ class TestTradeoffCurve:
         np.testing.assert_allclose(keyed.raw - base.raw, 0.1, atol=1e-12)
         if base.d_s_star is not None and keyed.d_s_star is not None:
             assert keyed.d_s_star <= base.d_s_star + 1e-15
-
-    def test_positive_gamma_never_helps(self):
-        src, ch = default_source(), default_channel()
-        grid = np.linspace(0.26, 0.49, 50)
-        base = delta_s_curve(src, ch, r=1.0, case=1, d_s_grid=grid)
-        tilted = delta_s_curve(src, ch, r=1.0, case=1, d_s_grid=grid, gamma1=0.2)
-        assert np.all(tilted.raw <= base.raw + 1e-12)
 
     def test_rows(self):
         src, ch = default_source(), default_channel()

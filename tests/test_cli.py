@@ -197,6 +197,46 @@ def test_inner_artifact_bytes_are_pinned(preset, case, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == INNER_PINS[preset, case, fmt]
 
 
+#: sha256 of the artifacts that carry the secrecy slope, frozen while the
+#: converse still took power-share and time-sharing parameters: the four
+#: fig-5 curve files, a binary case-1 converse with all three targets enabled
+#: and the ``semsec verify`` report. The digests hold for glibc's libm.
+SLOPE_PINS = {
+    ("binary-case1-targets", "csv"): "33dc64133e12a9fb7b5adb8b3c2a4b8243f015044673ae232104467f40810bbe",
+    ("binary-case1-targets", "json"): "1825fd81893bd293003020a50bb7a8f8233d09363f22d82bc970b91860645ad0",
+    ("fig5_case1_rk0", "csv"): "17d79398e58525c9ecab81541d80b87bb3c0cbeabae9bf1c67e816e32fb81009",
+    ("fig5_case1_rk0", "json"): "72e9b3887ffd9f1a42d72fa5672d344e51a5deaf0883643281cfed2dc4ca191b",
+    ("fig5_case1_rk0.1", "csv"): "da4a4bc5a12e5f6f4c4ef6fc7eba525e841e4680d56825632fd1cc195a965df6",
+    ("fig5_case1_rk0.1", "json"): "9b211448a3c301ace7561b4df88aeddb47a5a0a613fb09c6de3f54666a231c48",
+    ("fig5_case2_rk0", "csv"): "c7f8d21ec314607332fd6777b8e00240b867ff29a7633afcd52b6b2d8e138b64",
+    ("fig5_case2_rk0", "json"): "8b6d61f58d1b4f063c6010a6babf7348a7138a5d29107904198ef853c63eade1",
+    ("fig5_case2_rk0.1", "csv"): "394004a27f901ca18c34aefe10715e46417066596d86e57123eca16545353860",
+    ("fig5_case2_rk0.1", "json"): "3dd01e15c5fe33a8dc7fc7733d8f5b3abb4e146af0a94a06674b5f1b3a626459",
+    ("verify", "json"): "6fba86c70f16ba3a9c8f3058e6596a20575207b71e29e3179c163f374065e566",
+}
+
+
+@pytest.mark.parametrize("which, fmt", sorted(SLOPE_PINS))
+def test_secrecy_slope_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
+    if which.startswith("fig5"):  # one file per (case, key rate) variant
+        argv = ["curve", "--preset", "binary-tradeoff-fig5",
+                "--out", str(tmp_path / f"fig5.{fmt}")]
+    elif which == "verify":
+        argv = ["verify"]
+    else:
+        path = tmp_path / "targets.json"
+        dump_config(RunConfig(model="binary", mode="converse", cases=(1,),
+                              delta_s=0.9, delta_u=0.5, delta_su=1.2), path)
+        argv = ["converse", "--config", str(path)]
+    if which != "verify":
+        argv += ["--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if which.startswith("fig5"):
+        out = (tmp_path / f"{which}.{fmt}").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == SLOPE_PINS[which, fmt]
+
+
 class TestCurveCommand:
     def test_variant_files_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a" / "fig5.csv"

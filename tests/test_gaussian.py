@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import converse_oracle
 import gram_oracle
 import semsec.gaussian as gaussian_mod
 from semsec import (
@@ -24,7 +25,6 @@ from semsec import (
     gaussian_rdf_obs,
     gaussian_rdf_sem,
     inner_bound_scan,
-    secrecy_term,
 )
 from semsec.cli import _render_surfaces
 from semsec.config import RunConfig
@@ -404,19 +404,13 @@ class TestGaussianRdf:
 
 class TestSecrecyTerm:
     def test_zero_power_share(self):
-        assert secrecy_term(default_channel(), 0.0) == 0.0
+        assert converse_oracle.gaussian_slope(default_channel(), 0.0) == 0.0
 
-    def test_monotone_and_pin(self):
-        ch = default_channel()
-        betas = np.linspace(0.0, 1.0, 11)
-        vals = [secrecy_term(ch, b) for b in betas]
-        assert np.all(np.diff(vals) > 0)
-        assert vals[-1] == pytest.approx(C_SECRECY, abs=1e-12)
+    def test_secrecy_capacity_pin(self):
+        assert default_channel().secrecy_capacity == pytest.approx(C_SECRECY, abs=1e-12)
 
     def test_no_degradation_no_secrecy(self):
-        ch = WiretapChannelGaussian(1.0, 0.1, 0.0)
-        for b in (0.2, 1.0):
-            assert secrecy_term(ch, b) == pytest.approx(0.0, abs=1e-15)
+        assert WiretapChannelGaussian(1.0, 0.1, 0.0).secrecy_capacity == 0.0
 
 
 class TestConverseCaps:
@@ -435,13 +429,6 @@ class TestConverseCaps:
         base = converse_equivocation_caps(src, ch, 0.5, 0.6, r=0.05)
         keyed = converse_equivocation_caps(src, ch, 0.5, 0.6, r=0.05, R_k=0.25)
         assert keyed.raw_delta_s - base.raw_delta_s == pytest.approx(0.25, abs=1e-12)
-
-    def test_case1_power_split_fixed(self):
-        src, ch = default_source(), default_channel()
-        with pytest.raises(DomainError):
-            converse_equivocation_caps(src, ch, 0.5, 0.6, r=1.0, case=1, beta2=0.5)
-        caps = converse_equivocation_caps(src, ch, 0.5, 0.6, r=1.0, case=1, beta2=1.0)
-        assert caps.raw_delta_u == caps.raw_delta_u  # well-defined
 
     def test_case1_floor_propagates(self):
         with pytest.raises(InfeasibleError):

@@ -18,22 +18,24 @@ from hypothesis import strategies as st
 
 from semsec import (
     DISABLED,
+    DomainError,
     EquivocationTargets,
     SemanticSourceBinary,
     SemanticSourceGaussian,
     WiretapChannelBinary,
     WiretapChannelGaussian,
+    binary_converse_caps,
     binary_min_r,
     binary_rdf_joint,
     binary_rdf_obs,
     binary_rdf_sem,
-    binary_secrecy_term,
+    converse_equivocation_caps,
     converse_min_r,
     converse_surface,
+    delta_s_curve,
     gaussian_rdf_joint,
     gaussian_rdf_obs,
     gaussian_rdf_sem,
-    secrecy_term,
 )
 import semsec.gaussian as gaussian_mod
 from semsec.regions import min_ratio
@@ -72,25 +74,25 @@ def binary_points(draw):
 
 
 def _gaussian_terms(src, ch, d_s, d_u, case):
-    """(joint RDF, capacity, slope, {name: (entropy term, RDF)}) at default betas."""
+    """(joint RDF, capacity, slope, {name: (entropy term, RDF)})."""
     r_j = gaussian_rdf_joint(src, d_s, d_u, case)
     comps = {
         "delta_s": (src.h_s, gaussian_rdf_sem(src, d_s, case)),
         "delta_u": (src.h_u, gaussian_rdf_obs(src, d_u)),
         "delta_su": (src.h_su, r_j),
     }
-    return r_j, ch.capacity_main, secrecy_term(ch, 1.0), comps
+    return r_j, ch.capacity_main, ch.secrecy_capacity, comps
 
 
 def _binary_terms(src, ch, d_s, d_u, case):
-    """(joint RDF, capacity, slope, {name: (entropy term, RDF)}) at default gammas."""
+    """(joint RDF, capacity, slope, {name: (entropy term, RDF)})."""
     r_j = binary_rdf_joint(src.alpha, d_s, d_u, case)
     comps = {
         "delta_s": (1.0, binary_rdf_sem(src.alpha, d_s, case)),
         "delta_u": (src.h_alpha, binary_rdf_obs(src.alpha, d_u)),
         "delta_su": (src.h_alpha + 1.0, r_j),
     }
-    return r_j, ch.capacity_main, binary_secrecy_term(ch, 0.0), comps
+    return r_j, ch.capacity_main, ch.secrecy_capacity, comps
 
 
 MODELS = {
@@ -166,23 +168,90 @@ def test_binding_names_the_maximal_term(model, data):
     assert cands[res.binding] == res.r_min
 
 
+#: model: (oracle slope at a split, the split where it is the secrecy
+#: capacity, the oracle's minimal ratio at a given slope)
+SPLITS = {
+    "gaussian": (oracle.gaussian_slope, 1.0, oracle.converse_min_r),
+    "binary": (oracle.binary_slope, 0.0, oracle.binary_min_r),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SPLITS))
+@PROPERTY
+@given(data=st.data())
+def test_no_split_beats_the_secrecy_capacity(model, data):
+    # Why the converse takes no power share or time-sharing parameter: no
+    # split has a larger secrecy slope than the channel's secrecy capacity,
+    # so none gives a smaller minimal ratio; any other is no lower bound.
+    min_r, src, ch, d_s, d_u, tg, case = _draw(data, model)
+    slope_at, extreme, oracle_min_r = SPLITS[model]
+    bits = np.array([slope_at(ch, extreme), ch.secrecy_capacity]).view(np.int64)
+    assert bits[0] == bits[1]
+    slope = slope_at(ch, data.draw(st.floats(0.0, 1.0)))
+    # Each slope carries a few ulps of rounding from its log terms, so next to
+    # the extreme split (beta = 1 - 2**-53, or gamma = 1, where H_b(1 - x)
+    # meets H_b(x)) the oracle can exceed the capacity by that much.
+    assert slope <= ch.secrecy_capacity + 16 * math.ulp(max(ch.capacity_main, 1.0))
+    slope = min(slope, ch.secrecy_capacity)
+    ours = min_r(src, ch, d_s, d_u, tg, case=case)
+    split = oracle_min_r(src, ch, d_s, d_u, tg, case=case, slope=slope)
+    if not ours.feasible:
+        assert not split.feasible
+    if split.feasible:
+        assert split.r_min >= ours.r_min
+
+
 def test_slope_is_evaluated_only_for_unmet_targets():
-    def no_slope(split):
-        raise AssertionError(f"slope evaluated at {split}")
+    class Channel:
+        capacity_main = 2.0
+
+        @property
+        def secrecy_capacity(self):
+            raise AssertionError("secrecy capacity read")
 
     def comps(rdf):
         rdf = np.array([[rdf]])
-        return (("delta_s", 1.0, rdf, 0.0), ("delta_u", 1.0, rdf, 0.0),
-                ("delta_su", 2.0, rdf, 0.0))
+        return (("delta_s", 1.0, rdf), ("delta_u", 1.0, rdf), ("delta_su", 2.0, rdf))
 
     met = EquivocationTargets(0.5, DISABLED, 1.0)
-    res = min_ratio(np.array([[0.5]]), 2.0, comps(0.5), met, no_slope, [None]).cell(0, 0)
+    res = min_ratio(Channel(), met, np.array([[0.5]]), comps(0.5), [None]).cell(0, 0)
     assert res.feasible and res.r_min == 0.25 and res.binding == "rate"
     # An unmet target on a cell out of the encoder's reach is never priced.
     unmet = EquivocationTargets(3.0, DISABLED, DISABLED)
-    res = min_ratio(np.array([[np.inf]]), 2.0, comps(np.inf), unmet, no_slope,
+    res = min_ratio(Channel(), unmet, np.array([[np.inf]]), comps(np.inf),
                     ["below the floor"]).cell(0, 0)
     assert res.reason == "distortion_infeasible: below the floor"
+
+
+def _gaussian_caps(**rates):
+    return converse_equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
+                                      WiretapChannelGaussian(1.0, 0.1, 0.4), 0.5, 0.6, **rates)
+
+
+def _gaussian_caps_no_leak(**rates):
+    # P_N2 = 0: a zero secrecy capacity, so an infinite r would give inf * 0.
+    return converse_equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
+                                      WiretapChannelGaussian(1.0, 0.1, 0.0), 0.5, 0.6, **rates)
+
+
+def _binary_caps(**rates):
+    return binary_converse_caps(SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3),
+                                0.3, 0.25, case=1, **rates)
+
+
+def _binary_curve(**rates):
+    return delta_s_curve(SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3), case=1,
+                         **rates)
+
+
+@pytest.mark.parametrize("entry", [_gaussian_caps, _gaussian_caps_no_leak, _binary_caps,
+                                   _binary_curve], ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("name", ("r", "R_k"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0), ids=("nan", "inf", "negative"))
+def test_rates_must_be_finite_and_nonnegative(entry, name, bad):
+    rates = {"r": 1.0, "R_k": 0.0, name: bad}
+    with pytest.raises(DomainError, match="must be finite and nonnegative"):
+        entry(**rates)
 
 
 def test_overflowing_secrecy_ratio_is_infeasible():
@@ -237,35 +306,26 @@ def binary_grids(draw):
     return src, ch, draw(st.permutations(d_s)), draw(st.permutations(d_u))
 
 
-def _splits(data, case, free_default):
-    """A random first split and a second one that the case allows."""
-    first = data.draw(st.floats(0.0, 1.0))
-    if case == 1:
-        return first, data.draw(st.sampled_from((None, free_default)))
-    return first, data.draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
-
-
-#: model: (grids, scalar minimal ratio, its oracle, default second split)
+#: model: (grids, scalar minimal ratio, its oracle)
 GRIDS = {
-    "gaussian": (gaussian_grids(), converse_min_r, oracle.converse_min_r, 1.0),
-    "binary": (binary_grids(), binary_min_r, oracle.binary_min_r, 0.0),
+    "gaussian": (gaussian_grids(), converse_min_r, oracle.converse_min_r),
+    "binary": (binary_grids(), binary_min_r, oracle.binary_min_r),
 }
 
 
 def _check_against_oracle(model, data):
-    points, min_r, oracle_min_r, free_default = GRIDS[model]
+    points, min_r, oracle_min_r = GRIDS[model]
     src, ch, d_s, d_u = data.draw(points)
     tg, case = data.draw(targets), data.draw(st.sampled_from((1, 2)))
     got = converse_surface(src, ch, tg, case, d_s, d_u)
     want, feasible = oracle.converse_surface(src, ch, tg, case, d_s, d_u)
     np.testing.assert_array_equal(got.feasible, feasible)
     np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64))
-    s1, s2 = _splits(data, case, free_default)
     blocked = set()
     for t_s in d_s:
         for t_u in d_u:
-            res = min_r(src, ch, t_s, t_u, tg, s1, s2, case=case)
-            assert res == oracle_min_r(src, ch, t_s, t_u, tg, s1, s2, case=case)
+            res = min_r(src, ch, t_s, t_u, tg, case=case)
+            assert res == oracle_min_r(src, ch, t_s, t_u, tg, case=case)
             blocked.add(str(res.reason).startswith("distortion_infeasible"))
     # The grid straddles the case-1 floor.
     assert blocked == ({False, True} if case == 1 else {False})
