@@ -1,9 +1,11 @@
 """Binary model: closed-form converse bounds and the distortion tradeoff curve."""
 
+import converse_oracle as oracle
 import numpy as np
 import pytest
 
 from semsec import (
+    DISABLED,
     DiscreteSemanticSource,
     DomainError,
     EquivocationTargets,
@@ -61,6 +63,16 @@ class TestTypes:
 class TestSecrecyTerm:
     def test_gamma_zero_pin(self):
         assert default_channel().secrecy_capacity == pytest.approx(SLOPE_GAMMA0, abs=1e-15)
+
+    def test_decreasing_in_gamma(self):
+        # The slope at a time-sharing gamma falls from the secrecy capacity
+        # at gamma = 0 to nothing at gamma = 1/2.
+        ch = default_channel()
+        gammas = np.linspace(0.0, 0.5, 11)
+        vals = [oracle.binary_slope(ch, g) for g in gammas]
+        assert vals[0] == ch.secrecy_capacity
+        assert np.all(np.diff(vals) < 0)
+        assert vals[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_degradation_no_secrecy(self):
         assert WiretapChannelBinary(0.1, 0.0).secrecy_capacity == 0.0
@@ -188,6 +200,23 @@ class TestTradeoffCurve:
         np.testing.assert_allclose(keyed.raw - base.raw, 0.1, atol=1e-12)
         if base.d_s_star is not None and keyed.d_s_star is not None:
             assert keyed.d_s_star <= base.d_s_star + 1e-15
+
+    def test_positive_gamma_never_helps(self):
+        # Each point of the curve is the equivocation reached at r = 1 with
+        # the secrecy capacity as slope; at the slope of gamma = 0.2 the
+        # same equivocation needs a ratio of at least 1.
+        src, ch = default_source(), default_channel()
+        grid = np.linspace(0.26, 0.49, 50)
+        base = delta_s_curve(src, ch, r=1.0, case=1, d_s_grid=grid)
+        tilted_slope = oracle.binary_slope(ch, 0.2)
+        assert tilted_slope < ch.secrecy_capacity
+        for d_s, raw in zip(grid.tolist(), base.raw.tolist()):
+            tg = EquivocationTargets(raw, DISABLED, DISABLED)
+            comps = (("delta_s", 1.0, binary_rdf_sem(src.alpha, d_s, 1)),)
+            at_cap = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, ch.secrecy_capacity)
+            tilted = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, tilted_slope)
+            assert at_cap.r_min == pytest.approx(1.0, abs=1e-12)
+            assert tilted.r_min >= at_cap.r_min - 1e-12
 
     def test_rows(self):
         src, ch = default_source(), default_channel()
