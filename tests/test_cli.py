@@ -237,6 +237,32 @@ def test_secrecy_slope_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SLOPE_PINS[which, fmt]
 
 
+#: sha256 of ``semsec rdf`` artifacts, both cases per file, frozen while the
+#: command still branched on the model and called the scalar RDFs: one
+#: distortion pair below the case-1 floor and one above it per model. The
+#: digests hold for glibc's libm.
+RDF_PINS = {
+    ("binary", 0.1, 0.25, "csv"): "c7598ea6c9681207aed8a551ea437505a89b36e68845d09ef2bb5be18834a363",
+    ("binary", 0.1, 0.25, "json"): "8a428f65476e524eb4fa25af245567283056724655e92feeda1bb4151edd92b2",
+    ("binary", 0.3, 0.25, "csv"): "2f35fe82212e2fbf0f6c563d932db2ca6ca9d6f8b805c4d0051fa134771d314e",
+    ("binary", 0.3, 0.25, "json"): "d8268a5feddcc95a3d5fb66f61d67c54576a1cbd0ccfdf18aa2bdbeeb2c4617f",
+    ("gaussian", 0.2, 0.6, "csv"): "147a3528b45849c5feca451ae7e58eb7d8e32fdd0319f5ed12a01ae8fc88401c",
+    ("gaussian", 0.2, 0.6, "json"): "8adb80102ccc88356777075964de660e3c99d85af82a1bb076ea5757319155c5",
+    ("gaussian", 0.5, 0.6, "csv"): "07ab0fdb4a9d89b49db3901f7247fc20d931a73b98a604236f316db71fa935d3",
+    ("gaussian", 0.5, 0.6, "json"): "bada4023786cbec7ad287b3662e170826924e715a0d0a413cdc964f899b0b837",
+}
+
+
+@pytest.mark.parametrize("model, d_s, d_u, fmt", sorted(RDF_PINS))
+def test_rdf_artifact_bytes_are_pinned(model, d_s, d_u, fmt, tmp_path, capsys):
+    path = tmp_path / "rdf.json"
+    dump_config(RunConfig(model=model, cases=(1, 2)), path)
+    code, out, _ = run_cli(["rdf", "--config", str(path), "--d-s", str(d_s),
+                            "--d-u", str(d_u), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RDF_PINS[model, d_s, d_u, fmt]
+
+
 class TestCurveCommand:
     def test_variant_files_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a" / "fig5.csv"
