@@ -12,7 +12,6 @@ channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,9 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 from .info import binary_entropy, star
-from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
+from .rdf import _binary_joint, _binary_obs, _binary_sem
 from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
-                      _finite_nonnegative, equivocation_caps, min_ratio)
+                      _finite_nonnegative, equivocation_caps, min_ratio, rdf_components)
 
 __all__ = [
     "SemanticSourceBinary",
@@ -88,30 +87,19 @@ class WiretapChannelBinary:
 
 
 def _components(src, d_s, d_u, case):
-    """Joint RDF (n, m), the (name, entropy, RDF) converse components and,
-    per D_s, the reason the case-1 floor puts it out of reach (None where it
-    does not) over the grid ``d_s`` x ``d_u``.
-
-    The marginals take one scalar call per axis point. The case-1 joint is
-    their maximum; the case-2 joint is one cached solve per cell. The
-    observation component uses the conditional entropy H_b(alpha).
-    """
-    r_s = np.array([binary_rdf_sem(src.alpha, d, case) for d in d_s])[:, None]
-    blocked = [
-        f"restricted encoder cannot reach semantic distortion {d} < alpha {src.alpha}"
-        if math.isinf(r) else None
-        for d, r in zip(d_s, r_s[:, 0].tolist())
-    ]
-    r_u = np.array([binary_rdf_obs(src.alpha, d) for d in d_u])[None, :]
-    if case == 1:
-        r_j = np.maximum(r_s, r_u)
-    else:
-        r_j = np.array([[binary_rdf_joint(src.alpha, a, b, case) for b in d_u] for a in d_s])
+    """Joint RDF, the (name, entropy, RDF) converse components and the
+    case-1 floor mask at the broadcastable distortions ``d_s`` and ``d_u``
+    (see :func:`semsec.regions.rdf_components`). The observation component
+    uses the conditional entropy H_b(alpha)."""
+    alpha = float(src.alpha)
+    r_s = _binary_sem(alpha, d_s, case)
+    r_u = _binary_obs(alpha, d_u)
+    r_j = _binary_joint(alpha, d_s, d_u, case, r_s, r_u)
     return r_j, (
         ("delta_s", 1.0, r_s),
         ("delta_u", src.h_alpha, r_u),
         ("delta_su", src.h_alpha + 1.0, r_j),
-    ), blocked
+    ), np.isinf(r_s)
 
 
 def binary_converse_caps(
@@ -130,7 +118,7 @@ def binary_converse_caps(
     additionally clamped at the unconditional entropy of its component —
     1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
     """
-    _, comps, blocked = _components(src, [target_s], [target_u], case)
+    _, comps, blocked = rdf_components(src, target_s, target_u, case)
     return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
@@ -146,9 +134,9 @@ def binary_min_r(
 
     Maximum of the joint-RDF-over-capacity bound and the secrecy-driven
     bound of every enabled equivocation target not already met at r = 0.
-    This is the surface evaluation on a 1x1 grid.
+    This is :func:`semsec.regions.min_ratio` at one cell.
     """
-    return min_ratio(ch, targets, *_components(src, [target_s], [target_u], case)).cell(0, 0)
+    return min_ratio(ch, targets, *rdf_components(src, target_s, target_u, case)).cell()
 
 
 def delta_s_curve(
@@ -183,10 +171,7 @@ def delta_s_curve(
         raise DomainError(
             f"case-1 grid must start above the distortion floor alpha = {src.alpha}"
         )
-    slope = ch.secrecy_capacity
-    raw = np.empty(len(grid))
-    for i, d_s in enumerate(grid):
-        raw[i] = R_k + r * slope + 1.0 - binary_rdf_sem(src.alpha, float(d_s), case)
+    raw = R_k + r * ch.secrecy_capacity + 1.0 - _binary_sem(float(src.alpha), grid, case)
     clamped = np.minimum(raw, 1.0)
     capped = raw > 1.0
     star_idx = np.flatnonzero(capped)

@@ -41,15 +41,9 @@ from .config import (
     resolve_distortion_grid,
     _encode,
 )
-from .errors import DomainError, InfeasibleError, ValidationError
-from .gaussian import (
-    gaussian_rdf_joint,
-    gaussian_rdf_obs,
-    gaussian_rdf_sem,
-    inner_bound_scan,
-)
-from .rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
-from .regions import converse_surface
+from .errors import DomainError, ValidationError
+from .gaussian import inner_bound_scan
+from .regions import converse_surface, rdf_components
 from .verify import run_verification
 
 ARTIFACT_MARKER = "# semsec-artifact v2"
@@ -269,20 +263,11 @@ def _cmd_rdf(args) -> int:
     columns = ("case", "D_s", "D_u", "feasible", "R_s", "R_u", "R_joint")
     rows = []
     for case in cfg.cases:
-        try:
-            if cfg.model == "gaussian":
-                r_s = gaussian_rdf_sem(src, d_s, case)
-                r_u = gaussian_rdf_obs(src, d_u)
-                r_j = gaussian_rdf_joint(src, d_s, d_u, case)
-            else:
-                r_s = binary_rdf_sem(src.alpha, d_s, case)
-                r_u = binary_rdf_obs(src.alpha, d_u)
-                r_j = binary_rdf_joint(src.alpha, d_s, d_u, case)
-            if not np.isfinite(r_s):
-                raise InfeasibleError("semantic distortion below the case-1 floor")
-            rows.append((case, d_s, d_u, True, r_s, r_u, r_j))
-        except InfeasibleError:
+        r_j, ((_, _, r_s), (_, _, r_u), _), blocked = rdf_components(src, d_s, d_u, case)
+        if blocked:
             rows.append((case, d_s, d_u, False, None, None, None))
+        else:
+            rows.append((case, d_s, d_u, True, float(r_s), float(r_u), float(r_j)))
     _emit(_render(columns, rows, cfg, args.format), args.out)
     if not any(row[3] for row in rows):
         return 3

@@ -30,7 +30,8 @@ from numpy.random import SeedSequence, default_rng
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
-                      RegionSurface, equivocation_caps, min_ratio)
+                      RegionSurface, _distortions, equivocation_caps, min_ratio,
+                      rdf_components)
 
 __all__ = [
     "SemanticSourceGaussian",
@@ -161,18 +162,46 @@ class WiretapChannelGaussian:
 # ---------------------------------------------------------------------------
 
 
-def _log2_plus(x: float) -> float:
-    """max(0, log2 x); nonpositive arguments mean a slack constraint (0)."""
-    if x <= 1.0:
-        return 0.0
-    return math.log2(x)
+def _half_log2_plus(x) -> np.ndarray:
+    """0.5 * max(0, log2 x) of every element, with libm's ``log2`` bits; an
+    argument at most 1 means a slack constraint (0)."""
+    x = np.asarray(x)
+    out = np.zeros(x.shape)
+    big = ~(x <= 1.0)
+    out[big] = 0.5 * np.fromiter(map(math.log2, x[big].tolist()), float)
+    return out
+
+
+def _rdf_obs(src, d_u) -> np.ndarray:
+    """Observation-part RDF at every distortion in ``d_u``."""
+    return _half_log2_plus(src.P_u / _distortions(d_u, positive=True))
+
+
+def _rdf_sem(src, d_s, case: int):
+    """Semantic-part RDF at every distortion in ``d_s``, and the mask of those
+    the case-1 floor puts out of reach (where the RDF is +inf)."""
+    d_s = _distortions(d_s, positive=True)
+    if case == 2:
+        return _half_log2_plus(src.P_s / d_s), np.zeros(d_s.shape, dtype=bool)
+    if case != 1:
+        raise DomainError(f"case must be 1 or 2, got {case}")
+    floor = (1.0 - src.rho2) * src.P_s
+    blocked = d_s <= floor
+    arg = np.divide(src.rho2 * src.P_s, d_s - floor, out=np.ones(d_s.shape), where=~blocked)
+    return np.where(blocked, np.inf, _half_log2_plus(arg)), blocked
+
+
+def _check_reach(src, target_s, blocked) -> None:
+    if blocked:
+        raise InfeasibleError(
+            f"restricted encoder cannot reach semantic distortion {target_s} "
+            f"<= floor {(1.0 - src.rho2) * src.P_s}"
+        )
 
 
 def gaussian_rdf_obs(src: SemanticSourceGaussian, target_u: float) -> float:
     """Observation-part RDF: half log-plus of P_u over the distortion."""
-    if target_u <= 0.0:
-        raise DomainError(f"distortion must be positive, got {target_u}")
-    return 0.5 * _log2_plus(src.P_u / target_u)
+    return float(_rdf_obs(src, target_u))
 
 
 def gaussian_rdf_sem(src: SemanticSourceGaussian, target_s: float, case: int) -> float:
@@ -182,96 +211,18 @@ def gaussian_rdf_sem(src: SemanticSourceGaussian, target_s: float, case: int) ->
     Case 1 (access through U only): feasible only above the residual floor
     (1 - rho^2) P_s, where the rate is driven by the explainable variance.
     """
-    if target_s <= 0.0:
-        raise DomainError(f"distortion must be positive, got {target_s}")
-    if case == 2:
-        return 0.5 * _log2_plus(src.P_s / target_s)
-    if case == 1:
-        floor = (1.0 - src.rho2) * src.P_s
-        if target_s <= floor:
-            raise InfeasibleError(
-                f"restricted encoder cannot reach semantic distortion {target_s} "
-                f"<= floor {floor}"
-            )
-        return 0.5 * _log2_plus(src.rho2 * src.P_s / (target_s - floor))
-    raise DomainError(f"case must be 1 or 2, got {case}")
+    r_s, blocked = _rdf_sem(src, target_s, case)
+    _check_reach(src, target_s, blocked)
+    return float(r_s)
 
 
 def gaussian_rdf_joint(
     src: SemanticSourceGaussian, target_s: float, target_u: float, case: int
 ) -> float:
-    """Joint RDF under both distortion constraints.
-
-    Case 1 is the maximum of the two marginal RDFs. Case 2 selects among
-    four regimes depending on which constraints are active: semantic-
-    dominant, observation-dominant, weak-correlation product form, and the
-    intermediate form with the correlation correction term. The deficit
-    terms clamp at zero when a distortion exceeds the component variance.
-    """
-    if target_s <= 0.0 or target_u <= 0.0:
-        raise DomainError("distortions must be positive")
-    _, _, r_j, blocked = _rdf_grid(src, [target_s], [target_u], case)
-    if blocked[0] is not None:
-        raise InfeasibleError(blocked[0])
-    return float(r_j[0, 0])
-
-
-def _half_log2_plus(x: np.ndarray) -> np.ndarray:
-    """``0.5 * _log2_plus`` of every element, with libm's ``log2`` bits."""
-    out = np.zeros(x.shape)
-    big = ~(x <= 1.0)
-    out[big] = 0.5 * np.fromiter(map(math.log2, x[big].tolist()), float)
-    return out
-
-
-def _rdf_grid(src, d_s, d_u, case):
-    """Semantic (n, 1), observation (1, m) and joint (n, m) RDFs over the
-    grid ``d_s`` x ``d_u``, and per D_s the reason the case-1 floor puts it
-    out of reach (None where it does not; its semantic RDF is then +inf).
-
-    The marginals take one scalar call per axis point; only the joint is per
-    cell, as array expressions whose bits match the scalar closed form.
-    """
-    r_s, blocked = [], []
-    for d in d_s:
-        try:
-            r_s.append(gaussian_rdf_sem(src, d, case))
-            blocked.append(None)
-        except InfeasibleError as exc:
-            r_s.append(math.inf)
-            blocked.append(str(exc))
-    r_s = np.array(r_s)[:, None]
-    r_u = np.array([gaussian_rdf_obs(src, d) for d in d_u])[None, :]
-    if case == 1:
-        return r_s, r_u, np.maximum(r_s, r_u), blocked
-    ps, pu, rho2 = src.P_s, src.P_u, src.rho2
-    det_k = max(src.det_k, 0.0)
-    t_s = np.array(d_s, dtype=float)[:, None]
-    t_u = np.array(d_u, dtype=float)[None, :]
-    dhs = np.maximum(ps - t_s, 0.0)
-    dhu = np.maximum(pu - t_u, 0.0)
-    # The four regimes, tested in this order per cell.
-    sem = (dhs > 0.0) & (rho2 * dhs * pu > dhu * ps)
-    obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
-    deficit = dhs * dhu
-    weak = ~(sem | obs) & (rho2 * ps * pu < deficit)
-    mid = ~(sem | obs | weak)
-    area = t_s * t_u
-    arg = np.ones(area.shape)
-    arg[weak] = det_k / area[weak]
-    if mid.any():
-        # ``**`` is libm's pow, which can differ from x * x in the last bit.
-        base = math.sqrt(rho2 * ps * pu) - np.sqrt(deficit[mid])
-        corr = np.fromiter(map(pow, base.tolist(), itertools.repeat(2)), float)
-        denom = area[mid] - corr
-        if np.any(denom <= 0.0):
-            i, j = np.argwhere(mid)[np.argmax(denom <= 0.0)]
-            raise DomainError(
-                f"joint-RDF regime selection degenerate at ({d_s[i]}, {d_u[j]})"
-            )
-        arg[mid] = det_k / denom
-    r_j = np.where(sem, r_s, np.where(obs, r_u, _half_log2_plus(arg)))
-    return r_s, r_u, r_j, blocked
+    """Joint RDF under both distortion constraints (see :func:`_components`)."""
+    r_j, _, blocked = _components(src, target_s, target_u, case)
+    _check_reach(src, target_s, blocked)
+    return float(r_j)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +232,55 @@ def _rdf_grid(src, d_s, d_u, case):
 
 def _components(src, d_s, d_u, case):
     """Joint RDF, the (name, entropy, RDF) converse components and the
-    case-1 floor reasons, over the grid ``d_s`` x ``d_u`` (see :func:`_rdf_grid`)."""
-    r_s, r_u, r_j, blocked = _rdf_grid(src, d_s, d_u, case)
+    case-1 floor mask at the broadcastable distortions ``d_s`` and ``d_u``
+    (see :func:`semsec.regions.rdf_components`). Case 1's joint RDF is the
+    maximum of the two marginals."""
+    r_s, blocked = _rdf_sem(src, d_s, case)
+    r_u = _rdf_obs(src, d_u)
+    r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(src, d_s, d_u, r_s, r_u)
     return r_j, (
         ("delta_s", src.h_s, r_s),
         ("delta_u", src.h_u, r_u),
         ("delta_su", src.h_su, r_j),
     ), blocked
+
+
+def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
+    """Case-2 joint RDF at the broadcastable distortions, given the marginals.
+
+    Four regimes per cell, depending on which constraints are active:
+    semantic-dominant, observation-dominant, weak-correlation product form,
+    and the intermediate form with the correlation correction term. The
+    deficit terms clamp at zero when a distortion exceeds the component
+    variance. Every value keeps the bits of the scalar closed form.
+    """
+    ps, pu, rho2 = src.P_s, src.P_u, src.rho2
+    det_k = max(src.det_k, 0.0)
+    t_s, t_u = np.asarray(d_s, dtype=float), np.asarray(d_u, dtype=float)
+    dhs = np.maximum(ps - t_s, 0.0)
+    dhu = np.maximum(pu - t_u, 0.0)
+    # The four regimes, tested in this order per cell.
+    sem = (dhs > 0.0) & (rho2 * dhs * pu > dhu * ps)
+    obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
+    deficit = np.asarray(dhs * dhu)
+    weak = ~(sem | obs) & (rho2 * ps * pu < deficit)
+    mid = ~(sem | obs | weak)
+    area = np.asarray(t_s * t_u)
+    arg = np.ones(area.shape)
+    arg[weak] = det_k / area[weak]
+    if mid.any():
+        # ``**`` is libm's pow, which can differ from x * x in the last bit.
+        base = math.sqrt(rho2 * ps * pu) - np.sqrt(deficit[mid])
+        corr = np.fromiter(map(pow, base.tolist(), itertools.repeat(2)), float)
+        denom = area[mid] - corr
+        if np.any(denom <= 0.0):
+            at = tuple(np.argwhere(mid)[np.argmax(denom <= 0.0)])
+            raise DomainError(
+                f"joint-RDF regime selection degenerate at "
+                f"({np.broadcast_to(t_s, mid.shape)[at]}, {np.broadcast_to(t_u, mid.shape)[at]})"
+            )
+        arg[mid] = det_k / denom
+    return np.where(sem, r_s, np.where(obs, r_u, _half_log2_plus(arg)))
 
 
 def converse_equivocation_caps(
@@ -307,7 +300,7 @@ def converse_equivocation_caps(
     :class:`EquivocationCaps` for both values and the clamp flags).
     Infeasible distortions propagate as :class:`InfeasibleError`.
     """
-    _, comps, blocked = _components(src, [target_s], [target_u], case)
+    _, comps, blocked = rdf_components(src, target_s, target_u, case)
     return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
@@ -325,9 +318,9 @@ def converse_min_r(
     capacity) and, for each enabled equivocation target not already met at
     r = 0, the secrecy-driven bound. Infeasible when an unmet target meets a
     zero secrecy capacity, or when the distortion pair itself is infeasible.
-    This is :func:`converse_surface` on a 1x1 grid.
+    This is :func:`semsec.regions.min_ratio` at one cell.
     """
-    return min_ratio(ch, targets, *_components(src, [target_s], [target_u], case)).cell(0, 0)
+    return min_ratio(ch, targets, *rdf_components(src, target_s, target_u, case)).cell()
 
 
 # ---------------------------------------------------------------------------

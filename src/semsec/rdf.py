@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .info import LN2, Pmf, binary_entropy
+from .regions import _distortions
 
 __all__ = [
     "DiscreteSemanticSource",
@@ -732,69 +733,80 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _binary_obs(alpha: float, d_u) -> np.ndarray:
+    """Observation-part RDF at every distortion in ``d_u``: H_b(alpha) - H_b(D_u)
+    for D_u <= alpha, else 0."""
+    d_u = _distortions(d_u, positive=False)
+    out = np.zeros(d_u.shape)
+    near = d_u <= alpha
+    out[near] = binary_entropy(alpha) - binary_entropy(d_u[near])
+    return out
+
+
+def _binary_sem(alpha: float, d_s, case: int) -> np.ndarray:
+    """Semantic-part RDF at every distortion in ``d_s``; +inf below case 1's
+    floor alpha."""
+    d_s = _distortions(d_s, positive=False)
+    out = np.zeros(d_s.shape)
+    near = d_s <= 0.5 if case == 2 else d_s < 0.5
+    if case == 2:
+        out[near] = 1.0 - binary_entropy(d_s[near])
+    elif case == 1:
+        out[d_s < alpha] = np.inf
+        near &= d_s >= alpha
+        out[near] = 1.0 - binary_entropy((d_s[near] - alpha) / (1.0 - 2.0 * alpha))
+    else:
+        raise DomainError(f"case must be 1 or 2, got {case}")
+    return out
+
+
+def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
+    """Joint RDF at the broadcastable distortions, given the marginals.
+
+    Case 1 is their maximum. Case 2 is one cached solve of the 2x2 joint
+    per point, and its value the solver's certified dual bound, a true lower
+    bound on the RDF. A solve that did not converge, or whose primal-dual
+    gap exceeds 1e-6, raises a :class:`RuntimeWarning` naming the point.
+    """
+    if case == 1:
+        return np.maximum(r_s, r_u)
+    a, b = np.broadcast_arrays(d_s, d_u)
+    out = np.empty(a.shape)
+    for k, (t_s, t_u) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
+        # R(D_u, D_s): the sorted pair shares one solve.
+        point = _binary_joint_case2_cached(float(alpha), *sorted((t_s, t_u)))
+        _warn_if_uncertified(
+            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({t_s}, {t_u})"
+        )
+        out.flat[k] = max(float(point.dual_bound), 0.0)
+    return out
+
+
 def binary_rdf_obs(alpha: float, target_u: float) -> float:
     """Observation-part RDF H_b(alpha) - H_b(D_u) for D_u <= alpha, else 0."""
-    alpha = _check_alpha(alpha)
-    if target_u < 0.0:
-        raise DomainError(f"distortion must be nonnegative, got {target_u}")
-    if target_u <= alpha:
-        return float(binary_entropy(alpha) - binary_entropy(target_u))
-    return 0.0
+    return float(_binary_obs(_check_alpha(alpha), target_u))
 
 
 def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
     """Semantic-part RDF; returns +inf for the infeasible restricted-encoder range."""
-    alpha = _check_alpha(alpha)
-    if target_s < 0.0:
-        raise DomainError(f"distortion must be nonnegative, got {target_s}")
-    if case == 2:
-        if target_s <= 0.5:
-            return float(1.0 - binary_entropy(target_s))
-        return 0.0
-    if case == 1:
-        if target_s >= 0.5:
-            return 0.0
-        if target_s < alpha:
-            return float("inf")
-        return float(1.0 - binary_entropy((target_s - alpha) / (1.0 - 2.0 * alpha)))
-    raise DomainError(f"case must be 1 or 2, got {case}")
+    return float(_binary_sem(_check_alpha(alpha), target_s, case))
 
 
 @lru_cache(maxsize=4096)
 def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoint:
-    # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
-    # R(D_u, D_s): callers pass the pair sorted and share one solve.
     src = DiscreteSemanticSource.doubly_symmetric(alpha)
     ham = hamming_distortion(2)
     return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
 
 
 def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) -> float:
-    """Joint binary RDF.
-
-    Case 1 is the closed-form maximum of the two marginal RDFs (infeasible
-    for D_s below the crossover). Case 2 has no closed form here and is
-    computed by the numeric two-constraint solver on the 2x2 joint; the
-    value returned is the solver's certified dual bound, a true lower bound
-    on the RDF, so a converse built on it stays valid. A solve that did not
-    converge, or whose primal-dual gap exceeds 1e-6, raises a
-    :class:`RuntimeWarning` naming the cell.
-    """
+    """Joint binary RDF (see :func:`_binary_joint`); infeasible for case 1
+    below the crossover."""
     alpha = _check_alpha(alpha)
-    if case == 1:
-        sem = binary_rdf_sem(alpha, target_s, 1)
-        if math.isinf(sem):
-            raise InfeasibleError(
-                f"restricted encoder cannot reach semantic distortion {target_s} < {alpha}"
-            )
-        return float(max(binary_rdf_obs(alpha, target_u), sem))
-    if case == 2:
-        if target_s < 0.0 or target_u < 0.0:
-            raise DomainError("distortions must be nonnegative")
-        lo, hi = sorted((float(target_s), float(target_u)))
-        point = _binary_joint_case2_cached(float(alpha), lo, hi)
-        _warn_if_uncertified(
-            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({target_s}, {target_u})"
+    r_s = _binary_sem(alpha, target_s, case)
+    if np.isinf(r_s):
+        raise InfeasibleError(
+            f"restricted encoder cannot reach semantic distortion {target_s} < {alpha}"
         )
-        return max(float(point.dual_bound), 0.0)
-    raise DomainError(f"case must be 1 or 2, got {case}")
+    return float(_binary_joint(alpha, target_s, target_u, case, r_s, _binary_obs(alpha, target_u)))

@@ -4,7 +4,9 @@ shared by the Gaussian and binary models.
 Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / C_s)``
 over the enabled targets, with C the main-channel capacity and C_s the
 secrecy capacity of the channel; a model supplies only its RDFs and entropy
-terms.
+terms, through :func:`rdf_components`. Every routine takes any two
+broadcastable distortion arrays: a grid is (n, 1) x (1, m), scattered points
+are (k,) x (k,), and two floats give one cell.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "RegionSurface",
     "TradeoffCurve",
     "min_ratio",
+    "rdf_components",
     "equivocation_caps",
     "converse_surface",
 ]
@@ -34,7 +37,7 @@ __all__ = [
 DISABLED = float("-inf")
 
 #: ``(target name, entropy term, RDF values)``, in the order delta_s,
-#: delta_u, delta_su; the RDF array broadcasts to the (D_s, D_u) grid.
+#: delta_u, delta_su; the RDF array broadcasts to the joint RDF's shape.
 Component = tuple[str, float, np.ndarray]
 
 
@@ -42,6 +45,17 @@ def _finite_nonnegative(name: str, value: float) -> None:
     """Reject NaN, infinite and negative rates with :class:`DomainError`."""
     if not 0.0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _distortions(d, positive: bool) -> np.ndarray:
+    """``d`` as a float array; :class:`DomainError` unless every entry is
+    finite and positive (or, if not ``positive``, nonnegative)."""
+    d = np.asarray(d, dtype=float)
+    ok = np.isfinite(d) & ((d > 0.0) if positive else (d >= 0.0))
+    if not ok.all():
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"distortions must be finite and {sign}, got {d[~ok].flat[0]}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -151,49 +165,64 @@ _DISTORTION, _RATE = 1, 2
 
 @dataclass(frozen=True)
 class RatioGrid:
-    """Minimal channel-use ratios over a (D_s, D_u) grid, with their verdicts.
+    """Minimal channel-use ratios at (D_s, D_u) cells, with their verdicts.
 
-    ``r_min`` is NaN where a cell is infeasible; ``binding`` indexes
-    :data:`BINDINGS` (meaningful where feasible); ``reason`` indexes
-    :data:`REASONS`, 0 where feasible. ``blocked`` holds, per D_s, why that
-    distortion is out of the encoder's reach (None where it is not).
+    The arrays share one shape: (n, m) for a grid, (k,) for scattered
+    points, () for one cell. ``r_min`` is NaN where a cell is infeasible;
+    ``binding`` indexes :data:`BINDINGS` (meaningful where feasible);
+    ``reason`` indexes :data:`REASONS`, 0 where feasible.
     """
 
     r_min: np.ndarray
     binding: np.ndarray
     reason: np.ndarray
-    blocked: Sequence[str | None]
 
     @property
     def feasible(self) -> np.ndarray:
         return self.reason == 0
 
-    def cell(self, i: int, j: int) -> MinRateResult:
-        code = int(self.reason[i, j])
+    def cell(self, *index: int) -> MinRateResult:
+        code = int(self.reason[index])
         if code == 0:
-            return MinRateResult(float(self.r_min[i, j]), True,
-                                 binding=BINDINGS[self.binding[i, j]])
-        if code == _DISTORTION:
-            return MinRateResult(None, False, reason=f"distortion_infeasible: {self.blocked[i]}")
+            return MinRateResult(float(self.r_min[index]), True,
+                                 binding=BINDINGS[self.binding[index]])
         return MinRateResult(None, False, reason=REASONS[code])
 
 
+def rdf_components(src, d_s, d_u, case: int):
+    """The model's joint RDF, its (name, entropy, RDF) converse components
+    and the mask of cells below the case-1 floor, at the distortions ``d_s``
+    and ``d_u``: any two broadcastable arrays, or floats.
+
+    The joint RDF and the mask have the broadcast shape; each component's
+    RDF broadcasts to it. This is the one evaluator behind every converse
+    entry point, the input :func:`min_ratio` and :func:`equivocation_caps`
+    take.
+    """
+    # Imported here because both model modules import this one.
+    from .binary import SemanticSourceBinary, _components as binary_components
+    from .gaussian import _components as gaussian_components
+
+    if isinstance(src, SemanticSourceBinary):
+        return binary_components(src, d_s, d_u, case)
+    return gaussian_components(src, d_s, d_u, case)
+
+
 def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
-              components: Sequence[Component], blocked: Sequence[str | None]) -> RatioGrid:
+              components: Sequence[Component], blocked: np.ndarray) -> RatioGrid:
     """Per cell, the maximum of the rate bound ``r_joint / ch.capacity_main``
     and, for each enabled target not met at r = 0, its need over
     ``ch.secrecy_capacity``.
 
-    ``r_joint`` is (n, m) and each component's RDF broadcasts to it; a D_s
-    row whose ``blocked`` entry is a reason is infeasible. The secrecy
-    capacity is read only for a target that some cell has not met. A cell
-    where a target's need over it is not a finite number (zero secrecy
-    capacity, or an overflowing ratio) is infeasible, named after the first
-    such target.
+    Each component's RDF and the ``blocked`` mask broadcast to ``r_joint``
+    (see :func:`rdf_components`); a blocked cell is out of the encoder's
+    reach. The secrecy capacity is read only for a target that some cell
+    has not met. A cell where a target's need over it is not a finite
+    number (zero secrecy capacity, or an overflowing ratio) is infeasible,
+    named after the first such target.
     """
     capacity = ch.capacity_main
-    reason = np.zeros(r_joint.shape, dtype=np.int8)
-    reason[[b is not None for b in blocked], :] = _DISTORTION
+    reason = np.where(np.broadcast_to(blocked, r_joint.shape), np.int8(_DISTORTION), np.int8(0))
     positive = r_joint > 0.0
     if capacity <= 0.0:
         reason[positive & (reason == 0)] = _RATE
@@ -215,19 +244,19 @@ def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
             higher = unmet & (cand > r_min)
             r_min = np.where(higher, cand, r_min)
             binding[higher] = BINDINGS.index(name)
-    return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason, blocked)
+    return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason)
 
 
 def equivocation_caps(src, ch, r: float, R_k: float, components: Sequence[Component],
-                      blocked: Sequence[str | None]) -> EquivocationCaps:
-    """Raw caps ``R_k + r * ch.secrecy_capacity + h - R`` per component of a
-    1x1 grid, clamped at the unconditional entropies ``src.h_s``, ``src.h_u``
+                      blocked: np.ndarray) -> EquivocationCaps:
+    """Raw caps ``R_k + r * ch.secrecy_capacity + h - R`` per component of one
+    cell, clamped at the unconditional entropies ``src.h_s``, ``src.h_u``
     and ``src.h_su``. A distortion out of the encoder's reach raises
     :class:`InfeasibleError`."""
     _finite_nonnegative("channel-use ratio", r)
     _finite_nonnegative("key rate", R_k)
-    if blocked[0] is not None:
-        raise InfeasibleError(blocked[0])
+    if blocked:
+        raise InfeasibleError("the restricted encoder cannot reach this semantic distortion")
     raw = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
            for _, h_term, rdf in components]
     return EquivocationCaps.from_raw(*raw, src.h_s, src.h_u, src.h_su)
@@ -275,15 +304,9 @@ def converse_surface(
 ) -> RegionSurface:
     """The model's converse minimal ratio over a (D_s, D_u) grid, evaluated
     for the whole grid at once."""
-    # Imported here because both model modules import this one.
-    from .binary import SemanticSourceBinary, _components as binary_components
-    from .gaussian import _components as gaussian_components
-
-    components = (binary_components if isinstance(src, SemanticSourceBinary)
-                  else gaussian_components)
     d_s_grid = np.asarray(d_s_grid, dtype=float)
     d_u_grid = np.asarray(d_u_grid, dtype=float)
-    grid = min_ratio(ch, targets, *components(src, d_s_grid.tolist(), d_u_grid.tolist(), case))
+    grid = min_ratio(ch, targets, *rdf_components(src, d_s_grid[:, None], d_u_grid[None, :], case))
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
         values=grid.r_min,

@@ -3,10 +3,13 @@
 This is how ``semsec`` evaluated a converse surface before it evaluated the
 whole grid at once: the Gaussian case-2 joint RDF as a scalar four-regime
 closed form, one ``min_ratio`` call per cell and a Python loop over the
-cells. ``semsec.regions.converse_surface`` and the scalar entry points
+cells. ``semsec.regions.converse_surface``, the point sets of
+``semsec.regions.rdf_components`` and the scalar entry points
 ``converse_min_r`` and ``binary_min_r`` are checked against it bit for bit.
-The marginal RDFs, entropies, capacities and secrecy capacities are the
-package's own scalar functions, which both paths share.
+The marginal RDFs are the scalar closed forms the package had before it
+evaluated them as arrays, so they do not share its code. The binary case-2
+joint RDF is the package's cached solve, and the entropies, capacities and
+secrecy capacities are the package's own.
 
 The oracle's minimal ratio also takes any secrecy slope, and
 :func:`gaussian_slope` and :func:`binary_slope` give the slope at a Gaussian
@@ -23,10 +26,69 @@ import numpy as np
 
 from semsec.binary import SemanticSourceBinary
 from semsec.errors import DomainError, InfeasibleError
-from semsec.gaussian import _log2_plus, gaussian_rdf_obs, gaussian_rdf_sem
 from semsec.info import binary_entropy, star
-from semsec.rdf import binary_rdf_joint, binary_rdf_obs, binary_rdf_sem
+from semsec.rdf import _binary_joint_case2_cached
 from semsec.regions import DISABLED, MinRateResult
+
+
+def _log2_plus(x):
+    """max(0, log2 x); nonpositive arguments mean a slack constraint (0)."""
+    if x <= 1.0:
+        return 0.0
+    return math.log2(x)
+
+
+def gaussian_rdf_obs(src, target_u):
+    if target_u <= 0.0:
+        raise DomainError(f"distortion must be positive, got {target_u}")
+    return 0.5 * _log2_plus(src.P_u / target_u)
+
+
+def gaussian_rdf_sem(src, target_s, case):
+    """Semantic-part RDF; case 1 is feasible only above (1 - rho^2) P_s."""
+    if target_s <= 0.0:
+        raise DomainError(f"distortion must be positive, got {target_s}")
+    if case == 2:
+        return 0.5 * _log2_plus(src.P_s / target_s)
+    if case == 1:
+        floor = (1.0 - src.rho2) * src.P_s
+        if target_s <= floor:
+            raise InfeasibleError(f"semantic distortion {target_s} <= floor {floor}")
+        return 0.5 * _log2_plus(src.rho2 * src.P_s / (target_s - floor))
+    raise DomainError(f"case must be 1 or 2, got {case}")
+
+
+def binary_rdf_obs(alpha, target_u):
+    if target_u < 0.0:
+        raise DomainError(f"distortion must be nonnegative, got {target_u}")
+    if target_u <= alpha:
+        return float(binary_entropy(alpha) - binary_entropy(target_u))
+    return 0.0
+
+
+def binary_rdf_sem(alpha, target_s, case):
+    """Semantic-part RDF; +inf below case 1's floor alpha."""
+    if target_s < 0.0:
+        raise DomainError(f"distortion must be nonnegative, got {target_s}")
+    if case == 2:
+        if target_s <= 0.5:
+            return float(1.0 - binary_entropy(target_s))
+        return 0.0
+    if case == 1:
+        if target_s >= 0.5:
+            return 0.0
+        if target_s < alpha:
+            return float("inf")
+        return float(1.0 - binary_entropy((target_s - alpha) / (1.0 - 2.0 * alpha)))
+    raise DomainError(f"case must be 1 or 2, got {case}")
+
+
+def binary_rdf_joint(alpha, target_s, target_u, case):
+    """Case 1: the larger marginal. Case 2: the cached solve's dual bound."""
+    if case == 1:
+        return max(binary_rdf_obs(alpha, target_u), binary_rdf_sem(alpha, target_s, 1))
+    point = _binary_joint_case2_cached(float(alpha), *sorted((float(target_s), float(target_u))))
+    return max(float(point.dual_bound), 0.0)
 
 
 def gaussian_rdf_joint(src, target_s, target_u, case):
@@ -101,10 +163,7 @@ def _gaussian_components(src, target_s, target_u, case):
 def _binary_components(src, target_s, target_u, case):
     r_s = binary_rdf_sem(src.alpha, target_s, case)
     if math.isinf(r_s):
-        raise InfeasibleError(
-            f"restricted encoder cannot reach semantic distortion {target_s} "
-            f"< alpha {src.alpha}"
-        )
+        raise InfeasibleError(f"semantic distortion {target_s} < alpha {src.alpha}")
     r_u = binary_rdf_obs(src.alpha, target_u)
     r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
     return r_j, (
@@ -139,8 +198,8 @@ def min_ratio(r_joint, capacity, components, targets, slope):
 def _min_r(components, src, ch, target_s, target_u, targets, case, slope):
     try:
         r_j, comps = components(src, target_s, target_u, case)
-    except InfeasibleError as exc:
-        return MinRateResult(None, False, reason=f"distortion_infeasible: {exc}")
+    except InfeasibleError:
+        return MinRateResult(None, False, reason="distortion_infeasible")
     slope = ch.secrecy_capacity if slope is None else slope
     return min_ratio(r_j, ch.capacity_main, comps, targets, slope)
 

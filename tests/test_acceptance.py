@@ -37,6 +37,7 @@ from semsec import (
 )
 from semsec.cli import main as cli_main
 from semsec.config import build_channel, build_source, get_preset, resolve_distortion_grid
+from semsec.regions import min_ratio, rdf_components
 
 
 def _report(number, name, ok, detail=""):
@@ -141,26 +142,15 @@ def test_criterion_3_inner_bound_sandwich():
         for case in (1, 2):
             out = draw_inner_samples(src, ch, tg, case, cfg.samples, cfg.seed)
             idx = np.flatnonzero(out["accepted"])
-            violations = 0
-            for i in idx:
-                lower = converse_min_r(
-                    src, ch, float(out["d_s"][i]), float(out["d_u"][i]), tg,
-                    case=case,
-                )
-                if lower.feasible and out["r"][i] < lower.r_min - 1e-6:
-                    violations += 1
+            # The converse at every accepted draw, as one set of points.
+            lower = min_ratio(ch, tg, *rdf_components(src, out["d_s"][idx], out["d_u"][idx], case))
+            violations = int(np.sum(lower.feasible & (out["r"][idx] < lower.r_min - 1e-6)))
             scan = inner_bound_scan(src, ch, tg, case, cfg.samples, cfg.seed)
-            mid_s = np.asarray(scan.axes["D_s"])
-            mid_u = np.asarray(scan.axes["D_u"])
-            close = 0
-            for a, b in zip(*np.nonzero(scan.feasible)):
-                lower = converse_min_r(
-                    src, ch, float(mid_s[a]), float(mid_u[b]), tg, case=case
-                )
-                if lower.feasible and lower.r_min > 0 and (
-                    scan.values[a, b] / lower.r_min <= 1.15
-                ):
-                    close += 1
+            a, b = np.nonzero(scan.feasible)
+            lower = min_ratio(ch, tg, *rdf_components(
+                src, np.asarray(scan.axes["D_s"])[a], np.asarray(scan.axes["D_u"])[b], case))
+            priced = lower.feasible & (lower.r_min > 0)
+            close = int(np.sum(scan.values[a, b][priced] / lower.r_min[priced] <= 1.15))
             run_ok = len(idx) > 0 and violations == 0 and close >= 1
             ok = ok and run_ok
             details.append(

@@ -28,6 +28,7 @@ from semsec import (
 )
 from semsec.cli import _render_surfaces
 from semsec.config import RunConfig
+from semsec.regions import min_ratio, rdf_components
 
 # Frozen oracles for the default operating point.
 H_S = 1.789808998765762            # 0.5*log2(2*pi*e*0.7)
@@ -794,12 +795,10 @@ class TestInnerMinR:
         out = draw_inner_samples(src, ch, tg, case=2, n_samples=400, seed=17)
         acc = out["accepted"]
         assert acc.sum() > 20
-        for i in np.flatnonzero(acc)[:25]:
-            lower = converse_min_r(
-                src, ch, float(out["d_s"][i]), float(out["d_u"][i]), tg, case=2
-            )
-            assert lower.feasible
-            assert out["r"][i] >= lower.r_min - 1e-6
+        first = np.flatnonzero(acc)[:25]
+        lower = min_ratio(ch, tg, *rdf_components(src, out["d_s"][first], out["d_u"][first], 2))
+        assert lower.feasible.all()
+        assert np.all(out["r"][first] >= lower.r_min - 1e-6)
 
 
 class TestDrawSamples:

@@ -2,9 +2,10 @@
 
 Both models run in both encoder cases. Binary case 2 runs the numeric
 two-constraint solver once per cell (its joint RDF is cached), and a
-solve that did not converge to a 1e-6 gap fails the test. Surfaces, which
-are evaluated for the whole grid at once, and the scalar minimal ratios
-are checked bit for bit against the per-cell oracle in ``converse_oracle``.
+solve that did not converge to a 1e-6 gap fails the test. Surfaces,
+scattered point sets, scalar-by-array rows and the scalar minimal ratios,
+all one evaluator at different shapes, are checked bit for bit against the
+per-cell oracle in ``converse_oracle``.
 """
 
 import math
@@ -38,7 +39,8 @@ from semsec import (
     gaussian_rdf_sem,
 )
 import semsec.gaussian as gaussian_mod
-from semsec.regions import min_ratio
+from semsec.cli import main
+from semsec.regions import REASONS, min_ratio, rdf_components
 
 NAMES = ("delta_s", "delta_u", "delta_su")
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -214,13 +216,13 @@ def test_slope_is_evaluated_only_for_unmet_targets():
         return (("delta_s", 1.0, rdf), ("delta_u", 1.0, rdf), ("delta_su", 2.0, rdf))
 
     met = EquivocationTargets(0.5, DISABLED, 1.0)
-    res = min_ratio(Channel(), met, np.array([[0.5]]), comps(0.5), [None]).cell(0, 0)
+    res = min_ratio(Channel(), met, np.array([[0.5]]), comps(0.5), np.array([False])).cell(0, 0)
     assert res.feasible and res.r_min == 0.25 and res.binding == "rate"
     # An unmet target on a cell out of the encoder's reach is never priced.
     unmet = EquivocationTargets(3.0, DISABLED, DISABLED)
     res = min_ratio(Channel(), unmet, np.array([[np.inf]]), comps(np.inf),
-                    ["below the floor"]).cell(0, 0)
-    assert res.reason == "distortion_infeasible: below the floor"
+                    np.array([True])).cell(0, 0)
+    assert res.reason == "distortion_infeasible"
 
 
 def _gaussian_caps(**rates):
@@ -313,6 +315,19 @@ GRIDS = {
 }
 
 
+def _check_cells(src, ch, tg, case, d_s, d_u, cells):
+    """The evaluator at broadcastable ``d_s`` and ``d_u`` against the oracle's
+    ``cells``: r_min bit for bit, equal reason codes and equal verdicts."""
+    got = min_ratio(ch, tg, *rdf_components(src, d_s, d_u, case))
+    a, b = np.broadcast_arrays(d_s, d_u)
+    want = [cells[t_s, t_u] for t_s, t_u in zip(a.ravel().tolist(), b.ravel().tolist())]
+    r_want = np.reshape([np.nan if w.r_min is None else w.r_min for w in want], a.shape)
+    np.testing.assert_array_equal(got.r_min.view(np.int64), r_want.view(np.int64))
+    np.testing.assert_array_equal(got.reason, np.reshape([REASONS.index(w.reason) for w in want],
+                                                         a.shape))
+    assert [got.cell(*index) for index in np.ndindex(a.shape)] == want
+
+
 def _check_against_oracle(model, data):
     points, min_r, oracle_min_r = GRIDS[model]
     src, ch, d_s, d_u = data.draw(points)
@@ -321,14 +336,21 @@ def _check_against_oracle(model, data):
     want, feasible = oracle.converse_surface(src, ch, tg, case, d_s, d_u)
     np.testing.assert_array_equal(got.feasible, feasible)
     np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64))
-    blocked = set()
+    cells = {}
     for t_s in d_s:
         for t_u in d_u:
             res = min_r(src, ch, t_s, t_u, tg, case=case)
-            assert res == oracle_min_r(src, ch, t_s, t_u, tg, case=case)
-            blocked.add(str(res.reason).startswith("distortion_infeasible"))
+            cells[t_s, t_u] = oracle_min_r(src, ch, t_s, t_u, tg, case=case)
+            assert res == cells[t_s, t_u]
     # The grid straddles the case-1 floor.
+    blocked = {res.reason == "distortion_infeasible" for res in cells.values()}
     assert blocked == ({False, True} if case == 1 else {False})
+    # Scattered points (k,) x (k,), and one scalar against a whole axis.
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(d_s), st.sampled_from(d_u)),
+                               min_size=1, max_size=16))
+    _check_cells(src, ch, tg, case, *np.array(pairs).T, cells)
+    _check_cells(src, ch, tg, case, data.draw(st.sampled_from(d_s)), np.array(d_u), cells)
+    _check_cells(src, ch, tg, case, np.array(d_s), data.draw(st.sampled_from(d_u)), cells)
     return src, case, d_s, d_u
 
 
@@ -351,7 +373,48 @@ def test_gaussian_joint_rdf_keeps_libm_bits():
     # On this grid numpy's log2 and x * x differ from libm's log2 and pow in
     # the last bit on some regime-3 and regime-4 cells; the grid must not.
     src = SemanticSourceGaussian(1.3, 0.9, 0.7)
-    d = np.linspace(0.01, 1.4, 300).tolist()
-    got = gaussian_mod._rdf_grid(src, d, d, 2)[2]
-    want = [[oracle.gaussian_rdf_joint(src, t_s, t_u, 2) for t_u in d] for t_s in d]
+    d = np.linspace(0.01, 1.4, 300)
+    got = gaussian_mod._components(src, d[:, None], d[None, :], 2)[0]
+    want = [[oracle.gaussian_rdf_joint(src, t_s, t_u, 2) for t_u in d.tolist()]
+            for t_s in d.tolist()]
     np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+BAD_DISTORTIONS = pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0),
+                                          ids=("nan", "inf", "negative"))
+#: model: (source, channel, a valid distortion pair, scalar minimal ratio)
+VALID = {
+    "gaussian": (SemanticSourceGaussian(0.7, 1.0, 0.6), WiretapChannelGaussian(1.0, 0.1, 0.4),
+                 (0.5, 0.6), converse_min_r),
+    "binary": (SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3), (0.3, 0.25),
+               binary_min_r),
+}
+
+
+@pytest.mark.parametrize("model", sorted(VALID))
+@pytest.mark.parametrize("case", (1, 2))
+@pytest.mark.parametrize("axis", (0, 1), ids=("d_s", "d_u"))
+@BAD_DISTORTIONS
+def test_distortions_must_be_finite(model, case, axis, bad):
+    # NaN once gave a feasible ratio of 0 and +inf a LAPACK failure in the
+    # binary case-2 solve; a negative distortion is out of the domain too.
+    src, ch, pair, min_r = VALID[model]
+    tg = EquivocationTargets.no_secrecy()
+    point = list(pair)
+    point[axis] = bad
+    with pytest.raises(DomainError, match="distortions must be finite"):
+        min_r(src, ch, *point, tg, case=case)
+    arrays = [np.full(3, d) for d in pair]
+    arrays[axis][1] = bad
+    with pytest.raises(DomainError, match="distortions must be finite"):
+        rdf_components(src, *arrays, case)
+
+
+@pytest.mark.parametrize("model", sorted(VALID))
+@pytest.mark.parametrize("case", (1, 2))
+@BAD_DISTORTIONS
+def test_rdf_command_rejects_a_bad_distortion(model, case, bad, capsys):
+    argv = ["rdf", "--model", model, "--case", str(case), f"--d-s={VALID[model][2][0]}",
+            f"--d-u={bad}"]
+    assert main(argv) == 2
+    assert "distortions must be finite" in capsys.readouterr().err
