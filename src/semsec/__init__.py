@@ -20,6 +20,9 @@ from .binary import (
     WiretapChannelBinary,
     binary_converse_caps,
     binary_min_r,
+    binary_rdf_joint,
+    binary_rdf_obs,
+    binary_rdf_sem,
     delta_s_curve,
 )
 from .config import (
@@ -61,9 +64,6 @@ from .rdf import (
     DistortionMatrix,
     RdfPoint,
     TwoConstraintSolver,
-    binary_rdf_joint,
-    binary_rdf_obs,
-    binary_rdf_sem,
     hamming_distortion,
     modified_distortion,
     rdf_classic,
@@ -95,7 +95,6 @@ __all__ = [
     "DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
     "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
     "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2",
-    "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
     # targets, shared result types and the converse surface
     "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
     "RegionSurface", "TradeoffCurve", "converse_surface",
@@ -106,6 +105,7 @@ __all__ = [
     "inner_bound_scan", "draw_inner_samples",
     # binary model
     "SemanticSourceBinary", "WiretapChannelBinary",
+    "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
     "binary_converse_caps", "binary_min_r", "delta_s_curve",
     # config and verification
     "RunConfig", "load_config", "dump_config", "config_hash",

@@ -1,5 +1,6 @@
 """Binary system model: doubly symmetric source over a cascaded BSC wiretap
-channel, with closed-form converse caps and the semantic tradeoff curve.
+channel, with its rate-distortion functions, closed-form converse caps and
+the semantic tradeoff curve.
 
 Model summary. The observation U is uniform Bernoulli and the semantic
 component S is U passed through a bit-flip channel with crossover alpha, so
@@ -13,19 +14,24 @@ channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 from .info import binary_entropy, star
-from .rdf import _binary_joint, _binary_obs, _binary_sem
+from .rdf import (DiscreteSemanticSource, RdfPoint, _warn_if_uncertified, hamming_distortion,
+                  rdf_semantic_case2)
 from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
-                      _finite_nonnegative, equivocation_caps, min_ratio, rdf_components)
+                      _distortions, _finite_nonnegative, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceBinary",
     "WiretapChannelBinary",
+    "binary_rdf_obs",
+    "binary_rdf_sem",
+    "binary_rdf_joint",
     "binary_converse_caps",
     "binary_min_r",
     "delta_s_curve",
@@ -58,6 +64,27 @@ class SemanticSourceBinary:
     def h_alpha(self) -> float:
         return binary_entropy(self.alpha)
 
+    def rdf_components(self, d_s, d_u, case: int):
+        """The joint RDF, its (name, entropy, RDF) converse components and the
+        mask of cells below the case-1 floor, at the distortions ``d_s`` and
+        ``d_u``: any two broadcastable arrays, or floats.
+
+        The joint RDF and the mask have the broadcast shape; each component's
+        RDF broadcasts to it. This is the input
+        :func:`semsec.regions.min_ratio` and
+        :func:`semsec.regions.equivocation_caps` take. The observation
+        component uses the conditional entropy H_b(alpha).
+        """
+        alpha = float(self.alpha)
+        r_s = _binary_sem(alpha, d_s, case)
+        r_u = _binary_obs(alpha, d_u)
+        r_j = _binary_joint(alpha, d_s, d_u, case, r_s, r_u)
+        return r_j, (
+            ("delta_s", 1.0, r_s),
+            ("delta_u", self.h_alpha, r_u),
+            ("delta_su", self.h_alpha + 1.0, r_j),
+        ), np.isinf(r_s)
+
 
 @dataclass(frozen=True)
 class WiretapChannelBinary:
@@ -86,20 +113,92 @@ class WiretapChannelBinary:
         return binary_entropy(self.eps_z) - binary_entropy(self.eps1)
 
 
-def _components(src, d_s, d_u, case):
-    """Joint RDF, the (name, entropy, RDF) converse components and the
-    case-1 floor mask at the broadcastable distortions ``d_s`` and ``d_u``
-    (see :func:`semsec.regions.rdf_components`). The observation component
-    uses the conditional entropy H_b(alpha)."""
-    alpha = float(src.alpha)
-    r_s = _binary_sem(alpha, d_s, case)
-    r_u = _binary_obs(alpha, d_u)
-    r_j = _binary_joint(alpha, d_s, d_u, case, r_s, r_u)
-    return r_j, (
-        ("delta_s", 1.0, r_s),
-        ("delta_u", src.h_alpha, r_u),
-        ("delta_su", src.h_alpha + 1.0, r_j),
-    ), np.isinf(r_s)
+# ---------------------------------------------------------------------------
+# closed-form rate-distortion functions
+# ---------------------------------------------------------------------------
+
+
+def _binary_obs(alpha: float, d_u) -> np.ndarray:
+    """Observation-part RDF at every distortion in ``d_u``: H_b(alpha) - H_b(D_u)
+    for D_u <= alpha, else 0."""
+    d_u = _distortions(d_u, positive=False)
+    out = np.zeros(d_u.shape)
+    near = d_u <= alpha
+    out[near] = binary_entropy(alpha) - binary_entropy(d_u[near])
+    return out
+
+
+def _binary_sem(alpha: float, d_s, case: int) -> np.ndarray:
+    """Semantic-part RDF at every distortion in ``d_s``; +inf below case 1's
+    floor alpha."""
+    d_s = _distortions(d_s, positive=False)
+    out = np.zeros(d_s.shape)
+    near = d_s <= 0.5 if case == 2 else d_s < 0.5
+    if case == 2:
+        out[near] = 1.0 - binary_entropy(d_s[near])
+    elif case == 1:
+        out[d_s < alpha] = np.inf
+        near &= d_s >= alpha
+        out[near] = 1.0 - binary_entropy((d_s[near] - alpha) / (1.0 - 2.0 * alpha))
+    else:
+        raise DomainError(f"case must be 1 or 2, got {case}")
+    return out
+
+
+def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
+    """Joint RDF at the broadcastable distortions, given the marginals.
+
+    Case 1 is their maximum. Case 2 is one cached solve of the 2x2 joint
+    per point, and its value the solver's certified dual bound, a true lower
+    bound on the RDF. A solve that did not converge, or whose primal-dual
+    gap exceeds 1e-6, raises a :class:`RuntimeWarning` naming the point.
+    """
+    if case == 1:
+        return np.maximum(r_s, r_u)
+    a, b = np.broadcast_arrays(d_s, d_u)
+    out = np.empty(a.shape)
+    for k, (t_s, t_u) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
+        # R(D_u, D_s): the sorted pair shares one solve.
+        point = _binary_joint_case2_cached(float(alpha), *sorted((t_s, t_u)))
+        _warn_if_uncertified(
+            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({t_s}, {t_u})"
+        )
+        out.flat[k] = max(float(point.dual_bound), 0.0)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoint:
+    src = DiscreteSemanticSource.doubly_symmetric(alpha)
+    ham = hamming_distortion(2)
+    return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
+
+
+def binary_rdf_obs(alpha: float, target_u: float) -> float:
+    """Observation-part RDF H_b(alpha) - H_b(D_u) for D_u <= alpha, else 0."""
+    return float(_binary_obs(SemanticSourceBinary(alpha).alpha, target_u))
+
+
+def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
+    """Semantic-part RDF; returns +inf for the infeasible restricted-encoder range."""
+    return float(_binary_sem(SemanticSourceBinary(alpha).alpha, target_s, case))
+
+
+def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) -> float:
+    """Joint binary RDF (see :func:`_binary_joint`); infeasible for case 1
+    below the crossover."""
+    r_j, _, blocked = SemanticSourceBinary(alpha).rdf_components(target_s, target_u, case)
+    if blocked:
+        raise InfeasibleError(
+            f"restricted encoder cannot reach semantic distortion {target_s} < {alpha}"
+        )
+    return float(r_j)
+
+
+# ---------------------------------------------------------------------------
+# converse bound and tradeoff curve
+# ---------------------------------------------------------------------------
 
 
 def binary_converse_caps(
@@ -118,7 +217,7 @@ def binary_converse_caps(
     additionally clamped at the unconditional entropy of its component —
     1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
     """
-    _, comps, blocked = rdf_components(src, target_s, target_u, case)
+    _, comps, blocked = src.rdf_components(target_s, target_u, case)
     return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
@@ -136,7 +235,7 @@ def binary_min_r(
     bound of every enabled equivocation target not already met at r = 0.
     This is :func:`semsec.regions.min_ratio` at one cell.
     """
-    return min_ratio(ch, targets, *rdf_components(src, target_s, target_u, case)).cell()
+    return min_ratio(ch, targets, *src.rdf_components(target_s, target_u, case)).cell()
 
 
 def delta_s_curve(

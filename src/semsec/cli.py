@@ -43,7 +43,7 @@ from .config import (
 )
 from .errors import DomainError, ValidationError
 from .gaussian import inner_bound_scan
-from .regions import converse_surface, rdf_components
+from .regions import converse_surface
 from .verify import run_verification
 
 ARTIFACT_MARKER = "# semsec-artifact v2"
@@ -209,10 +209,6 @@ def _cmd_inner(args) -> int:
     src = build_source(cfg)
     ch = build_channel(cfg)
     counts = (cfg.d_s_grid, cfg.d_u_grid)
-    if not all(isinstance(n, int) for n in counts):
-        raise ValidationError([
-            "d_s_grid, d_u_grid: the inner-bound scan needs integer bucket counts"
-        ])
     targets = cfg.targets()
     surfaces = {
         case: inner_bound_scan(src, ch, targets, case, cfg.samples, cfg.seed, grid=counts)
@@ -263,7 +259,7 @@ def _cmd_rdf(args) -> int:
     columns = ("case", "D_s", "D_u", "feasible", "R_s", "R_u", "R_joint")
     rows = []
     for case in cfg.cases:
-        r_j, ((_, _, r_s), (_, _, r_u), _), blocked = rdf_components(src, d_s, d_u, case)
+        r_j, ((_, _, r_s), (_, _, r_u), _), blocked = src.rdf_components(d_s, d_u, case)
         if blocked:
             rows.append((case, d_s, d_u, False, None, None, None))
         else:

@@ -36,13 +36,20 @@ __all__ = [
     "resolve_distortion_grid",
 ]
 
-GAUSSIAN_SOURCE_DEFAULT = {"P_s": 0.7, "P_u": 1.0, "P_su": 0.6}
-GAUSSIAN_CHANNEL_DEFAULT = {"P": 1.0, "P_N1": 0.1, "P_N2": 0.4}
-BINARY_SOURCE_DEFAULT = {"alpha": 0.25}
-BINARY_CHANNEL_DEFAULT = {"eps1": 0.1, "eps2": 0.3}
-
-_MODELS = ("gaussian", "binary")
+#: model: {part: (type, default parameters)}, for the source and the channel.
+_MODELS = {
+    "gaussian": {
+        "source": (SemanticSourceGaussian, {"P_s": 0.7, "P_u": 1.0, "P_su": 0.6}),
+        "channel": (WiretapChannelGaussian, {"P": 1.0, "P_N1": 0.1, "P_N2": 0.4}),
+    },
+    "binary": {
+        "source": (SemanticSourceBinary, {"alpha": 0.25}),
+        "channel": (WiretapChannelBinary, {"eps1": 0.1, "eps2": 0.3}),
+    },
+}
 _MODES = ("converse", "inner", "curve")
+#: Modes that run for one model only.
+_MODE_MODEL = {"inner": "gaussian", "curve": "binary"}
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,8 @@ class RunConfig:
     channel-use ratio over a distortion grid, ``inner`` runs the
     Monte-Carlo inner-bound scan (Gaussian only), ``curve`` sweeps the
     binary semantic tradeoff curve. Grid fields accept an integer bucket
-    count (resolved to bucket centers of the feasible range), an explicit
-    point list, or a ``{"n", "lo", "hi"}`` mapping.
+    count, an explicit point list, or a ``{"points": [...]}`` mapping (see
+    :func:`resolve_distortion_grid`); the inner-bound scan takes counts only.
     """
 
     model: str = "gaussian"
@@ -113,84 +120,45 @@ def _check_number(problems, path, val, *, allow_neg_inf=False, minimum=None):
         problems.append(f"{path}: must be >= {minimum}, got {val}")
 
 
-def _check_grid(problems, path, grid):
-    if isinstance(grid, bool):
-        problems.append(f"{path}: expected a grid spec, got {grid!r}")
-        return
-    if isinstance(grid, int):
-        if grid < 1:
-            problems.append(f"{path}: bucket count must be >= 1, got {grid}")
-        return
-    if isinstance(grid, (list, tuple, np.ndarray)):
-        arr = np.asarray(grid, dtype=float)
-        if arr.ndim != 1 or len(arr) < 1:
-            problems.append(f"{path}: point list must be one-dimensional and nonempty")
-        elif np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-            problems.append(f"{path}: grid points must be finite and positive")
-        elif np.any(np.diff(arr) <= 0):
-            problems.append(f"{path}: grid points must be strictly increasing")
-        return
-    if isinstance(grid, Mapping):
-        extra = set(grid) - {"n", "lo", "hi", "points"}
-        if extra:
-            problems.append(f"{path}: unknown grid keys {sorted(extra)}")
-        if "points" in grid:
-            _check_grid(problems, path, list(grid["points"]))
-        elif "n" not in grid:
-            problems.append(f"{path}: grid mapping needs 'n' or 'points'")
-        elif not isinstance(grid["n"], int) or grid["n"] < 1:
-            problems.append(f"{path}: 'n' must be a positive integer")
-        return
-    problems.append(f"{path}: unsupported grid spec {grid!r}")
-
-
 def validate_config(cfg: RunConfig) -> list[str]:
     """All problems with the config, as ``field: message`` strings."""
     problems: list[str] = []
     if cfg.model not in _MODELS:
-        problems.append(f"model: must be one of {_MODELS}, got {cfg.model!r}")
+        problems.append(f"model: must be one of {tuple(_MODELS)}, got {cfg.model!r}")
     if cfg.mode not in _MODES:
         problems.append(f"mode: must be one of {_MODES}, got {cfg.mode!r}")
     if not cfg.cases or any(c not in (1, 2) for c in cfg.cases):
         problems.append(f"cases: must be a nonempty subset of (1, 2), got {cfg.cases}")
-    for key, val in dict(cfg.source).items():
-        _check_number(problems, f"source.{key}", val)
-    for key, val in dict(cfg.channel).items():
-        _check_number(problems, f"channel.{key}", val)
-    if cfg.model in _MODELS:
-        allowed = (
-            set(GAUSSIAN_SOURCE_DEFAULT) if cfg.model == "gaussian"
-            else set(BINARY_SOURCE_DEFAULT)
-        )
-        extra = set(cfg.source) - allowed
+    for part in ("source", "channel"):
+        for key, val in getattr(cfg, part).items():
+            _check_number(problems, f"{part}.{key}", val)
+    for part, (_, defaults) in _MODELS.get(cfg.model, {}).items():
+        extra = set(getattr(cfg, part)) - set(defaults)
         if extra:
-            problems.append(f"source: unknown keys {sorted(extra)} for model {cfg.model}")
-        allowed_ch = (
-            set(GAUSSIAN_CHANNEL_DEFAULT) if cfg.model == "gaussian"
-            else set(BINARY_CHANNEL_DEFAULT)
-        )
-        extra_ch = set(cfg.channel) - allowed_ch
-        if extra_ch:
-            problems.append(
-                f"channel: unknown keys {sorted(extra_ch)} for model {cfg.model}"
-            )
+            problems.append(f"{part}: unknown keys {sorted(extra)} for model {cfg.model}")
     for name in ("delta_s", "delta_u", "delta_su"):
         _check_number(problems, name, getattr(cfg, name), allow_neg_inf=True)
     _check_number(problems, "R_k", cfg.R_k, minimum=0.0)
     if cfg.R_k_values is not None:
         for i, val in enumerate(cfg.R_k_values):
             _check_number(problems, f"R_k_values[{i}]", val, minimum=0.0)
-    _check_grid(problems, "d_s_grid", cfg.d_s_grid)
-    _check_grid(problems, "d_u_grid", cfg.d_u_grid)
+    for name in ("d_s_grid", "d_u_grid"):
+        grid = getattr(cfg, name)
+        try:
+            resolve_distortion_grid(grid, 1.0)  # a count is valid at any range
+        except DomainError as exc:
+            problems.append(f"{name}: {exc}")
+        else:
+            if cfg.mode == "inner" and not isinstance(grid, int):
+                problems.append(f"{name}: the inner-bound scan needs a bucket count")
     _check_number(problems, "r", cfg.r, minimum=0.0)
     if not isinstance(cfg.samples, int) or cfg.samples < 1:
         problems.append(f"samples: must be a positive integer, got {cfg.samples!r}")
     if not isinstance(cfg.seed, int) or cfg.seed < 0:
         problems.append(f"seed: must be a nonnegative integer, got {cfg.seed!r}")
-    if cfg.mode == "inner" and cfg.model != "gaussian":
-        problems.append("mode: the inner-bound scan supports the gaussian model only")
-    if cfg.mode == "curve" and cfg.model != "binary":
-        problems.append("mode: the tradeoff curve supports the binary model only")
+    only = _MODE_MODEL.get(cfg.mode, cfg.model)
+    if cfg.model != only:
+        problems.append(f"mode: {cfg.mode!r} supports the {only} model only")
     if cfg.mode == "inner" and cfg.R_k != 0.0:
         problems.append("R_k: the inner-bound scan requires a zero key rate")
     return problems
@@ -201,46 +169,47 @@ def validate_config(cfg: RunConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _build(cfg: RunConfig, part: str):
+    cls, defaults = _MODELS[cfg.model][part]
+    return cls(**{**defaults, **getattr(cfg, part)})
+
+
 def build_source(cfg: RunConfig):
-    if cfg.model == "gaussian":
-        params = {**GAUSSIAN_SOURCE_DEFAULT, **cfg.source}
-        return SemanticSourceGaussian(**params)
-    params = {**BINARY_SOURCE_DEFAULT, **cfg.source}
-    return SemanticSourceBinary(**params)
+    return _build(cfg, "source")
 
 
 def build_channel(cfg: RunConfig):
-    if cfg.model == "gaussian":
-        params = {**GAUSSIAN_CHANNEL_DEFAULT, **cfg.channel}
-        return WiretapChannelGaussian(**params)
-    params = {**BINARY_CHANNEL_DEFAULT, **cfg.channel}
-    return WiretapChannelBinary(**params)
+    return _build(cfg, "channel")
 
 
 def resolve_distortion_grid(grid: Any, hi_default: float) -> np.ndarray:
     """Turn a grid spec into a strictly increasing positive point array.
 
-    An integer n resolves to the centers of n equal buckets over
-    (0, hi_default], matching the inner-bound scan's bucket layout so the
-    two surfaces are directly comparable cell by cell.
+    Three forms. An integer n resolves to the centers of n equal buckets
+    over (0, hi_default], matching the inner-bound scan's bucket layout so
+    the two surfaces are directly comparable cell by cell. A point list, or
+    a ``{"points": [...]}`` mapping, is taken as given. Anything else raises
+    :class:`DomainError`.
     """
-    if isinstance(grid, Mapping):
-        if "points" in grid:
-            return resolve_distortion_grid(list(grid["points"]), hi_default)
-        n = int(grid["n"])
-        lo = float(grid.get("lo", hi_default / (2 * n)))
-        hi = float(grid.get("hi", hi_default - hi_default / (2 * n)))
-        arr = np.linspace(lo, hi, n)
-    elif isinstance(grid, int) and not isinstance(grid, bool):
+    if isinstance(grid, int) and not isinstance(grid, bool):
+        if grid < 1:
+            raise DomainError(f"bucket count must be >= 1, got {grid}")
         step = hi_default / grid
-        arr = np.linspace(0.5 * step, hi_default - 0.5 * step, grid)
-    else:
-        arr = np.asarray(grid, dtype=float)
+        return np.linspace(0.5 * step, hi_default - 0.5 * step, grid)
+    points = grid["points"] if isinstance(grid, Mapping) and set(grid) == {"points"} else grid
+    if not isinstance(points, (list, tuple, np.ndarray)):
+        raise DomainError(
+            f"expected a bucket count, a point list or {{'points': [...]}}, got {grid!r}"
+        )
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"grid points must be numbers, got {points!r}") from None
     if arr.ndim != 1 or len(arr) < 1:
-        raise DomainError("grid must resolve to a nonempty one-dimensional array")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
+        raise DomainError("point list must be one-dimensional and nonempty")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
         raise DomainError("grid points must be finite and positive")
-    if len(arr) > 1 and np.any(np.diff(arr) <= 0):
+    if np.any(np.diff(arr) <= 0):
         raise DomainError("grid points must be strictly increasing")
     return arr
 
@@ -333,63 +302,26 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _preset_gaussian_converse_fig3() -> RunConfig:
-    src = SemanticSourceGaussian(**GAUSSIAN_SOURCE_DEFAULT)
-    return RunConfig(
-        model="gaussian",
-        mode="converse",
-        cases=(1, 2),
-        delta_s=src.h_s,
-        delta_u=0.0,
-        delta_su=src.h_s,
-        d_s_grid=40,
-        d_u_grid=40,
-        name="gaussian-converse-fig3",
-    )
+#: h(S) of the default Gaussian source: the semantic-secrecy target.
+_H_S = build_source(RunConfig(model="gaussian")).h_s
 
-
-def _preset_binary_tradeoff_fig5() -> RunConfig:
-    return RunConfig(
-        model="binary",
-        mode="curve",
-        cases=(1, 2),
-        r=1.0,
-        d_s_grid=200,
-        R_k_values=(0.0, 0.1),
-        name="binary-tradeoff-fig5",
-    )
-
-
-def _preset_gaussian_inner_nosecrecy() -> RunConfig:
-    return RunConfig(
-        model="gaussian",
-        mode="inner",
-        cases=(1, 2),
-        samples=100_000,
-        seed=2024,
-        name="gaussian-inner-nosecrecy",
-    )
-
-
-def _preset_gaussian_inner_semantic() -> RunConfig:
-    src = SemanticSourceGaussian(**GAUSSIAN_SOURCE_DEFAULT)
-    return RunConfig(
-        model="gaussian",
-        mode="inner",
-        cases=(1, 2),
-        delta_s=src.h_s,
-        delta_su=src.h_s,
-        samples=100_000,
-        seed=2024,
-        name="gaussian-inner-semantic",
-    )
-
-
+#: name: the fields of that preset.
 _PRESETS = {
-    "gaussian-converse-fig3": _preset_gaussian_converse_fig3,
-    "binary-tradeoff-fig5": _preset_binary_tradeoff_fig5,
-    "gaussian-inner-nosecrecy": _preset_gaussian_inner_nosecrecy,
-    "gaussian-inner-semantic": _preset_gaussian_inner_semantic,
+    "gaussian-converse-fig3": dict(
+        model="gaussian", mode="converse", cases=(1, 2), delta_s=_H_S, delta_u=0.0,
+        delta_su=_H_S, d_s_grid=40, d_u_grid=40,
+    ),
+    "binary-tradeoff-fig5": dict(
+        model="binary", mode="curve", cases=(1, 2), r=1.0, d_s_grid=200,
+        R_k_values=(0.0, 0.1),
+    ),
+    "gaussian-inner-nosecrecy": dict(
+        model="gaussian", mode="inner", cases=(1, 2), samples=100_000, seed=2024,
+    ),
+    "gaussian-inner-semantic": dict(
+        model="gaussian", mode="inner", cases=(1, 2), delta_s=_H_S, delta_su=_H_S,
+        samples=100_000, seed=2024,
+    ),
 }
 
 
@@ -399,9 +331,9 @@ def preset_names() -> tuple[str, ...]:
 
 def get_preset(name: str) -> RunConfig:
     try:
-        factory = _PRESETS[name]
+        fields = _PRESETS[name]
     except KeyError:
         raise DomainError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
-    return factory()
+    return RunConfig(**fields, name=name)

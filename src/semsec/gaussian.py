@@ -30,8 +30,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
-                      RegionSurface, _distortions, equivocation_caps, min_ratio,
-                      rdf_components)
+                      RegionSurface, _distortions, equivocation_caps, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
@@ -126,6 +125,26 @@ class SemanticSourceGaussian:
         l11 = math.sqrt(max(self.P_u - l10**2, 0.0))
         return np.array([[l00, 0.0], [l10, l11]])
 
+    def rdf_components(self, d_s, d_u, case: int):
+        """The joint RDF, its (name, entropy, RDF) converse components and the
+        mask of cells below the case-1 floor, at the distortions ``d_s`` and
+        ``d_u``: any two broadcastable arrays, or floats.
+
+        The joint RDF and the mask have the broadcast shape; each component's
+        RDF broadcasts to it. This is the input
+        :func:`semsec.regions.min_ratio` and
+        :func:`semsec.regions.equivocation_caps` take. Case 1's joint RDF is
+        the maximum of the two marginals.
+        """
+        r_s, blocked = _rdf_sem(self, d_s, case)
+        r_u = _rdf_obs(self, d_u)
+        r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(self, d_s, d_u, r_s, r_u)
+        return r_j, (
+            ("delta_s", self.h_s, r_s),
+            ("delta_u", self.h_u, r_u),
+            ("delta_su", self.h_su, r_j),
+        ), blocked
+
 
 @dataclass(frozen=True)
 class WiretapChannelGaussian:
@@ -219,8 +238,9 @@ def gaussian_rdf_sem(src: SemanticSourceGaussian, target_s: float, case: int) ->
 def gaussian_rdf_joint(
     src: SemanticSourceGaussian, target_s: float, target_u: float, case: int
 ) -> float:
-    """Joint RDF under both distortion constraints (see :func:`_components`)."""
-    r_j, _, blocked = _components(src, target_s, target_u, case)
+    """Joint RDF under both distortion constraints (see
+    :meth:`SemanticSourceGaussian.rdf_components`)."""
+    r_j, _, blocked = src.rdf_components(target_s, target_u, case)
     _check_reach(src, target_s, blocked)
     return float(r_j)
 
@@ -228,21 +248,6 @@ def gaussian_rdf_joint(
 # ---------------------------------------------------------------------------
 # converse bound
 # ---------------------------------------------------------------------------
-
-
-def _components(src, d_s, d_u, case):
-    """Joint RDF, the (name, entropy, RDF) converse components and the
-    case-1 floor mask at the broadcastable distortions ``d_s`` and ``d_u``
-    (see :func:`semsec.regions.rdf_components`). Case 1's joint RDF is the
-    maximum of the two marginals."""
-    r_s, blocked = _rdf_sem(src, d_s, case)
-    r_u = _rdf_obs(src, d_u)
-    r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(src, d_s, d_u, r_s, r_u)
-    return r_j, (
-        ("delta_s", src.h_s, r_s),
-        ("delta_u", src.h_u, r_u),
-        ("delta_su", src.h_su, r_j),
-    ), blocked
 
 
 def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
@@ -300,7 +305,7 @@ def converse_equivocation_caps(
     :class:`EquivocationCaps` for both values and the clamp flags).
     Infeasible distortions propagate as :class:`InfeasibleError`.
     """
-    _, comps, blocked = rdf_components(src, target_s, target_u, case)
+    _, comps, blocked = src.rdf_components(target_s, target_u, case)
     return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
@@ -320,7 +325,7 @@ def converse_min_r(
     zero secrecy capacity, or when the distortion pair itself is infeasible.
     This is :func:`semsec.regions.min_ratio` at one cell.
     """
-    return min_ratio(ch, targets, *rdf_components(src, target_s, target_u, case)).cell()
+    return min_ratio(ch, targets, *src.rdf_components(target_s, target_u, case)).cell()
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +433,6 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     return g
 
 
-def _stick_rest(rng, k: int, parts: int) -> np.ndarray:
-    """Uniform split of 1 into ``parts`` nonnegative shares, k times."""
-    return rng.dirichlet(np.ones(parts), size=k)
-
-
 def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     """Draw ``n`` channel-side layer structures; returns (σ², ν²), each (n, 4).
 
@@ -457,10 +457,10 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     if idx0.size:
         k = idx0.size
         total = rng.uniform(0.0, 1.0, k)
-        shares[idx0] = _stick_rest(rng, k, 4) * total[:, None]
+        shares[idx0] = rng.dirichlet(np.ones(4), size=k) * total[:, None]
         noise[idx0] = rng.uniform(0.0, 1.0, (k, 4)) * math.sqrt(p)
     if idx1.size:
-        shares[idx1] = _stick_rest(rng, idx1.size, 4)
+        shares[idx1] = rng.dirichlet(np.ones(4), size=idx1.size)
     if idx2.size:
         k = idx2.size
         v_wc = rng.uniform(0.0, 0.1, k)
@@ -475,7 +475,7 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     if idx3.size:
         k = idx3.size
         v_wu = 0.7 + 0.3 * rng.uniform(0.0, 1.0, k)
-        rest3 = _stick_rest(rng, k, 3) * (1.0 - v_wu)[:, None]
+        rest3 = rng.dirichlet(np.ones(3), size=k) * (1.0 - v_wu)[:, None]
         shares[idx3, 1] = v_wu
         shares[idx3, 0] = rest3[:, 0]
         shares[idx3, 2] = rest3[:, 1]
@@ -793,28 +793,6 @@ def draw_inner_samples(
     return {key: np.concatenate(vals) for key, vals in out.items()}
 
 
-def _resolve_grid(grid, src: SemanticSourceGaussian):
-    """Bucket edges (D_s, D_u) for the inner-bound scan.
-
-    ``grid`` is a bucket count for both axes (None means 40) or a
-    (D_s, D_u) pair whose entries are each a bucket count over
-    [0, P_s] / [0, P_u] or an explicit edge array.
-    """
-    if grid is None:
-        grid = 40
-    if isinstance(grid, int):
-        grid = (grid, grid)
-    edges = []
-    for name, spec, hi in (("D_s", grid[0], src.P_s), ("D_u", grid[1], src.P_u)):
-        if isinstance(spec, int) and spec < 1:
-            raise DomainError(f"{name} grid must have at least one bucket, got {spec}")
-        e = np.linspace(0.0, hi, spec + 1) if isinstance(spec, int) else np.asarray(spec, float)
-        if e.ndim != 1 or len(e) < 2 or np.any(np.diff(e) <= 0):
-            raise DomainError(f"{name} bucket edges must be strictly increasing")
-        edges.append(e)
-    return tuple(edges)
-
-
 def inner_bound_scan(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -822,7 +800,7 @@ def inner_bound_scan(
     case: int,
     n_samples: int,
     seed: int,
-    grid=None,
+    grid: int | tuple[int, int] = 40,
 ) -> RegionSurface:
     """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
 
@@ -830,11 +808,15 @@ def inner_bound_scan(
     for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
     Buckets without accepted samples are reported as no-data (never
     interpolated). Deterministic for a fixed seed, with a stable prefix
-    under sample-count growth. ``grid`` is a bucket count for both axes
-    (default 40) or a (D_s, D_u) pair of counts or bucket-edge arrays.
+    under sample-count growth. ``grid`` is a bucket count for both axes or
+    a (D_s, D_u) pair of counts; the buckets split [0, P_s] and [0, P_u]
+    evenly.
     """
-    edges_s, edges_u = _resolve_grid(grid, src)
-    n_bs, n_bu = len(edges_s) - 1, len(edges_u) - 1
+    n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
+    if min(n_bs, n_bu) < 1:
+        raise DomainError(f"the scan needs at least one bucket per axis, got {grid}")
+    edges_s = np.linspace(0.0, src.P_s, n_bs + 1)
+    edges_u = np.linspace(0.0, src.P_u, n_bu + 1)
     samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
     acc = samples["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)

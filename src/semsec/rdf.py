@@ -1,19 +1,16 @@
 """Discrete-alphabet rate-distortion solvers for classic and semantic sources.
 
-Two layers:
-
-* closed forms for the binary symmetric semantic source
-  (:func:`binary_rdf_obs`, :func:`binary_rdf_sem`, :func:`binary_rdf_joint`);
-* one numeric two-constraint solver (:class:`TwoConstraintSolver`, behind
-  :func:`rdf_semantic_case1`, :func:`rdf_semantic_case2` and
-  :func:`rdf_classic`, the single-constraint case with a zero second cost):
-  warm-started Blahut-Arimoto inside a projected Newton ascent on the 2-D
-  concave dual. Every point also carries Csiszar's
-  certified dual lower bound, valid at any output distribution, so the
-  optimality gap is observable and binary case-2 values can be lower
-  bounds. The two linear programs that open a solve (joint feasibility of
-  the targets, and the best rate-0 point) have only two cost rows, and
-  both are solved exactly in numpy.
+One numeric two-constraint solver (:class:`TwoConstraintSolver`, behind
+:func:`rdf_semantic_case1`, :func:`rdf_semantic_case2` and
+:func:`rdf_classic`, the single-constraint case with a zero second cost):
+warm-started Blahut-Arimoto inside a projected Newton ascent on the 2-D
+concave dual. Every point also carries Csiszar's
+certified dual lower bound, valid at any output distribution, so the
+optimality gap is observable and binary case-2 values can be lower
+bounds. The two linear programs that open a solve (joint feasibility of
+the targets, and the best rate-0 point) have only two cost rows, and
+both are solved exactly in numpy. The binary model's closed forms live
+in :mod:`semsec.binary`.
 
 Distortion targets are treated as ``<= D`` with a slack tolerance of 1e-9.
 Rates are bits per source symbol; multipliers are in bits per unit distortion.
@@ -24,13 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .info import LN2, Pmf, binary_entropy
-from .regions import _distortions
+from .info import LN2, Pmf
 
 __all__ = [
     "DiscreteSemanticSource",
@@ -42,9 +37,6 @@ __all__ = [
     "rdf_classic",
     "rdf_semantic_case1",
     "rdf_semantic_case2",
-    "binary_rdf_obs",
-    "binary_rdf_sem",
-    "binary_rdf_joint",
 ]
 
 _SLACK = 1e-9
@@ -720,93 +712,3 @@ def rdf_semantic_case1(
     enforced through the conditional-expectation distortion on (U, S_hat).
     """
     return TwoConstraintSolver().solve(*_case1_problem(src, d_s, d_u), target_s, target_u)
-
-
-# ---------------------------------------------------------------------------
-# binary closed forms
-# ---------------------------------------------------------------------------
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 0.5:
-        raise DomainError(f"crossover must lie in [0, 0.5], got {alpha}")
-    return float(alpha)
-
-
-def _binary_obs(alpha: float, d_u) -> np.ndarray:
-    """Observation-part RDF at every distortion in ``d_u``: H_b(alpha) - H_b(D_u)
-    for D_u <= alpha, else 0."""
-    d_u = _distortions(d_u, positive=False)
-    out = np.zeros(d_u.shape)
-    near = d_u <= alpha
-    out[near] = binary_entropy(alpha) - binary_entropy(d_u[near])
-    return out
-
-
-def _binary_sem(alpha: float, d_s, case: int) -> np.ndarray:
-    """Semantic-part RDF at every distortion in ``d_s``; +inf below case 1's
-    floor alpha."""
-    d_s = _distortions(d_s, positive=False)
-    out = np.zeros(d_s.shape)
-    near = d_s <= 0.5 if case == 2 else d_s < 0.5
-    if case == 2:
-        out[near] = 1.0 - binary_entropy(d_s[near])
-    elif case == 1:
-        out[d_s < alpha] = np.inf
-        near &= d_s >= alpha
-        out[near] = 1.0 - binary_entropy((d_s[near] - alpha) / (1.0 - 2.0 * alpha))
-    else:
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    return out
-
-
-def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
-    """Joint RDF at the broadcastable distortions, given the marginals.
-
-    Case 1 is their maximum. Case 2 is one cached solve of the 2x2 joint
-    per point, and its value the solver's certified dual bound, a true lower
-    bound on the RDF. A solve that did not converge, or whose primal-dual
-    gap exceeds 1e-6, raises a :class:`RuntimeWarning` naming the point.
-    """
-    if case == 1:
-        return np.maximum(r_s, r_u)
-    a, b = np.broadcast_arrays(d_s, d_u)
-    out = np.empty(a.shape)
-    for k, (t_s, t_u) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
-        # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
-        # R(D_u, D_s): the sorted pair shares one solve.
-        point = _binary_joint_case2_cached(float(alpha), *sorted((t_s, t_u)))
-        _warn_if_uncertified(
-            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({t_s}, {t_u})"
-        )
-        out.flat[k] = max(float(point.dual_bound), 0.0)
-    return out
-
-
-def binary_rdf_obs(alpha: float, target_u: float) -> float:
-    """Observation-part RDF H_b(alpha) - H_b(D_u) for D_u <= alpha, else 0."""
-    return float(_binary_obs(_check_alpha(alpha), target_u))
-
-
-def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
-    """Semantic-part RDF; returns +inf for the infeasible restricted-encoder range."""
-    return float(_binary_sem(_check_alpha(alpha), target_s, case))
-
-
-@lru_cache(maxsize=4096)
-def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoint:
-    src = DiscreteSemanticSource.doubly_symmetric(alpha)
-    ham = hamming_distortion(2)
-    return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
-
-
-def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) -> float:
-    """Joint binary RDF (see :func:`_binary_joint`); infeasible for case 1
-    below the crossover."""
-    alpha = _check_alpha(alpha)
-    r_s = _binary_sem(alpha, target_s, case)
-    if np.isinf(r_s):
-        raise InfeasibleError(
-            f"restricted encoder cannot reach semantic distortion {target_s} < {alpha}"
-        )
-    return float(_binary_joint(alpha, target_s, target_u, case, r_s, _binary_obs(alpha, target_u)))

@@ -4,9 +4,10 @@ shared by the Gaussian and binary models.
 Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / C_s)``
 over the enabled targets, with C the main-channel capacity and C_s the
 secrecy capacity of the channel; a model supplies only its RDFs and entropy
-terms, through :func:`rdf_components`. Every routine takes any two
-broadcastable distortion arrays: a grid is (n, 1) x (1, m), scattered points
-are (k,) x (k,), and two floats give one cell.
+terms, through the ``rdf_components(d_s, d_u, case)`` method of its source
+type. Every routine takes any two broadcastable distortion arrays: a grid is
+(n, 1) x (1, m), scattered points are (k,) x (k,), and two floats give one
+cell.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "RegionSurface",
     "TradeoffCurve",
     "min_ratio",
-    "rdf_components",
     "equivocation_caps",
     "converse_surface",
 ]
@@ -189,25 +189,6 @@ class RatioGrid:
         return MinRateResult(None, False, reason=REASONS[code])
 
 
-def rdf_components(src, d_s, d_u, case: int):
-    """The model's joint RDF, its (name, entropy, RDF) converse components
-    and the mask of cells below the case-1 floor, at the distortions ``d_s``
-    and ``d_u``: any two broadcastable arrays, or floats.
-
-    The joint RDF and the mask have the broadcast shape; each component's
-    RDF broadcasts to it. This is the one evaluator behind every converse
-    entry point, the input :func:`min_ratio` and :func:`equivocation_caps`
-    take.
-    """
-    # Imported here because both model modules import this one.
-    from .binary import SemanticSourceBinary, _components as binary_components
-    from .gaussian import _components as gaussian_components
-
-    if isinstance(src, SemanticSourceBinary):
-        return binary_components(src, d_s, d_u, case)
-    return gaussian_components(src, d_s, d_u, case)
-
-
 def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
               components: Sequence[Component], blocked: np.ndarray) -> RatioGrid:
     """Per cell, the maximum of the rate bound ``r_joint / ch.capacity_main``
@@ -215,11 +196,11 @@ def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
     ``ch.secrecy_capacity``.
 
     Each component's RDF and the ``blocked`` mask broadcast to ``r_joint``
-    (see :func:`rdf_components`); a blocked cell is out of the encoder's
-    reach. The secrecy capacity is read only for a target that some cell
-    has not met. A cell where a target's need over it is not a finite
-    number (zero secrecy capacity, or an overflowing ratio) is infeasible,
-    named after the first such target.
+    (see a source type's ``rdf_components``); a blocked cell is out of the
+    encoder's reach. The secrecy capacity is read only for a target that
+    some cell has not met. A cell where a target's need over it is not a
+    finite number (zero secrecy capacity, or an overflowing ratio) is
+    infeasible, named after the first such target.
     """
     capacity = ch.capacity_main
     reason = np.where(np.broadcast_to(blocked, r_joint.shape), np.int8(_DISTORTION), np.int8(0))
@@ -264,7 +245,7 @@ def equivocation_caps(src, ch, r: float, R_k: float, components: Sequence[Compon
 
 @dataclass(frozen=True)
 class RegionSurface:
-    """A (D_s, D_u) grid of minimal channel-use ratios (or maximal equivocations).
+    """A (D_s, D_u) grid of minimal channel-use ratios.
 
     ``axes`` maps axis names to bucket-center coordinate arrays. ``values``
     holds the per-cell value where ``feasible`` is True and NaN elsewhere
@@ -306,7 +287,7 @@ def converse_surface(
     for the whole grid at once."""
     d_s_grid = np.asarray(d_s_grid, dtype=float)
     d_u_grid = np.asarray(d_u_grid, dtype=float)
-    grid = min_ratio(ch, targets, *rdf_components(src, d_s_grid[:, None], d_u_grid[None, :], case))
+    grid = min_ratio(ch, targets, *src.rdf_components(d_s_grid[:, None], d_u_grid[None, :], case))
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
         values=grid.r_min,

@@ -18,6 +18,7 @@ from .binary import (
     binary_min_r,
     delta_s_curve,
 )
+from .errors import InfeasibleError
 from .gaussian import (
     SemanticSourceGaussian,
     WiretapChannelGaussian,
@@ -28,7 +29,7 @@ from .gaussian import (
 )
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion
-from .regions import DISABLED, EquivocationTargets, min_ratio, rdf_components
+from .regions import DISABLED, EquivocationTargets, min_ratio
 
 __all__ = ["run_verification"]
 
@@ -96,7 +97,7 @@ def _converse_checks():
     try:
         gaussian_rdf_sem(src, 0.2, 1)
         raised = False
-    except Exception:
+    except InfeasibleError:
         raised = True
     checks.append(_check(
         "case1-floor-raises", raised,
@@ -131,7 +132,7 @@ def _inner_checks():
         "inner-scan-acceptance", acc.any(),
         f"{int(acc.sum())} of {len(acc)} draws accepted",
     ))
-    lower = min_ratio(ch, tg, *rdf_components(src, out["d_s"][acc], out["d_u"][acc], 2))
+    lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][acc], out["d_u"][acc], 2))
     gap = lower.r_min - out["r"][acc]
     worst = float(np.max(gap, initial=0.0))
     ok = bool(lower.feasible.all()) and worst <= 1e-6

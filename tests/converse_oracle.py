@@ -4,7 +4,7 @@ This is how ``semsec`` evaluated a converse surface before it evaluated the
 whole grid at once: the Gaussian case-2 joint RDF as a scalar four-regime
 closed form, one ``min_ratio`` call per cell and a Python loop over the
 cells. ``semsec.regions.converse_surface``, the point sets of
-``semsec.regions.rdf_components`` and the scalar entry points
+the sources' ``rdf_components`` and the scalar entry points
 ``converse_min_r`` and ``binary_min_r`` are checked against it bit for bit.
 The marginal RDFs are the scalar closed forms the package had before it
 evaluated them as arrays, so they do not share its code. The binary case-2
@@ -24,10 +24,9 @@ import math
 
 import numpy as np
 
-from semsec.binary import SemanticSourceBinary
+from semsec.binary import SemanticSourceBinary, _binary_joint_case2_cached
 from semsec.errors import DomainError, InfeasibleError
 from semsec.info import binary_entropy, star
-from semsec.rdf import _binary_joint_case2_cached
 from semsec.regions import DISABLED, MinRateResult
 
 

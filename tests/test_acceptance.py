@@ -37,7 +37,7 @@ from semsec import (
 )
 from semsec.cli import main as cli_main
 from semsec.config import build_channel, build_source, get_preset, resolve_distortion_grid
-from semsec.regions import min_ratio, rdf_components
+from semsec.regions import min_ratio
 
 
 def _report(number, name, ok, detail=""):
@@ -143,12 +143,12 @@ def test_criterion_3_inner_bound_sandwich():
             out = draw_inner_samples(src, ch, tg, case, cfg.samples, cfg.seed)
             idx = np.flatnonzero(out["accepted"])
             # The converse at every accepted draw, as one set of points.
-            lower = min_ratio(ch, tg, *rdf_components(src, out["d_s"][idx], out["d_u"][idx], case))
+            lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][idx], out["d_u"][idx], case))
             violations = int(np.sum(lower.feasible & (out["r"][idx] < lower.r_min - 1e-6)))
             scan = inner_bound_scan(src, ch, tg, case, cfg.samples, cfg.seed)
             a, b = np.nonzero(scan.feasible)
-            lower = min_ratio(ch, tg, *rdf_components(
-                src, np.asarray(scan.axes["D_s"])[a], np.asarray(scan.axes["D_u"])[b], case))
+            lower = min_ratio(ch, tg, *src.rdf_components(
+                np.asarray(scan.axes["D_s"])[a], np.asarray(scan.axes["D_u"])[b], case))
             priced = lower.feasible & (lower.r_min > 0)
             close = int(np.sum(scan.values[a, b][priced] / lower.r_min[priced] <= 1.15))
             run_ok = len(idx) > 0 and violations == 0 and close >= 1

@@ -1,8 +1,11 @@
-"""Public API: every exported name resolves, and removed names stay removed."""
+"""Public API: every exported name resolves, removed names stay removed, and
+the shared layers do not reach into a model."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ REMOVED = (
     "CovMatrix", "gaussian_mi", "schur_conditional", "gaussian_entropy",
     "NotPsdError", "SingularBlockError", "brute_force_rdf",
     "secrecy_term", "binary_secrecy_term",
+    # Each source type's rdf_components method evaluates its model's RDFs.
+    "rdf_components",
 )
 # Options that nothing at run time set: the solver has no knobs, and the
 # converse no split.
@@ -64,3 +69,28 @@ def test_converse_routines_take_no_callable(func):
     params = inspect.signature(func).parameters
     assert "slope" not in params
     assert not any("Callable" in str(p.annotation) for p in params.values())
+
+
+def _semsec_imports(name):
+    """The ``semsec`` modules that module ``name`` imports, found by an AST scan."""
+    tree = ast.parse((Path(semsec.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("semsec." if node.level else "") + (node.module or "")
+            base = base.rstrip(".") or "semsec"
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return {dotted.split(".")[1] for dotted in found if dotted.startswith("semsec.")}
+
+
+@pytest.mark.parametrize("layer, forbidden", [
+    ("regions", {"gaussian", "binary"}),
+    ("rdf", {"gaussian", "binary", "regions"}),
+])
+def test_shared_layers_import_no_model(layer, forbidden):
+    # The converse routines and the discrete solver serve both models; each
+    # model's RDFs live with its source type.
+    assert _semsec_imports(layer) & forbidden == set()

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -12,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import semsec
-from semsec import DISABLED, ValidationError, config_hash, dump_config, load_config
+from semsec import DISABLED, ValidationError, config_hash, dump_config, load_config, verify
 from semsec.cli import main
-from semsec.config import RunConfig, get_preset, preset_names, validate_config
+from semsec.config import RunConfig, get_preset, preset_names
 from semsec.gaussian import REASON_NAMES
 
 PRESETS = (
@@ -370,6 +369,33 @@ class TestExitCodes:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert "pass" in out.lower()
+
+    def test_floor_check_passes_only_on_infeasible(self, monkeypatch):
+        # Only the restricted encoder's InfeasibleError counts as the
+        # expected raise; any other error is a defect and must surface.
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(verify, "gaussian_rdf_sem", broken)
+        with pytest.raises(TypeError, match="broken"):
+            verify.run_verification()
+
+    @pytest.mark.parametrize("fields", [
+        {"mode": "converse", "d_s_grid": {"n": 4}},
+        {"mode": "inner", "d_u_grid": [0.1, 0.2]},
+        {"mode": "converse", "d_s_grid": {"points": 5}},
+        {"mode": "converse", "d_u_grid": [[0.1], [0.2, 0.3]]},
+        {"mode": "converse", "d_u_grid": ["a"]},
+    ], ids=("n-mapping", "inner-point-list", "points-not-a-list", "ragged", "not-numbers"))
+    def test_unsupported_grid_exit2(self, fields, tmp_path, capsys):
+        raw = {"model": "gaussian", **fields}
+        with pytest.raises(ValidationError, match="grid"):
+            load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli([raw["mode"], "--config", str(path)], capsys)
+        assert code == 2
+        assert "grid" in err
 
 
 class TestConfigModule:

@@ -28,7 +28,7 @@ from semsec import (
 )
 from semsec.cli import _render_surfaces
 from semsec.config import RunConfig
-from semsec.regions import min_ratio, rdf_components
+from semsec.regions import min_ratio
 
 # Frozen oracles for the default operating point.
 H_S = 1.789808998765762            # 0.5*log2(2*pi*e*0.7)
@@ -796,7 +796,7 @@ class TestInnerMinR:
         acc = out["accepted"]
         assert acc.sum() > 20
         first = np.flatnonzero(acc)[:25]
-        lower = min_ratio(ch, tg, *rdf_components(src, out["d_s"][first], out["d_u"][first], 2))
+        lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][first], out["d_u"][first], 2))
         assert lower.feasible.all()
         assert np.all(out["r"][first] >= lower.r_min - 1e-6)
 

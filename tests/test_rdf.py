@@ -1,7 +1,5 @@
 """Discrete rate-distortion machinery: solver oracles and properties."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from grid_oracle import brute_force_rdf
 from nm_oracle import NelderMeadSolver, lp_channel_feasibility, lp_zero_rate_point
 
-from semsec import rdf
+from semsec import binary, rdf
 from semsec import (
     DiscreteSemanticSource,
     DistortionMatrix,
@@ -464,20 +462,20 @@ class TestBinaryClosedForms:
         assert binary_rdf_joint(0.25, 0.25, 0.3, 2) == point.dual_bound
 
     def test_joint_case2_swapped_cells_share_one_solve(self):
-        rdf._binary_joint_case2_cached.cache_clear()
+        binary._binary_joint_case2_cached.cache_clear()
         first = binary_rdf_joint(0.2, 0.1, 0.35, 2)
         swapped = binary_rdf_joint(0.2, 0.35, 0.1, 2)
         assert first == swapped
-        info = rdf._binary_joint_case2_cached.cache_info()
+        info = binary._binary_joint_case2_cached.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_joint_case2_warns_when_the_solver_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
-        rdf._binary_joint_case2_cached.cache_clear()
+        binary._binary_joint_case2_cached.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match=r"\(D_s, D_u\)=\(0\.3, 0\.25\).*gap"):
                 value = binary_rdf_joint(0.25, 0.3, 0.25, 2)
         finally:
-            rdf._binary_joint_case2_cached.cache_clear()
+            binary._binary_joint_case2_cached.cache_clear()
         # Starved or not, the value is a certified lower bound.
         assert 0.0 <= value <= JOINT_CASE2_03_025 + 1e-3

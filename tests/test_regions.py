@@ -38,9 +38,8 @@ from semsec import (
     gaussian_rdf_obs,
     gaussian_rdf_sem,
 )
-import semsec.gaussian as gaussian_mod
 from semsec.cli import main
-from semsec.regions import REASONS, min_ratio, rdf_components
+from semsec.regions import REASONS, min_ratio
 
 NAMES = ("delta_s", "delta_u", "delta_su")
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -318,7 +317,7 @@ GRIDS = {
 def _check_cells(src, ch, tg, case, d_s, d_u, cells):
     """The evaluator at broadcastable ``d_s`` and ``d_u`` against the oracle's
     ``cells``: r_min bit for bit, equal reason codes and equal verdicts."""
-    got = min_ratio(ch, tg, *rdf_components(src, d_s, d_u, case))
+    got = min_ratio(ch, tg, *src.rdf_components(d_s, d_u, case))
     a, b = np.broadcast_arrays(d_s, d_u)
     want = [cells[t_s, t_u] for t_s, t_u in zip(a.ravel().tolist(), b.ravel().tolist())]
     r_want = np.reshape([np.nan if w.r_min is None else w.r_min for w in want], a.shape)
@@ -374,7 +373,7 @@ def test_gaussian_joint_rdf_keeps_libm_bits():
     # the last bit on some regime-3 and regime-4 cells; the grid must not.
     src = SemanticSourceGaussian(1.3, 0.9, 0.7)
     d = np.linspace(0.01, 1.4, 300)
-    got = gaussian_mod._components(src, d[:, None], d[None, :], 2)[0]
+    got = src.rdf_components(d[:, None], d[None, :], 2)[0]
     want = [[oracle.gaussian_rdf_joint(src, t_s, t_u, 2) for t_u in d.tolist()]
             for t_s in d.tolist()]
     np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
@@ -407,7 +406,7 @@ def test_distortions_must_be_finite(model, case, axis, bad):
     arrays = [np.full(3, d) for d in pair]
     arrays[axis][1] = bad
     with pytest.raises(DomainError, match="distortions must be finite"):
-        rdf_components(src, *arrays, case)
+        src.rdf_components(*arrays, case)
 
 
 @pytest.mark.parametrize("model", sorted(VALID))
