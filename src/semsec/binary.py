@@ -49,6 +49,12 @@ class SemanticSourceBinary:
             raise DomainError(f"alpha must lie in [0, 1/2], got {self.alpha}")
 
     @property
+    def distortion_range(self) -> tuple[float, float]:
+        """The (D_s, D_u) upper ends of the ranges that count grids split:
+        Hamming distortions beyond 1/2 are never needed."""
+        return 0.5, 0.5
+
+    @property
     def h_s(self) -> float:
         return 1.0
 

@@ -40,6 +40,8 @@ from .config import (
     preset_names,
     resolve_distortion_grid,
     _encode,
+    _MODE_MODEL,
+    _MODES,
 )
 from .errors import DomainError, ValidationError
 from .gaussian import inner_bound_scan
@@ -69,25 +71,16 @@ def _csv(columns, lines, cfg: RunConfig) -> str:
 
 
 def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
-    """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``."""
+    """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``;
+    ``rows`` hold Python scalars (None for an empty cell)."""
     if fmt != "json":
         return _csv(columns, [",".join(_fmt(v) for v in row) for row in rows], cfg)
-
-    def clean(v):
-        if v is None:
-            return None
-        if isinstance(v, (bool, np.bool_)):
-            return bool(v)
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        return float(v)
-
     payload = {
         "artifact": ARTIFACT_MARKER.lstrip("# "),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "columns": list(columns),
-        "rows": [[clean(v) for v in row] for row in rows],
+        "rows": list(rows),
     }
     if metadata:
         payload["metadata"] = _encode(metadata)
@@ -141,9 +134,6 @@ def _variant_path(out: Path, case: int, r_k: float) -> Path:
 # config resolution
 # ---------------------------------------------------------------------------
 
-_SUBCOMMAND_MODEL = {"converse": "gaussian", "inner": "gaussian", "curve": "binary"}
-
-
 def _resolve_config(args, subcommand: str) -> RunConfig:
     if args.preset and args.config:
         raise ValidationError(["--preset and --config are mutually exclusive"])
@@ -153,9 +143,9 @@ def _resolve_config(args, subcommand: str) -> RunConfig:
         cfg = load_config(args.config)
     else:
         kwargs = {}
-        if subcommand in _SUBCOMMAND_MODEL:
+        if subcommand in _MODES:
             kwargs["mode"] = subcommand
-            kwargs["model"] = args.model or _SUBCOMMAND_MODEL[subcommand]
+            kwargs["model"] = args.model or _MODE_MODEL.get(subcommand, RunConfig.model)
         elif args.model:
             kwargs["model"] = args.model
         cfg = RunConfig(**kwargs)
@@ -168,7 +158,7 @@ def _resolve_config(args, subcommand: str) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
         overrides["samples"] = args.samples
-    if subcommand in _SUBCOMMAND_MODEL:
+    if subcommand in _MODES:
         overrides["mode"] = subcommand
         if cfg.mode != subcommand and (args.preset or args.config):
             raise ValidationError([
@@ -189,7 +179,7 @@ def _cmd_converse(args) -> int:
     cfg = _resolve_config(args, "converse")
     src = build_source(cfg)
     ch = build_channel(cfg)
-    hi_s, hi_u = (src.P_s, src.P_u) if cfg.model == "gaussian" else (0.5, 0.5)
+    hi_s, hi_u = src.distortion_range
     d_s_grid = resolve_distortion_grid(cfg.d_s_grid, hi_s)
     d_u_grid = resolve_distortion_grid(cfg.d_u_grid, hi_u)
     targets = cfg.targets()
@@ -228,17 +218,12 @@ def _cmd_curve(args) -> int:
     ch = build_channel(cfg)
     variants = [(case, r_k) for case in cfg.cases for r_k in cfg.key_rates()]
     multi = len(variants) > 1
-    if isinstance(cfg.d_s_grid, int):
-        grid = cfg.d_s_grid
-    else:
-        grid = resolve_distortion_grid(cfg.d_s_grid, 0.5)
+    grid = cfg.d_s_grid
+    if not isinstance(grid, int):  # delta_s_curve spreads a count over each case's range
+        grid = resolve_distortion_grid(grid, src.distortion_range[0])
     for case, r_k in variants:
-        curve = delta_s_curve(
-            src, ch, r=cfg.r, R_k=r_k, case=case, d_s_grid=grid
-        )
-        rows = [
-            (row["D_s"], row["delta_s_max"], row["capped"]) for row in curve.rows()
-        ]
+        curve = delta_s_curve(src, ch, r=cfg.r, R_k=r_k, case=case, d_s_grid=grid)
+        rows = zip(curve.d_s.tolist(), curve.delta_s_max.tolist(), curve.capped.tolist())
         text = _render(CURVE_COLUMNS, rows, cfg, args.format)
         if args.out is None:
             if multi:

@@ -82,6 +82,11 @@ class RunConfig:
     name: str | None = None
 
     def __post_init__(self):
+        # Validated before any coercion, so that a malformed field is
+        # reported rather than converted or raised as a TypeError.
+        problems = validate_config(self)
+        if problems:
+            raise ValidationError(problems)
         object.__setattr__(self, "cases", tuple(int(c) for c in self.cases))
         object.__setattr__(self, "source", dict(self.source))
         object.__setattr__(self, "channel", dict(self.channel))
@@ -89,9 +94,6 @@ class RunConfig:
             object.__setattr__(
                 self, "R_k_values", tuple(float(v) for v in self.R_k_values)
             )
-        problems = validate_config(self)
-        if problems:
-            raise ValidationError(problems)
 
     def targets(self, R_k: float | None = None) -> EquivocationTargets:
         return EquivocationTargets(
@@ -120,16 +122,29 @@ def _check_number(problems, path, val, *, allow_neg_inf=False, minimum=None):
         problems.append(f"{path}: must be >= {minimum}, got {val}")
 
 
+def _is_count(val) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
-    """All problems with the config, as ``field: message`` strings."""
+    """All problems with the config, as ``field: message`` strings; the
+    fields may still be in the form they were given in."""
     problems: list[str] = []
-    if cfg.model not in _MODELS:
-        problems.append(f"model: must be one of {tuple(_MODELS)}, got {cfg.model!r}")
-    if cfg.mode not in _MODES:
-        problems.append(f"mode: must be one of {_MODES}, got {cfg.mode!r}")
-    if not cfg.cases or any(c not in (1, 2) for c in cfg.cases):
-        problems.append(f"cases: must be a nonempty subset of (1, 2), got {cfg.cases}")
-    for part in ("source", "channel"):
+    for name, known in (("model", tuple(_MODELS)), ("mode", _MODES)):
+        if getattr(cfg, name) not in known:
+            problems.append(f"{name}: must be one of {known}, got {getattr(cfg, name)!r}")
+    parts = ("source", "channel")
+    for part in parts:
+        if not isinstance(getattr(cfg, part), Mapping):
+            problems.append(f"{part}: expected a mapping, got {getattr(cfg, part)!r}")
+    if not (isinstance(cfg.model, str) and isinstance(cfg.mode, str)
+            and all(isinstance(getattr(cfg, part), Mapping) for part in parts)):
+        return problems  # the checks below look these fields up
+    cases = tuple(cfg.cases) if isinstance(cfg.cases, (list, tuple)) else cfg.cases
+    if not (isinstance(cases, tuple) and cases
+            and all(_is_count(c) and c in (1, 2) for c in cases)):
+        problems.append(f"cases: must be a nonempty subset of (1, 2), got {cases}")
+    for part in parts:
         for key, val in getattr(cfg, part).items():
             _check_number(problems, f"{part}.{key}", val)
     for part, (_, defaults) in _MODELS.get(cfg.model, {}).items():
@@ -139,7 +154,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
     for name in ("delta_s", "delta_u", "delta_su"):
         _check_number(problems, name, getattr(cfg, name), allow_neg_inf=True)
     _check_number(problems, "R_k", cfg.R_k, minimum=0.0)
-    if cfg.R_k_values is not None:
+    if not isinstance(cfg.R_k_values, (type(None), list, tuple, np.ndarray)):
+        problems.append(f"R_k_values: expected null or a list of numbers, got {cfg.R_k_values!r}")
+    elif cfg.R_k_values is not None:
         for i, val in enumerate(cfg.R_k_values):
             _check_number(problems, f"R_k_values[{i}]", val, minimum=0.0)
     for name in ("d_s_grid", "d_u_grid"):
@@ -152,9 +169,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
             if cfg.mode == "inner" and not isinstance(grid, int):
                 problems.append(f"{name}: the inner-bound scan needs a bucket count")
     _check_number(problems, "r", cfg.r, minimum=0.0)
-    if not isinstance(cfg.samples, int) or cfg.samples < 1:
+    if not _is_count(cfg.samples) or cfg.samples < 1:
         problems.append(f"samples: must be a positive integer, got {cfg.samples!r}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+    if not _is_count(cfg.seed) or cfg.seed < 0:
         problems.append(f"seed: must be a nonnegative integer, got {cfg.seed!r}")
     only = _MODE_MODEL.get(cfg.mode, cfg.model)
     if cfg.model != only:
@@ -283,9 +300,6 @@ def load_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValidationError([f"config: unknown keys {sorted(unknown)}"])
-    for key in ("cases", "R_k_values"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
     return RunConfig(**raw)
 
 

@@ -100,6 +100,11 @@ class SemanticSourceGaussian:
         return min(self.P_su**2 / (self.P_s * self.P_u), 1.0)
 
     @property
+    def distortion_range(self) -> tuple[float, float]:
+        """The (D_s, D_u) upper ends of the ranges that count grids split."""
+        return self.P_s, self.P_u
+
+    @property
     def K(self) -> np.ndarray:
         return np.array([[self.P_s, self.P_su], [self.P_su, self.P_u]])
 
@@ -352,8 +357,9 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     g is coordinate-major, (coordinate, factor dim, draw), the layout that
     :func:`_prefix_logdets` reads: g[i, :, k] is row i of draw k's factor.
     Σ1 is the Gram matrix of each draw's rows, and rows 0-1 are the Cholesky
-    rows of K, so the (S, U) block of Σ1 is K up to rounding. Rows 0-5 have
-    1, 2, 3, 3, 5 and 5 factor dims that can be nonzero. Every draw is a
+    rows of K, so the (S, U) block of Σ1 is K up to rounding. Rows 0-5 can
+    be nonzero only in their leading 1, 2, 3, 4, 6 and 6 factor dims, the
+    spans that :func:`_prefix_logdets` carries them on. Every draw is a
     valid covariance by construction, so no draw is gated;
     :func:`_inner_terms` reads the source-side terms from the rows of g
     without forming Σ1. Every entry is a Cholesky entry or a unit-free draw
@@ -497,16 +503,6 @@ _SOURCE_CHAINS = {
 }
 
 
-def _positions(dims, sub):
-    """Where the sorted dims ``sub`` sit in the sorted dims ``dims``: a slice
-    when they are a contiguous run, else an index list."""
-    pos = [dims.index(d) for d in sub]
-    start = pos[0] if pos else 0
-    if pos == list(range(start, start + len(pos))):
-        return slice(start, start + len(pos))
-    return pos
-
-
 def _dot(a, b):
     """Σ_i a[i] b[i] over the first axis, summed in increasing i for every
     draw, so a draw's bits do not depend on the draws evaluated with it.
@@ -515,23 +511,6 @@ def _dot(a, b):
     if a.shape[1] == 1:
         return _dot(np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1))[:1]
     return np.einsum("ij,ij->j", a, b)
-
-
-def _project_out(dims, v, q_dims, q):
-    """(dims, values) of v - (q·v) q, with v and q carried on their sorted
-    dims and the result on their union; v's values may be updated in place.
-    The dot product runs over the shared dims in increasing order, which is
-    the dense sum without its exact-zero terms, so for finite q it has the
-    dense bits."""
-    shared = tuple(d for d in dims if d in q_dims)
-    dot = _dot(q[_positions(q_dims, shared)], v[_positions(dims, shared)])
-    union = tuple(sorted(set(dims) | set(q_dims)))
-    if union != dims:
-        out = np.zeros((len(union), v.shape[1]))
-        out[_positions(union, dims)] = v
-        dims, v = union, out
-    v[_positions(dims, q_dims)] -= dot * q
-    return dims, v
 
 
 def _prefix_logdets(g: np.ndarray, chains):
@@ -549,24 +528,22 @@ def _prefix_logdets(g: np.ndarray, chains):
     share a prefix share its work, and the unit vector of a prefix that no
     chain extends is never formed.
 
-    Only nonzero work is done: the factor dims that are zero for every draw
-    (``g.any(axis=2)``) are dropped once per call, and each row, residual
-    and unit vector is carried on the dims it can be nonzero on. Each sum
-    runs over those dims in increasing order, so every log-det and pivot
-    has the bits of the same pass over all dims. After a singular prefix,
-    that dense pass gets NaN pivots from the 0/0 entries of its unit
-    vectors in the dims dropped here, so those pivots are set to NaN
-    explicitly. Where the last projection read every dim, this pass formed
-    the dense entries too, and the pivot right after the singular one is
-    kept (+inf when a squared norm only underflowed to 0). Inputs are
-    finite, and their squared norms do not overflow. Returns ({index set:
-    (n,) log-dets}, {prefix: (n,) pivot of its last coordinate}).
+    A row's span is one past the last factor dim that some draw fills, and
+    a prefix's residual and unit vector are carried on the leading slice of
+    the longest span among its rows: the dims after it are zero in every
+    draw. Each sum runs over that slice in increasing order, so every
+    log-det and pivot has the bits of the same pass over all dims. After a
+    singular prefix, that dense pass gets NaN pivots from the 0/0 entries of
+    its unit vector in the dropped dims, so those are set to NaN here; where
+    that unit vector spans every dim, this pass is the dense one, and the
+    next pivot is kept (+inf when a squared norm only underflowed to 0).
+    Inputs are finite, and their squared norms do not overflow. Returns
+    ({index set: (n,) log-dets}, {prefix: (n,) pivot of its last coordinate}).
     """
     n_dim = g.shape[1]
-    support = g.any(axis=2)  # (coordinate, factor dim): nonzero for some draw
+    span = (g.any(axis=2) * np.arange(1, n_dim + 1)).max(axis=1).tolist()
     extended = {tuple(chain[:j]) for chain in chains for j in range(1, len(chain))}
-    # prefix -> (its unit residuals as (dims, values), its log-det)
-    basis = {(): ([], 0.0)}
+    basis = {(): ([], 0.0)}  # prefix -> (its unit residuals, its log-det)
     ld, piv = {}, {}
     for chain in chains:
         for j in range(1, len(chain) + 1):
@@ -574,19 +551,17 @@ def _prefix_logdets(g: np.ndarray, chains):
             if prefix in basis:
                 continue
             units, ld_prev = basis[prefix[:-1]]
-            dims = tuple(np.flatnonzero(support[prefix[-1]]).tolist())
-            v = g[prefix[-1], list(dims)]
-            for q_dims, q in units:
-                full = len(dims) == len(q_dims) == n_dim
-                dims, v = _project_out(dims, v, q_dims, q)
+            v = g[prefix[-1], :max(span[i] for i in prefix)].copy()
+            for q in units:
+                v[:len(q)] -= _dot(q, v[:len(q)]) * q
             p = _dot(v, v)
             if units:
                 keep = ld_prev > -np.inf
-                if full:  # dense arithmetic where only the previous pivot is singular
+                if len(units[-1]) == n_dim:  # dense where only the previous pivot is singular
                     keep |= basis[prefix[:-2]][1] > -np.inf
                 p = np.where(keep, p, np.nan)
             ld_cur = np.where((p > 0.0) & (ld_prev > -np.inf), ld_prev + np.log2(p), -np.inf)
-            unit = [(dims, v / np.sqrt(p))] if prefix in extended else []
+            unit = [v / np.sqrt(p)] if prefix in extended else []
             basis[prefix] = (units + unit, ld_cur)
             ld[frozenset(prefix)] = ld_cur
             piv[prefix] = p
@@ -618,8 +593,8 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
     from :func:`_prefix_logdets` over a few chains: for example the chain
     (Sc, Sp, S, U) yields {Sc}, {Sc, Sp}, {S, Sc, Sp} and {S, U, Sc, Sp}.
     Each distortion is a pivot of those chains: Var(S | Sc, Sp) is the third
-    pivot of (Sc, Sp, S). The pass skips the factor dims that are zero for
-    every draw, with the bits of a pass over all of them.
+    pivot of (Sc, Sp, S). The pass drops the trailing factor dims that are
+    zero for every draw, with the bits of a pass over all of them.
 
     Channel side (layers Wc, Wu, Qs, Qu with the signal powers ``sig2`` and
     private-noise powers ``nu2`` of :func:`_sample_sigma2_batch`):
@@ -809,14 +784,15 @@ def inner_bound_scan(
     Buckets without accepted samples are reported as no-data (never
     interpolated). Deterministic for a fixed seed, with a stable prefix
     under sample-count growth. ``grid`` is a bucket count for both axes or
-    a (D_s, D_u) pair of counts; the buckets split [0, P_s] and [0, P_u]
-    evenly.
+    a (D_s, D_u) pair of counts; the buckets split the source's
+    ``distortion_range``, [0, P_s] and [0, P_u], evenly.
     """
     n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
     if min(n_bs, n_bu) < 1:
         raise DomainError(f"the scan needs at least one bucket per axis, got {grid}")
-    edges_s = np.linspace(0.0, src.P_s, n_bs + 1)
-    edges_u = np.linspace(0.0, src.P_u, n_bu + 1)
+    hi_s, hi_u = src.distortion_range
+    edges_s = np.linspace(0.0, hi_s, n_bs + 1)
+    edges_u = np.linspace(0.0, hi_u, n_bu + 1)
     samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
     acc = samples["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)

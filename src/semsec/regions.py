@@ -315,11 +315,3 @@ class TradeoffCurve:
         d_s = np.asarray(self.d_s, dtype=float)
         if not (d_s.shape == np.shape(self.delta_s_max) == np.shape(self.raw) == np.shape(self.capped)):
             raise DomainError("curve component shapes disagree")
-
-    def rows(self):
-        for i in range(len(self.d_s)):
-            yield {
-                "D_s": float(self.d_s[i]),
-                "delta_s_max": float(self.delta_s_max[i]),
-                "capped": bool(self.capped[i]),
-            }

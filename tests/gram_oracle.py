@@ -1,11 +1,12 @@
 """Dense Gram-Schmidt oracle for the inner scan's source-side pass.
 
-This is how ``semsec`` computed the source-side log-dets and pivots before
-its pass skipped the factor dims that are zero for every draw: modified
+The reference for the source-side log-dets and pivots: modified
 Gram-Schmidt over all six dims of every row, on draw-major factors
 (draw, coordinate, factor dim). ``semsec.gaussian._prefix_logdets``, which
-takes coordinate-major factors (coordinate, factor dim, draw), is checked
-against it bit for bit, NaN pivots included.
+takes coordinate-major factors (coordinate, factor dim, draw) and carries
+each row and residual on a leading slice of the factor dims, dropping the
+trailing dims that are zero for every draw, is checked against it bit for
+bit, NaN pivots included.
 """
 
 from __future__ import annotations

@@ -41,6 +41,10 @@ REMOVED_PARAMETERS = (
     (binary.binary_converse_caps, "gamma2"),
     (binary.delta_s_curve, "gamma1"),
 )
+# Methods that nothing reads: the CLI zips the curve's arrays itself.
+REMOVED_METHODS = (
+    (regions.TradeoffCurve, "rows"),
+)
 
 
 @pytest.mark.parametrize("module", [semsec, *MODULES], ids=lambda m: m.__name__)
@@ -60,6 +64,12 @@ def test_removed_names_are_gone(name):
                          ids=lambda x: x if isinstance(x, str) else x.__name__)
 def test_removed_parameters_are_gone(func, name):
     assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize("cls,name", REMOVED_METHODS,
+                         ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_removed_methods_are_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 @pytest.mark.parametrize("func", [regions.min_ratio, regions.equivocation_caps],

@@ -217,10 +217,3 @@ class TestTradeoffCurve:
             tilted = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, tilted_slope)
             assert at_cap.r_min == pytest.approx(1.0, abs=1e-12)
             assert tilted.r_min >= at_cap.r_min - 1e-12
-
-    def test_rows(self):
-        src, ch = default_source(), default_channel()
-        curve = delta_s_curve(src, ch, r=1.0, case=2, d_s_grid=[0.1, 0.2, 0.3])
-        rows = list(curve.rows())
-        assert len(rows) == 3
-        assert set(rows[0]) == {"D_s", "delta_s_max", "capped"}

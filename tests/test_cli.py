@@ -397,6 +397,30 @@ class TestExitCodes:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"cases": 2}, "cases"),
+        ({"cases": ["a"]}, "cases"),
+        ({"cases": [1.5]}, "cases"),
+        ({"cases": [True]}, "cases"),
+        ({"R_k_values": 0.1}, "R_k_values"),
+        ({"R_k_values": ["x"]}, "R_k_values"),
+        ({"source": [1, 2]}, "source"),
+        ({"model": ["gaussian"]}, "model"),
+        ({"samples": True}, "samples"),
+    ], ids=("cases-int", "cases-string", "cases-float", "cases-bool", "rk-values-float",
+            "rk-values-string", "source-list", "model-list", "samples-bool"))
+    def test_malformed_field_exit2(self, fields, field, tmp_path, capsys):
+        # Checked before any coercion: a ValidationError, never a TypeError,
+        # and never silently read as another value.
+        raw = {"model": "gaussian", "mode": "converse", **fields}
+        with pytest.raises(ValidationError, match=field):
+            load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(["converse", "--config", str(path)], capsys)
+        assert code == 2
+        assert field in err
+
 
 class TestConfigModule:
     def test_round_trip_with_disabled_targets(self, tmp_path):
