@@ -18,11 +18,7 @@ See the ``semsec`` CLI for runnable presets and artifact generation.
 from .binary import (
     SemanticSourceBinary,
     WiretapChannelBinary,
-    binary_converse_caps,
     binary_min_r,
-    binary_rdf_joint,
-    binary_rdf_obs,
-    binary_rdf_sem,
     delta_s_curve,
 )
 from .config import (
@@ -43,12 +39,9 @@ from .errors import (
 from .gaussian import (
     SemanticSourceGaussian,
     WiretapChannelGaussian,
-    converse_equivocation_caps,
     converse_min_r,
     draw_inner_samples,
     gaussian_rdf_joint,
-    gaussian_rdf_obs,
-    gaussian_rdf_sem,
     inner_bound_scan,
 )
 from .info import (
@@ -78,6 +71,8 @@ from .regions import (
     RegionSurface,
     TradeoffCurve,
     converse_surface,
+    equivocation_caps,
+    min_ratio,
 )
 from .verify import run_verification
 
@@ -95,18 +90,17 @@ __all__ = [
     "DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
     "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
     "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2",
-    # targets, shared result types and the converse surface
+    # targets, shared result types and the converse routines of both models
     "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
-    "RegionSurface", "TradeoffCurve", "converse_surface",
+    "RegionSurface", "TradeoffCurve", "min_ratio", "equivocation_caps",
+    "converse_surface",
     # Gaussian model
     "SemanticSourceGaussian", "WiretapChannelGaussian",
-    "gaussian_rdf_obs", "gaussian_rdf_sem", "gaussian_rdf_joint",
-    "converse_equivocation_caps", "converse_min_r",
+    "gaussian_rdf_joint", "converse_min_r",
     "inner_bound_scan", "draw_inner_samples",
     # binary model
     "SemanticSourceBinary", "WiretapChannelBinary",
-    "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint",
-    "binary_converse_caps", "binary_min_r", "delta_s_curve",
+    "binary_min_r", "delta_s_curve",
     # config and verification
     "RunConfig", "load_config", "dump_config", "config_hash",
     "get_preset", "preset_names", "run_verification",

@@ -1,6 +1,6 @@
 """Binary system model: doubly symmetric source over a cascaded BSC wiretap
-channel, with its rate-distortion functions, closed-form converse caps and
-the semantic tradeoff curve.
+channel, with its rate-distortion functions and the semantic tradeoff
+curve.
 
 Model summary. The observation U is uniform Bernoulli and the semantic
 component S is U passed through a bit-flip channel with crossover alpha, so
@@ -19,20 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .info import binary_entropy, star
 from .rdf import (DiscreteSemanticSource, RdfPoint, _warn_if_uncertified, hamming_distortion,
                   rdf_semantic_case2)
-from .regions import (EquivocationCaps, EquivocationTargets, MinRateResult, TradeoffCurve,
-                      _distortions, _finite_nonnegative, equivocation_caps, min_ratio)
+from .regions import (EquivocationTargets, MinRateResult, TradeoffCurve, _distortions,
+                      _finite_nonnegative, min_ratio)
 
 __all__ = [
     "SemanticSourceBinary",
     "WiretapChannelBinary",
-    "binary_rdf_obs",
-    "binary_rdf_sem",
-    "binary_rdf_joint",
-    "binary_converse_caps",
     "binary_min_r",
     "delta_s_curve",
 ]
@@ -76,19 +72,20 @@ class SemanticSourceBinary:
         ``d_u``: any two broadcastable arrays, or floats.
 
         The joint RDF and the mask have the broadcast shape; each component's
-        RDF broadcasts to it. This is the input
-        :func:`semsec.regions.min_ratio` and
-        :func:`semsec.regions.equivocation_caps` take. The observation
-        component uses the conditional entropy H_b(alpha).
+        RDF broadcasts to it. :func:`semsec.regions.min_ratio` and
+        :func:`semsec.regions.equivocation_caps` read the model through this
+        method. The observation component uses the conditional entropy
+        H_b(alpha).
         """
         alpha = float(self.alpha)
+        h_alpha = binary_entropy(alpha)
         r_s = _binary_sem(alpha, d_s, case)
-        r_u = _binary_obs(alpha, d_u)
+        r_u = _binary_obs(alpha, h_alpha, d_u)
         r_j = _binary_joint(alpha, d_s, d_u, case, r_s, r_u)
         return r_j, (
             ("delta_s", 1.0, r_s),
-            ("delta_u", self.h_alpha, r_u),
-            ("delta_su", self.h_alpha + 1.0, r_j),
+            ("delta_u", h_alpha, r_u),
+            ("delta_su", h_alpha + 1.0, r_j),
         ), np.isinf(r_s)
 
 
@@ -124,13 +121,13 @@ class WiretapChannelBinary:
 # ---------------------------------------------------------------------------
 
 
-def _binary_obs(alpha: float, d_u) -> np.ndarray:
-    """Observation-part RDF at every distortion in ``d_u``: H_b(alpha) - H_b(D_u)
-    for D_u <= alpha, else 0."""
+def _binary_obs(alpha: float, h_alpha: float, d_u) -> np.ndarray:
+    """Observation-part RDF at every distortion in ``d_u``: H_b(alpha), given
+    as ``h_alpha``, minus H_b(D_u) for D_u <= alpha, else 0."""
     d_u = _distortions(d_u, positive=False)
     out = np.zeros(d_u.shape)
     near = d_u <= alpha
-    out[near] = binary_entropy(alpha) - binary_entropy(d_u[near])
+    out[near] = h_alpha - binary_entropy(d_u[near])
     return out
 
 
@@ -181,50 +178,9 @@ def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoi
     return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
 
 
-def binary_rdf_obs(alpha: float, target_u: float) -> float:
-    """Observation-part RDF H_b(alpha) - H_b(D_u) for D_u <= alpha, else 0."""
-    return float(_binary_obs(SemanticSourceBinary(alpha).alpha, target_u))
-
-
-def binary_rdf_sem(alpha: float, target_s: float, case: int) -> float:
-    """Semantic-part RDF; returns +inf for the infeasible restricted-encoder range."""
-    return float(_binary_sem(SemanticSourceBinary(alpha).alpha, target_s, case))
-
-
-def binary_rdf_joint(alpha: float, target_s: float, target_u: float, case: int) -> float:
-    """Joint binary RDF (see :func:`_binary_joint`); infeasible for case 1
-    below the crossover."""
-    r_j, _, blocked = SemanticSourceBinary(alpha).rdf_components(target_s, target_u, case)
-    if blocked:
-        raise InfeasibleError(
-            f"restricted encoder cannot reach semantic distortion {target_s} < {alpha}"
-        )
-    return float(r_j)
-
-
 # ---------------------------------------------------------------------------
 # converse bound and tradeoff curve
 # ---------------------------------------------------------------------------
-
-
-def binary_converse_caps(
-    src: SemanticSourceBinary,
-    ch: WiretapChannelBinary,
-    target_s: float,
-    target_u: float,
-    r: float,
-    R_k: float = 0.0,
-    case: int = 2,
-) -> EquivocationCaps:
-    """Equivocation upper bounds for the binary model.
-
-    Raw bounds follow the closed-form expressions (the observation bound
-    uses the conditional entropy H_b(alpha) as its entropy term); each is
-    additionally clamped at the unconditional entropy of its component —
-    1 bit for S, 1 bit for U, 1 + H_b(alpha) bits jointly.
-    """
-    _, comps, blocked = src.rdf_components(target_s, target_u, case)
-    return equivocation_caps(src, ch, r, R_k, comps, blocked)
 
 
 def binary_min_r(
@@ -235,13 +191,8 @@ def binary_min_r(
     targets: EquivocationTargets,
     case: int = 2,
 ) -> MinRateResult:
-    """Minimal channel-use ratio compatible with the binary converse bound.
-
-    Maximum of the joint-RDF-over-capacity bound and the secrecy-driven
-    bound of every enabled equivocation target not already met at r = 0.
-    This is :func:`semsec.regions.min_ratio` at one cell.
-    """
-    return min_ratio(ch, targets, *src.rdf_components(target_s, target_u, case)).cell()
+    """:func:`semsec.regions.min_ratio` at one cell."""
+    return min_ratio(src, ch, targets, target_s, target_u, case).cell()
 
 
 def delta_s_curve(

@@ -144,6 +144,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if not (isinstance(cases, tuple) and cases
             and all(_is_count(c) and c in (1, 2) for c in cases)):
         problems.append(f"cases: must be a nonempty subset of (1, 2), got {cases}")
+    elif len(set(cases)) < len(cases):
+        problems.append(f"cases: repeats a case, got {cases}")
     for part in parts:
         for key, val in getattr(cfg, part).items():
             _check_number(problems, f"{part}.{key}", val)
@@ -157,8 +159,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if not isinstance(cfg.R_k_values, (type(None), list, tuple, np.ndarray)):
         problems.append(f"R_k_values: expected null or a list of numbers, got {cfg.R_k_values!r}")
     elif cfg.R_k_values is not None:
+        before = len(problems)
         for i, val in enumerate(cfg.R_k_values):
             _check_number(problems, f"R_k_values[{i}]", val, minimum=0.0)
+        if len(problems) == before and len(set(cfg.R_k_values)) < len(cfg.R_k_values):
+            problems.append(f"R_k_values: repeats a key rate, got {list(cfg.R_k_values)}")
     for name in ("d_s_grid", "d_u_grid"):
         grid = getattr(cfg, name)
         try:
@@ -173,6 +178,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"samples: must be a positive integer, got {cfg.samples!r}")
     if not _is_count(cfg.seed) or cfg.seed < 0:
         problems.append(f"seed: must be a nonnegative integer, got {cfg.seed!r}")
+    if not isinstance(cfg.name, (type(None), str)):
+        problems.append(f"name: expected null or a string, got {cfg.name!r}")
     only = _MODE_MODEL.get(cfg.mode, cfg.model)
     if cfg.model != only:
         problems.append(f"mode: {cfg.mode!r} supports the {only} model only")
@@ -295,7 +302,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
             raise ValidationError([f"config: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ValidationError(["config: top level must be a JSON object"])
-    raw = _decode(raw)
+    # A name is a label, so "-inf" stays a string there.
+    raw = {key: val if key == "name" else _decode(val) for key, val in raw.items()}
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:

@@ -1,5 +1,5 @@
-"""Gaussian system model: closed-form RDFs, converse caps, and the
-Monte-Carlo inner-bound scan.
+"""Gaussian system model: closed-form RDFs and the Monte-Carlo inner-bound
+scan.
 
 Model summary. A jointly Gaussian semantic source (S, U) with covariance
 block K = [[P_s, P_su], [P_su, P_u]] is conveyed over a degraded Gaussian
@@ -29,16 +29,13 @@ from numpy.random import SeedSequence, default_rng
 
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
-from .regions import (DISABLED, EquivocationCaps, EquivocationTargets, MinRateResult,
-                      RegionSurface, _distortions, equivocation_caps, min_ratio)
+from .regions import (DISABLED, EquivocationTargets, MinRateResult, RegionSurface, _distortions,
+                      min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
     "WiretapChannelGaussian",
-    "gaussian_rdf_obs",
-    "gaussian_rdf_sem",
     "gaussian_rdf_joint",
-    "converse_equivocation_caps",
     "converse_min_r",
     "inner_bound_scan",
     "draw_inner_samples",
@@ -136,10 +133,9 @@ class SemanticSourceGaussian:
         ``d_u``: any two broadcastable arrays, or floats.
 
         The joint RDF and the mask have the broadcast shape; each component's
-        RDF broadcasts to it. This is the input
-        :func:`semsec.regions.min_ratio` and
-        :func:`semsec.regions.equivocation_caps` take. Case 1's joint RDF is
-        the maximum of the two marginals.
+        RDF broadcasts to it. :func:`semsec.regions.min_ratio` and
+        :func:`semsec.regions.equivocation_caps` read the model through this
+        method. Case 1's joint RDF is the maximum of the two marginals.
         """
         r_s, blocked = _rdf_sem(self, d_s, case)
         r_u = _rdf_obs(self, d_u)
@@ -215,38 +211,18 @@ def _rdf_sem(src, d_s, case: int):
     return np.where(blocked, np.inf, _half_log2_plus(arg)), blocked
 
 
-def _check_reach(src, target_s, blocked) -> None:
+def gaussian_rdf_joint(
+    src: SemanticSourceGaussian, target_s: float, target_u: float, case: int
+) -> float:
+    """Joint RDF under both distortion constraints (see
+    :meth:`SemanticSourceGaussian.rdf_components`); :class:`InfeasibleError`
+    below the case-1 floor."""
+    r_j, _, blocked = src.rdf_components(target_s, target_u, case)
     if blocked:
         raise InfeasibleError(
             f"restricted encoder cannot reach semantic distortion {target_s} "
             f"<= floor {(1.0 - src.rho2) * src.P_s}"
         )
-
-
-def gaussian_rdf_obs(src: SemanticSourceGaussian, target_u: float) -> float:
-    """Observation-part RDF: half log-plus of P_u over the distortion."""
-    return float(_rdf_obs(src, target_u))
-
-
-def gaussian_rdf_sem(src: SemanticSourceGaussian, target_s: float, case: int) -> float:
-    """Semantic-part RDF.
-
-    Case 2 (direct access): half log-plus of P_s over the distortion.
-    Case 1 (access through U only): feasible only above the residual floor
-    (1 - rho^2) P_s, where the rate is driven by the explainable variance.
-    """
-    r_s, blocked = _rdf_sem(src, target_s, case)
-    _check_reach(src, target_s, blocked)
-    return float(r_s)
-
-
-def gaussian_rdf_joint(
-    src: SemanticSourceGaussian, target_s: float, target_u: float, case: int
-) -> float:
-    """Joint RDF under both distortion constraints (see
-    :meth:`SemanticSourceGaussian.rdf_components`)."""
-    r_j, _, blocked = src.rdf_components(target_s, target_u, case)
-    _check_reach(src, target_s, blocked)
     return float(r_j)
 
 
@@ -293,27 +269,6 @@ def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
     return np.where(sem, r_s, np.where(obs, r_u, _half_log2_plus(arg)))
 
 
-def converse_equivocation_caps(
-    src: SemanticSourceGaussian,
-    ch: WiretapChannelGaussian,
-    target_s: float,
-    target_u: float,
-    r: float,
-    R_k: float = 0.0,
-    case: int = 2,
-) -> EquivocationCaps:
-    """Equivocation upper bounds at channel-use ratio ``r`` and key rate ``R_k``.
-
-    Each bound is the key rate plus ``r`` times the secrecy capacity plus the
-    source-component entropy minus the matching RDF; each is additionally
-    clamped at the unconditional component entropy (see
-    :class:`EquivocationCaps` for both values and the clamp flags).
-    Infeasible distortions propagate as :class:`InfeasibleError`.
-    """
-    _, comps, blocked = src.rdf_components(target_s, target_u, case)
-    return equivocation_caps(src, ch, r, R_k, comps, blocked)
-
-
 def converse_min_r(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -322,15 +277,8 @@ def converse_min_r(
     targets: EquivocationTargets,
     case: int = 2,
 ) -> MinRateResult:
-    """Minimal channel-use ratio compatible with the converse bound.
-
-    The maximum of the rate-driven bound (joint RDF over main-channel
-    capacity) and, for each enabled equivocation target not already met at
-    r = 0, the secrecy-driven bound. Infeasible when an unmet target meets a
-    zero secrecy capacity, or when the distortion pair itself is infeasible.
-    This is :func:`semsec.regions.min_ratio` at one cell.
-    """
-    return min_ratio(ch, targets, *src.rdf_components(target_s, target_u, case)).cell()
+    """:func:`semsec.regions.min_ratio` at one cell."""
+    return min_ratio(src, ch, targets, target_s, target_u, case).cell()
 
 
 # ---------------------------------------------------------------------------

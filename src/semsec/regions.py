@@ -5,9 +5,10 @@ Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / C_s)``
 over the enabled targets, with C the main-channel capacity and C_s the
 secrecy capacity of the channel; a model supplies only its RDFs and entropy
 terms, through the ``rdf_components(d_s, d_u, case)`` method of its source
-type. Every routine takes any two broadcastable distortion arrays: a grid is
+type, which each routine calls itself with the source it is given. The
+minimal ratio takes any two broadcastable distortion arrays: a grid is
 (n, 1) x (1, m), scattered points are (k,) x (k,), and two floats give one
-cell.
+cell; the equivocation caps take one cell.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ __all__ = [
 
 #: Sentinel for a disabled equivocation target.
 DISABLED = float("-inf")
-
-#: ``(target name, entropy term, RDF values)``, in the order delta_s,
-#: delta_u, delta_su; the RDF array broadcasts to the joint RDF's shape.
-Component = tuple[str, float, np.ndarray]
 
 
 def _finite_nonnegative(name: str, value: float) -> None:
@@ -82,14 +79,6 @@ class EquivocationTargets:
     @classmethod
     def no_secrecy(cls, R_k: float = 0.0) -> "EquivocationTargets":
         return cls(DISABLED, DISABLED, DISABLED, R_k)
-
-    def active(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, val in (("delta_s", self.delta_s), ("delta_u", self.delta_u),
-                              ("delta_su", self.delta_su))
-            if val != DISABLED
-        )
 
 
 @dataclass(frozen=True)
@@ -189,19 +178,19 @@ class RatioGrid:
         return MinRateResult(None, False, reason=REASONS[code])
 
 
-def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
-              components: Sequence[Component], blocked: np.ndarray) -> RatioGrid:
-    """Per cell, the maximum of the rate bound ``r_joint / ch.capacity_main``
+def min_ratio(src, ch, targets: EquivocationTargets, d_s, d_u, case: int) -> RatioGrid:
+    """Per cell, the maximum of the rate bound ``R(D_s, D_u) / ch.capacity_main``
     and, for each enabled target not met at r = 0, its need over
     ``ch.secrecy_capacity``.
 
-    Each component's RDF and the ``blocked`` mask broadcast to ``r_joint``
-    (see a source type's ``rdf_components``); a blocked cell is out of the
-    encoder's reach. The secrecy capacity is read only for a target that
-    some cell has not met. A cell where a target's need over it is not a
-    finite number (zero secrecy capacity, or an overflowing ratio) is
-    infeasible, named after the first such target.
+    The RDFs come from ``src.rdf_components(d_s, d_u, case)``, so the cells
+    have the broadcast shape of ``d_s`` and ``d_u``; a cell below the case-1
+    floor is out of the encoder's reach. The secrecy capacity is read only
+    for a target that some cell has not met. A cell where a target's need
+    over it is not a finite number (zero secrecy capacity, or an overflowing
+    ratio) is infeasible, named after the first such target.
     """
+    r_joint, components, blocked = src.rdf_components(d_s, d_u, case)
     capacity = ch.capacity_main
     reason = np.where(np.broadcast_to(blocked, r_joint.shape), np.int8(_DISTORTION), np.int8(0))
     positive = r_joint > 0.0
@@ -228,14 +217,20 @@ def min_ratio(ch, targets: EquivocationTargets, r_joint: np.ndarray,
     return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason)
 
 
-def equivocation_caps(src, ch, r: float, R_k: float, components: Sequence[Component],
-                      blocked: np.ndarray) -> EquivocationCaps:
-    """Raw caps ``R_k + r * ch.secrecy_capacity + h - R`` per component of one
-    cell, clamped at the unconditional entropies ``src.h_s``, ``src.h_u``
-    and ``src.h_su``. A distortion out of the encoder's reach raises
-    :class:`InfeasibleError`."""
+def equivocation_caps(src, ch, d_s: float, d_u: float, r: float, R_k: float = 0.0,
+                      case: int = 2) -> EquivocationCaps:
+    """Equivocation upper bounds at one cell, channel-use ratio ``r`` and key
+    rate ``R_k``.
+
+    Each raw cap is ``R_k + r * ch.secrecy_capacity + h - R`` per component
+    of ``src.rdf_components``, clamped at the unconditional entropies
+    ``src.h_s``, ``src.h_u`` and ``src.h_su`` (see :class:`EquivocationCaps`
+    for both values and the clamp flags). A distortion out of the encoder's
+    reach raises :class:`InfeasibleError`.
+    """
     _finite_nonnegative("channel-use ratio", r)
     _finite_nonnegative("key rate", R_k)
+    _, components, blocked = src.rdf_components(d_s, d_u, case)
     if blocked:
         raise InfeasibleError("the restricted encoder cannot reach this semantic distortion")
     raw = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
@@ -287,7 +282,7 @@ def converse_surface(
     for the whole grid at once."""
     d_s_grid = np.asarray(d_s_grid, dtype=float)
     d_u_grid = np.asarray(d_u_grid, dtype=float)
-    grid = min_ratio(ch, targets, *src.rdf_components(d_s_grid[:, None], d_u_grid[None, :], case))
+    grid = min_ratio(src, ch, targets, d_s_grid[:, None], d_u_grid[None, :], case)
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
         values=grid.r_min,

@@ -25,7 +25,6 @@ from .gaussian import (
     converse_min_r,
     draw_inner_samples,
     gaussian_rdf_joint,
-    gaussian_rdf_sem,
 )
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion
@@ -95,7 +94,7 @@ def _converse_checks():
         "distortion below the restricted-encoder floor reports infeasible",
     ))
     try:
-        gaussian_rdf_sem(src, 0.2, 1)
+        gaussian_rdf_joint(src, 0.2, 0.6, 1)
         raised = False
     except InfeasibleError:
         raised = True
@@ -132,7 +131,7 @@ def _inner_checks():
         "inner-scan-acceptance", acc.any(),
         f"{int(acc.sum())} of {len(acc)} draws accepted",
     ))
-    lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][acc], out["d_u"][acc], 2))
+    lower = min_ratio(src, ch, tg, out["d_s"][acc], out["d_u"][acc], 2)
     gap = lower.r_min - out["r"][acc]
     worst = float(np.max(gap, initial=0.0))
     ok = bool(lower.feasible.all()) and worst <= 1e-6

@@ -6,6 +6,7 @@ report lines alongside the pytest verdicts.
 
 import time
 
+import converse_oracle as oracle
 import numpy as np
 from grid_oracle import brute_force_rdf
 
@@ -18,26 +19,21 @@ from semsec import (
     WiretapChannelBinary,
     WiretapChannelGaussian,
     appendix_inequality_slack,
-    binary_converse_caps,
     binary_entropy,
-    binary_rdf_obs,
-    binary_rdf_sem,
-    converse_equivocation_caps,
     converse_min_r,
     converse_surface,
     delta_s_curve,
     draw_inner_samples,
+    equivocation_caps,
     gaussian_rdf_joint,
-    gaussian_rdf_obs,
-    gaussian_rdf_sem,
     hamming_distortion,
     inner_bound_scan,
+    min_ratio,
     rdf_semantic_case1,
     rdf_semantic_case2,
 )
 from semsec.cli import main as cli_main
 from semsec.config import build_channel, build_source, get_preset, resolve_distortion_grid
-from semsec.regions import min_ratio
 
 
 def _report(number, name, ok, detail=""):
@@ -143,12 +139,12 @@ def test_criterion_3_inner_bound_sandwich():
             out = draw_inner_samples(src, ch, tg, case, cfg.samples, cfg.seed)
             idx = np.flatnonzero(out["accepted"])
             # The converse at every accepted draw, as one set of points.
-            lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][idx], out["d_u"][idx], case))
+            lower = min_ratio(src, ch, tg, out["d_s"][idx], out["d_u"][idx], case)
             violations = int(np.sum(lower.feasible & (out["r"][idx] < lower.r_min - 1e-6)))
             scan = inner_bound_scan(src, ch, tg, case, cfg.samples, cfg.seed)
             a, b = np.nonzero(scan.feasible)
-            lower = min_ratio(ch, tg, *src.rdf_components(
-                np.asarray(scan.axes["D_s"])[a], np.asarray(scan.axes["D_u"])[b], case))
+            lower = min_ratio(src, ch, tg, np.asarray(scan.axes["D_s"])[a],
+                              np.asarray(scan.axes["D_u"])[b], case)
             priced = lower.feasible & (lower.r_min > 0)
             close = int(np.sum(scan.values[a, b][priced] / lower.r_min[priced] <= 1.15))
             run_ok = len(idx) > 0 and violations == 0 and close >= 1
@@ -237,17 +233,17 @@ def test_criterion_7_reduction_identities():
         d_s = floor + (src.P_s - floor) * rng.uniform(0.1, 0.9)
         d_u = src.P_u * rng.uniform(0.1, 0.9)
         # Zero channel uses: every raw cap is key rate plus entropy minus RDF.
-        caps0 = converse_equivocation_caps(src, ch, d_s, d_u, r=0.0, R_k=r_k, case=2)
+        caps0 = equivocation_caps(src, ch, d_s, d_u, r=0.0, R_k=r_k, case=2)
         worst = max(
             worst,
-            abs(caps0.raw_delta_s - (r_k + src.h_s - gaussian_rdf_sem(src, d_s, 2))),
-            abs(caps0.raw_delta_u - (r_k + src.h_u - gaussian_rdf_obs(src, d_u))),
+            abs(caps0.raw_delta_s - (r_k + src.h_s - oracle.gaussian_rdf_sem(src, d_s, 2))),
+            abs(caps0.raw_delta_u - (r_k + src.h_u - oracle.gaussian_rdf_obs(src, d_u))),
             abs(caps0.raw_delta_su
-                - (r_k + src.h_su - gaussian_rdf_joint(src, d_s, d_u, 2))),
+                - (r_k + src.h_su - oracle.gaussian_rdf_joint(src, d_s, d_u, 2))),
         )
         # Restricted encoder: the observation cap uses the full-power slope.
-        caps1 = converse_equivocation_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
-        expect_u = r_k + r * ch.secrecy_capacity + src.h_u - gaussian_rdf_obs(src, d_u)
+        caps1 = equivocation_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
+        expect_u = r_k + r * ch.secrecy_capacity + src.h_u - oracle.gaussian_rdf_obs(src, d_u)
         worst = max(worst, abs(caps1.raw_delta_u - expect_u))
     for _ in range(50):
         alpha = rng.uniform(0.05, 0.45)
@@ -257,17 +253,17 @@ def test_criterion_7_reduction_identities():
         r_k = rng.uniform(0.0, 0.5)
         d_s = alpha + (0.5 - alpha) * rng.uniform(0.05, 0.95)
         d_u = rng.uniform(0.01, 0.5)
-        caps0 = binary_converse_caps(src, ch, d_s, d_u, r=0.0, R_k=r_k, case=1)
+        caps0 = equivocation_caps(src, ch, d_s, d_u, r=0.0, R_k=r_k, case=1)
         worst = max(
             worst,
-            abs(caps0.raw_delta_s - (r_k + 1.0 - binary_rdf_sem(alpha, d_s, 1))),
+            abs(caps0.raw_delta_s - (r_k + 1.0 - oracle.binary_rdf_sem(alpha, d_s, 1))),
             abs(caps0.raw_delta_u
-                - (r_k + src.h_alpha - binary_rdf_obs(alpha, d_u))),
+                - (r_k + src.h_alpha - oracle.binary_rdf_obs(alpha, d_u))),
         )
-        capsr = binary_converse_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
+        capsr = equivocation_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
         expect_u = (
             r_k + r * ch.secrecy_capacity + src.h_alpha
-            - binary_rdf_obs(alpha, d_u)
+            - oracle.binary_rdf_obs(alpha, d_u)
         )
         worst = max(worst, abs(capsr.raw_delta_u - expect_u))
     _report(7, "converse reduction identities", worst <= 1e-9,

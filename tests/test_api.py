@@ -1,10 +1,11 @@
-"""Public API: every exported name resolves, removed names stay removed, and
-the shared layers do not reach into a model."""
+"""Public API: every exported name resolves, removed names stay removed, the
+shared layers do not reach into a model, and the README's example runs."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,10 @@ REMOVED = (
     "secrecy_term", "binary_secrecy_term",
     # Each source type's rdf_components method evaluates its model's RDFs.
     "rdf_components",
+    # Scalar RDFs and caps per model: regions.min_ratio and
+    # regions.equivocation_caps take the source and read its rdf_components.
+    "gaussian_rdf_obs", "gaussian_rdf_sem", "_check_reach", "converse_equivocation_caps",
+    "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint", "binary_converse_caps",
 )
 # Options that nothing at run time set: the solver has no knobs, and the
 # converse no split.
@@ -33,17 +38,19 @@ REMOVED_PARAMETERS = (
     # The converse's secrecy slope is the channel's secrecy capacity.
     (gaussian.converse_min_r, "beta1"),
     (gaussian.converse_min_r, "beta2"),
-    (gaussian.converse_equivocation_caps, "beta1"),
-    (gaussian.converse_equivocation_caps, "beta2"),
+    (regions.equivocation_caps, "beta1"),
+    (regions.equivocation_caps, "beta2"),
     (binary.binary_min_r, "gamma1"),
     (binary.binary_min_r, "gamma2"),
-    (binary.binary_converse_caps, "gamma1"),
-    (binary.binary_converse_caps, "gamma2"),
+    (regions.equivocation_caps, "gamma1"),
+    (regions.equivocation_caps, "gamma2"),
     (binary.delta_s_curve, "gamma1"),
 )
-# Methods that nothing reads: the CLI zips the curve's arrays itself.
+# Methods that nothing reads: the CLI zips the curve's arrays itself, and
+# the minimal ratio skips a disabled target by its value.
 REMOVED_METHODS = (
     (regions.TradeoffCurve, "rows"),
+    (regions.EquivocationTargets, "active"),
 )
 
 
@@ -104,3 +111,14 @@ def test_shared_layers_import_no_model(layer, forbidden):
     # The converse routines and the discrete solver serve both models; each
     # model's RDFs live with its source type.
     assert _semsec_imports(layer) & forbidden == set()
+
+
+def test_readme_example_runs(capsys):
+    # The README's Python example is the public API's first use; it must
+    # keep running and printing what its last comment says.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    printed = block.rstrip().rsplit("# ", 1)[1]
+    assert printed == "0.2589676311711625 delta_s"
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == printed + "\n"

@@ -12,11 +12,10 @@ from semsec import (
     InfeasibleError,
     SemanticSourceBinary,
     WiretapChannelBinary,
-    binary_converse_caps,
     binary_entropy,
     binary_min_r,
-    binary_rdf_sem,
     delta_s_curve,
+    equivocation_caps,
     hamming_distortion,
     rdf_semantic_case2,
 )
@@ -81,7 +80,7 @@ class TestSecrecyTerm:
 class TestCaps:
     def test_case1_raw_semantic_oracle(self):
         src, ch = default_source(), default_channel()
-        caps = binary_converse_caps(src, ch, 0.3, 0.25, r=1.0, case=1)
+        caps = equivocation_caps(src, ch, 0.3, 0.25, r=1.0, case=1)
         r_s = 1.0 - binary_entropy(0.1)  # modified closed form at D_s = 0.3
         assert caps.raw_delta_s == pytest.approx(
             SLOPE_GAMMA0 + 1.0 - r_s, abs=1e-12
@@ -90,7 +89,7 @@ class TestCaps:
 
     def test_clamps(self):
         src, ch = default_source(), default_channel()
-        caps = binary_converse_caps(src, ch, 0.45, 0.25, r=1.0, case=1)
+        caps = equivocation_caps(src, ch, 0.45, 0.25, r=1.0, case=1)
         assert caps.raw_delta_s > 1.0
         assert caps.capped_s
         assert caps.delta_s == 1.0
@@ -98,14 +97,14 @@ class TestCaps:
 
     def test_observation_bound_uses_conditional_entropy(self):
         src, ch = default_source(), default_channel()
-        caps = binary_converse_caps(src, ch, 0.3, 0.1, r=0.0, case=2)
+        caps = equivocation_caps(src, ch, 0.3, 0.1, r=0.0, case=2)
         r_u = H_ALPHA - binary_entropy(0.1)
         assert caps.raw_delta_u == pytest.approx(H_ALPHA - r_u, abs=1e-12)
 
     def test_case1_below_crossover_infeasible(self):
         src, ch = default_source(), default_channel()
         with pytest.raises(InfeasibleError):
-            binary_converse_caps(src, ch, 0.2, 0.25, r=1.0, case=1)
+            equivocation_caps(src, ch, 0.2, 0.25, r=1.0, case=1)
 
 
 class TestMinR:
@@ -159,7 +158,8 @@ class TestMinR:
 
     def test_case1_infinite_rdf_infeasible(self):
         src, ch = default_source(), default_channel()
-        assert binary_rdf_sem(0.25, 0.2, 1) == float("inf")
+        _, ((_, _, r_s), _, _), blocked = src.rdf_components(0.2, 0.25, 1)
+        assert r_s == float("inf") and blocked
         res = binary_min_r(src, ch, 0.2, 0.25, EquivocationTargets.no_secrecy(), case=1)
         assert not res.feasible
 
@@ -212,7 +212,7 @@ class TestTradeoffCurve:
         assert tilted_slope < ch.secrecy_capacity
         for d_s, raw in zip(grid.tolist(), base.raw.tolist()):
             tg = EquivocationTargets(raw, DISABLED, DISABLED)
-            comps = (("delta_s", 1.0, binary_rdf_sem(src.alpha, d_s, 1)),)
+            comps = (("delta_s", 1.0, oracle.binary_rdf_sem(src.alpha, d_s, 1)),)
             at_cap = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, ch.secrecy_capacity)
             tilted = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, tilted_slope)
             assert at_cap.r_min == pytest.approx(1.0, abs=1e-12)

@@ -373,10 +373,14 @@ class TestExitCodes:
     def test_floor_check_passes_only_on_infeasible(self, monkeypatch):
         # Only the restricted encoder's InfeasibleError counts as the
         # expected raise; any other error is a defect and must surface.
-        def broken(*args):
-            raise TypeError("broken")
+        real = verify.gaussian_rdf_joint
 
-        monkeypatch.setattr(verify, "gaussian_rdf_sem", broken)
+        def broken(src, d_s, d_u, case):
+            if case == 1:  # the floor check's call
+                raise TypeError("broken")
+            return real(src, d_s, d_u, case)
+
+        monkeypatch.setattr(verify, "gaussian_rdf_joint", broken)
         with pytest.raises(TypeError, match="broken"):
             verify.run_verification()
 
@@ -407,11 +411,18 @@ class TestExitCodes:
         ({"source": [1, 2]}, "source"),
         ({"model": ["gaussian"]}, "model"),
         ({"samples": True}, "samples"),
+        ({"cases": [2, 2]}, "cases"),
+        ({"R_k_values": [0.1, 0.1]}, "R_k_values"),
+        ({"name": [1]}, "name"),
+        ({"name": {}}, "name"),
+        ({"name": float("nan")}, "name"),
     ], ids=("cases-int", "cases-string", "cases-float", "cases-bool", "rk-values-float",
-            "rk-values-string", "source-list", "model-list", "samples-bool"))
+            "rk-values-string", "source-list", "model-list", "samples-bool",
+            "cases-repeated", "rk-values-repeated", "name-list", "name-mapping", "name-nan"))
     def test_malformed_field_exit2(self, fields, field, tmp_path, capsys):
         # Checked before any coercion: a ValidationError, never a TypeError,
-        # and never silently read as another value.
+        # and never silently read as another value. A repeated case or key
+        # rate would write one variant twice.
         raw = {"model": "gaussian", "mode": "converse", **fields}
         with pytest.raises(ValidationError, match=field):
             load_config(raw)
@@ -420,6 +431,11 @@ class TestExitCodes:
         code, _, err = run_cli(["converse", "--config", str(path)], capsys)
         assert code == 2
         assert field in err
+
+    def test_name_minus_inf_stays_a_string(self):
+        cfg = load_config('{"name": "-inf"}')
+        assert cfg.name == "-inf"
+        assert load_config(dump_config(cfg)) == cfg
 
 
 class TestConfigModule:

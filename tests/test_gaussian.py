@@ -1,6 +1,7 @@
 """Gaussian model: converse bounds, samplers, and the Monte-Carlo inner bound."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -12,23 +13,22 @@ import converse_oracle
 import gram_oracle
 import semsec.gaussian as gaussian_mod
 from semsec import (
+    DISABLED,
     DomainError,
     EquivocationTargets,
     InfeasibleError,
     SemanticSourceGaussian,
     WiretapChannelGaussian,
-    converse_equivocation_caps,
     converse_min_r,
     converse_surface,
     draw_inner_samples,
+    equivocation_caps,
     gaussian_rdf_joint,
-    gaussian_rdf_obs,
-    gaussian_rdf_sem,
     inner_bound_scan,
+    min_ratio,
 )
 from semsec.cli import _render_surfaces
 from semsec.config import RunConfig
-from semsec.regions import min_ratio
 
 # Frozen oracles for the default operating point.
 H_S = 1.789808998765762            # 0.5*log2(2*pi*e*0.7)
@@ -48,6 +48,12 @@ def default_source():
 
 def default_channel():
     return WiretapChannelGaussian(1.0, 0.1, 0.4)
+
+
+def rdfs(src, d_s, d_u, case):
+    """(R_s, R_u, R_joint, below the case-1 floor) at one cell."""
+    r_j, ((_, _, r_s), (_, _, r_u), _), blocked = src.rdf_components(d_s, d_u, case)
+    return float(r_s), float(r_u), float(r_j), bool(blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +347,28 @@ class TestTargets:
             EquivocationTargets(0.0, 0.0, 0.0, R_k=-0.1)
 
     def test_disabled_and_active(self):
-        tg = EquivocationTargets(1.0, float("-inf"), -2.0)
-        assert tg.active() == ("delta_s", "delta_su")
-        assert EquivocationTargets.no_secrecy().active() == ()
-        assert EquivocationTargets.no_secrecy(0.3).R_k == 0.3
+        tg = EquivocationTargets.no_secrecy(0.3)
+        assert (tg.delta_s, tg.delta_u, tg.delta_su, tg.R_k) == (DISABLED,) * 3 + (0.3,)
+        # Only an enabled target is priced: the same demand binds while it is
+        # enabled and is ignored once disabled.
+        src, ch = default_source(), default_channel()
+        active = EquivocationTargets(src.h_s, DISABLED, DISABLED)
+        assert converse_min_r(src, ch, 0.5, 0.6, active, case=2).binding == "delta_s"
+        disabled = replace(active, delta_s=DISABLED)
+        assert converse_min_r(src, ch, 0.5, 0.6, disabled, case=2).binding == "rate"
 
 
 class TestGaussianRdf:
     def test_obs(self):
         src = default_source()
-        assert gaussian_rdf_obs(src, 0.25) == pytest.approx(1.0, abs=1e-12)
-        assert gaussian_rdf_obs(src, 1.0) == 0.0
-        assert gaussian_rdf_obs(src, 3.0) == 0.0
+        assert rdfs(src, 0.5, 0.25, 2)[1] == pytest.approx(1.0, abs=1e-12)
+        assert rdfs(src, 0.5, 1.0, 2)[1] == 0.0
+        assert rdfs(src, 0.5, 3.0, 2)[1] == 0.0
 
     def test_sem_case2(self):
         src = default_source()
-        assert gaussian_rdf_sem(src, 0.5, 2) == pytest.approx(R_SEM_05, abs=1e-12)
-        assert gaussian_rdf_sem(src, 0.7, 2) == 0.0
+        assert rdfs(src, 0.5, 0.6, 2)[0] == pytest.approx(R_SEM_05, abs=1e-12)
+        assert rdfs(src, 0.7, 0.6, 2)[0] == 0.0
 
     def test_sem_case1_floor(self):
         src = default_source()
@@ -365,19 +376,21 @@ class TestGaussianRdf:
         floor = (1.0 - src.rho2) * 0.7
         assert floor == pytest.approx(0.34, abs=1e-12)
         expected = 0.5 * math.log2(0.36 / (0.5 - 0.34))
-        assert gaussian_rdf_sem(src, 0.5, 1) == pytest.approx(expected, abs=1e-12)
+        assert rdfs(src, 0.5, 0.6, 1)[0] == pytest.approx(expected, abs=1e-12)
         # Rate blows up approaching the floor; below it the problem is void.
-        assert gaussian_rdf_sem(src, 0.340001, 1) > 9.0
+        assert rdfs(src, 0.340001, 0.6, 1)[0] > 9.0
+        assert not rdfs(src, 0.340001, 0.6, 1)[3]
         for bad in (0.3399, 0.2):
+            assert rdfs(src, bad, 0.6, 1)[0] == math.inf and rdfs(src, bad, 0.6, 1)[3]
             with pytest.raises(InfeasibleError):
-                gaussian_rdf_sem(src, bad, 1)
+                gaussian_rdf_joint(src, bad, 0.6, 1)
 
     def test_joint_case1_is_max(self):
         src = default_source()
         for ds, du in [(0.5, 0.6), (0.4, 0.2), (0.6, 0.9)]:
-            expected = max(gaussian_rdf_sem(src, ds, 1), gaussian_rdf_obs(src, du))
+            r_s, r_u, _, _ = rdfs(src, ds, du, 1)
             assert gaussian_rdf_joint(src, ds, du, 1) == pytest.approx(
-                expected, abs=1e-12
+                max(r_s, r_u), abs=1e-12
             )
 
     def test_joint_case2_pin(self):
@@ -390,9 +403,9 @@ class TestGaussianRdf:
         src = default_source()
         for ds in (0.2, 0.45, 0.65):
             for du in (0.1, 0.5, 0.95):
-                joint = gaussian_rdf_joint(src, ds, du, 2)
-                assert joint >= gaussian_rdf_sem(src, ds, 2) - 1e-12
-                assert joint >= gaussian_rdf_obs(src, du) - 1e-12
+                r_s, r_u, joint, _ = rdfs(src, ds, du, 2)
+                assert joint >= r_s - 1e-12
+                assert joint >= r_u - 1e-12
 
     def test_joint_case2_continuous_across_branches(self):
         src = default_source()
@@ -416,9 +429,7 @@ class TestSecrecyTerm:
 
 class TestConverseCaps:
     def test_raw_and_clamped_example(self):
-        caps = converse_equivocation_caps(
-            default_source(), default_channel(), 0.5, 0.6, r=1.0
-        )
+        caps = equivocation_caps(default_source(), default_channel(), 0.5, 0.6, r=1.0)
         assert caps.raw_delta_s == pytest.approx(RAW_S_EXAMPLE, abs=1e-9)
         assert caps.capped_s
         assert caps.delta_s == pytest.approx(H_S, abs=1e-12)
@@ -427,15 +438,13 @@ class TestConverseCaps:
 
     def test_key_rate_shifts_raw(self):
         src, ch = default_source(), default_channel()
-        base = converse_equivocation_caps(src, ch, 0.5, 0.6, r=0.05)
-        keyed = converse_equivocation_caps(src, ch, 0.5, 0.6, r=0.05, R_k=0.25)
+        base = equivocation_caps(src, ch, 0.5, 0.6, r=0.05)
+        keyed = equivocation_caps(src, ch, 0.5, 0.6, r=0.05, R_k=0.25)
         assert keyed.raw_delta_s - base.raw_delta_s == pytest.approx(0.25, abs=1e-12)
 
     def test_case1_floor_propagates(self):
         with pytest.raises(InfeasibleError):
-            converse_equivocation_caps(
-                default_source(), default_channel(), 0.2, 0.6, r=1.0, case=1
-            )
+            equivocation_caps(default_source(), default_channel(), 0.2, 0.6, r=1.0, case=1)
 
 
 class TestConverseMinR:
@@ -796,7 +805,7 @@ class TestInnerMinR:
         acc = out["accepted"]
         assert acc.sum() > 20
         first = np.flatnonzero(acc)[:25]
-        lower = min_ratio(ch, tg, *src.rdf_components(out["d_s"][first], out["d_u"][first], 2))
+        lower = min_ratio(src, ch, tg, out["d_s"][first], out["d_u"][first], 2)
         assert lower.feasible.all()
         assert np.all(out["r"][first] >= lower.r_min - 1e-6)
 

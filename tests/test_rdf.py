@@ -14,11 +14,11 @@ from semsec import (
     DomainError,
     InfeasibleError,
     Pmf,
+    SemanticSourceBinary,
     TwoConstraintSolver,
+    WiretapChannelBinary,
     binary_entropy,
-    binary_rdf_joint,
-    binary_rdf_obs,
-    binary_rdf_sem,
+    equivocation_caps,
     hamming_distortion,
     modified_distortion,
     rdf_classic,
@@ -37,6 +37,13 @@ JOINT_CASE2_03_025 = 0.215816
 
 def dsbs(alpha=0.25):
     return DiscreteSemanticSource.doubly_symmetric(alpha)
+
+
+def binary_rdfs(alpha, d_s, d_u, case):
+    """(R_s, R_u, R_joint, below the case-1 floor) of the binary source at one cell."""
+    src = SemanticSourceBinary(alpha)
+    r_j, ((_, _, r_s), (_, _, r_u), _), blocked = src.rdf_components(d_s, d_u, case)
+    return float(r_s), float(r_u), float(r_j), bool(blocked)
 
 
 class TestSourceAndDistortion:
@@ -409,48 +416,51 @@ class TestBruteForce:
 
 class TestBinaryClosedForms:
     def test_obs(self):
-        assert binary_rdf_obs(0.25, 0.1) == pytest.approx(
+        assert binary_rdfs(0.25, 0.3, 0.1, 1)[1] == pytest.approx(
             binary_entropy(0.25) - binary_entropy(0.1), abs=1e-15
         )
-        assert binary_rdf_obs(0.25, 0.25) == 0.0
-        assert binary_rdf_obs(0.25, 0.4) == 0.0
+        assert binary_rdfs(0.25, 0.3, 0.25, 1)[1] == 0.0
+        assert binary_rdfs(0.25, 0.3, 0.4, 1)[1] == 0.0
 
     def test_sem_case2(self):
-        assert binary_rdf_sem(0.25, 0.11, 2) == pytest.approx(
+        assert binary_rdfs(0.25, 0.11, 0.5, 2)[0] == pytest.approx(
             1.0 - binary_entropy(0.11), abs=1e-15
         )
-        assert binary_rdf_sem(0.25, 0.6, 2) == 0.0
+        assert binary_rdfs(0.25, 0.6, 0.5, 2)[0] == 0.0
 
     def test_sem_case1(self):
-        assert binary_rdf_sem(0.25, 0.35, 1) == pytest.approx(
+        assert binary_rdfs(0.25, 0.35, 0.3, 1)[0] == pytest.approx(
             1.0 - binary_entropy(0.2), abs=1e-15
         )
-        assert binary_rdf_sem(0.25, 0.1, 1) == float("inf")
-        assert binary_rdf_sem(0.25, 0.5, 1) == 0.0
+        assert binary_rdfs(0.25, 0.1, 0.3, 1)[0] == float("inf")
+        assert binary_rdfs(0.25, 0.5, 0.3, 1)[0] == 0.0
         # Degenerate crossover: formula guarded, only the saturated branch.
-        assert binary_rdf_sem(0.5, 0.5, 1) == 0.0
+        assert binary_rdfs(0.5, 0.5, 0.3, 1)[0] == 0.0
 
     def test_joint_case1_is_max(self):
         for ds, du in [(0.3, 0.1), (0.4, 0.2), (0.26, 0.24)]:
-            expected = max(binary_rdf_sem(0.25, ds, 1), binary_rdf_obs(0.25, du))
-            assert binary_rdf_joint(0.25, ds, du, 1) == pytest.approx(expected, abs=1e-15)
+            r_s, r_u, joint, _ = binary_rdfs(0.25, ds, du, 1)
+            assert joint == pytest.approx(max(r_s, r_u), abs=1e-15)
 
     def test_joint_case1_infeasible(self):
+        # Below the floor alpha the RDF is +inf and the cell out of reach.
+        r_s, _, joint, blocked = binary_rdfs(0.25, 0.1, 0.3, 1)
+        assert r_s == joint == float("inf") and blocked
         with pytest.raises(InfeasibleError):
-            binary_rdf_joint(0.25, 0.1, 0.3, 1)
+            equivocation_caps(SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3),
+                              0.1, 0.3, r=1.0, case=1)
 
     def test_joint_case2_observation_only_reduction(self):
         # With the semantic constraint inactive the joint solver must land
         # on the classic rate for the (uniform) observable component.
-        val = binary_rdf_joint(0.25, 0.5, 0.25, 2)
+        val = binary_rdfs(0.25, 0.5, 0.25, 2)[2]
         assert val == pytest.approx(1.0 - binary_entropy(0.25), abs=5e-3)
 
     def test_joint_case2_dominates_marginals(self):
         # Sandwich against the exact marginal rates of the underlying
         # doubly symmetric source (both components are uniform bits).
         for ds, du in [(0.3, 0.25), (0.2, 0.2), (0.45, 0.1)]:
-            joint = binary_rdf_joint(0.25, ds, du, 2)
-            r_s = binary_rdf_sem(0.25, ds, 2)
+            r_s, _, joint, _ = binary_rdfs(0.25, ds, du, 2)
             r_u = max(0.0, 1.0 - binary_entropy(min(du, 0.5)))
             assert joint >= max(r_s, r_u) - 5e-3
             assert joint <= r_s + r_u + 5e-3
@@ -459,12 +469,12 @@ class TestBinaryClosedForms:
         ham = hamming_distortion(2)
         point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.25, 0.3)
         assert point.dual_bound < point.rate
-        assert binary_rdf_joint(0.25, 0.25, 0.3, 2) == point.dual_bound
+        assert binary_rdfs(0.25, 0.25, 0.3, 2)[2] == point.dual_bound
 
     def test_joint_case2_swapped_cells_share_one_solve(self):
         binary._binary_joint_case2_cached.cache_clear()
-        first = binary_rdf_joint(0.2, 0.1, 0.35, 2)
-        swapped = binary_rdf_joint(0.2, 0.35, 0.1, 2)
+        first = binary_rdfs(0.2, 0.1, 0.35, 2)[2]
+        swapped = binary_rdfs(0.2, 0.35, 0.1, 2)[2]
         assert first == swapped
         info = binary._binary_joint_case2_cached.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -474,7 +484,7 @@ class TestBinaryClosedForms:
         binary._binary_joint_case2_cached.cache_clear()
         try:
             with pytest.warns(RuntimeWarning, match=r"\(D_s, D_u\)=\(0\.3, 0\.25\).*gap"):
-                value = binary_rdf_joint(0.25, 0.3, 0.25, 2)
+                value = binary_rdfs(0.25, 0.3, 0.25, 2)[2]
         finally:
             binary._binary_joint_case2_cached.cache_clear()
         # Starved or not, the value is a certified lower bound.

@@ -25,21 +25,15 @@ from semsec import (
     SemanticSourceGaussian,
     WiretapChannelBinary,
     WiretapChannelGaussian,
-    binary_converse_caps,
     binary_min_r,
-    binary_rdf_joint,
-    binary_rdf_obs,
-    binary_rdf_sem,
-    converse_equivocation_caps,
     converse_min_r,
     converse_surface,
     delta_s_curve,
-    gaussian_rdf_joint,
-    gaussian_rdf_obs,
-    gaussian_rdf_sem,
+    equivocation_caps,
+    min_ratio,
 )
 from semsec.cli import main
-from semsec.regions import REASONS, min_ratio
+from semsec.regions import REASONS
 
 NAMES = ("delta_s", "delta_u", "delta_su")
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -74,36 +68,14 @@ def binary_points(draw):
     return src, ch, d_s, d_u
 
 
-def _gaussian_terms(src, ch, d_s, d_u, case):
-    """(joint RDF, capacity, slope, {name: (entropy term, RDF)})."""
-    r_j = gaussian_rdf_joint(src, d_s, d_u, case)
-    comps = {
-        "delta_s": (src.h_s, gaussian_rdf_sem(src, d_s, case)),
-        "delta_u": (src.h_u, gaussian_rdf_obs(src, d_u)),
-        "delta_su": (src.h_su, r_j),
-    }
-    return r_j, ch.capacity_main, ch.secrecy_capacity, comps
-
-
-def _binary_terms(src, ch, d_s, d_u, case):
-    """(joint RDF, capacity, slope, {name: (entropy term, RDF)})."""
-    r_j = binary_rdf_joint(src.alpha, d_s, d_u, case)
-    comps = {
-        "delta_s": (1.0, binary_rdf_sem(src.alpha, d_s, case)),
-        "delta_u": (src.h_alpha, binary_rdf_obs(src.alpha, d_u)),
-        "delta_su": (src.h_alpha + 1.0, r_j),
-    }
-    return r_j, ch.capacity_main, ch.secrecy_capacity, comps
-
-
 MODELS = {
-    "gaussian": (converse_min_r, gaussian_points(), (1, 2), _gaussian_terms),
-    "binary": (binary_min_r, binary_points(), (1, 2), _binary_terms),
+    "gaussian": (converse_min_r, gaussian_points(), (1, 2)),
+    "binary": (binary_min_r, binary_points(), (1, 2)),
 }
 
 
 def _draw(data, model):
-    min_r, points, cases, _ = MODELS[model]
+    min_r, points, cases = MODELS[model]
     src, ch, d_s, d_u = data.draw(points)
     return min_r, src, ch, d_s, d_u, data.draw(targets), data.draw(st.sampled_from(cases))
 
@@ -151,11 +123,12 @@ def test_adding_key_rate_never_raises_r_min(model, data):
 def test_binding_names_the_maximal_term(model, data):
     min_r, src, ch, d_s, d_u, tg, case = _draw(data, model)
     res = min_r(src, ch, d_s, d_u, tg, case=case)
-    r_j, cap, slope, comps = MODELS[model][3](src, ch, d_s, d_u, case)
-    cands = {"rate": r_j / cap if r_j > 0.0 else 0.0}
+    r_j, comps, _ = src.rdf_components(d_s, d_u, case)
+    slope = ch.secrecy_capacity
+    cands = {"rate": float(r_j) / ch.capacity_main if r_j > 0.0 else 0.0}
     unmet = []
-    for name, (h_term, rdf) in comps.items():
-        need = getattr(tg, name) - (tg.R_k + h_term - rdf)
+    for name, h_term, rdf in comps:
+        need = getattr(tg, name) - (tg.R_k + h_term - float(rdf))
         if getattr(tg, name) != DISABLED and need > 0.0:
             unmet.append(name)
             cands[name] = need / slope if slope > 0.0 else math.inf
@@ -210,34 +183,36 @@ def test_slope_is_evaluated_only_for_unmet_targets():
         def secrecy_capacity(self):
             raise AssertionError("secrecy capacity read")
 
-    def comps(rdf):
-        rdf = np.array([[rdf]])
-        return (("delta_s", 1.0, rdf), ("delta_u", 1.0, rdf), ("delta_su", 2.0, rdf))
+    class Source:
+        def rdf_components(self, d_s, d_u, case):
+            # One RDF value, d_s, for every component; blocked where infinite.
+            rdf = np.array([[d_s]])
+            comps = (("delta_s", 1.0, rdf), ("delta_u", 1.0, rdf), ("delta_su", 2.0, rdf))
+            return rdf, comps, np.isinf(rdf)
 
     met = EquivocationTargets(0.5, DISABLED, 1.0)
-    res = min_ratio(Channel(), met, np.array([[0.5]]), comps(0.5), np.array([False])).cell(0, 0)
+    res = min_ratio(Source(), Channel(), met, 0.5, 0.6, 2).cell(0, 0)
     assert res.feasible and res.r_min == 0.25 and res.binding == "rate"
     # An unmet target on a cell out of the encoder's reach is never priced.
     unmet = EquivocationTargets(3.0, DISABLED, DISABLED)
-    res = min_ratio(Channel(), unmet, np.array([[np.inf]]), comps(np.inf),
-                    np.array([True])).cell(0, 0)
+    res = min_ratio(Source(), Channel(), unmet, np.inf, 0.6, 1).cell(0, 0)
     assert res.reason == "distortion_infeasible"
 
 
 def _gaussian_caps(**rates):
-    return converse_equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
-                                      WiretapChannelGaussian(1.0, 0.1, 0.4), 0.5, 0.6, **rates)
+    return equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
+                             WiretapChannelGaussian(1.0, 0.1, 0.4), 0.5, 0.6, **rates)
 
 
 def _gaussian_caps_no_leak(**rates):
     # P_N2 = 0: a zero secrecy capacity, so an infinite r would give inf * 0.
-    return converse_equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
-                                      WiretapChannelGaussian(1.0, 0.1, 0.0), 0.5, 0.6, **rates)
+    return equivocation_caps(SemanticSourceGaussian(0.7, 1.0, 0.6),
+                             WiretapChannelGaussian(1.0, 0.1, 0.0), 0.5, 0.6, **rates)
 
 
 def _binary_caps(**rates):
-    return binary_converse_caps(SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3),
-                                0.3, 0.25, case=1, **rates)
+    return equivocation_caps(SemanticSourceBinary(0.25), WiretapChannelBinary(0.1, 0.3),
+                             0.3, 0.25, case=1, **rates)
 
 
 def _binary_curve(**rates):
@@ -317,7 +292,7 @@ GRIDS = {
 def _check_cells(src, ch, tg, case, d_s, d_u, cells):
     """The evaluator at broadcastable ``d_s`` and ``d_u`` against the oracle's
     ``cells``: r_min bit for bit, equal reason codes and equal verdicts."""
-    got = min_ratio(ch, tg, *src.rdf_components(d_s, d_u, case))
+    got = min_ratio(src, ch, tg, d_s, d_u, case)
     a, b = np.broadcast_arrays(d_s, d_u)
     want = [cells[t_s, t_u] for t_s, t_u in zip(a.ravel().tolist(), b.ravel().tolist())]
     r_want = np.reshape([np.nan if w.r_min is None else w.r_min for w in want], a.shape)
