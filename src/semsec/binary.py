@@ -62,10 +62,6 @@ class SemanticSourceBinary:
     def h_su(self) -> float:
         return 1.0 + binary_entropy(self.alpha)
 
-    @property
-    def h_alpha(self) -> float:
-        return binary_entropy(self.alpha)
-
     def rdf_components(self, d_s, d_u, case: int):
         """The joint RDF, its (name, entropy, RDF) converse components and the
         mask of cells below the case-1 floor, at the distortions ``d_s`` and

@@ -102,10 +102,6 @@ class SemanticSourceGaussian:
         return self.P_s, self.P_u
 
     @property
-    def K(self) -> np.ndarray:
-        return np.array([[self.P_s, self.P_su], [self.P_su, self.P_u]])
-
-    @property
     def h_s(self) -> float:
         return 0.5 * math.log2(TWO_PI_E * self.P_s)
 
@@ -289,6 +285,13 @@ _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
 
 
+def _modes(rng, n: int):
+    """The index arrays of the four modes of ``n`` draws. The samplers fill an
+    empty mode too, which writes nothing and takes nothing from ``rng``."""
+    mode = rng.choice(4, size=n, p=_MODE_PROBS)
+    return [np.flatnonzero(mode == m) for m in range(4)]
+
+
 def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     """Draw ``n`` source-side factor structures; returns the factors g, (6, 6, n).
 
@@ -298,9 +301,9 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     disjoint noise supports make the observation-side auxiliaries
     conditionally independent of Sp given (Sc, source plane) for every draw,
     which keeps the draws within the achievable-scheme family. A mixture of
-    four modes covers the region: general draws plus three corner modes
-    (layered-efficient, semantic-only, observation-only) that land near the
-    rate-optimal boundary.
+    four modes, split by :func:`_modes`, covers the region: general draws
+    plus three corner modes (layered-efficient, semantic-only,
+    observation-only) that land near the rate-optimal boundary.
 
     g is coordinate-major, (coordinate, factor dim, draw), the layout that
     :func:`_prefix_logdets` reads: g[i, :, k] is row i of draw k's factor.
@@ -321,11 +324,7 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
     g[1, :2] = l[1][:, None]
     sem_dir = l[0] if case == 2 else l[1]
 
-    mode = rng.choice(4, size=n, p=_MODE_PROBS)
-    idx0 = np.flatnonzero(mode == 0)
-    idx1 = np.flatnonzero(mode == 1)
-    idx2 = np.flatnonzero(mode == 2)
-    idx3 = np.flatnonzero(mode == 3)
+    idx0, idx1, idx2, idx3 = _modes(rng, n)
 
     def _noise(size, lo=1e-2, hi=2.0):
         return np.exp(rng.uniform(math.log(lo), math.log(hi), size)) * amp
@@ -336,47 +335,40 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
         g[row, 0, idx] = load[..., 0]
         g[row, 1, idx] = load[..., 1]
 
-    if idx0.size:
-        k = idx0.size
-        load = rng.uniform(-1.5, 1.5, (k, 4, 2)) * amp
-        for j in range(4):
-            _plane(2 + j, idx0, load[:, j])
-        g[2, 2, idx0] = _noise(k)
-        g[3, 3, idx0] = _noise(k)
-        g[4, 4, idx0] = _noise(k)
-        g[5, 5, idx0] = _noise(k)
-        signs = rng.choice([-1.0, 1.0], size=(k, 4))
-        g[4, 2, idx0] = signs[:, 0] * _noise(k)
-        g[5, 2, idx0] = signs[:, 1] * _noise(k)
-        g[4, 5, idx0] = signs[:, 2] * _noise(k)
-        g[5, 4, idx0] = signs[:, 3] * _noise(k)
-    if idx1.size:
-        k = idx1.size
-        _plane(2, idx1, rng.uniform(-1.0, 1.0, (k, 2)) * amp)
-        _plane(3, idx1, sem_dir)
-        _plane(4, idx1, l[1])
-        _plane(5, idx1, l[1])
-        sig = _noise((k, 4), 3e-2, 3.0)
-        g[2, 2, idx1] = sig[:, 0]
-        g[3, 3, idx1] = sig[:, 1]
-        g[4, 4, idx1] = sig[:, 2]
-        g[5, 5, idx1] = sig[:, 3]
-    if idx2.size:
-        k = idx2.size
-        g[2, 2, idx2] = amp
-        _plane(3, idx2, sem_dir)
-        g[3, 3, idx2] = _noise(k, 3e-2, 3.0)
-        g[4, 4, idx2] = amp
-        g[5, 5, idx2] = amp
-    if idx3.size:
-        k = idx3.size
-        g[2, 2, idx3] = amp
-        g[3, 3, idx3] = amp
-        _plane(4, idx3, l[1])
-        _plane(5, idx3, l[1])
-        sig = _noise((k, 2), 3e-2, 3.0)
-        g[4, 4, idx3] = sig[:, 0]
-        g[5, 5, idx3] = sig[:, 1]
+    k = idx0.size
+    load = rng.uniform(-1.5, 1.5, (k, 4, 2)) * amp
+    for j in range(4):
+        _plane(2 + j, idx0, load[:, j])
+    g[2, 2, idx0] = _noise(k)
+    g[3, 3, idx0] = _noise(k)
+    g[4, 4, idx0] = _noise(k)
+    g[5, 5, idx0] = _noise(k)
+    signs = rng.choice([-1.0, 1.0], size=(k, 4))
+    g[4, 2, idx0] = signs[:, 0] * _noise(k)
+    g[5, 2, idx0] = signs[:, 1] * _noise(k)
+    g[4, 5, idx0] = signs[:, 2] * _noise(k)
+    g[5, 4, idx0] = signs[:, 3] * _noise(k)
+    _plane(2, idx1, rng.uniform(-1.0, 1.0, (idx1.size, 2)) * amp)
+    _plane(3, idx1, sem_dir)
+    _plane(4, idx1, l[1])
+    _plane(5, idx1, l[1])
+    sig = _noise((idx1.size, 4), 3e-2, 3.0)
+    g[2, 2, idx1] = sig[:, 0]
+    g[3, 3, idx1] = sig[:, 1]
+    g[4, 4, idx1] = sig[:, 2]
+    g[5, 5, idx1] = sig[:, 3]
+    g[2, 2, idx2] = amp
+    _plane(3, idx2, sem_dir)
+    g[3, 3, idx2] = _noise(idx2.size, 3e-2, 3.0)
+    g[4, 4, idx2] = amp
+    g[5, 5, idx2] = amp
+    g[2, 2, idx3] = amp
+    g[3, 3, idx3] = amp
+    _plane(4, idx3, l[1])
+    _plane(5, idx3, l[1])
+    sig = _noise((idx3.size, 2), 3e-2, 3.0)
+    g[4, 4, idx3] = sig[:, 0]
+    g[5, 5, idx3] = sig[:, 1]
 
     if case == 1:
         # Restricted encoder: auxiliaries may depend on the source only
@@ -394,46 +386,35 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     signal component S_k of power σ_k² = share_k·P plus a private noise M_k
     of power ν_k². X sums the signals plus an independent residual that tops
     the input power up to P, and Y = X + N1, Z = Y + N2, so each auxiliary is
-    conditionally independent of (Y, Z) given X. Four modes: general
-    stick-breaking splits with private noises, a clean full-power split, and
-    two corner-heavy splits that favor the confidential layers. Every draw is
-    a valid covariance by construction, so no draw is gated.
+    conditionally independent of (Y, Z) given X. Four modes (:func:`_modes`):
+    general stick-breaking splits with private noises, a clean full-power
+    split, and two corner-heavy splits that favor the confidential layers.
+    Every draw is a valid covariance by construction, so no draw is gated.
     """
     p = ch.P
-    mode = rng.choice(4, size=n, p=_MODE_PROBS)
+    idx0, idx1, idx2, idx3 = _modes(rng, n)
     shares = np.zeros((n, 4))
     noise = np.zeros((n, 4))
 
-    idx0 = np.flatnonzero(mode == 0)
-    idx1 = np.flatnonzero(mode == 1)
-    idx2 = np.flatnonzero(mode == 2)
-    idx3 = np.flatnonzero(mode == 3)
-    if idx0.size:
-        k = idx0.size
-        total = rng.uniform(0.0, 1.0, k)
-        shares[idx0] = rng.dirichlet(np.ones(4), size=k) * total[:, None]
-        noise[idx0] = rng.uniform(0.0, 1.0, (k, 4)) * math.sqrt(p)
-    if idx1.size:
-        shares[idx1] = rng.dirichlet(np.ones(4), size=idx1.size)
-    if idx2.size:
-        k = idx2.size
-        v_wc = rng.uniform(0.0, 0.1, k)
-        rest = 1.0 - v_wc
-        v_qs = rest * (0.85 + 0.15 * rng.uniform(0.0, 1.0, k))
-        rem = rest - v_qs
-        t = rng.uniform(0.0, 1.0, k)
-        shares[idx2, 0] = v_wc
-        shares[idx2, 2] = v_qs
-        shares[idx2, 1] = rem * t
-        shares[idx2, 3] = rem * (1.0 - t)
-    if idx3.size:
-        k = idx3.size
-        v_wu = 0.7 + 0.3 * rng.uniform(0.0, 1.0, k)
-        rest3 = rng.dirichlet(np.ones(3), size=k) * (1.0 - v_wu)[:, None]
-        shares[idx3, 1] = v_wu
-        shares[idx3, 0] = rest3[:, 0]
-        shares[idx3, 2] = rest3[:, 1]
-        shares[idx3, 3] = rest3[:, 2]
+    total = rng.uniform(0.0, 1.0, idx0.size)
+    shares[idx0] = rng.dirichlet(np.ones(4), size=idx0.size) * total[:, None]
+    noise[idx0] = rng.uniform(0.0, 1.0, (idx0.size, 4)) * math.sqrt(p)
+    shares[idx1] = rng.dirichlet(np.ones(4), size=idx1.size)
+    v_wc = rng.uniform(0.0, 0.1, idx2.size)
+    rest = 1.0 - v_wc
+    v_qs = rest * (0.85 + 0.15 * rng.uniform(0.0, 1.0, idx2.size))
+    rem = rest - v_qs
+    t = rng.uniform(0.0, 1.0, idx2.size)
+    shares[idx2, 0] = v_wc
+    shares[idx2, 2] = v_qs
+    shares[idx2, 1] = rem * t
+    shares[idx2, 3] = rem * (1.0 - t)
+    v_wu = 0.7 + 0.3 * rng.uniform(0.0, 1.0, idx3.size)
+    rest3 = rng.dirichlet(np.ones(3), size=idx3.size) * (1.0 - v_wu)[:, None]
+    shares[idx3, 1] = v_wu
+    shares[idx3, 0] = rest3[:, 0]
+    shares[idx3, 2] = rest3[:, 1]
+    shares[idx3, 3] = rest3[:, 2]
 
     return shares * p, noise**2
 
@@ -745,11 +726,10 @@ def inner_bound_scan(
     acc = samples["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)
     counts = np.zeros((n_bs, n_bu), dtype=int)
-    if np.any(acc):
-        bi = np.clip(np.digitize(samples["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
-        bj = np.clip(np.digitize(samples["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
-        np.minimum.at(r_grid, (bi, bj), samples["r"][acc])
-        np.add.at(counts, (bi, bj), 1)
+    bi = np.clip(np.digitize(samples["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
+    bj = np.clip(np.digitize(samples["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
+    np.minimum.at(r_grid, (bi, bj), samples["r"][acc])
+    np.add.at(counts, (bi, bj), 1)
     reason_counts = {
         REASON_NAMES[int(code)]: int(cnt)
         for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))

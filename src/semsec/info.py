@@ -97,21 +97,14 @@ def star(a, b):
 class Pmf:
     """A discrete joint probability mass function over one or more axes.
 
-    ``probs`` may be given as a flat vector plus ``shape`` or as an already
-    shaped array. Entries must be nonnegative and sum to 1 within 1e-12.
+    ``probs`` is an array with one axis per variable. Entries must be
+    nonnegative and sum to 1 within 1e-12.
     """
 
     probs: np.ndarray
-    shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
-        shape = tuple(self.shape) if self.shape is not None else arr.shape
-        if int(np.prod(shape)) != arr.size:
-            raise DomainError(
-                f"shape product {np.prod(shape)} does not match storage length {arr.size}"
-            )
-        arr = arr.reshape(shape)
         if np.any(arr < 0.0):
             raise DomainError("probabilities must be nonnegative")
         total = float(arr.sum())
@@ -120,7 +113,6 @@ class Pmf:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "shape", shape)
 
     @property
     def n_axes(self) -> int:

@@ -105,10 +105,6 @@ class DiscreteSemanticSource:
         return self.joint.probs.shape[1]
 
     @property
-    def marginal_s(self) -> np.ndarray:
-        return self.joint.probs.sum(axis=1)
-
-    @property
     def marginal_u(self) -> np.ndarray:
         return self.joint.probs.sum(axis=0)
 
@@ -139,10 +135,9 @@ class DistortionMatrix:
         return self.entries.shape
 
 
-def hamming_distortion(n: int, m: int | None = None) -> DistortionMatrix:
-    """Hamming distortion: 0 on the diagonal, 1 elsewhere."""
-    m = n if m is None else m
-    return DistortionMatrix(1.0 - np.eye(n, m))
+def hamming_distortion(n: int) -> DistortionMatrix:
+    """Hamming distortion on n letters: 0 on the diagonal, 1 elsewhere."""
+    return DistortionMatrix(1.0 - np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,7 @@ class RdfPoint:
 # ---------------------------------------------------------------------------
 
 
-def _ba_tilted(
-    p: np.ndarray,
-    tilt: np.ndarray,
-    tol: float = _BA_TOL,
-    max_iter: int = _BA_MAX_ITER,
-    q0: np.ndarray | None = None,
-):
+def _ba_tilted(p: np.ndarray, tilt: np.ndarray, q0: np.ndarray | None = None):
     """Blahut-Arimoto for min_W I(p, W) + sum p W tilt.
 
     ``tilt`` has shape (m, n) with the exponent already in bits (that is,
@@ -184,7 +173,8 @@ def _ba_tilted(
     start is floored at 1e-12 so that no output letter is lost for good) and
     maps q to q * c with c(x_hat) = sum_x p(x) W(x_hat | x) / q(x_hat). Since
     sum q c = 1, max c >= 1, and log2 max c bounds the Lagrangian's distance
-    from its minimum (Csiszar 1974); the iteration stops once it is <= ``tol``.
+    from its minimum (Csiszar 1974); the iteration stops once it is at most
+    ``_BA_TOL``, or after ``_BA_MAX_ITER`` iterations, both read at call time.
     Every ``_POLISH_EVERY`` iterations a Newton step on q
     (:func:`_newton_output`) replaces the multiplicative one if it lowers
     max c, which cures the slow convergence where an output letter's mass is
@@ -200,7 +190,7 @@ def _ba_tilted(
     n = tilt.shape[1]
     q = np.full(n, 1.0 / n) if q0 is None else np.maximum(np.asarray(q0, dtype=float), 1e-12)
     q = q / q.sum()  # from here on sum(q * c) = sum(p) = 1 keeps q normalized
-    stop = 2.0**tol
+    stop = 2.0**_BA_TOL
     iters = 0
     while True:
         iters += 1
@@ -213,7 +203,7 @@ def _ba_tilted(
             if c_cand.max() < c.max():
                 q, z, c = cand, z_cand, c_cand
         converged = bool(c.max() <= stop)
-        if converged or iters >= max_iter:
+        if converged or iters >= _BA_MAX_ITER:
             break
         q = q * c
 
@@ -468,7 +458,7 @@ class _NewtonAscent:
 
     def evaluate(self, lam, q0=None) -> _Eval:
         tilt = np.tensordot(lam, self.costs, axes=1)
-        out = _ba_tilted(self.p, tilt, _BA_TOL, _BA_MAX_ITER, q0)
+        out = _ba_tilted(self.p, tilt, q0)
         ed = np.array(_expected_distortions(self.p, out["w"], *self.costs))
         dual = _dual_bound(self.p, out["q"], tilt, float(lam @ self.targets))
         ev = _Eval(lam, out, ed - self.targets, dual)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class EquivocationCaps:
     at the unconditional entropy of the corresponding source component.
     ``raw_*`` carry the unclamped formula values (which may exceed the
     entropy, e.g. for large channel-use ratios or key rates); ``capped_*``
-    flag where the clamp fired. Iterating yields the three clamped caps.
+    flag where the clamp fired.
     """
 
     delta_s: float
@@ -101,24 +101,6 @@ class EquivocationCaps:
     capped_s: bool
     capped_u: bool
     capped_su: bool
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.delta_s, self.delta_u, self.delta_su))
-
-    @classmethod
-    def from_raw(cls, raw_s: float, raw_u: float, raw_su: float,
-                 cap_s: float, cap_u: float, cap_su: float) -> "EquivocationCaps":
-        return cls(
-            delta_s=min(raw_s, cap_s),
-            delta_u=min(raw_u, cap_u),
-            delta_su=min(raw_su, cap_su),
-            raw_delta_s=raw_s,
-            raw_delta_u=raw_u,
-            raw_delta_su=raw_su,
-            capped_s=raw_s > cap_s,
-            capped_u=raw_u > cap_u,
-            capped_su=raw_su > cap_su,
-        )
 
 
 @dataclass(frozen=True)
@@ -150,6 +132,8 @@ BINDINGS = ("rate", "delta_s", "delta_u", "delta_su")
 REASONS = (None, "distortion_infeasible", "rate_infeasible", "secrecy_infeasible_delta_s",
            "secrecy_infeasible_delta_u", "secrecy_infeasible_delta_su")
 _DISTORTION, _RATE = 1, 2
+#: The source entropy that caps each target's equivocation.
+_CEILINGS = {"delta_s": "h_s", "delta_u": "h_u", "delta_su": "h_su"}
 
 
 @dataclass(frozen=True)
@@ -185,10 +169,12 @@ def min_ratio(src, ch, targets: EquivocationTargets, d_s, d_u, case: int) -> Rat
 
     The RDFs come from ``src.rdf_components(d_s, d_u, case)``, so the cells
     have the broadcast shape of ``d_s`` and ``d_u``; a cell below the case-1
-    floor is out of the encoder's reach. The secrecy capacity is read only
-    for a target that some cell has not met. A cell where a target's need
-    over it is not a finite number (zero secrecy capacity, or an overflowing
-    ratio) is infeasible, named after the first such target.
+    floor is out of the encoder's reach. An enabled target above its
+    ceiling, ``src.h_s``, ``src.h_u`` or ``src.h_su``, makes every cell
+    infeasible. The secrecy capacity is read only for a target that some
+    cell has not met. A cell where a target's need over it is not a finite
+    number (zero secrecy capacity, or an overflowing ratio) is infeasible.
+    Of several such targets, the first names the reason.
     """
     r_joint, components, blocked = src.rdf_components(d_s, d_u, case)
     capacity = ch.capacity_main
@@ -202,6 +188,9 @@ def min_ratio(src, ch, targets: EquivocationTargets, d_s, d_u, case: int) -> Rat
         for name, h_term, rdf in components:
             target = getattr(targets, name)
             if target == DISABLED:
+                continue
+            if target > getattr(src, _CEILINGS[name]):
+                reason[reason == 0] = REASONS.index(f"secrecy_infeasible_{name}")
                 continue
             need = target - (targets.R_k + h_term - rdf)
             # Cells already infeasible are done; a NaN need counts as unmet.
@@ -225,17 +214,30 @@ def equivocation_caps(src, ch, d_s: float, d_u: float, r: float, R_k: float = 0.
     Each raw cap is ``R_k + r * ch.secrecy_capacity + h - R`` per component
     of ``src.rdf_components``, clamped at the unconditional entropies
     ``src.h_s``, ``src.h_u`` and ``src.h_su`` (see :class:`EquivocationCaps`
-    for both values and the clamp flags). A distortion out of the encoder's
+    for both values and the clamp flags). ``d_s`` and ``d_u`` must be
+    scalars, else :class:`DomainError`. A distortion out of the encoder's
     reach raises :class:`InfeasibleError`.
     """
+    if np.ndim(d_s) or np.ndim(d_u):
+        raise DomainError("equivocation_caps takes one cell: d_s and d_u must be scalars")
     _finite_nonnegative("channel-use ratio", r)
     _finite_nonnegative("key rate", R_k)
     _, components, blocked = src.rdf_components(d_s, d_u, case)
     if blocked:
         raise InfeasibleError("the restricted encoder cannot reach this semantic distortion")
-    raw = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
-           for _, h_term, rdf in components]
-    return EquivocationCaps.from_raw(*raw, src.h_s, src.h_u, src.h_su)
+    raw_s, raw_u, raw_su = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
+                            for _, h_term, rdf in components]
+    return EquivocationCaps(
+        delta_s=min(raw_s, src.h_s),
+        delta_u=min(raw_u, src.h_u),
+        delta_su=min(raw_su, src.h_su),
+        raw_delta_s=raw_s,
+        raw_delta_u=raw_u,
+        raw_delta_su=raw_su,
+        capped_s=raw_s > src.h_s,
+        capped_u=raw_u > src.h_u,
+        capped_su=raw_su > src.h_su,
+    )
 
 
 @dataclass(frozen=True)

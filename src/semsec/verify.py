@@ -191,7 +191,7 @@ def _appendix_checks():
     rng = np.random.default_rng(11)
     worst = math.inf
     for _ in range(50):
-        p = Pmf(rng.dirichlet(np.ones(32)), shape=(2, 2, 2, 2, 2))
+        p = Pmf(rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2))
         worst = min(worst, appendix_inequality_slack(p))
     return [_check(
         "appendix-inequality", worst >= -1e-9,

@@ -167,13 +167,15 @@ def _binary_components(src, target_s, target_u, case):
     r_j = binary_rdf_joint(src.alpha, target_s, target_u, case)
     return r_j, (
         ("delta_s", 1.0, r_s),
-        ("delta_u", src.h_alpha, r_u),
-        ("delta_su", src.h_alpha + 1.0, r_j),
+        ("delta_u", binary_entropy(src.alpha), r_u),
+        ("delta_su", binary_entropy(src.alpha) + 1.0, r_j),
     )
 
 
-def min_ratio(r_joint, capacity, components, targets, slope):
-    """One cell: the rate bound and each unmet target's need over ``slope``."""
+def min_ratio(r_joint, capacity, components, targets, slope, ceilings):
+    """One cell: the rate bound and each unmet target's need over ``slope``.
+    A target above its entropy in ``ceilings`` (a name-to-bits mapping) is
+    never met."""
     if r_joint > 0.0 and capacity <= 0.0:
         return MinRateResult(None, False, reason="rate_infeasible")
     r_min = r_joint / capacity if r_joint > 0.0 else 0.0
@@ -182,6 +184,8 @@ def min_ratio(r_joint, capacity, components, targets, slope):
         target = getattr(targets, name)
         if target == DISABLED:
             continue
+        if target > ceilings[name]:
+            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
         need = target - (targets.R_k + h_term - rdf)
         if need <= 0.0:
             continue  # already met at r = 0
@@ -200,7 +204,8 @@ def _min_r(components, src, ch, target_s, target_u, targets, case, slope):
     except InfeasibleError:
         return MinRateResult(None, False, reason="distortion_infeasible")
     slope = ch.secrecy_capacity if slope is None else slope
-    return min_ratio(r_j, ch.capacity_main, comps, targets, slope)
+    ceilings = {"delta_s": src.h_s, "delta_u": src.h_u, "delta_su": src.h_su}
+    return min_ratio(r_j, ch.capacity_main, comps, targets, slope, ceilings)
 
 
 def converse_min_r(src, ch, target_s, target_u, targets, case=2, slope=None):

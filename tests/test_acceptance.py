@@ -258,11 +258,11 @@ def test_criterion_7_reduction_identities():
             worst,
             abs(caps0.raw_delta_s - (r_k + 1.0 - oracle.binary_rdf_sem(alpha, d_s, 1))),
             abs(caps0.raw_delta_u
-                - (r_k + src.h_alpha - oracle.binary_rdf_obs(alpha, d_u))),
+                - (r_k + binary_entropy(alpha) - oracle.binary_rdf_obs(alpha, d_u))),
         )
         capsr = equivocation_caps(src, ch, d_s, d_u, r=r, R_k=r_k, case=1)
         expect_u = (
-            r_k + r * ch.secrecy_capacity + src.h_alpha
+            r_k + r * ch.secrecy_capacity + binary_entropy(alpha)
             - oracle.binary_rdf_obs(alpha, d_u)
         )
         worst = max(worst, abs(capsr.raw_delta_u - expect_u))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import semsec
-from semsec import binary, gaussian, rdf, regions
+from semsec import binary, gaussian, info, rdf, regions
 
 MODULES = [importlib.import_module(f"semsec.{m.name}") for m in pkgutil.iter_modules(semsec.__path__)]
 REMOVED = (
@@ -26,13 +26,19 @@ REMOVED = (
     "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint", "binary_converse_caps",
 )
 # Options that nothing at run time set: the solver has no knobs, and the
-# converse no split.
+# converse no split. Blahut-Arimoto reads its tolerance and iteration cap
+# from module constants, Hamming distortion is square, and a pmf is given
+# shaped.
 REMOVED_PARAMETERS = (
     (rdf.TwoConstraintSolver, "ba_tol"),
     (rdf.TwoConstraintSolver, "ba_max_iter"),
     (rdf.rdf_semantic_case1, "solver"),
     (rdf.rdf_semantic_case2, "solver"),
     (rdf._ba_tilted, "return_trace"),
+    (rdf._ba_tilted, "tol"),
+    (rdf._ba_tilted, "max_iter"),
+    (rdf.hamming_distortion, "m"),
+    (info.Pmf, "shape"),
     (rdf.DiscreteSemanticSource, "s_support"),
     (rdf.DiscreteSemanticSource, "u_support"),
     # The converse's secrecy slope is the channel's secrecy capacity.
@@ -46,11 +52,17 @@ REMOVED_PARAMETERS = (
     (regions.equivocation_caps, "gamma2"),
     (binary.delta_s_curve, "gamma1"),
 )
-# Methods that nothing reads: the CLI zips the curve's arrays itself, and
-# the minimal ratio skips a disabled target by its value.
+# Methods and attributes that nothing reads: the CLI zips the curve's arrays
+# itself, the minimal ratio skips a disabled target by its value, and the
+# caps are read by name.
 REMOVED_METHODS = (
     (regions.TradeoffCurve, "rows"),
     (regions.EquivocationTargets, "active"),
+    (regions.EquivocationCaps, "__iter__"),
+    (regions.EquivocationCaps, "from_raw"),
+    (binary.SemanticSourceBinary, "h_alpha"),
+    (rdf.DiscreteSemanticSource, "marginal_s"),
+    (gaussian.SemanticSourceGaussian, "K"),
 )
 
 

@@ -1,5 +1,7 @@
 """Binary model: closed-form converse bounds and the distortion tradeoff curve."""
 
+import math
+
 import converse_oracle as oracle
 import numpy as np
 import pytest
@@ -50,7 +52,6 @@ class TestTypes:
         src = default_source()
         assert src.h_s == 1.0
         assert src.h_u == 1.0
-        assert src.h_alpha == pytest.approx(H_ALPHA, abs=1e-15)
         assert src.h_su == pytest.approx(1.0 + H_ALPHA, abs=1e-15)
 
     def test_channel_derived(self):
@@ -204,7 +205,8 @@ class TestTradeoffCurve:
     def test_positive_gamma_never_helps(self):
         # Each point of the curve is the equivocation reached at r = 1 with
         # the secrecy capacity as slope; at the slope of gamma = 0.2 the
-        # same equivocation needs a ratio of at least 1.
+        # same equivocation needs a ratio of at least 1. The raw points can
+        # exceed the entropy, so they are priced without its ceiling.
         src, ch = default_source(), default_channel()
         grid = np.linspace(0.26, 0.49, 50)
         base = delta_s_curve(src, ch, r=1.0, case=1, d_s_grid=grid)
@@ -213,7 +215,9 @@ class TestTradeoffCurve:
         for d_s, raw in zip(grid.tolist(), base.raw.tolist()):
             tg = EquivocationTargets(raw, DISABLED, DISABLED)
             comps = (("delta_s", 1.0, oracle.binary_rdf_sem(src.alpha, d_s, 1)),)
-            at_cap = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, ch.secrecy_capacity)
-            tilted = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, tilted_slope)
+            unclamped = {"delta_s": math.inf}
+            at_cap = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, ch.secrecy_capacity,
+                                      unclamped)
+            tilted = oracle.min_ratio(0.0, ch.capacity_main, comps, tg, tilted_slope, unclamped)
             assert at_cap.r_min == pytest.approx(1.0, abs=1e-12)
             assert tilted.r_min >= at_cap.r_min - 1e-12

@@ -101,13 +101,6 @@ class TestPmf:
             Pmf(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             Pmf(np.array([-0.1, 1.1]))
-        with pytest.raises(DomainError):
-            Pmf(np.array([0.25] * 4), shape=(3,))
-
-    def test_flat_plus_shape(self):
-        p = Pmf(np.full(8, 0.125), shape=(2, 2, 2))
-        assert p.probs.shape == (2, 2, 2)
-        assert p.n_axes == 3
 
     def test_readonly(self):
         p = Pmf(np.array([0.5, 0.5]))
@@ -152,7 +145,7 @@ class TestMutualInformation:
     @settings(max_examples=40)
     def test_chain_rule(self, rnd):
         rng = np.random.default_rng(rnd.getrandbits(32))
-        p = Pmf(rng.dirichlet(np.ones(8)), shape=(2, 2, 2))
+        p = Pmf(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
         lhs = mutual_information(p, (0,), (1, 2))
         rhs = mutual_information(p, (0,), (1,)) + mutual_information(p, (0,), (2,), (1,))
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -161,7 +154,7 @@ class TestMutualInformation:
     @settings(max_examples=40)
     def test_nonnegative(self, rnd):
         rng = np.random.default_rng(rnd.getrandbits(32))
-        p = Pmf(rng.dirichlet(np.ones(12)), shape=(3, 4))
+        p = Pmf(rng.dirichlet(np.ones(12)).reshape(3, 4))
         assert mutual_information(p, (0,), (1,)) >= 0.0
 
 
@@ -174,7 +167,7 @@ class TestAppendixInequality:
         rng = np.random.default_rng(20240817)
         worst = math.inf
         for _ in range(300):
-            p = Pmf(rng.dirichlet(np.ones(32)), shape=(2, 2, 2, 2, 2))
+            p = Pmf(rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2))
             worst = min(worst, appendix_inequality_slack(p))
         assert worst >= -1e-9
 
@@ -182,7 +175,7 @@ class TestAppendixInequality:
         # Fully independent uniform bits: slack reduces to H(C) + H(Z|C0)
         # + extra entropies minus the matching terms; just confirm it is
         # nonnegative and finite.
-        p = Pmf(np.full(32, 1.0 / 32), shape=(2, 2, 2, 2, 2))
+        p = Pmf(np.full((2, 2, 2, 2, 2), 1.0 / 32))
         slack = appendix_inequality_slack(p)
         assert slack >= -1e-12
         assert math.isfinite(slack)

@@ -125,21 +125,48 @@ def test_binding_names_the_maximal_term(model, data):
     res = min_r(src, ch, d_s, d_u, tg, case=case)
     r_j, comps, _ = src.rdf_components(d_s, d_u, case)
     slope = ch.secrecy_capacity
+    ceilings = {"delta_s": src.h_s, "delta_u": src.h_u, "delta_su": src.h_su}
     cands = {"rate": float(r_j) / ch.capacity_main if r_j > 0.0 else 0.0}
-    unmet = []
+    unreachable = []  # above its entropy, or needing an unbounded ratio
     for name, h_term, rdf in comps:
-        need = getattr(tg, name) - (tg.R_k + h_term - float(rdf))
-        if getattr(tg, name) != DISABLED and need > 0.0:
-            unmet.append(name)
+        target = getattr(tg, name)
+        if target == DISABLED:
+            continue
+        need = target - (tg.R_k + h_term - float(rdf))
+        if target > ceilings[name]:
+            unreachable.append(name)
+        elif need > 0.0:
             cands[name] = need / slope if slope > 0.0 else math.inf
-    unbounded = [name for name in unmet if not math.isfinite(cands[name])]
-    if unbounded:
+            if not math.isfinite(cands[name]):
+                unreachable.append(name)
+    if unreachable:
         assert not res.feasible
-        assert res.reason == f"secrecy_infeasible_{unbounded[0]}"
+        assert res.reason == f"secrecy_infeasible_{unreachable[0]}"
         return
     assert res.feasible
     assert res.r_min == max(cands.values())
     assert cands[res.binding] == res.r_min
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@PROPERTY
+@given(data=st.data())
+def test_caps_at_the_minimal_ratio_meet_the_targets(model, data):
+    # The two converse routines agree: at a feasible minimal ratio the
+    # clamped caps meet every enabled target, and just below it the binding
+    # target is missed.
+    min_r, src, ch, d_s, d_u, tg, case = _draw(data, model)
+    res = min_r(src, ch, d_s, d_u, tg, case=case)
+    if not res.feasible:
+        return
+    caps = equivocation_caps(src, ch, d_s, d_u, r=res.r_min, R_k=tg.R_k, case=case)
+    for name in NAMES:
+        if getattr(tg, name) != DISABLED:
+            assert getattr(caps, name) >= getattr(tg, name) - 1e-9
+    if res.binding != "rate":
+        below = equivocation_caps(src, ch, d_s, d_u, r=res.r_min * (1.0 - 1e-6), R_k=tg.R_k,
+                                  case=case)
+        assert getattr(below, res.binding) < getattr(tg, res.binding)
 
 
 #: model: (oracle slope at a split, the split where it is the secrecy
@@ -184,6 +211,9 @@ def test_slope_is_evaluated_only_for_unmet_targets():
             raise AssertionError("secrecy capacity read")
 
     class Source:
+        h_s = h_u = 1.0
+        h_su = 2.0
+
         def rdf_components(self, d_s, d_u, case):
             # One RDF value, d_s, for every component; blocked where infinite.
             rdf = np.array([[d_s]])
@@ -392,3 +422,22 @@ def test_rdf_command_rejects_a_bad_distortion(model, case, bad, capsys):
             f"--d-u={bad}"]
     assert main(argv) == 2
     assert "distortions must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, target", [("binary", 1.5), ("gaussian", 3.0)])
+def test_target_above_the_entropy_is_infeasible(model, target):
+    # H(S) is 1 bit for the binary source and 1.79 bits for the Gaussian
+    # one; no channel-use ratio gives more equivocation than that.
+    src, ch, (d_s, d_u), min_r = VALID[model]
+    res = min_r(src, ch, d_s, d_u, EquivocationTargets(target, DISABLED, DISABLED), case=1)
+    assert not res.feasible
+    assert res.reason == "secrecy_infeasible_delta_s"
+    assert equivocation_caps(src, ch, d_s, d_u, r=100.0, case=1).delta_s == src.h_s
+
+
+@pytest.mark.parametrize("model", sorted(VALID))
+def test_caps_take_one_cell(model):
+    src, ch, (d_s, d_u), _ = VALID[model]
+    for pair in ((np.array([d_s, d_s]), d_u), (d_s, np.array([d_u]))):
+        with pytest.raises(DomainError, match="one cell"):
+            equivocation_caps(src, ch, *pair, r=1.0)
