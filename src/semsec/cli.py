@@ -340,10 +340,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Run configuration: a JSON-serializable description of one evaluation run,
 preset registry, and builders that turn a config into model objects.
 
-Disabled equivocation targets are represented as ``-inf`` in memory and as
-the string ``"-inf"`` in JSON files (the loader also accepts a bare JSON
-``-Infinity``). Every config hashes to a stable 16-hex-digit digest that
+A config is loaded from the path of a JSON file or from a mapping of its
+fields. Disabled equivocation targets are represented as ``-inf`` in memory
+and as the string ``"-inf"`` in JSON files (the loader also accepts a bare
+JSON ``-Infinity``). Every config hashes to a stable 16-hex-digit digest that
 the CLI embeds in output headers so artifacts are traceable to their
 configuration.
 """
@@ -95,11 +96,8 @@ class RunConfig:
                 self, "R_k_values", tuple(float(v) for v in self.R_k_values)
             )
 
-    def targets(self, R_k: float | None = None) -> EquivocationTargets:
-        return EquivocationTargets(
-            self.delta_s, self.delta_u, self.delta_su,
-            self.R_k if R_k is None else R_k,
-        )
+    def targets(self) -> EquivocationTargets:
+        return EquivocationTargets(self.delta_s, self.delta_u, self.delta_su, self.R_k)
 
     def key_rates(self) -> tuple[float, ...]:
         return self.R_k_values if self.R_k_values is not None else (self.R_k,)
@@ -283,23 +281,18 @@ def dump_config(cfg: RunConfig, path: str | Path | None = None) -> str:
 
 
 def load_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
-    """Load a config from a JSON file path, JSON text, or mapping."""
+    """Load a config from the path of a JSON file, or from a mapping."""
     if isinstance(source, Mapping):
         raw = dict(source)
     else:
-        text = None
-        candidate = Path(str(source))
         try:
-            if candidate.is_file():
-                text = candidate.read_text()
-        except OSError:
-            text = None
-        if text is None:
-            text = str(source)
+            text = Path(source).read_bytes()
+        except OSError as exc:
+            raise ValidationError([f"config: cannot read {source} ({exc.strerror})"]) from exc
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError([f"config: not valid JSON ({exc})"]) from exc
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValidationError([f"config: {source} is not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ValidationError(["config: top level must be a JSON object"])
     # A name is a label, so "-inf" stays a string there.

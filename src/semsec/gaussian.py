@@ -580,13 +580,16 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     Every constraint is piecewise linear in r (the positive-part brackets
     contribute at most one breakpoint), so the least feasible r is exact;
     strictness of the printed inequalities is absorbed into a 1e-9 slack,
-    and disabled (-inf) targets are skipped. A draw is accepted when it is
-    feasible and in the sound regime: its source-coding rates stay within
-    the entropy budget of every active secrecy constraint (and its joint
-    leakage gap is nonnegative for the joint one), where the equivocation
-    bounds are fully backed by the coding argument. r is NaN where a draw
-    is discarded. Of several reasons the first in code order wins, checked
-    as 10, 1-6, then the unsound-regime codes 7-9.
+    and disabled (-inf) targets are skipped. An enabled target above its
+    source entropy, ``src.h_s``, ``src.h_u`` or ``src.h_su``, is met by no
+    scheme, so it discards every finite draw under its secrecy code. A
+    draw is accepted when it is feasible and in the sound regime: its
+    source-coding rates stay within the entropy budget of every active
+    secrecy constraint (and its joint leakage gap is nonnegative for the
+    joint one), where the equivocation bounds are fully backed by the
+    coding argument. r is NaN where a draw is discarded. Of several
+    reasons the first in code order wins, checked as 10, 1-6, then the
+    unsound-regime codes 7-9.
     """
     reason = np.zeros(len(t["a1"]), dtype=np.int8)
 
@@ -631,6 +634,7 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
             ok2 = m2 & (g_s > 0.0) & np.isfinite(r4)
             r_s = np.where(ok2, c2, r_s)
             mark(finite & m2 & ~ok2, 4)
+            mark(finite & (ds_t > hs), 4)
             r = np.maximum(r, r_s)
         if targets.delta_u != DISABLED:
             need_u = targets.delta_u - np.maximum(hu - a3, 0.0)
@@ -638,12 +642,14 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
                 r, np.where(need_u > 0.0, need_u / np.maximum(g_u, _TINY), 0.0)
             )
             mark(finite & (need_u > 0.0) & (g_u <= 0.0), 5)
+            mark(finite & (targets.delta_u > hu), 5)
         if targets.delta_su != DISABLED:
             need_su = targets.delta_su - np.maximum(hsu - a2 - a3, 0.0)
             r = np.maximum(
                 r, np.where(need_su > 0.0, need_su / np.maximum(g_su, _TINY), 0.0)
             )
             mark(finite & (need_su > 0.0) & (g_su <= 0.0), 6)
+            mark(finite & (targets.delta_su > hsu), 6)
 
     if targets.delta_s != DISABLED:
         mark(~(a2 <= hs + _TOL), 7)

@@ -108,7 +108,7 @@ class Pmf:
         if np.any(arr < 0.0):
             raise DomainError("probabilities must be nonnegative")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN total fails too
             raise DomainError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,27 +64,15 @@ _BA_MAX_ITER = 10_000
 class DiscreteSemanticSource:
     """A discrete semantic source: a joint pmf over (S, U).
 
-    Symbols with zero marginal probability are pruned at construction;
-    ``s_support`` / ``u_support`` record the kept original indices so that
-    distortion matrices defined on the original alphabets can be sliced.
+    The alphabets are the joint's axes, zero-mass symbols included; a
+    distortion matrix has one row per symbol of its component.
     """
 
     joint: Pmf
-    s_support: tuple[int, ...] = field(init=False)
-    u_support: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.joint.n_axes != 2:
             raise DomainError("semantic source needs a 2-axis joint pmf over (S, U)")
-        arr = self.joint.probs
-        ps = arr.sum(axis=1)
-        pu = arr.sum(axis=0)
-        keep_s = tuple(int(i) for i in np.flatnonzero(ps > 0.0))
-        keep_u = tuple(int(j) for j in np.flatnonzero(pu > 0.0))
-        if len(keep_s) < arr.shape[0] or len(keep_u) < arr.shape[1]:
-            object.__setattr__(self, "joint", Pmf(arr[np.ix_(keep_s, keep_u)]))
-        object.__setattr__(self, "s_support", keep_s)
-        object.__setattr__(self, "u_support", keep_u)
 
     @classmethod
     def doubly_symmetric(cls, alpha: float) -> "DiscreteSemanticSource":
@@ -109,9 +97,9 @@ class DiscreteSemanticSource:
         return self.joint.probs.sum(axis=0)
 
     def p_s_given_u(self) -> np.ndarray:
-        """Conditional p(s | u) as an (n_s, n_u) array."""
-        pu = self.marginal_u
-        return self.joint.probs / pu[None, :]
+        """Conditional p(s | u) as an (n_s, n_u) array, 0 where p(u) = 0."""
+        probs, pu = self.joint.probs, self.marginal_u
+        return np.divide(probs, pu, out=np.zeros(probs.shape), where=pu > 0.0)
 
 
 @dataclass(frozen=True)
@@ -594,24 +582,16 @@ def _channel_rate(p, w):
 # ---------------------------------------------------------------------------
 
 
-def _source_rows(d: DistortionMatrix, support: tuple[int, ...], n_kept: int, name: str) -> np.ndarray:
-    """Rows of ``d`` for the kept source symbols.
-
-    Accepts matrices indexed by either the pruned or the original alphabet.
-    """
-    if d.shape[0] == n_kept:
-        return d.entries
-    if support and d.shape[0] > max(support):
-        return d.entries[list(support)]
-    raise DomainError(
-        f"{name} has {d.shape[0]} rows; need {n_kept} (pruned) or at least "
-        f"{max(support) + 1 if support else 0} (original alphabet)"
-    )
+def _source_rows(d: DistortionMatrix, n: int, name: str) -> np.ndarray:
+    """The entries of ``d``, which must have one row per source symbol."""
+    if d.shape[0] != n:
+        raise DomainError(f"{name} has {d.shape[0]} rows; the alphabet has {n} symbols")
+    return d.entries
 
 
 def modified_distortion(src: DiscreteSemanticSource, d_s: DistortionMatrix) -> DistortionMatrix:
     """Distortion on (U, S_hat) induced by averaging d_s over p(s | u)."""
-    ds = _source_rows(d_s, src.s_support, src.n_s, "d_s")
+    ds = _source_rows(d_s, src.n_s, "d_s")
     cond = src.p_s_given_u()  # (n_s, n_u)
     return DistortionMatrix(cond.T @ ds)
 
@@ -632,22 +612,18 @@ def _warn_if_uncertified(point: RdfPoint, what: str) -> None:
         )
 
 
-def rdf_classic(p_u, d_u: DistortionMatrix, target: float) -> RdfPoint:
-    """Single-constraint rate-distortion function.
+def rdf_classic(p, d_u: DistortionMatrix, target: float) -> RdfPoint:
+    """Single-constraint rate-distortion function of the probability vector
+    ``p``, checked as a single-axis :class:`Pmf`.
 
-    ``p_u`` may be a 1-axis :class:`Pmf` or a probability vector. This is
-    :class:`TwoConstraintSolver` with a zero second cost and target. A solve
-    that did not converge, or whose primal-dual gap exceeds 1e-6, raises a
-    :class:`RuntimeWarning` naming the target.
+    This is :class:`TwoConstraintSolver` with a zero second cost and target.
+    A solve that did not converge, or whose primal-dual gap exceeds 1e-6,
+    raises a :class:`RuntimeWarning` naming the target.
     """
-    p = p_u.probs if isinstance(p_u, Pmf) else np.asarray(p_u, dtype=float)
+    p = Pmf(p).probs
     if p.ndim != 1:
-        raise DomainError("rdf_classic expects a single-axis pmf")
+        raise DomainError("rdf_classic expects a probability vector")
     cost = d_u.entries
-    if cost.shape[0] != len(p):
-        raise DomainError(
-            f"distortion rows {cost.shape[0]} != alphabet size {len(p)}"
-        )
     point = TwoConstraintSolver().solve(p, cost, np.zeros_like(cost), target, 0.0)
     _warn_if_uncertified(point, f"rdf_classic at target {target}")
     return RdfPoint(point.rate, point.distortions[:1], point.multipliers[:1],
@@ -661,8 +637,8 @@ def _product_costs(da, db):
 
 
 def _case2_problem(src, d_s, d_u):
-    ds = _source_rows(d_s, src.s_support, src.n_s, "d_s")
-    du = _source_rows(d_u, src.u_support, src.n_u, "d_u")
+    ds = _source_rows(d_s, src.n_s, "d_s")
+    du = _source_rows(d_u, src.n_u, "d_u")
     # Rows are the (s, u) pairs in row-major order.
     cost_a, cost_b = _product_costs(np.repeat(ds, src.n_u, axis=0), np.tile(du, (src.n_s, 1)))
     return src.joint.probs.ravel(), cost_a, cost_b
@@ -670,7 +646,7 @@ def _case2_problem(src, d_s, d_u):
 
 def _case1_problem(src, d_s, d_u):
     dhat = modified_distortion(src, d_s).entries  # (n_u, n_sh)
-    du = _source_rows(d_u, src.u_support, src.n_u, "d_u")
+    du = _source_rows(d_u, src.n_u, "d_u")
     return (src.marginal_u, *_product_costs(dhat, du))
 
 

@@ -8,10 +8,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semsec
-from semsec import binary, gaussian, info, rdf, regions
+from semsec import binary, config, gaussian, info, rdf, regions
 
 MODULES = [importlib.import_module(f"semsec.{m.name}") for m in pkgutil.iter_modules(semsec.__path__)]
 REMOVED = (
@@ -27,8 +28,8 @@ REMOVED = (
 )
 # Options that nothing at run time set: the solver has no knobs, and the
 # converse no split. Blahut-Arimoto reads its tolerance and iteration cap
-# from module constants, Hamming distortion is square, and a pmf is given
-# shaped.
+# from module constants, Hamming distortion is square, a pmf is given
+# shaped, and a config's targets carry its own key rate.
 REMOVED_PARAMETERS = (
     (rdf.TwoConstraintSolver, "ba_tol"),
     (rdf.TwoConstraintSolver, "ba_max_iter"),
@@ -41,6 +42,7 @@ REMOVED_PARAMETERS = (
     (info.Pmf, "shape"),
     (rdf.DiscreteSemanticSource, "s_support"),
     (rdf.DiscreteSemanticSource, "u_support"),
+    (config.RunConfig.targets, "R_k"),
     # The converse's secrecy slope is the channel's secrecy capacity.
     (gaussian.converse_min_r, "beta1"),
     (gaussian.converse_min_r, "beta2"),
@@ -98,6 +100,28 @@ def test_converse_routines_take_no_callable(func):
     params = inspect.signature(func).parameters
     assert "slope" not in params
     assert not any("Callable" in str(p.annotation) for p in params.values())
+
+
+def test_a_discrete_source_keeps_its_alphabet():
+    # The zero-mass pruning and its support fields are gone. They were set
+    # per instance, so the class-level check above cannot see them.
+    src = rdf.DiscreteSemanticSource(info.Pmf(np.array([[0.5, 0.0], [0.5, 0.0]])))
+    assert (src.n_s, src.n_u) == (2, 2)
+    assert not hasattr(src, "s_support")
+    assert not hasattr(src, "u_support")
+
+
+@pytest.mark.parametrize("module", [semsec, *MODULES], ids=lambda m: m.__name__)
+def test_no_module_imports_a_name_it_does_not_use(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used - set(getattr(module, "__all__", ())) == set()
 
 
 def _semsec_imports(name):

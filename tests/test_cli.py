@@ -42,7 +42,7 @@ class TestPresets:
         for name in PRESETS:
             code, out, _ = run_cli(["preset", "show", name], capsys)
             assert code == 0
-            loaded = load_config(out)
+            loaded = load_config(json.loads(out))
             assert config_hash(loaded) == config_hash(get_preset(name))
 
     def test_show_unknown(self, capsys):
@@ -433,9 +433,27 @@ class TestExitCodes:
         assert field in err
 
     def test_name_minus_inf_stays_a_string(self):
-        cfg = load_config('{"name": "-inf"}')
+        cfg = load_config({"name": "-inf"})
         assert cfg.name == "-inf"
-        assert load_config(dump_config(cfg)) == cfg
+        assert load_config(json.loads(dump_config(cfg))) == cfg
+
+    def test_missing_config_file_exit2(self, tmp_path, capsys):
+        # A path names a file; it is never read as JSON text.
+        missing = tmp_path / "absent" / "cfg.json"
+        with pytest.raises(ValidationError, match=f"cannot read {re.escape(str(missing))}"):
+            load_config(missing)
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_config('{"model": "gaussian"}')
+        code, _, err = run_cli(["converse", "--config", str(missing)], capsys)
+        assert code == 2
+        assert f"cannot read {missing} (No such file or directory)" in err
+
+    def test_undecodable_config_file_exit2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        code, _, err = run_cli(["converse", "--config", str(path)], capsys)
+        assert code == 2
+        assert f"{path} is not valid JSON" in err
 
 
 class TestConfigModule:
@@ -453,8 +471,8 @@ class TestConfigModule:
             dump_config(RunConfig(delta_s=float("nan")))
 
     def test_hash_ignores_key_order(self):
-        a = load_config('{"model": "gaussian", "seed": 7}')
-        b = load_config('{"seed": 7, "model": "gaussian"}')
+        a = load_config({"model": "gaussian", "seed": 7})
+        b = load_config({"seed": 7, "model": "gaussian"})
         assert config_hash(a) == config_hash(b)
 
     def test_mode_model_coupling(self):

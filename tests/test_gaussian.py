@@ -822,6 +822,24 @@ class TestInnerMinR:
         assert not accepted[0] and np.isnan(r[0])
         assert gaussian_mod.REASON_NAMES[int(reason[0])] == "public_rate"
 
+    @pytest.mark.parametrize("name, ceiling, code", [
+        ("delta_s", H_S, 4), ("delta_u", H_U, 5), ("delta_su", H_SU, 6),
+    ])
+    def test_target_above_its_entropy_accepts_no_draw(self, name, ceiling, code):
+        # No scheme meets such a target, and the converse calls it
+        # infeasible; every finite draw carries the target's secrecy code
+        # unless a rate code came first.
+        src, ch = default_source(), default_channel()
+        tg = replace(EquivocationTargets.no_secrecy(), **{name: ceiling + 0.5})
+        assert not min_ratio(src, ch, tg, 0.3, 0.5, 1).feasible
+        for case in (1, 2):
+            out = draw_inner_samples(src, ch, tg, case, n_samples=2000, seed=1)
+            assert not out["accepted"].any()
+            assert code in out["reason"]
+            assert set(np.unique(out["reason"])) <= {1, 2, 3, code, 10}
+        at_ceiling = replace(tg, **{name: ceiling})
+        assert draw_inner_samples(src, ch, at_ceiling, 1, n_samples=2000, seed=1)["accepted"].any()
+
     def test_sandwich_against_converse(self):
         src, ch = default_source(), default_channel()
         tg = EquivocationTargets.no_secrecy()

@@ -57,15 +57,45 @@ class TestSourceAndDistortion:
         cond = src.p_s_given_u()
         np.testing.assert_allclose(cond.sum(axis=0), [1.0, 1.0])
 
-    def test_zero_mass_symbols_pruned(self):
-        joint = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
-        src = DiscreteSemanticSource(Pmf(joint))
-        assert src.n_u == 2
-        assert src.u_support == (0, 1)
+    def test_zero_mass_symbols_change_no_rdf(self):
+        # A source keeps its alphabet: a symbol of zero mass, with any
+        # distortion row, leaves the rate and the dual bound of either case
+        # as they are. 40 seeded joints of at most 3x3 with 2-letter
+        # reconstructions, each padded with one zero-mass S row and U column.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n_s, n_u = rng.integers(2, 4, size=2)
+            joint = rng.dirichlet(np.ones(n_s * n_u)).reshape(n_s, n_u)
+            d_s = rng.uniform(0.0, 1.0, size=(n_s + 1, 2))
+            d_u = rng.uniform(0.0, 1.0, size=(n_u + 1, 2))
+            targets = rng.uniform(0.0, 0.5, size=2)
+            i, j = rng.integers(0, n_s + 1), rng.integers(0, n_u + 1)
+            padded = np.insert(np.insert(joint, i, 0.0, axis=0), j, 0.0, axis=1)
+            problems = ((joint, np.delete(d_s, i, axis=0), np.delete(d_u, j, axis=0)),
+                        (padded, d_s, d_u))
+            for solve in (rdf_semantic_case1, rdf_semantic_case2):
+                points = []
+                for probs, ds, du in problems:
+                    src = DiscreteSemanticSource(Pmf(probs))
+                    try:
+                        points.append(solve(src, DistortionMatrix(ds), DistortionMatrix(du), *targets))
+                    except InfeasibleError:
+                        points.append(None)
+                plain, pad = points
+                if plain is None:
+                    assert pad is None
+                    continue
+                assert abs(plain.rate - pad.rate) <= 1e-12
+                assert abs(plain.dual_bound - pad.dual_bound) <= 1e-12
+        # The padded source takes no matrix on the unpadded alphabet.
+        short_s, short_u = DistortionMatrix(d_s[:-1]), DistortionMatrix(d_u[:-1])
+        with pytest.raises(DomainError, match="d_s has"):
+            rdf_semantic_case1(src, short_s, DistortionMatrix(d_u), *targets)
+        with pytest.raises(DomainError, match="d_u has"):
+            rdf_semantic_case2(src, DistortionMatrix(d_s), short_u, *targets)
 
     def test_supports_are_not_arguments(self):
-        # The kept indices always come from the pmf; labels passed for them
-        # would be dropped without a word.
+        # A source is its joint pmf alone: no field names a kept alphabet.
         joint = Pmf(np.array([[0.5, 0.0], [0.0, 0.5]]))
         with pytest.raises(TypeError):
             DiscreteSemanticSource(joint, ("a", "b"), ("x", "y"))
@@ -115,6 +145,18 @@ class TestClassicRdf:
         p = np.array([0.75, 0.25])
         with pytest.raises(InfeasibleError):
             rdf_classic(p, hamming_distortion(2), -0.01)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.6], [0.3, 0.3], [1.5, -0.5], [np.nan, 1.0],
+                                   [[0.5, 0.0], [0.0, 0.5]]],
+                             ids=("sum-above-1", "sum-below-1", "negative", "nan", "2-d"))
+    def test_refuses_what_is_not_a_probability_vector(self, p):
+        # Each of the first three used to return a rate without a warning.
+        with pytest.raises(DomainError):
+            rdf_classic(np.array(p), hamming_distortion(2), 0.1)
+
+    def test_distortion_rows_must_match_the_alphabet(self):
+        with pytest.raises(DomainError, match="inconsistent"):
+            rdf_classic(np.array([0.25, 0.25, 0.5]), hamming_distortion(2), 0.1)
 
     def test_warns_when_the_solver_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
