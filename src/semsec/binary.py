@@ -14,15 +14,13 @@ channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .info import binary_entropy, star
-from .rdf import (DiscreteSemanticSource, RdfPoint, _warn_if_uncertified, hamming_distortion,
-                  rdf_semantic_case2)
+from .rdf import DiscreteSemanticSource, hamming_distortion, rdf_semantic_case2
 from .regions import (EquivocationTargets, MinRateResult, TradeoffCurve, _distortions,
                       _finite_nonnegative, min_ratio)
 
@@ -147,31 +145,27 @@ def _binary_sem(alpha: float, d_s, case: int) -> np.ndarray:
 def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
     """Joint RDF at the broadcastable distortions, given the marginals.
 
-    Case 1 is their maximum. Case 2 is one cached solve of the 2x2 joint
-    per point, and its value the solver's certified dual bound, a true lower
-    bound on the RDF. A solve that did not converge, or whose primal-dual
-    gap exceeds 1e-6, raises a :class:`RuntimeWarning` naming the point.
+    Case 1 is their maximum. Case 2 is one solve of the 2x2 joint per
+    distinct point of the call, and its value the solver's certified dual
+    bound, a true lower bound on the RDF; the solver warns on a point it
+    could not certify.
     """
     if case == 1:
         return np.maximum(r_s, r_u)
+    src = DiscreteSemanticSource.doubly_symmetric(alpha)
+    ham = hamming_distortion(2)
     a, b = np.broadcast_arrays(d_s, d_u)
     out = np.empty(a.shape)
+    solved = {}
     for k, (t_s, t_u) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
         # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
         # R(D_u, D_s): the sorted pair shares one solve.
-        point = _binary_joint_case2_cached(float(alpha), *sorted((t_s, t_u)))
-        _warn_if_uncertified(
-            point, f"binary case-2 RDF at alpha={alpha}, (D_s, D_u)=({t_s}, {t_u})"
-        )
-        out.flat[k] = max(float(point.dual_bound), 0.0)
+        pair = (min(t_s, t_u), max(t_s, t_u))
+        if pair not in solved:
+            point = rdf_semantic_case2(src, ham, ham, *pair)
+            solved[pair] = max(float(point.dual_bound), 0.0)
+        out.flat[k] = solved[pair]
     return out
-
-
-@lru_cache(maxsize=4096)
-def _binary_joint_case2_cached(alpha: float, d_lo: float, d_hi: float) -> RdfPoint:
-    src = DiscreteSemanticSource.doubly_symmetric(alpha)
-    ham = hamming_distortion(2)
-    return rdf_semantic_case2(src, ham, ham, d_lo, d_hi)
 
 
 # ---------------------------------------------------------------------------

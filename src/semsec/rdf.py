@@ -7,10 +7,12 @@ warm-started Blahut-Arimoto inside a projected Newton ascent on the 2-D
 concave dual. Every point also carries Csiszar's
 certified dual lower bound, valid at any output distribution, so the
 optimality gap is observable and binary case-2 values can be lower
-bounds. The two linear programs that open a solve (joint feasibility of
-the targets, and the best rate-0 point) have only two cost rows, and
-both are solved exactly in numpy. The binary model's closed forms live
-in :mod:`semsec.binary`.
+bounds. A solve that did not converge, or whose primal-dual gap exceeds
+1e-6 bits, raises a :class:`RuntimeWarning` naming its two targets, so no
+entry point returns an uncertified point silently. The two linear
+programs that open a solve (joint feasibility of the targets, and the
+best rate-0 point) have only two cost rows, and both are solved exactly
+in numpy. The binary model's closed forms live in :mod:`semsec.binary`.
 
 Distortion targets are treated as ``<= D`` with a slack tolerance of 1e-9.
 Rates are bits per source symbol; multipliers are in bits per unit distortion.
@@ -53,6 +55,7 @@ _LINE_BISECTIONS = 10  # neither an ascent step nor the ray scale needs more
 _POLISH_EVERY = 8  # Blahut-Arimoto iterations between Newton steps on q
 _BA_TOL = 1e-12  # Blahut-Arimoto stop: log2 max c, in bits
 _BA_MAX_ITER = 10_000
+_GAP_WARN = 1e-6  # certified gap beyond which a solve draws a warning
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,9 @@ class TwoConstraintSolver:
     ``dual_bound`` is the best of them and ``rate`` is the least rate among
     the feasible channels met. ``converged`` means the projected gradient
     fell below 1e-10 and the reported channel's Blahut-Arimoto solve met
-    its 1e-12 certificate within 10k iterations.
+    its 1e-12 certificate within 10k iterations. A point that did not
+    converge, or whose gap ``rate - dual_bound`` exceeds 1e-6 bits, raises a
+    :class:`RuntimeWarning` naming both targets and the gap.
     """
 
     def solve(self, p, cost_a, cost_b, d_a, d_b) -> RdfPoint:
@@ -431,7 +436,14 @@ class TwoConstraintSolver:
         zero = _zero_rate_point(p, cost_a, cost_b, d_a, d_b)
         if zero is not None:
             return RdfPoint(0.0, zero, (0.0, 0.0), True, dual_bound=0.0)
-        return _NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([d_a, d_b])).run(w_lp)
+        point = _NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([d_a, d_b])).run(w_lp)
+        gap = point.rate - point.dual_bound
+        if not point.converged or gap > _GAP_WARN:
+            warnings.warn(
+                f"RDF solve at targets ({d_a}, {d_b}): converged={point.converged}, "
+                f"primal-dual gap {gap:.3g} bits", RuntimeWarning, stacklevel=2,
+            )
+        return point
 
 
 class _NewtonAscent:
@@ -596,36 +608,17 @@ def modified_distortion(src: DiscreteSemanticSource, d_s: DistortionMatrix) -> D
     return DistortionMatrix(cond.T @ ds)
 
 
-#: Certified gap beyond which a solver value draws a warning.
-_GAP_WARN = 1e-6
-
-
-def _warn_if_uncertified(point: RdfPoint, what: str) -> None:
-    """Raise a :class:`RuntimeWarning` naming ``what`` for the caller of the
-    public function when the solve did not converge or its primal-dual gap
-    exceeds 1e-6."""
-    gap = point.rate - point.dual_bound
-    if not point.converged or gap > _GAP_WARN:
-        warnings.warn(
-            f"{what}: converged={point.converged}, primal-dual gap {gap:.3g} bits",
-            RuntimeWarning, stacklevel=3,
-        )
-
-
 def rdf_classic(p, d_u: DistortionMatrix, target: float) -> RdfPoint:
     """Single-constraint rate-distortion function of the probability vector
     ``p``, checked as a single-axis :class:`Pmf`.
 
     This is :class:`TwoConstraintSolver` with a zero second cost and target.
-    A solve that did not converge, or whose primal-dual gap exceeds 1e-6,
-    raises a :class:`RuntimeWarning` naming the target.
     """
     p = Pmf(p).probs
     if p.ndim != 1:
         raise DomainError("rdf_classic expects a probability vector")
     cost = d_u.entries
     point = TwoConstraintSolver().solve(p, cost, np.zeros_like(cost), target, 0.0)
-    _warn_if_uncertified(point, f"rdf_classic at target {target}")
     return RdfPoint(point.rate, point.distortions[:1], point.multipliers[:1],
                     point.converged, dual_bound=point.dual_bound)
 

@@ -8,8 +8,9 @@ the sources' ``rdf_components`` and the scalar entry points
 ``converse_min_r`` and ``binary_min_r`` are checked against it bit for bit.
 The marginal RDFs are the scalar closed forms the package had before it
 evaluated them as arrays, so they do not share its code. The binary case-2
-joint RDF is the package's cached solve, and the entropies, capacities and
-secrecy capacities are the package's own.
+joint RDF is the certified bound of the package's general discrete solver on
+the doubly symmetric source, solved here per cell, and the entropies,
+capacities and secrecy capacities are the package's own.
 
 The oracle's minimal ratio also takes any secrecy slope, and
 :func:`gaussian_slope` and :func:`binary_slope` give the slope at a Gaussian
@@ -24,9 +25,10 @@ import math
 
 import numpy as np
 
-from semsec.binary import SemanticSourceBinary, _binary_joint_case2_cached
+from semsec.binary import SemanticSourceBinary
 from semsec.errors import DomainError, InfeasibleError
 from semsec.info import binary_entropy, star
+from semsec.rdf import DiscreteSemanticSource, hamming_distortion, rdf_semantic_case2
 from semsec.regions import DISABLED, MinRateResult
 
 
@@ -83,10 +85,13 @@ def binary_rdf_sem(alpha, target_s, case):
 
 
 def binary_rdf_joint(alpha, target_s, target_u, case):
-    """Case 1: the larger marginal. Case 2: the cached solve's dual bound."""
+    """Case 1: the larger marginal. Case 2: the dual bound of one solve of the
+    2x2 joint, at the sorted pair, since the source is symmetric in (S, U)."""
     if case == 1:
         return max(binary_rdf_obs(alpha, target_u), binary_rdf_sem(alpha, target_s, 1))
-    point = _binary_joint_case2_cached(float(alpha), *sorted((float(target_s), float(target_u))))
+    ham = hamming_distortion(2)
+    point = rdf_semantic_case2(DiscreteSemanticSource.doubly_symmetric(float(alpha)), ham, ham,
+                               *sorted((float(target_s), float(target_u))))
     return max(float(point.dual_bound), 0.0)
 
 

@@ -2,6 +2,7 @@
 shared layers do not reach into a model, and the README's example runs."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -25,6 +26,9 @@ REMOVED = (
     # regions.equivocation_caps take the source and read its rdf_components.
     "gaussian_rdf_obs", "gaussian_rdf_sem", "_check_reach", "converse_equivocation_caps",
     "binary_rdf_obs", "binary_rdf_sem", "binary_rdf_joint", "binary_converse_caps",
+    # Binary case 2 solves each distinct cell of a call once, with no
+    # module-level cache.
+    "_binary_joint_case2_cached",
 )
 # Options that nothing at run time set: the solver has no knobs, and the
 # converse no split. Blahut-Arimoto reads its tolerance and iteration cap
@@ -147,6 +151,40 @@ def test_shared_layers_import_no_model(layer, forbidden):
     # The converse routines and the discrete solver serve both models; each
     # model's RDFs live with its source type.
     assert _semsec_imports(layer) & forbidden == set()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_the_benchmark_imports_resolve():
+    # The benchmark imports semsec names inside its functions, so a rename
+    # would only show when a workload runs.
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semsec"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+def test_the_names_the_benchmark_traces_exist():
+    # The traced run counts solves and reads draws under these span names,
+    # and reads rate, dual bound and convergence off each solve's point.
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    booked = {node.targets[0].id: node.value.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)}
+    assert booked["SOLVE"] == "rdf.TwoConstraintSolver.solve"
+    assert booked["DRAW"] == "gaussian.draw_inner_samples"
+    for name in (booked["SOLVE"], booked["DRAW"]):
+        layer, top, *rest = name.split(".")
+        module = importlib.import_module(f"semsec.{layer}")
+        obj = getattr(module, top)
+        assert obj.__module__ == module.__name__, name
+        for attr in rest:
+            obj = getattr(obj, attr)
+        assert callable(obj), name
+    fields = {field.name for field in dataclasses.fields(rdf.RdfPoint)}
+    assert {"rate", "dual_bound", "converged"} <= fields
 
 
 def test_readme_example_runs(capsys):

@@ -1,5 +1,8 @@
 """Discrete rate-distortion machinery: solver oracles and properties."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from semsec import (
     DomainError,
     InfeasibleError,
     Pmf,
+    RdfPoint,
     SemanticSourceBinary,
     TwoConstraintSolver,
     WiretapChannelBinary,
@@ -160,7 +164,7 @@ class TestClassicRdf:
 
     def test_warns_when_the_solver_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
-        with pytest.warns(RuntimeWarning, match=r"rdf_classic at target 0\.1:.*gap"):
+        with pytest.warns(RuntimeWarning, match=r"at targets \(0\.1, 0\.0\):.*gap"):
             point = rdf_classic(np.array([0.75, 0.25]), hamming_distortion(2), 0.1)
         assert not point.converged
         # Starved or not, the value is a certified lower bound.
@@ -258,6 +262,44 @@ class TestTwoConstraintSolver:
         ham = hamming_distortion(2)
         with pytest.raises(InfeasibleError):
             rdf_semantic_case1(src, ham, ham, 0.1, 0.5)
+
+
+# A 2x3 joint on which case 1 stalls: with the full iteration cap it took
+# close to a minute and ended unconverged.
+STALL_JOINT = np.array([[0.1109, 0.011, 0.208], [0.2131, 0.3344, 0.1225]])
+
+
+class TestUncertifiedWarning:
+    """Every solve that returns an uncertified point warns, whatever the
+    entry point: the solver itself raises the warning."""
+
+    @pytest.mark.parametrize("entry", ["case1", "case2", "solver"])
+    def test_a_starved_solve_warns_once(self, monkeypatch, entry):
+        monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
+        ham2, ham3 = hamming_distortion(2), hamming_distortion(3)
+        stall = DiscreteSemanticSource(Pmf(STALL_JOINT / STALL_JOINT.sum()))
+        calls = {
+            "case1": (lambda: rdf_semantic_case1(stall, ham2, ham3, 0.3268, 0.4138),
+                      "(0.3268, 0.4138)"),
+            "case2": (lambda: rdf_semantic_case2(dsbs(0.25), ham2, ham2, 0.3, 0.25),
+                      "(0.3, 0.25)"),
+            "solver": (lambda: TwoConstraintSolver().solve(
+                *_case2_problem(dsbs(0.25), ham2, ham2), 0.3, 0.25), "(0.3, 0.25)"),
+        }
+        call, targets = calls[entry]
+        with pytest.warns(RuntimeWarning) as record:
+            point = call()
+        assert len(record) == 1
+        assert re.fullmatch(rf"RDF solve at targets {re.escape(targets)}: converged=False, "
+                            r"primal-dual gap \S+ bits", str(record[0].message))
+        assert not point.converged
+
+    def test_a_certified_solve_is_silent(self):
+        ham = hamming_distortion(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.3, 0.25)
+        assert point.converged and point.rate - point.dual_bound <= 1e-6
 
 
 class TestCertifiedDual:
@@ -514,21 +556,42 @@ class TestBinaryClosedForms:
         assert point.dual_bound < point.rate
         assert binary_rdfs(0.25, 0.25, 0.3, 2)[2] == point.dual_bound
 
-    def test_joint_case2_swapped_cells_share_one_solve(self):
-        binary._binary_joint_case2_cached.cache_clear()
-        first = binary_rdfs(0.2, 0.1, 0.35, 2)[2]
-        swapped = binary_rdfs(0.2, 0.35, 0.1, 2)[2]
-        assert first == swapped
-        info = binary._binary_joint_case2_cached.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    def test_joint_case2_swapped_cells_share_one_solve(self, monkeypatch):
+        pairs = []
+
+        def fake_solve(src, d_s, d_u, target_s, target_u):
+            pairs.append((target_s, target_u))
+            return RdfPoint(0.0, (target_s, target_u), (0.0, 0.0), True,
+                            dual_bound=target_s + 2.0 * target_u)
+
+        monkeypatch.setattr(binary, "rdf_semantic_case2", fake_solve)
+        src = SemanticSourceBinary(0.2)
+        d = np.linspace(0.005, 0.5, 100)
+        r_j = src.rdf_components(d[:, None], d[None, :], 2)[0]
+        # One solve per distinct sorted pair of the grid, at every size.
+        assert len(pairs) == len(set(pairs)) == 100 * 101 // 2
+        lo, hi = np.minimum(d[:, None], d[None, :]), np.maximum(d[:, None], d[None, :])
+        np.testing.assert_array_equal(r_j, lo + 2.0 * hi)
+        pairs.clear()
+        src.rdf_components(np.array([0.1, 0.35]), np.array([0.35, 0.1]), 2)
+        assert pairs == [(0.1, 0.35)]
+
+    def test_joint_case2_cell_is_one_solver_call(self, monkeypatch):
+        calls = []
+        solve = TwoConstraintSolver.solve
+
+        def counted(self, *args):
+            calls.append(args[-2:])
+            return solve(self, *args)
+
+        monkeypatch.setattr(TwoConstraintSolver, "solve", counted)
+        first = binary_rdfs(0.2, 0.35, 0.1, 2)[2]
+        assert calls == [(0.1, 0.35)]
+        assert binary_rdfs(0.2, 0.1, 0.35, 2)[2] == first
 
     def test_joint_case2_warns_when_the_solver_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
-        binary._binary_joint_case2_cached.cache_clear()
-        try:
-            with pytest.warns(RuntimeWarning, match=r"\(D_s, D_u\)=\(0\.3, 0\.25\).*gap"):
-                value = binary_rdfs(0.25, 0.3, 0.25, 2)[2]
-        finally:
-            binary._binary_joint_case2_cached.cache_clear()
+        with pytest.warns(RuntimeWarning, match=r"at targets \(0\.25, 0\.3\):.*gap"):
+            value = binary_rdfs(0.25, 0.3, 0.25, 2)[2]
         # Starved or not, the value is a certified lower bound.
         assert 0.0 <= value <= JOINT_CASE2_03_025 + 1e-3

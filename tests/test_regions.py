@@ -1,8 +1,8 @@
 """The shared converse routine over the parameter space of both models.
 
 Both models run in both encoder cases. Binary case 2 runs the numeric
-two-constraint solver once per cell (its joint RDF is cached), and a
-solve that did not converge to a 1e-6 gap fails the test. Surfaces,
+two-constraint solver once per distinct cell of a call, and a solve that
+did not converge to a 1e-6 gap fails the test. Surfaces,
 scattered point sets, scalar-by-array rows and the scalar minimal ratios,
 all one evaluator at different shapes, are checked bit for bit against the
 per-cell oracle in ``converse_oracle``.
@@ -37,7 +37,7 @@ from semsec.regions import REASONS
 
 NAMES = ("delta_s", "delta_u", "delta_su")
 PROPERTY = settings(max_examples=150, deadline=None)
-pytestmark = pytest.mark.filterwarnings("error:binary case-2 RDF:RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("error:RDF solve at targets:RuntimeWarning")
 
 unit = st.floats(0.05, 0.95)
 target = st.one_of(st.just(DISABLED), st.floats(-1.0, 4.0))
