@@ -63,18 +63,19 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _csv(columns, lines, cfg: RunConfig) -> str:
-    """A CSV artifact: the two comment lines, the header and the row ``lines``."""
+def _csv(columns, pieces, cfg: RunConfig) -> str:
+    """A CSV artifact: the two comment lines, the header and the rows, whose
+    text is the concatenated ``pieces`` (each row ends in a newline)."""
     head = [ARTIFACT_MARKER, f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
-            ",".join(columns)]
-    return "\n".join(head + lines) + "\n"
+            ",".join(columns), ""]
+    return "\n".join(head) + "".join(pieces)
 
 
 def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
     """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``;
     ``rows`` hold Python scalars (None for an empty cell)."""
     if fmt != "json":
-        return _csv(columns, [",".join(_fmt(v) for v in row) for row in rows], cfg)
+        return _csv(columns, [",".join(_fmt(v) for v in row) + "\n" for row in rows], cfg)
     payload = {
         "artifact": ARTIFACT_MARKER.lstrip("# "),
         "config_hash": config_hash(cfg),
@@ -87,35 +88,46 @@ def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _surface_cells(surfaces, axis):
-    """Per case and D_s: ``(case, D_s, cells)``, where ``cells`` yields
-    ``(D_u, value, feasible, samples)``; ``axis`` maps each axis array once."""
-    for case, surface in surfaces.items():
-        d_u = axis(surface.axes["D_u"])
-        for d_s, values, feasible, samples in zip(
-            axis(surface.axes["D_s"]), surface.values.tolist(),
-            surface.feasible.tolist(), surface.samples.tolist(),
-        ):
-            yield case, d_s, zip(d_u, values, feasible, samples)
+def _each_once(array: np.ndarray, text) -> np.ndarray:
+    """``text(v)`` for every element of the 1-D ``array`` as an object array,
+    called once per distinct bit pattern, so -0.0 and 0.0 keep their own text."""
+    keys, where = np.unique(array.view(f"u{array.itemsize}"), return_inverse=True)
+    texts = np.array([text(v) for v in keys.view(array.dtype).tolist()], dtype=object)
+    return texts[where.reshape(-1)]
+
+
+def _csv_pieces(case, surface) -> np.ndarray:
+    """The CSV rows of one surface as a flat object array of four pieces per
+    cell: "case,D_s,", "D_u,", "r_min,feasible," and the sample count with
+    the row's newline."""
+    feasible = surface.feasible
+    pieces = np.empty(feasible.shape + (4,), dtype=object)
+    pieces[..., 0] = np.array(
+        [f"{case},{v:.12g}," for v in surface.axes["D_s"].tolist()], dtype=object)[:, None]
+    pieces[..., 1] = np.array([f"{v:.12g}," for v in surface.axes["D_u"].tolist()], dtype=object)
+    pieces[~feasible, 2] = ",0,"
+    pieces[feasible, 2] = _each_once(surface.values[feasible], lambda v: f"{v:.12g},1,")
+    pieces[..., 3] = _each_once(surface.samples.ravel(), lambda k: f"{k}\n").reshape(feasible.shape)
+    return pieces.ravel()
 
 
 def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None) -> str:
     """One surface artifact from a {case: RegionSurface} mapping, in case and
-    then row-major (D_s, D_u) order; an infeasible cell has no value."""
+    then row-major (D_s, D_u) order; an infeasible cell has no value. CSV
+    formats each distinct value, axis point and sample count once."""
     if fmt == "json":
-        rows = [
-            (case, d_s, d_u, value if ok else None, ok, n)
-            for case, d_s, cells in _surface_cells(surfaces, np.ndarray.tolist)
-            for d_u, value, ok, n in cells
-        ]
+        rows = []
+        for case, surface in surfaces.items():
+            grid = np.meshgrid(surface.axes["D_s"], surface.axes["D_u"], indexing="ij")
+            columns = [a.ravel().tolist() for a in (*grid, surface.values, surface.feasible,
+                                                      surface.samples)]
+            rows += [(case, d_s, d_u, value if ok else None, ok, k)
+                     for d_s, d_u, value, ok, k in zip(*columns)]
         return _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
-    lines = [
-        f"{case},{d_s},{d_u},{value:.12g},1,{n}" if ok else f"{case},{d_s},{d_u},,0,{n}"
-        for case, d_s, cells in _surface_cells(
-            surfaces, lambda axis: [f"{v:.12g}" for v in axis.tolist()])
-        for d_u, value, ok, n in cells
-    ]
-    return _csv(SURFACE_COLUMNS, lines, cfg)
+    pieces = []
+    for case, surface in surfaces.items():
+        pieces += _csv_pieces(case, surface).tolist()
+    return _csv(SURFACE_COLUMNS, pieces, cfg)
 
 
 def _emit(text: str, out: Path | None) -> None:

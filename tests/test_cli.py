@@ -6,13 +6,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+import render_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semsec
-from semsec import DISABLED, ValidationError, config_hash, dump_config, load_config, verify
-from semsec.cli import main
+from semsec import (DISABLED, RegionSurface, ValidationError, config_hash, dump_config,
+                    load_config, verify)
+from semsec.cli import _render_surfaces, main
 from semsec.config import RunConfig, get_preset, preset_names
 from semsec.gaussian import REASON_NAMES
 
@@ -140,9 +146,12 @@ class TestConverseCommand:
 
 
 #: sha256 of converse artifacts, frozen before surfaces were evaluated grid at
-#: once; both paths must write the same bytes. The digests hold for glibc's
-#: libm, since the values carry its log2 and pow bits.
+#: once; both paths must write the same bytes. The 300 x 300 fig-3 surface
+#: (both cases, 180k cells) was frozen while CSV rows were still formatted
+#: cell by cell. The digests hold for glibc's libm, since the values carry
+#: its log2 and pow bits.
 CONVERSE_PINS = {
+    ("gaussian-fig3-300", "csv"): "244955a2531fe5c94488e48559b0f47389992b81773b6147c2d313747209946a",
     ("gaussian-fig3", "csv"): "c2ac8afa55be7b5547b9b56c9a26b584845b9128620e58e36fafc43e27553764",
     ("gaussian-fig3", "json"): "c743b44935268f972f832c59fc2e0e8016e47782d61429563d90af8e10ee0bde",
     ("binary-case1", "csv"): "4d5cea0e717a38399da999716eb061ab91b0f57bb3b90b5ea2e092c80d5d7360",
@@ -156,6 +165,11 @@ CONVERSE_PINS = {
 def test_converse_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
     if which == "gaussian-fig3":  # both cases, with semantic-secrecy targets
         argv = ["converse", "--preset", "gaussian-converse-fig3"]
+    elif which == "gaussian-fig3-300":  # the same on the benchmark's 300 x 300 grid
+        path = tmp_path / "fig3-300.json"
+        dump_config(replace(get_preset("gaussian-converse-fig3"), d_s_grid=300, d_u_grid=300),
+                    path)
+        argv = ["converse", "--config", str(path)]
     elif which == "binary-case1":  # the default binary grid, 40 x 40
         argv = ["converse", "--model", "binary", "--case", "1"]
     else:  # one solver cell, where the dual bound exceeds the rate
@@ -167,6 +181,59 @@ def test_converse_artifact_bytes_are_pinned(which, fmt, tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CONVERSE_PINS[which, fmt]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Values that test the per-bit-pattern formatting: both zeros, the smallest
+#: subnormal and normal, the largest float, and neighbours that agree in
+#: their first 12 significant digits.
+EDGE_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.1, 0.10000000000000002, 0.1000000000001, 1.0, 1.0000000000001, 123456789012.5,
+               123456789012.25)
+
+
+@st.composite
+def surfaces(draw):
+    """One or two {case: RegionSurface} entries, each cell picking its value
+    and sample count from a small pool, so values repeat heavily."""
+    out = {}
+    for case in draw(st.sampled_from([(1,), (2,), (1, 2)])):
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        values = draw(st.lists(st.one_of(finite, st.sampled_from(EDGE_VALUES)),
+                               min_size=1, max_size=5)) + draw(st.sampled_from([[], [0.0, -0.0]]))
+        counts = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1)),
+                               min_size=1, max_size=3))
+        pick = st.lists(st.integers(0, 10**6), min_size=n * m, max_size=n * m)
+        feasible = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+        cells = np.array([values[i % len(values)] for i in draw(pick)])
+        out[case] = RegionSurface(
+            axes={"D_s": np.array(draw(st.lists(finite, min_size=n, max_size=n))),
+                  "D_u": np.array(draw(st.lists(finite, min_size=m, max_size=m)))},
+            values=np.where(feasible, cells, np.nan).reshape(n, m),
+            feasible=feasible.reshape(n, m),
+            samples=np.array([counts[i % len(counts)] for i in draw(pick)]).reshape(n, m),
+        )
+    return out
+
+
+def _surface(values, feasible, samples, d_s=(0.5,), d_u=(0.25,)):
+    values, feasible = np.array(values, dtype=float), np.array(feasible)
+    return {1: RegionSurface(axes={"D_s": np.array(d_s), "D_u": np.array(d_u)},
+                             values=np.where(feasible, values, np.nan), feasible=feasible,
+                             samples=np.array(samples))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(surfaces=surfaces())
+@example(surfaces=_surface([[1.0]], [[True]], [[0]]))  # 1 x 1
+@example(surfaces=_surface([[0.0, 0.0]], [[False, False]], [[0, 7]], d_u=(0.25, -0.0)))
+@example(surfaces=_surface([[-0.0], [0.0], [-0.0]], [[True]] * 3, [[2**63 - 1]] * 3,
+                           d_s=(5e-324, 0.0, -0.0)))
+@example(surfaces=_surface([[0.1, 0.10000000000000002, 0.1000000000001]], [[True] * 3],
+                           [[0, 10**18, 0]], d_u=(1e308, 1.0000000000001, 1.0)))
+def test_surface_csv_matches_the_per_cell_oracle(surfaces):
+    cfg = RunConfig()
+    assert _render_surfaces(surfaces, cfg, "csv") == render_oracle.surface_csv(surfaces, cfg)
 
 
 #: sha256 of inner-scan artifacts (20k draws, seed 2468), frozen before the

@@ -373,6 +373,24 @@ def test_binary_surface_matches_the_per_cell_oracle(data):
     _check_against_oracle("binary", data)
 
 
+@pytest.mark.parametrize("model, case", [("gaussian", 1), ("gaussian", 2), ("binary", 1)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_r_min_never_rises_with_distortion(model, case, data):
+    # Binary case 2 is left out: its cells are numerical solves. The grid's
+    # anchors include neighbouring floats, where the Gaussian case-2 ratio
+    # can rise by an ulp (2.1330055343418070 -> ...075 as D_s steps by one
+    # ulp past 0.3398), hence the 1e-12 relative slack.
+    src, ch, d_s, d_u = data.draw(GRIDS[model][0])
+    extra = [st.lists(st.floats(0.0, 1.2 * hi, exclude_min=True), max_size=20)
+             for hi in src.distortion_range]
+    d_s, d_u = (np.sort(axis + data.draw(more)) for axis, more in zip((d_s, d_u), extra))
+    r = min_ratio(src, ch, data.draw(targets), d_s[:, None], d_u[None, :], case).r_min
+    r = np.where(np.isnan(r), np.inf, r)  # an infeasible cell needs more than any ratio
+    assert (r[1:] <= r[:-1] * (1 + 1e-12) + 1e-12).all()
+    assert (r[:, 1:] <= r[:, :-1] * (1 + 1e-12) + 1e-12).all()
+
+
 def test_gaussian_joint_rdf_keeps_libm_bits():
     # On this grid numpy's log2 and x * x differ from libm's log2 and pow in
     # the last bit on some regime-3 and regime-4 cells; the grid must not.
