@@ -9,13 +9,15 @@ rdf        rate-distortion values at a single distortion pair
 verify     fast self-check battery (machine-readable report)
 preset     list or show the bundled run presets
 
-Exit codes: 0 success, 1 failed verification, 2 validation error,
-3 infeasible everywhere.
+Exit codes: 0 success, 1 failed verification, 2 validation error or an
+output path that cannot be written, 3 infeasible everywhere.
 
 Artifacts are deterministic byte-for-byte for a fixed config and seed.
 CSV files start with two comment lines: an artifact-format marker and the
 config hash plus seed. Infeasible cells keep their row with an empty value
-column and feasible=0 (never NaN or infinities in CSV output).
+column and feasible=0 (never NaN or infinities in CSV output). A surface
+CSV is written one block of rows at a time, so it is never held whole as
+text; a JSON artifact is written in one piece.
 """
 
 from __future__ import annotations
@@ -63,19 +65,18 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _csv(columns, pieces, cfg: RunConfig) -> str:
-    """A CSV artifact: the two comment lines, the header and the rows, whose
-    text is the concatenated ``pieces`` (each row ends in a newline)."""
-    head = [ARTIFACT_MARKER, f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
-            ",".join(columns), ""]
-    return "\n".join(head) + "".join(pieces)
+def _csv_head(columns, cfg: RunConfig) -> str:
+    """The two comment lines and the header line of a CSV artifact."""
+    return "\n".join([ARTIFACT_MARKER, f"# config-hash={config_hash(cfg)} seed={cfg.seed}",
+                      ",".join(columns), ""])
 
 
 def _render(columns, rows, cfg: RunConfig, fmt: str, metadata=None) -> str:
     """A CSV artifact, or with ``fmt == "json"`` a JSON one carrying ``metadata``;
     ``rows`` hold Python scalars (None for an empty cell)."""
     if fmt != "json":
-        return _csv(columns, [",".join(_fmt(v) for v in row) + "\n" for row in rows], cfg)
+        return _csv_head(columns, cfg) + "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in rows)
     payload = {
         "artifact": ARTIFACT_MARKER.lstrip("# "),
         "config_hash": config_hash(cfg),
@@ -96,25 +97,40 @@ def _each_once(array: np.ndarray, text) -> np.ndarray:
     return texts[where.reshape(-1)]
 
 
-def _csv_pieces(case, surface) -> np.ndarray:
-    """The CSV rows of one surface as a flat object array of four pieces per
-    cell: "case,D_s,", "D_u,", "r_min,feasible," and the sample count with
-    the row's newline."""
-    feasible = surface.feasible
-    pieces = np.empty(feasible.shape + (4,), dtype=object)
-    pieces[..., 0] = np.array(
-        [f"{case},{v:.12g}," for v in surface.axes["D_s"].tolist()], dtype=object)[:, None]
-    pieces[..., 1] = np.array([f"{v:.12g}," for v in surface.axes["D_u"].tolist()], dtype=object)
-    pieces[~feasible, 2] = ",0,"
-    pieces[feasible, 2] = _each_once(surface.values[feasible], lambda v: f"{v:.12g},1,")
-    pieces[..., 3] = _each_once(surface.samples.ravel(), lambda k: f"{k}\n").reshape(feasible.shape)
-    return pieces.ravel()
+#: CSV rows, one per grid cell, in a block. A surface is formatted and
+#: written one block at a time, so an artifact is never held whole as text.
+_BLOCK_CELLS = 1 << 14
 
 
-def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None) -> str:
-    """One surface artifact from a {case: RegionSurface} mapping, in case and
-    then row-major (D_s, D_u) order; an infeasible cell has no value. CSV
-    formats each distinct value, axis point and sample count once."""
+def _csv_blocks(case, surface):
+    """The CSV rows of one surface in row-major (D_s, D_u) order, as strings
+    of at most ``_BLOCK_CELLS`` rows. Axis points are formatted once per
+    surface, and values and sample counts once per distinct value in a block;
+    a row joins four pieces: "case,D_s,", "D_u,", "r_min,feasible," and the
+    sample count with the row's newline."""
+    feasible = surface.feasible.ravel()
+    values, samples = surface.values.ravel(), surface.samples.ravel()
+    n_u = surface.feasible.shape[1]
+    d_s = np.array([f"{case},{v:.12g}," for v in surface.axes["D_s"].tolist()], dtype=object)
+    d_u = np.array([f"{v:.12g}," for v in surface.axes["D_u"].tolist()], dtype=object)
+    for start in range(0, feasible.size, _BLOCK_CELLS):
+        block = slice(start, start + _BLOCK_CELLS)
+        ok = feasible[block]
+        cells = np.arange(start, start + ok.size)
+        pieces = np.empty((ok.size, 4), dtype=object)
+        pieces[:, 0] = d_s[cells // n_u]
+        pieces[:, 1] = d_u[cells % n_u]
+        pieces[~ok, 2] = ",0,"
+        pieces[ok, 2] = _each_once(values[block][ok], lambda v: f"{v:.12g},1,")
+        pieces[:, 3] = _each_once(samples[block], lambda k: f"{k}\n")
+        yield "".join(pieces.ravel().tolist())
+
+
+def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None):
+    """One surface artifact from a {case: RegionSurface} mapping, as the
+    strings to write in turn, in case and then row-major (D_s, D_u) order; an
+    infeasible cell has no value. JSON comes as one string, CSV as its
+    header and then blocks of rows."""
     if fmt == "json":
         rows = []
         for case, surface in surfaces.items():
@@ -123,19 +139,26 @@ def _render_surfaces(surfaces, cfg: RunConfig, fmt: str, metadata=None) -> str:
                                                       surface.samples)]
             rows += [(case, d_s, d_u, value if ok else None, ok, k)
                      for d_s, d_u, value, ok, k in zip(*columns)]
-        return _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
-    pieces = []
+        yield _render(SURFACE_COLUMNS, rows, cfg, fmt, metadata)
+        return
+    yield _csv_head(SURFACE_COLUMNS, cfg)
     for case, surface in surfaces.items():
-        pieces += _csv_pieces(case, surface).tolist()
-    return _csv(SURFACE_COLUMNS, pieces, cfg)
+        yield from _csv_blocks(case, surface)
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(texts, out: Path | None) -> None:
+    """Write the strings ``texts`` in turn to ``out``, or to stdout when it is
+    None, each as soon as it is made. An output path that cannot be written is
+    a validation error."""
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(texts)
+        return
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        with out.open("w") as stream:
+            stream.writelines(texts)
+    except OSError as exc:
+        raise ValidationError([f"out: cannot write {out} ({exc.strerror})"]) from exc
 
 
 def _variant_path(out: Path, case: int, r_k: float) -> Path:
@@ -243,7 +266,7 @@ def _cmd_curve(args) -> int:
             sys.stdout.write(text)
         else:
             path = _variant_path(args.out, case, r_k) if multi else args.out
-            _emit(text, path)
+            _emit([text], path)
     return 0
 
 
@@ -261,7 +284,7 @@ def _cmd_rdf(args) -> int:
             rows.append((case, d_s, d_u, False, None, None, None))
         else:
             rows.append((case, d_s, d_u, True, float(r_s), float(r_u), float(r_j)))
-    _emit(_render(columns, rows, cfg, args.format), args.out)
+    _emit([_render(columns, rows, cfg, args.format)], args.out)
     if not any(row[3] for row in rows):
         return 3
     return 0
@@ -270,7 +293,7 @@ def _cmd_rdf(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_verification()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0 if report["passed"] else 1
 
 

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semsec
-from semsec import (DISABLED, RegionSurface, ValidationError, config_hash, dump_config,
+from semsec import (DISABLED, RegionSurface, ValidationError, cli, config_hash, dump_config,
                     load_config, verify)
 from semsec.cli import _render_surfaces, main
-from semsec.config import RunConfig, get_preset, preset_names
+from semsec.config import (RunConfig, build_channel, build_source, get_preset, preset_names,
+                           resolve_distortion_grid)
 from semsec.gaussian import REASON_NAMES
+from semsec.regions import converse_surface
 
 PRESETS = (
     "binary-tradeoff-fig5",
@@ -233,7 +238,69 @@ def _surface(values, feasible, samples, d_s=(0.5,), d_u=(0.25,)):
                            [[0, 10**18, 0]], d_u=(1e308, 1.0000000000001, 1.0)))
 def test_surface_csv_matches_the_per_cell_oracle(surfaces):
     cfg = RunConfig()
-    assert _render_surfaces(surfaces, cfg, "csv") == render_oracle.surface_csv(surfaces, cfg)
+    text = "".join(_render_surfaces(surfaces, cfg, "csv"))
+    assert text == render_oracle.surface_csv(surfaces, cfg)
+
+
+@pytest.mark.parametrize("block_cells", [1, 5])  # 5 splits the rows of most surfaces
+@settings(max_examples=100, deadline=None)
+@given(surfaces=surfaces())
+@example(surfaces=_surface([[0.5, 0.0, 2.0], [0.5, -0.0, 3.0]],
+                           [[True, False, True], [True, True, True]], [[0, 1, 2], [3, 4, 5]],
+                           d_s=(0.5, 0.75), d_u=(0.25, 0.5, 1.0)))
+def test_surface_csv_in_small_blocks_matches_the_per_cell_oracle(block_cells, surfaces):
+    cfg = RunConfig()
+    with mock.patch.object(cli, "_BLOCK_CELLS", block_cells):
+        blocks = list(_render_surfaces(surfaces, cfg, "csv"))
+    sizes = [surface.feasible.size for surface in surfaces.values()]
+    assert len(blocks) == 1 + sum(-(-size // block_cells) for size in sizes)
+    assert all(0 < block.count("\n") <= block_cells for block in blocks[1:])
+    assert "".join(blocks) == render_oracle.surface_csv(surfaces, cfg)
+
+
+def _fig3_surfaces(n):
+    """The fig-3 preset on an n x n grid and its {case: RegionSurface} mapping."""
+    cfg = replace(get_preset("gaussian-converse-fig3"), d_s_grid=n, d_u_grid=n)
+    src, ch = build_source(cfg), build_channel(cfg)
+    hi_s, hi_u = src.distortion_range
+    grids = (resolve_distortion_grid(n, hi_s), resolve_distortion_grid(n, hi_u))
+    return cfg, {case: converse_surface(src, ch, cfg.targets(), case, *grids)
+                 for case in cfg.cases}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_out_write_the_same_bytes(fmt, tmp_path, capsys):
+    # More cells per case than one block holds, so each CSV surface is
+    # written in several blocks.
+    n = math.isqrt(cli._BLOCK_CELLS) + 1
+    cfg, surfaces = _fig3_surfaces(n)
+    path = tmp_path / "cfg.json"
+    dump_config(cfg, path)
+    out = tmp_path / "sub" / f"fig3.{fmt}"
+    argv = ["converse", "--config", str(path), "--format", fmt]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == stdout.encode()
+    if fmt == "csv":
+        assert stdout == render_oracle.surface_csv(surfaces, cfg)
+
+
+def test_surface_csv_is_written_without_holding_the_artifact(tmp_path):
+    # The 300 x 300 fig-3 artifact is 7.5 MB of text; rendering and writing
+    # it must allocate far less than that above the surfaces it reads.
+    # Holding it whole, with the pieces it was joined from, took 20.6 MB.
+    cfg, surfaces = _fig3_surfaces(300)
+    out = tmp_path / "fig3.csv"
+    tracemalloc.start()
+    try:
+        cli._emit(cli._render_surfaces(surfaces, cfg, "csv"), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CONVERSE_PINS["gaussian-fig3-300", "csv"]
+    assert peak < 6 * 2**20
 
 
 #: sha256 of inner-scan artifacts (20k draws, seed 2468), frozen before the
@@ -514,6 +581,25 @@ class TestExitCodes:
         code, _, err = run_cli(["converse", "--config", str(missing)], capsys)
         assert code == 2
         assert f"cannot read {missing} (No such file or directory)" in err
+
+    @pytest.mark.parametrize("command", ["converse", "curve"])
+    @pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+    def test_unwritable_out_exit2(self, command, target, tmp_path, capsys):
+        blocker = tmp_path / "taken.csv"
+        blocker.write_text("kept\n")
+        out = blocker / "x.csv" if target == "under-a-file" else tmp_path
+        if command == "converse":
+            argv = ["converse", "--model", "gaussian", "--case", "1"]
+        else:  # one variant, so --out names the file itself and not a sibling
+            path = tmp_path / "curve.json"
+            dump_config(replace(get_preset("binary-tradeoff-fig5"), cases=(1,),
+                                R_k_values=(0.1,)), path)
+            argv = ["curve", "--config", str(path)]
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: out: cannot write {out} (")
+        assert err.count("\n") == 1 and err.endswith(")\n")
+        assert blocker.read_text() == "kept\n"
 
     def test_undecodable_config_file_exit2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -509,7 +509,7 @@ class TestConverseSurface:
             [0.3, 0.5], [0.4, 0.6, 0.8],
         )
         assert surf.values.shape == surf.feasible.shape == surf.samples.shape == (2, 3)
-        rows = _render_surfaces({2: surf}, RunConfig(), "csv").splitlines()[3:]
+        rows = "".join(_render_surfaces({2: surf}, RunConfig(), "csv")).splitlines()[3:]
         assert len(rows) == 6
         assert rows[0].split(",")[:3] == ["2", "0.3", "0.4"]
         assert rows[-1].split(",")[:3] == ["2", "0.5", "0.8"]
