@@ -177,13 +177,8 @@ def _resolve_config(args, subcommand: str) -> RunConfig:
     elif args.config:
         cfg = load_config(args.config)
     else:
-        kwargs = {}
-        if subcommand in _MODES:
-            kwargs["mode"] = subcommand
-            kwargs["model"] = args.model or _MODE_MODEL.get(subcommand, RunConfig.model)
-        elif args.model:
-            kwargs["model"] = args.model
-        cfg = RunConfig(**kwargs)
+        cfg = RunConfig(mode=subcommand if subcommand in _MODES else RunConfig.mode,
+                        model=_MODE_MODEL.get(subcommand, RunConfig.model))
     overrides = {}
     if args.model and args.model != cfg.model:
         overrides["model"] = args.model

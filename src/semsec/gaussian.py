@@ -14,8 +14,11 @@ S, U, Sc, Sp, Uc, Up, so that its Gram matrix is their covariance) and the
 channel side (a signal and a private-noise power for each of the independent
 layers Wc, Wu, Qs, Qu superposed into X), evaluates the source terms by
 Gram-Schmidt on the factor rows and the channel terms in closed form, and
-solves the piecewise-linear system for the minimal feasible r. Every draw is
-a valid covariance by construction, so none is gated.
+solves the piecewise-linear system for the minimal feasible r. In that
+system every secrecy target's equivocation takes one form,
+E(r) = base + r·g − (k − r·g_k)⁺, with the terms of each target in a table
+(see ``_accept_draws``). Every draw is a valid covariance by construction,
+so none is gated.
 """
 
 from __future__ import annotations
@@ -131,11 +134,21 @@ class SemanticSourceGaussian:
         The joint RDF and the mask have the broadcast shape; each component's
         RDF broadcasts to it. :func:`semsec.regions.min_ratio` and
         :func:`semsec.regions.equivocation_caps` read the model through this
-        method. Case 1's joint RDF is the maximum of the two marginals.
+        method. Case 1's joint RDF is the maximum of the two marginals. A
+        cell within reach whose RDFs are not all finite, where distortions
+        near the smallest floats overflow a ratio, raises
+        :class:`DomainError` naming it.
         """
-        r_s, blocked = _rdf_sem(self, d_s, case)
-        r_u = _rdf_obs(self, d_u)
-        r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(self, d_s, d_u, r_s, r_u)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r_s, blocked = _rdf_sem(self, d_s, case)
+            r_u = _rdf_obs(self, d_u)
+            r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(self, d_s, d_u, r_s, r_u)
+        bad = ~blocked & ~(np.isfinite(r_s) & np.isfinite(r_u) & np.isfinite(r_j))
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            cell = [np.broadcast_to(d, bad.shape)[at] for d in (d_s, d_u)]
+            raise DomainError(f"the RDFs are not finite at (D_s, D_u) = ({cell[0]}, {cell[1]}): "
+                              "the distortions are too small to evaluate")
         return r_j, (
             ("delta_s", self.h_s, r_s),
             ("delta_u", self.h_u, r_u),
@@ -577,86 +590,81 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
                   src: SemanticSourceGaussian):
     """(r, accepted, reason_code) of each draw's inner-bound inequality system.
 
-    Every constraint is piecewise linear in r (the positive-part brackets
-    contribute at most one breakpoint), so the least feasible r is exact;
-    strictness of the printed inequalities is absorbed into a 1e-9 slack,
-    and disabled (-inf) targets are skipped. An enabled target above its
-    source entropy, ``src.h_s``, ``src.h_u`` or ``src.h_su``, is met by no
-    scheme, so it discards every finite draw under its secrecy code. A
-    draw is accepted when it is feasible and in the sound regime: its
-    source-coding rates stay within the entropy budget of every active
-    secrecy constraint (and its joint leakage gap is nonnegative for the
-    joint one), where the equivocation bounds are fully backed by the
-    coding argument. r is NaN where a draw is discarded. Of several
-    reasons the first in code order wins, checked as 10, 1-6, then the
-    unsound-regime codes 7-9.
+    The public-layer rate needs a1 <= b1, with no r multiplier; the common
+    and private layers need r >= a2 / b2 and r >= a3 / b3. Each enabled
+    secrecy target δ needs E(r) >= δ of an equivocation that is concave and
+    piecewise linear in r,
+
+        E(r) = base + r·g − (k − r·g_k)⁺,
+
+    ======  =================  ========================  ==  =====
+    target  base               g                         k   g_k
+    ======  =================  ========================  ==  =====
+    Δ_s     (h_s − a2)⁺        (gqs_y − gqs_z)⁺          a3  gqu_y
+    Δ_u     (h_u − a3)⁺        (gqu_y − gqu_z)⁺          0   0
+    Δ_su    (h_su − a2 − a3)⁺  (gqs_y + gqu_y − gj_z)⁺   0   0
+    ======  =================  ========================  ==  =====
+
+    so the least feasible r is exact: E rises with slope g + g_k up to the
+    knee k / g_k and with slope g past it. Strictness of the printed
+    inequalities is absorbed into a 1e-9 slack, and disabled (-inf) targets
+    are skipped. A target above its source entropy, ``src.h_s``, ``src.h_u``
+    or ``src.h_su``, is met by no scheme, so it discards every finite draw
+    under its secrecy code. A draw is accepted when it is feasible and in
+    the sound regime: its source-coding rates stay within the entropy
+    budget of every active secrecy constraint (and its joint leakage gap is
+    nonnegative for the joint one), where the equivocation bounds are fully
+    backed by the coding argument. r is NaN where a draw is discarded. Of
+    several reasons the first in code order wins, checked as 10, 1-6, then
+    the unsound-regime codes 7-9.
     """
     reason = np.zeros(len(t["a1"]), dtype=np.int8)
 
     def mark(mask, code):
         reason[mask & (reason == 0)] = code
 
-    finite = np.ones(len(reason), dtype=bool)
-    for val in t.values():
-        finite &= np.isfinite(val)
-    mark(~finite, 10)
+    # First, so that no other code lands on a degenerate draw.
+    mark(~np.logical_and.reduce([np.isfinite(val) for val in t.values()]), 10)
 
     a1, a2, a3 = t["a1"], t["a2"], t["a3"]
-    b1, b2, b3 = t["b1"], t["b2"], t["b3"]
-    hs, hu, hsu = src.h_s, src.h_u, src.h_su
+    gqs_y, gqu_y = t["gqs_y"], t["gqu_y"]
     with np.errstate(invalid="ignore"):
-        # Public-layer constraint as printed: no r multiplier.
-        mark(finite & (a1 > b1 + _TOL), 1)
-        r = np.maximum(
-            np.where(a2 > _TOL, a2 / np.maximum(b2, _TINY), 0.0),
-            np.where(a3 > _TOL, a3 / np.maximum(b3, _TINY), 0.0),
-        )
-        mark(finite & (a2 > _TOL) & (b2 <= _TOL), 2)
-        mark(finite & (a3 > _TOL) & (b3 <= _TOL), 3)
+        mark(a1 > t["b1"] + _TOL, 1)
+        r = 0.0
+        for code, a, b in ((2, a2, t["b2"]), (3, a3, t["b3"])):
+            r = np.maximum(r, np.where(a > _TOL, a / np.maximum(b, _TINY), 0.0))
+            mark((a > _TOL) & (b <= _TOL), code)
 
-        g_s = np.maximum(t["gqs_y"] - t["gqs_z"], 0.0)
-        g_u = np.maximum(t["gqu_y"] - t["gqu_z"], 0.0)
-        leak_su = t["gqs_y"] + t["gqu_y"] - t["gj_z"]
-        g_su = np.maximum(leak_su, 0.0)
-        gqu_y = t["gqu_y"]
-
+        rows = []  # (code, δ, entropy, base, g, k, g_k, sound regime) of each enabled target
         if targets.delta_s != DISABLED:
-            ds_t = targets.delta_s
-            base = np.maximum(hs - a2, 0.0)
-            r4 = np.where(gqu_y > _TINY, a3 / np.maximum(gqu_y, _TINY), np.inf)
-            slope1 = g_s + gqu_y
-            need = ds_t - (base - a3)
-            c1 = need / np.maximum(slope1, _TINY)
-            use1 = (need > 0.0) & (c1 <= r4) & (slope1 > 0.0)
-            r_s = np.where(use1, c1, 0.0)
-            m2 = (need > 0.0) & ~use1
-            c2 = r4 + (ds_t - (base + r4 * g_s)) / np.maximum(g_s, _TINY)
-            ok2 = m2 & (g_s > 0.0) & np.isfinite(r4)
-            r_s = np.where(ok2, c2, r_s)
-            mark(finite & m2 & ~ok2, 4)
-            mark(finite & (ds_t > hs), 4)
-            r = np.maximum(r, r_s)
+            rows.append((4, targets.delta_s, src.h_s, np.maximum(src.h_s - a2, 0.0),
+                         np.maximum(gqs_y - t["gqs_z"], 0.0), a3, gqu_y, a2 <= src.h_s + _TOL))
         if targets.delta_u != DISABLED:
-            need_u = targets.delta_u - np.maximum(hu - a3, 0.0)
-            r = np.maximum(
-                r, np.where(need_u > 0.0, need_u / np.maximum(g_u, _TINY), 0.0)
-            )
-            mark(finite & (need_u > 0.0) & (g_u <= 0.0), 5)
-            mark(finite & (targets.delta_u > hu), 5)
+            rows.append((5, targets.delta_u, src.h_u, np.maximum(src.h_u - a3, 0.0),
+                         np.maximum(gqu_y - t["gqu_z"], 0.0), 0.0, 0.0,
+                         (a1 <= _TOL) & (a3 <= src.h_u + _TOL)))
         if targets.delta_su != DISABLED:
-            need_su = targets.delta_su - np.maximum(hsu - a2 - a3, 0.0)
-            r = np.maximum(
-                r, np.where(need_su > 0.0, need_su / np.maximum(g_su, _TINY), 0.0)
-            )
-            mark(finite & (need_su > 0.0) & (g_su <= 0.0), 6)
-            mark(finite & (targets.delta_su > hsu), 6)
+            leak = gqs_y + gqu_y - t["gj_z"]
+            rows.append((6, targets.delta_su, src.h_su, np.maximum(src.h_su - a2 - a3, 0.0),
+                         np.maximum(leak, 0.0), 0.0, 0.0,
+                         (a2 + a3 <= src.h_su + _TOL) & (leak >= -_TOL)))
 
-    if targets.delta_s != DISABLED:
-        mark(~(a2 <= hs + _TOL), 7)
-    if targets.delta_u != DISABLED:
-        mark(~((a1 <= _TOL) & (a3 <= hu + _TOL)), 8)
-    if targets.delta_su != DISABLED:
-        mark(~((a2 + a3 <= hsu + _TOL) & (leak_su >= -_TOL)), 9)
+        for code, delta, entropy, base, g, k, g_k, _ in rows:
+            knee = np.where(g_k > _TINY, k / np.maximum(g_k, _TINY), np.inf)
+            slope = g + g_k
+            need = delta - (base - k)
+            before = need / np.maximum(slope, _TINY)
+            on_first = (need > 0.0) & (before <= knee) & (slope > 0.0)
+            beyond = (need > 0.0) & ~on_first
+            after = knee + (delta - (base + knee * g)) / np.maximum(g, _TINY)
+            reached = beyond & (g > 0.0) & np.isfinite(knee)
+            r = np.maximum(r, np.where(reached, after, np.where(on_first, before, 0.0)))
+            mark(beyond & ~reached, code)
+            if delta > entropy:
+                mark(True, code)
+
+    for code, *_, sound in rows:
+        mark(~sound, code + 3)
     accepted = reason == 0
     return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 

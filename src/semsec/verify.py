@@ -12,23 +12,12 @@ import math
 
 import numpy as np
 
-from .binary import (
-    SemanticSourceBinary,
-    WiretapChannelBinary,
-    binary_min_r,
-    delta_s_curve,
-)
+from .binary import SemanticSourceBinary, WiretapChannelBinary, delta_s_curve
 from .errors import InfeasibleError
-from .gaussian import (
-    SemanticSourceGaussian,
-    WiretapChannelGaussian,
-    converse_min_r,
-    draw_inner_samples,
-    gaussian_rdf_joint,
-)
+from .gaussian import SemanticSourceGaussian, WiretapChannelGaussian, draw_inner_samples
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion
-from .regions import DISABLED, EquivocationTargets, min_ratio
+from .regions import DISABLED, EquivocationTargets, equivocation_caps, min_ratio
 
 __all__ = ["run_verification"]
 
@@ -64,7 +53,7 @@ def _spot_values():
         "case1-distortion-floor", abs(floor - 0.34) < 1e-12,
         f"(1 - rho^2) P_s = {floor:.12f}",
     ))
-    rj = gaussian_rdf_joint(src, 0.5, 0.6, 2)
+    rj = float(src.rdf_components(0.5, 0.6, 2)[0])
     checks.append(_check(
         "gaussian-joint-rdf", abs(rj - 0.3848939535930074) < 1e-10,
         f"joint RDF at (0.5, 0.6) = {rj:.10f}",
@@ -77,7 +66,7 @@ def _converse_checks():
     src = SemanticSourceGaussian(0.7, 1.0, 0.6)
     ch = WiretapChannelGaussian(1.0, 0.1, 0.4)
     tg = EquivocationTargets(src.h_s, float("-inf"), src.h_s)
-    res = converse_min_r(src, ch, 0.5, 0.6, tg, case=2)
+    res = min_ratio(src, ch, tg, 0.5, 0.6, 2).cell()
     ok = res.feasible and abs(res.r_min - 0.2589676311711626) < 1e-10
     checks.append(_check(
         "gaussian-converse-min-r", ok,
@@ -85,7 +74,7 @@ def _converse_checks():
         f"{res.r_min if res.feasible else res.reason}",
     ))
     try:
-        infeasible = converse_min_r(src, ch, 0.2, 0.6, tg, case=1)
+        infeasible = min_ratio(src, ch, tg, 0.2, 0.6, 1).cell()
         ok = not infeasible.feasible
     except Exception:  # pragma: no cover - a raise would be a bug
         ok = False
@@ -94,7 +83,7 @@ def _converse_checks():
         "distortion below the restricted-encoder floor reports infeasible",
     ))
     try:
-        gaussian_rdf_joint(src, 0.2, 0.6, 1)
+        equivocation_caps(src, ch, 0.2, 0.6, r=0.0, case=1)
         raised = False
     except InfeasibleError:
         raised = True
@@ -160,9 +149,7 @@ def _binary_checks():
         "binary-secrecy-term", abs(slope - 0.4558231113837489) < 1e-12,
         f"secrecy capacity: {slope:.10f}",
     ))
-    res = binary_min_r(
-        src, ch, 0.3, 0.25, EquivocationTargets(1.0, DISABLED, DISABLED), case=1
-    )
+    res = min_ratio(src, ch, EquivocationTargets(1.0, DISABLED, DISABLED), 0.3, 0.25, 1).cell()
     ok = (res.feasible and res.binding == "delta_s"
           and abs(res.r_min - 1.1649352416527126) < 1e-10)
     checks.append(_check(

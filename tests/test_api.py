@@ -153,6 +153,29 @@ def test_shared_layers_import_no_model(layer, forbidden):
     assert _semsec_imports(layer) & forbidden == set()
 
 
+#: The scalar wrappers of the converse routines, each with its home module.
+SCALAR_WRAPPERS = {"converse_min_r": "gaussian", "gaussian_rdf_joint": "gaussian",
+                   "binary_min_r": "binary"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_uses_a_scalar_wrapper(module):
+    # The package reads min_ratio, rdf_components and equivocation_caps; the
+    # wrappers stay for the benchmark and the tests, and the package root
+    # re-exports them.
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    home = module.__name__.rsplit(".", 1)[1]
+    assert {name for name, owner in SCALAR_WRAPPERS.items() if owner != home} & used == set()
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -507,14 +507,14 @@ class TestExitCodes:
     def test_floor_check_passes_only_on_infeasible(self, monkeypatch):
         # Only the restricted encoder's InfeasibleError counts as the
         # expected raise; any other error is a defect and must surface.
-        real = verify.gaussian_rdf_joint
+        real = verify.equivocation_caps
 
-        def broken(src, d_s, d_u, case):
+        def broken(src, ch, d_s, d_u, r, R_k=0.0, case=2):
             if case == 1:  # the floor check's call
                 raise TypeError("broken")
-            return real(src, d_s, d_u, case)
+            return real(src, ch, d_s, d_u, r, R_k, case)
 
-        monkeypatch.setattr(verify, "gaussian_rdf_joint", broken)
+        monkeypatch.setattr(verify, "equivocation_caps", broken)
         with pytest.raises(TypeError, match="broken"):
             verify.run_verification()
 
@@ -600,6 +600,28 @@ class TestExitCodes:
         assert err.startswith(f"error: out: cannot write {out} (")
         assert err.count("\n") == 1 and err.endswith(")\n")
         assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, fields, cell", [
+        ("converse", {"d_s_grid": {"points": [1e-160, 0.5]},
+                      "d_u_grid": {"points": [1e-160, 0.5]}}, "(1e-160, 1e-160)"),
+        ("rdf", {}, "(1e-320, 0.5)"),
+        ("rdf", {"source": {"P_u": 0.5, "P_su": 0.0}}, "(5e-324, 0.5)"),
+    ], ids=("converse", "rdf", "rdf-no-regime"))
+    def test_overflowing_rdf_exit2(self, command, fields, cell, tmp_path, capsys):
+        # Distortions near the smallest floats overflow the Gaussian closed
+        # forms: one error line that names the cell, and no numpy warning.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian", "cases": [2], **fields}))
+        argv = [command, "--config", str(path)]
+        if command == "rdf":
+            d_s, d_u = cell.strip("()").split(", ")
+            argv += ["--d-s", d_s, "--d-u", d_u]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at (D_s, D_u) = {cell}" in err or f"degenerate at {cell}" in err
 
     def test_undecodable_config_file_exit2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

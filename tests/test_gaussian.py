@@ -1,7 +1,9 @@
 """Gaussian model: converse bounds, samplers, and the Monte-Carlo inner bound."""
 
 import hashlib
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accept_oracle
 import converse_oracle
 import gram_oracle
 import semsec.gaussian as gaussian_mod
@@ -421,6 +424,28 @@ class TestGaussianRdf:
             vals = [gaussian_rdf_joint(src, ds, du, 2) for du in grid]
             steps = np.abs(np.diff(vals))
             assert steps.max() < 0.08
+
+
+    # A distortion near the smallest floats overflows a closed form, at
+    # P_s / D_s or at det K / (D_s D_u); with P_su = 0 and D_u = P_u, the
+    # product D_s D_u underflows to 0 and leaves no regime.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p_su, d_s, d_u, case, message", [
+        (0.3, 1e-160, 1e-160, 2, "RDFs are not finite at (D_s, D_u) = (1e-160, 1e-160)"),
+        (0.3, 1e-320, 0.25, 2, "RDFs are not finite at (D_s, D_u) = (1e-320, 0.25)"),
+        (0.3, 1e-320, 0.25, 1, None),  # below the case-1 floor: blocked, not an error
+        (0.0, 5e-324, 0.5, 2, "degenerate at (5e-324, 0.5)"),
+    ], ids=("weak-regime", "semantic", "case1-floor", "no-regime"))
+    def test_overflowing_cell_raises(self, p_su, d_s, d_u, case, message):
+        src = SemanticSourceGaussian(0.7, 0.5, p_su)
+        if message is None:
+            assert src.rdf_components(d_s, d_u, case)[2]
+            return
+        with pytest.raises(DomainError, match=re.escape(message)):
+            src.rdf_components(d_s, d_u, case)
+        # In a grid, the first such cell in row-major order is named.
+        with pytest.raises(DomainError, match=re.escape(message)):
+            src.rdf_components(np.array([[0.5], [d_s]]), np.array([d_u, 0.5]), case)
 
 
 class TestSecrecyTerm:
@@ -850,6 +875,80 @@ class TestInnerMinR:
         lower = min_ratio(src, ch, tg, out["d_s"][first], out["d_u"][first], 2)
         assert lower.feasible.all()
         assert np.all(out["r"][first] >= lower.r_min - 1e-6)
+
+
+_TOL = gaussian_mod._TOL
+#: Term values at the acceptance rule's edges: both zeros, NaN, both
+#: infinities, subnormals, the division floor 1e-300 and its neighbours, and
+#: _TOL and its neighbours.
+EDGE_TERMS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e-305,
+              1e-300, math.nextafter(1e-300, 0.0), math.nextafter(1e-300, 1.0),
+              _TOL, math.nextafter(_TOL, 0.0), math.nextafter(_TOL, 1.0))
+#: Sources with distinct ceilings; the second is singular, so h_su = -inf.
+SOURCES = (default_source(), SemanticSourceGaussian(1.0, 1.0, 1.0))
+
+
+def _target_settings(ceiling):
+    """Disabled, negative, and below, at and above ``ceiling``."""
+    return (DISABLED, -1.0, ceiling - 1.0, ceiling, math.nextafter(ceiling, math.inf),
+            ceiling + 0.5)
+
+
+@st.composite
+def term_batches(draw):
+    """A source and a batch of 1-64 draws' terms. Each term value is either
+    an ordinary magnitude or one from a drawn pool of edge values, values
+    within 1e-9 of _TOL and values within 1e-9 of a ceiling plus _TOL."""
+    src = draw(st.sampled_from(SOURCES))
+    near = [h + _TOL for h in (src.h_s, src.h_u, src.h_su) if math.isfinite(h)]
+    pool = draw(st.lists(st.one_of(
+        st.sampled_from(EDGE_TERMS),
+        st.floats(0.0, 2.0 * _TOL),
+        st.sampled_from(near).flatmap(lambda x: st.floats(x - 1e-9, x + 1e-9)),
+    ), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 64))
+    terms = {}
+    for name in TERM_NAMES:
+        ordinary = rng.uniform(-0.5, 1.0 if name == "a1" else 6.0, n)  # a1 > b1 discards
+        terms[name] = np.where(rng.random(n) < 0.4, rng.choice(pool, n), ordinary)
+    return src, terms
+
+
+def _assert_same_verdicts(t, tg, src):
+    """The acceptance rule against its oracle: reason codes, the accepted
+    mask and r bit for bit, NaN included."""
+    r, accepted, reason = gaussian_mod._accept_draws(t, tg, src)
+    r_want, accepted_want, reason_want = accept_oracle._accept_draws(t, tg, src)
+    np.testing.assert_array_equal(reason, reason_want)
+    np.testing.assert_array_equal(accepted, accepted_want)
+    np.testing.assert_array_equal(r.view(np.int64), r_want.view(np.int64))
+
+
+class TestAcceptanceRule:
+    # A target of -1.8e308 overflows need / 1e-300 in both versions, and
+    # the oracle adds a2 + a3 = inf + -inf outside its errstate.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(batch=term_batches(), data=st.data())
+    def test_matches_the_three_block_oracle(self, batch, data):
+        src, t = batch
+        tg = EquivocationTargets(*(data.draw(st.one_of(st.sampled_from(_target_settings(h)),
+                                                        st.floats(-2.0, 4.0)))
+                                   for h in (src.h_s, src.h_u, src.h_su)))
+        _assert_same_verdicts(t, tg, src)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_matches_the_oracle_on_sampler_chunks(self, case):
+        # A full 4096-draw chunk of real terms, against every combination of
+        # the target settings for the three targets.
+        src, ch = default_source(), default_channel()
+        g, sig2, nu2 = _sampler_draws(case, 4096, seed=90 + case)
+        t = gaussian_mod._inner_terms(g, sig2, nu2, ch, case)
+        for values in itertools.product(*(_target_settings(h)
+                                          for h in (src.h_s, src.h_u, src.h_su))):
+            _assert_same_verdicts(t, EquivocationTargets(*values), src)
 
 
 class TestDrawSamples:

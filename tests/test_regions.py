@@ -380,9 +380,11 @@ def test_r_min_never_rises_with_distortion(model, case, data):
     # Binary case 2 is left out: its cells are numerical solves. The grid's
     # anchors include neighbouring floats, where the Gaussian case-2 ratio
     # can rise by an ulp (2.1330055343418070 -> ...075 as D_s steps by one
-    # ulp past 0.3398), hence the 1e-12 relative slack.
+    # ulp past 0.3398), hence the 1e-12 relative slack. The extra points
+    # stay above 1e-150 of the range: below about 1e-154 a Gaussian cell's
+    # D_s D_u underflows and the closed forms overflow, which raises.
     src, ch, d_s, d_u = data.draw(GRIDS[model][0])
-    extra = [st.lists(st.floats(0.0, 1.2 * hi, exclude_min=True), max_size=20)
+    extra = [st.lists(st.floats(1e-150 * hi, 1.2 * hi), max_size=20)
              for hi in src.distortion_range]
     d_s, d_u = (np.sort(axis + data.draw(more)) for axis, more in zip((d_s, d_u), extra))
     r = min_ratio(src, ch, data.draw(targets), d_s[:, None], d_u[None, :], case).r_min
