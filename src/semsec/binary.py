@@ -13,6 +13,7 @@ channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,9 +147,11 @@ def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
     """Joint RDF at the broadcastable distortions, given the marginals.
 
     Case 1 is their maximum. Case 2 is one solve of the 2x2 joint per
-    distinct point of the call, and its value the solver's certified dual
-    bound, a true lower bound on the RDF; the solver warns on a point it
-    could not certify.
+    distinct sorted pair of the call (the source is symmetric in S and U),
+    started at that pair's closed-form dual optimum (:func:`_dual_start`),
+    where a solve takes one Blahut-Arimoto evaluation. The value is the
+    solve's certified dual bound, a true lower bound on the RDF; the solver
+    warns on a point it could not certify.
     """
     if case == 1:
         return np.maximum(r_s, r_u)
@@ -158,14 +161,55 @@ def _binary_joint(alpha: float, d_s, d_u, case: int, r_s, r_u) -> np.ndarray:
     out = np.empty(a.shape)
     solved = {}
     for k, (t_s, t_u) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
-        # The doubly symmetric source is symmetric in (S, U), so R(D_s, D_u) =
-        # R(D_u, D_s): the sorted pair shares one solve.
         pair = (min(t_s, t_u), max(t_s, t_u))
         if pair not in solved:
-            point = rdf_semantic_case2(src, ham, ham, *pair)
+            point = rdf_semantic_case2(src, ham, ham, *pair, start=_dual_start(alpha, *pair))
             solved[pair] = max(float(point.dual_bound), 0.0)
         out.flat[k] = solved[pair]
     return out
+
+
+def _slope(x: float) -> float:
+    """h'(x) = log2((1 - x) / x), the slope of the binary entropy in bits:
+    +inf at 0, and wherever (1 - x) / x overflows."""
+    return math.log2((1.0 - x) / x) if x > 0.0 else math.inf
+
+
+def _dual_start(alpha: float, d_s: float, d_u: float):
+    """The optimal (multipliers, output distribution) of the doubly symmetric
+    source's two-constraint dual at 0 <= D_s <= D_u, both clipped at 1/2, or
+    None (the solver's cold start) where a multiplier is infinite, as at
+    D_s = 0.
+
+    Output letters are (s_hat, u_hat) = 00, 01, 10, 11. With x = D_s * D_u:
+
+    - implied, D_u >= alpha * D_s (R = 1 - h(D_s)): lam = (h'(D_s), 0) and
+      S_hat = U_hat uniform;
+    - Shannon lower bound, x <= alpha: lam = (h'(D_s), h'(D_u)), and the
+      backward channels S = S_hat xor Z_s, U = U_hat xor Z_u make S_hat
+      uniform and S_hat xor U_hat ~ Bernoulli(beta), beta = (alpha - x) / (1 - 2x);
+    - mid, otherwise: lam = ((h'(e) + h'(t)) / 2, (h'(e) - h'(t)) / 2) with
+      e = (D_s + D_u - alpha) / (2(1 - alpha)) and t = (alpha + D_s - D_u) /
+      (2 alpha), and S_hat = U_hat uniform.
+
+    Implied comes first, so that t is never 0/0: at alpha = 0 every pair is
+    implied.
+    """
+    d_s, d_u = min(d_s, 0.5), min(d_u, 0.5)
+    x = star(d_s, d_u)
+    if d_u >= star(alpha, d_s):
+        lam, q = (_slope(d_s), 0.0), (0.5, 0.0, 0.0, 0.5)
+    elif x <= alpha:
+        # x rounds to 1/2 only at alpha = 1/2, where beta is 1/2 at every x.
+        beta = (alpha - x) / (1.0 - 2.0 * x) if x < 0.5 else 0.5
+        lam = (_slope(d_s), _slope(d_u))
+        q = ((1.0 - beta) / 2.0, beta / 2.0, beta / 2.0, (1.0 - beta) / 2.0)
+    else:
+        h_e = _slope((d_s + d_u - alpha) / (2.0 * (1.0 - alpha)))
+        h_t = _slope((alpha + d_s - d_u) / (2.0 * alpha))
+        # Cancellation in t where alpha is small can put h'(t) above h'(e).
+        lam, q = (0.5 * (h_e + h_t), max(0.5 * (h_e - h_t), 0.0)), (0.5, 0.0, 0.0, 0.5)
+    return (lam, q) if math.isfinite(lam[0] + lam[1]) else None
 
 
 # ---------------------------------------------------------------------------

@@ -653,10 +653,15 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
             knee = np.where(g_k > _TINY, k / np.maximum(g_k, _TINY), np.inf)
             slope = g + g_k
             need = delta - (base - k)
-            before = need / np.maximum(slope, _TINY)
-            on_first = (need > 0.0) & (before <= knee) & (slope > 0.0)
-            beyond = (need > 0.0) & ~on_first
-            after = knee + (delta - (base + knee * g)) / np.maximum(g, _TINY)
+            # Only draws with need > 0 use the two quotients; elsewhere they
+            # are skipped, which also spares a very negative target an overflow.
+            pos = need > 0.0
+            before = np.divide(need, np.maximum(slope, _TINY), out=np.zeros(need.shape),
+                               where=pos)
+            on_first = pos & (before <= knee) & (slope > 0.0)
+            beyond = pos & ~on_first
+            after = knee + np.divide(delta - (base + knee * g), np.maximum(g, _TINY),
+                                     out=np.zeros(need.shape), where=pos)
             reached = beyond & (g > 0.0) & np.isfinite(knee)
             r = np.maximum(r, np.where(reached, after, np.where(on_first, before, 0.0)))
             mark(beyond & ~reached, code)

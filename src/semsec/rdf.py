@@ -4,12 +4,12 @@ One numeric two-constraint solver (:class:`TwoConstraintSolver`, behind
 :func:`rdf_semantic_case1`, :func:`rdf_semantic_case2` and
 :func:`rdf_classic`, the single-constraint case with a zero second cost):
 warm-started Blahut-Arimoto inside a projected Newton ascent on the 2-D
-concave dual. Every point also carries Csiszar's
-certified dual lower bound, valid at any output distribution, so the
-optimality gap is observable and binary case-2 values can be lower
-bounds. A solve that did not converge, or whose primal-dual gap exceeds
-1e-6 bits, raises a :class:`RuntimeWarning` naming its two targets, so no
-entry point returns an uncertified point silently. The two linear
+concave dual, from a caller's start or from lam = (1, 1). Every point also
+carries Csiszar's certified dual lower bound, valid at any output
+distribution, so the optimality gap is observable and binary case-2 values
+can be lower bounds. A solve that did not converge, or whose primal-dual gap
+exceeds 1e-6 bits, raises a :class:`RuntimeWarning` naming its two targets,
+so no entry point returns an uncertified point silently. The two linear
 programs that open a solve (joint feasibility of the targets, and the
 best rate-0 point) have only two cost rows, and both are solved exactly
 in numpy. The binary model's closed forms live in :mod:`semsec.binary`.
@@ -385,7 +385,7 @@ class TwoConstraintSolver:
 
     R(D_a, D_b) is the maximum over lam >= 0 of the concave dual
     g(lam) = min_W I(W) + lam.(E d - D), whose gradient is E d - D at the
-    minimizing channel. Strategy: from lam = (1, 1), a projected Newton
+    minimizing channel. Strategy: from a start, a projected Newton
     ascent climbs g, each step taking the gradient from one warm-started
     Blahut-Arimoto solve and the 2x2 Hessian from two more (forward
     differences), and accepting the step by backtracking with a
@@ -396,9 +396,17 @@ class TwoConstraintSolver:
     mass reaches zero. A zero multiplier is reached through
     the projection. If the final channel misses a target by more than the
     slack, a warm-started bisection along the multiplier ray restores
-    feasibility. A cell costs tens of Blahut-Arimoto solves: on the doubly
-    symmetric source about 3 ms at the median and 6 ms at the 90th
-    percentile (2-CPU Xeon VM), of which the two exact LPs take 0.3 ms.
+    feasibility.
+
+    ``start = (multipliers, output distribution)`` sets where the ascent
+    begins; the output distribution warm-starts the first Blahut-Arimoto
+    solve (floored at 1e-12 per letter). The default, None, is lam = (1, 1)
+    and a uniform output. From the cold start a cell costs tens of
+    Blahut-Arimoto solves: on the doubly symmetric source about 2 ms at the
+    median and 5 ms at the 90th percentile (2-CPU Xeon VM). From the exact
+    dual optimum, which ``semsec.binary`` passes for that source, the
+    projected gradient is already below 1e-10, so a cell costs one solve:
+    about 0.25 ms at the median, of which the two exact LPs take 0.2 ms.
 
     Every solve yields a certified dual lower bound (:func:`_dual_bound`);
     ``dual_bound`` is the best of them and ``rate`` is the least rate among
@@ -409,7 +417,7 @@ class TwoConstraintSolver:
     :class:`RuntimeWarning` naming both targets and the gap.
     """
 
-    def solve(self, p, cost_a, cost_b, d_a, d_b) -> RdfPoint:
+    def solve(self, p, cost_a, cost_b, d_a, d_b, start=None) -> RdfPoint:
         p = np.asarray(p, dtype=float)
         cost_a = np.asarray(cost_a, dtype=float)
         cost_b = np.asarray(cost_b, dtype=float)
@@ -436,7 +444,8 @@ class TwoConstraintSolver:
         zero = _zero_rate_point(p, cost_a, cost_b, d_a, d_b)
         if zero is not None:
             return RdfPoint(0.0, zero, (0.0, 0.0), True, dual_bound=0.0)
-        point = _NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([d_a, d_b])).run(w_lp)
+        ascent = _NewtonAscent(p, np.stack([cost_a, cost_b]), np.array([d_a, d_b]))
+        point = ascent.run(w_lp, start)
         gap = point.rate - point.dual_bound
         if not point.converged or gap > _GAP_WARN:
             warnings.warn(
@@ -467,8 +476,9 @@ class _NewtonAscent:
             self.best = ev
         return ev
 
-    def run(self, w_lp) -> RdfPoint:
-        cur = self.evaluate(np.ones(2))
+    def run(self, w_lp, start=None) -> RdfPoint:
+        lam, q0 = (np.ones(2), None) if start is None else start
+        cur = self.evaluate(np.asarray(lam, dtype=float), q0)
         converged = False
         for _ in range(_NEWTON_MAX_ITER):
             if np.max(np.abs(cur.proj_grad)) <= _GRAD_TOL:
@@ -649,13 +659,17 @@ def rdf_semantic_case2(
     d_u: DistortionMatrix,
     target_s: float,
     target_u: float,
+    start=None,
 ) -> RdfPoint:
     """min I(S,U; S_hat,U_hat) s.t. E d_s <= target_s and E d_u <= target_u.
 
     Encoder sees both source components; the optimization runs over test
-    channels from (S, U) to the product reconstruction alphabet.
+    channels from (S, U) to the product reconstruction alphabet, whose
+    letters (s_hat, u_hat) are in row-major order. ``start`` is passed to
+    :meth:`TwoConstraintSolver.solve`.
     """
-    return TwoConstraintSolver().solve(*_case2_problem(src, d_s, d_u), target_s, target_u)
+    return TwoConstraintSolver().solve(*_case2_problem(src, d_s, d_u), target_s, target_u,
+                                       start=start)
 
 
 def rdf_semantic_case1(

@@ -9,7 +9,8 @@ the sources' ``rdf_components`` and the scalar entry points
 The marginal RDFs are the scalar closed forms the package had before it
 evaluated them as arrays, so they do not share its code. The binary case-2
 joint RDF is the certified bound of the package's general discrete solver on
-the doubly symmetric source, solved here per cell, and the entropies,
+the doubly symmetric source, solved here per cell from the model's
+closed-form dual start, and the entropies,
 capacities and secrecy capacities are the package's own.
 
 The oracle's minimal ratio also takes any secrecy slope, and
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from semsec.binary import SemanticSourceBinary
+from semsec.binary import SemanticSourceBinary, _dual_start
 from semsec.errors import DomainError, InfeasibleError
 from semsec.info import binary_entropy, star
 from semsec.rdf import DiscreteSemanticSource, hamming_distortion, rdf_semantic_case2
@@ -86,12 +87,14 @@ def binary_rdf_sem(alpha, target_s, case):
 
 def binary_rdf_joint(alpha, target_s, target_u, case):
     """Case 1: the larger marginal. Case 2: the dual bound of one solve of the
-    2x2 joint, at the sorted pair, since the source is symmetric in (S, U)."""
+    2x2 joint, at the sorted pair, since the source is symmetric in (S, U),
+    started where the model starts it."""
     if case == 1:
         return max(binary_rdf_obs(alpha, target_u), binary_rdf_sem(alpha, target_s, 1))
     ham = hamming_distortion(2)
+    pair = sorted((float(target_s), float(target_u)))
     point = rdf_semantic_case2(DiscreteSemanticSource.doubly_symmetric(float(alpha)), ham, ham,
-                               *sorted((float(target_s), float(target_u))))
+                               *pair, start=_dual_start(float(alpha), *pair))
     return max(float(point.dual_bound), 0.0)
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from grid_oracle import brute_force_rdf
 from nm_oracle import NelderMeadSolver, lp_channel_feasibility, lp_zero_rate_point
@@ -426,14 +426,17 @@ def slack_rate(point, targets):
 
 
 def dsbs_case2_closed_form(alpha, d_s, d_u):
-    """Exact R(D_s, D_u) of the DSBS where it is known, else None."""
-    if star(d_s, d_u) <= alpha:  # Shannon lower bound is tight
-        return 1.0 + binary_entropy(alpha) - binary_entropy(d_s) - binary_entropy(d_u)
+    """Exact R(D_s, D_u) of the DSBS, with the distortions clipped at 1/2."""
+    d_s, d_u = sorted((min(d_s, 0.5), min(d_u, 0.5)))
     if d_u >= star(alpha, d_s):  # reconstructing U as S_hat meets D_u
         return 1.0 - binary_entropy(d_s)
-    if d_s >= star(alpha, d_u):
-        return 1.0 - binary_entropy(d_u)
-    return None
+    if star(d_s, d_u) <= alpha:  # Shannon lower bound is tight
+        return 1.0 + binary_entropy(alpha) - binary_entropy(d_s) - binary_entropy(d_u)
+    # Mid: one reconstruction bit W. Where S = U it flips them with
+    # probability e; where S != U it equals U with probability t.
+    e = (d_s + d_u - alpha) / (2.0 * (1.0 - alpha))
+    t = (alpha + d_s - d_u) / (2.0 * alpha)
+    return 1.0 - (1.0 - alpha) * binary_entropy(e) - alpha * binary_entropy(t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,9 +448,65 @@ def test_dsbs_case2_over_the_parameter_space(alpha, d_s, d_u):
     assert point.dual_bound <= point.rate + slack_rate(point, (d_s, d_u))
     assert point.rate <= point.dual_bound + 1e-6
     exact = dsbs_case2_closed_form(alpha, d_s, d_u)
-    if exact is not None:
-        assert point.dual_bound <= exact + 1e-12
-        assert point.rate == pytest.approx(exact, abs=1e-6)
+    assert point.dual_bound <= exact + 1e-12
+    assert point.rate == pytest.approx(exact, abs=1e-6)
+
+
+@st.composite
+def dsbs_cells(draw, alpha_max):
+    """(alpha, D_s, D_u) with D_u free or on a regime boundary of D_s (the
+    float at it or a neighbour), distortions from 0.01 to beyond 1/2."""
+    alpha = draw(st.floats(0.0, alpha_max) | st.sampled_from([0.0, alpha_max]))
+    d_s = draw(st.floats(0.01, 0.6) | st.sampled_from([alpha, 0.5]))
+    anchor = draw(st.sampled_from(["free", "implied", "slb", "alpha", "equal", "half"]))
+    d_u = {
+        "free": lambda: draw(st.floats(0.01, 0.6)),
+        "implied": lambda: star(alpha, min(d_s, 0.5)),
+        "slb": lambda: (alpha - d_s) / (1.0 - 2.0 * d_s) if d_s < alpha else d_s,
+        "alpha": lambda: alpha,
+        "equal": lambda: d_s,
+        "half": lambda: 0.5,
+    }[anchor]()
+    d_u = float(np.nextafter(d_u, draw(st.sampled_from([-np.inf, d_u, np.inf]))))
+    assume(0.01 <= d_s and 0.01 <= d_u)
+    return alpha, d_s, d_u
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=dsbs_cells(0.5))
+def test_dsbs_case2_model_is_the_closed_form(cell):
+    # The model's value, each solve started at its closed-form dual optimum,
+    # is the closed form, and no solve warns, over the whole range of alpha.
+    alpha, d_s, d_u = cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = binary_rdfs(alpha, d_s, d_u, 2)[2]
+    assert value == pytest.approx(dsbs_case2_closed_form(alpha, d_s, d_u), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=dsbs_cells(0.45))
+def test_dual_start_matches_the_cold_solve_for_less_work(cell):
+    # Up to alpha = 0.45: nearer 1/2 the cold solve stalls (over 20 s a cell at 0.499).
+    alpha, *pair = cell
+    pair = sorted(pair)
+    calls = []
+    evaluate = rdf._NewtonAscent.evaluate
+
+    def counted(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    ham = hamming_distortion(2)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        patch.setattr(rdf._NewtonAscent, "evaluate", counted)
+        warm = rdf_semantic_case2(dsbs(alpha), ham, ham, *pair,
+                                  start=binary._dual_start(alpha, *pair))
+        n_warm = len(calls)
+        cold = rdf_semantic_case2(dsbs(alpha), ham, ham, *pair)
+    assert warm.dual_bound == pytest.approx(cold.dual_bound, abs=1e-9)
+    assert n_warm <= len(calls) - n_warm
 
 
 ASYM = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])))
@@ -551,15 +610,18 @@ class TestBinaryClosedForms:
             assert joint <= r_s + r_u + 5e-3
 
     def test_joint_case2_is_the_certified_bound(self):
+        # The value is the dual bound of the same warm-started solve, not its
+        # rate: here 0.21581628022081126 against 0.2158162802207046.
         ham = hamming_distortion(2)
-        point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.25, 0.3)
-        assert point.dual_bound < point.rate
+        point = rdf_semantic_case2(dsbs(0.25), ham, ham, 0.25, 0.3,
+                                   start=binary._dual_start(0.25, 0.25, 0.3))
+        assert point.dual_bound != point.rate
         assert binary_rdfs(0.25, 0.25, 0.3, 2)[2] == point.dual_bound
 
     def test_joint_case2_swapped_cells_share_one_solve(self, monkeypatch):
         pairs = []
 
-        def fake_solve(src, d_s, d_u, target_s, target_u):
+        def fake_solve(src, d_s, d_u, target_s, target_u, start):
             pairs.append((target_s, target_u))
             return RdfPoint(0.0, (target_s, target_u), (0.0, 0.0), True,
                             dual_bound=target_s + 2.0 * target_u)
@@ -580,9 +642,9 @@ class TestBinaryClosedForms:
         calls = []
         solve = TwoConstraintSolver.solve
 
-        def counted(self, *args):
+        def counted(self, *args, **kwargs):
             calls.append(args[-2:])
-            return solve(self, *args)
+            return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(TwoConstraintSolver, "solve", counted)
         first = binary_rdfs(0.2, 0.35, 0.1, 2)[2]
@@ -590,8 +652,20 @@ class TestBinaryClosedForms:
         assert binary_rdfs(0.2, 0.1, 0.35, 2)[2] == first
 
     def test_joint_case2_warns_when_the_solver_does_not_converge(self, monkeypatch):
+        # The exact start meets the 1e-12 certificate in one iteration, so an
+        # iteration cap alone no longer starves the solve: the certificate
+        # must be out of reach as well (max c >= 1 > 2^-1).
         monkeypatch.setattr(rdf, "_BA_MAX_ITER", 2)
+        monkeypatch.setattr(rdf, "_BA_TOL", -1.0)
         with pytest.warns(RuntimeWarning, match=r"at targets \(0\.25, 0\.3\):.*gap"):
             value = binary_rdfs(0.25, 0.3, 0.25, 2)[2]
         # Starved or not, the value is a certified lower bound.
         assert 0.0 <= value <= JOINT_CASE2_03_025 + 1e-3
+
+    def test_joint_case2_near_alpha_half_converges(self):
+        # From the cold start this cell took over 20 s and ended uncertified.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = binary_rdfs(0.499, 0.48125, 0.48125, 2)[2]
+        assert value == pytest.approx(dsbs_case2_closed_form(0.499, 0.48125, 0.48125),
+                                      abs=1e-9)
