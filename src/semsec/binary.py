@@ -14,6 +14,7 @@ channel's secrecy capacity H_b(eps1 * eps2) - H_b(eps1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,9 +178,13 @@ def _slope(x: float) -> float:
 
 def _dual_start(alpha: float, d_s: float, d_u: float):
     """The optimal (multipliers, output distribution) of the doubly symmetric
-    source's two-constraint dual at 0 <= D_s <= D_u, both clipped at 1/2, or
-    None (the solver's cold start) where a multiplier is infinite, as at
-    D_s = 0.
+    source's two-constraint dual at 0 <= D_s <= D_u, both clipped to
+    [tiny, 1/2] with tiny the smallest normal float, or None (the solver's
+    cold start) should a multiplier still be infinite.
+
+    At D = 0 the optimal multiplier is infinite. The start is then the dual
+    optimum at D = tiny instead, whose multiplier h'(tiny) is about 1022; the
+    solver still meets the caller's targets, so only the start moves.
 
     Output letters are (s_hat, u_hat) = 00, 01, 10, 11. With x = D_s * D_u:
 
@@ -195,7 +200,7 @@ def _dual_start(alpha: float, d_s: float, d_u: float):
     Implied comes first, so that t is never 0/0: at alpha = 0 every pair is
     implied.
     """
-    d_s, d_u = min(d_s, 0.5), min(d_u, 0.5)
+    d_s, d_u = (min(max(d, sys.float_info.min), 0.5) for d in (d_s, d_u))
     x = star(d_s, d_u)
     if d_u >= star(alpha, d_s):
         lam, q = (_slope(d_s), 0.0), (0.5, 0.0, 0.0, 0.5)

@@ -179,22 +179,20 @@ def _resolve_config(args, subcommand: str) -> RunConfig:
     else:
         cfg = RunConfig(mode=subcommand if subcommand in _MODES else RunConfig.mode,
                         model=_MODE_MODEL.get(subcommand, RunConfig.model))
-    overrides = {}
-    if args.model and args.model != cfg.model:
-        overrides["model"] = args.model
-    if getattr(args, "case", None):
-        overrides["cases"] = (args.case,)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        overrides["samples"] = args.samples
-    if subcommand in _MODES:
-        overrides["mode"] = subcommand
-        if cfg.mode != subcommand and (args.preset or args.config):
-            raise ValidationError([
-                f"config is a {cfg.mode!r} run but the {subcommand!r} subcommand "
-                "was invoked"
-            ])
+    if subcommand in _MODES and cfg.mode != subcommand:  # only a preset or a file
+        raise ValidationError([
+            f"config is a {cfg.mode!r} run but the {subcommand!r} subcommand "
+            "was invoked"
+        ])
+    given = {
+        "model": args.model,
+        "cases": (args.case,) if args.case else None,
+        "seed": args.seed,
+        "samples": getattr(args, "samples", None),  # inner only
+    }
+    # A config is validated as it is built: rebuild it only for a new value.
+    overrides = {key: val for key, val in given.items()
+                 if val is not None and val != getattr(cfg, key)}
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -324,46 +322,64 @@ def _add_common(sub, *, with_samples=False):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_inner(sub):
+    _add_common(sub, with_samples=True)
+
+
+def _add_rdf(sub):
+    _add_common(sub)
+    sub.add_argument("--d-s", type=float, default=None, dest="d_s")
+    sub.add_argument("--d-u", type=float, default=None, dest="d_u")
+
+
+def _add_verify(sub):
+    sub.add_argument("--out", type=Path, default=None)
+
+
+def _add_preset(sub):
+    sub.add_argument("action", choices=("list", "show"))
+    sub.add_argument("name", nargs="?", default=None)
+
+
+#: name: (help line, the function that adds its arguments, its handler).
+_COMMANDS = {
+    "converse": ("minimal ratio over a distortion grid", _add_common, _cmd_converse),
+    "inner": ("Monte-Carlo inner-bound scan", _add_inner, _cmd_inner),
+    "curve": ("binary semantic tradeoff curve", _add_common, _cmd_curve),
+    "rdf": ("rate-distortion values at one point", _add_rdf, _cmd_rdf),
+    "verify": ("fast self-check battery", _add_verify, _cmd_verify),
+    "preset": ("list or show bundled presets", _add_preset, _cmd_preset),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` only that one's.
+
+    A one-command parser still names all six commands in its usage line, so
+    its help, usage and error text are the full parser's. (On the full
+    parser that name list stays the choices, not a metavar, because a
+    metavar would also replace "command" in its "required" error.)
+    """
     parser = argparse.ArgumentParser(
         prog="semsec",
         description="Secure semantic communication bounds: converse and "
                     "inner-bound evaluation, RDFs, and tradeoff curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("converse", help="minimal ratio over a distortion grid")
-    _add_common(p)
-    p.set_defaults(func=_cmd_converse)
-
-    p = sub.add_parser("inner", help="Monte-Carlo inner-bound scan")
-    _add_common(p, with_samples=True)
-    p.set_defaults(func=_cmd_inner)
-
-    p = sub.add_parser("curve", help="binary semantic tradeoff curve")
-    _add_common(p)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("rdf", help="rate-distortion values at one point")
-    _add_common(p)
-    p.add_argument("--d-s", type=float, default=None, dest="d_s")
-    p.add_argument("--d-u", type=float, default=None, dest="d_u")
-    p.set_defaults(func=_cmd_rdf)
-
-    p = sub.add_parser("verify", help="fast self-check battery")
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("preset", help="list or show bundled presets")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=_cmd_preset)
-
+    every = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **every)
+    for name in _COMMANDS if command is None else [command]:
+        help_line, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command that ``argv`` (by default ``sys.argv[1:]``) names,
+    building only that command's parser; its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "preset" and args.action == "show" and not args.name:
         print("preset show needs a preset name", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Command-line surface: artifact formats, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -639,6 +640,161 @@ class TestExitCodes:
         code, _, err = run_cli(["converse", "--config", str(path)], capsys)
         assert code == 2
         assert f"{path} is not valid JSON" in err
+
+
+TOP_USAGE = "usage: semsec [-h] {converse,inner,curve,rdf,verify,preset} ...\n"
+COMMON_OPTIONS = """\
+  --config CONFIG       path to a run-config JSON file
+  --preset PRESET       name of a bundled preset (see 'preset list')
+  --model {gaussian,binary}
+  --case {1,2}          restrict to one encoder case
+  --seed SEED
+"""
+CONVERSE_USAGE = """\
+usage: semsec converse [-h] [--config CONFIG] [--preset PRESET]
+                       [--model {gaussian,binary}] [--case {1,2}]
+                       [--seed SEED] [--out OUT] [--format {csv,json}]
+"""
+INNER_USAGE = """\
+usage: semsec inner [-h] [--config CONFIG] [--preset PRESET]
+                    [--model {gaussian,binary}] [--case {1,2}] [--seed SEED]
+                    [--samples SAMPLES] [--out OUT] [--format {csv,json}]
+"""
+PRESET_USAGE = "usage: semsec preset [-h] {list,show} [name]\n"
+OUT_FORMAT = """\
+  --out OUT             output path (stdout when omitted)
+  --format {csv,json}
+"""
+
+#: (exit code, stdout, stderr) of the parser's help, usage and error text,
+#: frozen when every call built the parser of all six commands.
+PARSER_TEXT = {
+    (): (2, "", TOP_USAGE + "semsec: error: the following arguments are required: command\n"),
+    ("--help",): (0, TOP_USAGE + """
+Secure semantic communication bounds: converse and inner-bound evaluation,
+RDFs, and tradeoff curves.
+
+positional arguments:
+  {converse,inner,curve,rdf,verify,preset}
+    converse            minimal ratio over a distortion grid
+    inner               Monte-Carlo inner-bound scan
+    curve               binary semantic tradeoff curve
+    rdf                 rate-distortion values at one point
+    verify              fast self-check battery
+    preset              list or show bundled presets
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("bogus",): (2, "", TOP_USAGE + "semsec: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'converse', 'inner', 'curve', 'rdf', 'verify', 'preset')\n"),
+    ("converse", "--help"): (0, CONVERSE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+""" + COMMON_OPTIONS + OUT_FORMAT, ""),
+    ("inner", "--help"): (0, INNER_USAGE + """
+options:
+  -h, --help            show this help message and exit
+""" + COMMON_OPTIONS + "  --samples SAMPLES     Monte-Carlo sample count\n" + OUT_FORMAT, ""),
+    ("curve", "--help"): (0, """\
+usage: semsec curve [-h] [--config CONFIG] [--preset PRESET]
+                    [--model {gaussian,binary}] [--case {1,2}] [--seed SEED]
+                    [--out OUT] [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+""" + COMMON_OPTIONS + OUT_FORMAT, ""),
+    ("rdf", "--help"): (0, """\
+usage: semsec rdf [-h] [--config CONFIG] [--preset PRESET]
+                  [--model {gaussian,binary}] [--case {1,2}] [--seed SEED]
+                  [--out OUT] [--format {csv,json}] [--d-s D_S] [--d-u D_U]
+
+options:
+  -h, --help            show this help message and exit
+""" + COMMON_OPTIONS + OUT_FORMAT + "  --d-s D_S\n  --d-u D_U\n", ""),
+    ("verify", "--help"): (0, """\
+usage: semsec verify [-h] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""", ""),
+    ("preset", "--help"): (0, PRESET_USAGE + """
+positional arguments:
+  {list,show}
+  name
+
+options:
+  -h, --help   show this help message and exit
+""", ""),
+    ("converse", "--samples", "3"): (
+        2, "", TOP_USAGE + "semsec: error: unrecognized arguments: --samples 3\n"),
+    ("inner", "--d-s", "1"): (2, "", TOP_USAGE + "semsec: error: unrecognized arguments: --d-s 1\n"),
+    ("curve", "--bogus"): (2, "", TOP_USAGE + "semsec: error: unrecognized arguments: --bogus\n"),
+    ("rdf", "--samples", "3"): (
+        2, "", TOP_USAGE + "semsec: error: unrecognized arguments: --samples 3\n"),
+    ("verify", "--seed", "1"): (
+        2, "", TOP_USAGE + "semsec: error: unrecognized arguments: --seed 1\n"),
+    ("preset", "list", "x", "y"): (2, "", TOP_USAGE + "semsec: error: unrecognized arguments: y\n"),
+    ("converse", "--case", "3"): (2, "", CONVERSE_USAGE + "semsec converse: error: argument "
+                                  "--case: invalid choice: 3 (choose from 1, 2)\n"),
+    ("inner", "--samples", "x"): (2, "", INNER_USAGE + "semsec inner: error: argument --samples: "
+                                  "invalid int value: 'x'\n"),
+    ("preset",): (2, "", PRESET_USAGE + "semsec preset: error: the following arguments are "
+                  "required: action\n"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", sorted(PARSER_TEXT), ids=" ".join)
+    def test_help_usage_and_errors_are_pinned(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out, captured.err) == PARSER_TEXT[argv]
+
+    @staticmethod
+    def _count_parsers(monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return made
+
+    def test_a_command_builds_only_its_own_parser(self, monkeypatch, capsys):
+        made = self._count_parsers(monkeypatch)
+        assert main(["preset", "list"]) == 0
+        assert made == ["semsec", "semsec preset"]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]], ids=("help", "empty", "bogus"))
+    def test_no_command_builds_every_parser(self, argv, monkeypatch, capsys):
+        made = self._count_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(made) == 7
+
+    @pytest.mark.parametrize("extra", [[], ["--model", "gaussian", "--case", "2", "--seed", "5"]],
+                             ids=("none", "equal"))
+    def test_a_config_is_validated_once(self, extra, tmp_path, monkeypatch, capsys):
+        # Overrides equal to the config's values leave it as it is.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian", "mode": "converse", "cases": [2],
+                                    "seed": 5, "d_s_grid": 2, "d_u_grid": 2}))
+        calls = []
+        real = semsec.config.validate_config
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(semsec.config, "validate_config", counted)
+        assert main(["converse", "--config", str(path)] + extra) == 0
+        assert len(calls) == 1
 
 
 class TestConfigModule:

@@ -484,6 +484,18 @@ def test_dsbs_case2_model_is_the_closed_form(cell):
     assert value == pytest.approx(dsbs_case2_closed_form(alpha, d_s, d_u), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-10, 0.25, 0.4999, 0.5])
+@pytest.mark.parametrize("d_s, d_u", [(0.0, 0.0), (0.0, 5e-324), (0.0, 1e-300), (0.0, 0.01),
+                                      (0.0, 0.1), (0.0, 0.5), (5e-324, 0.2), (0.0, 0.7)])
+def test_dsbs_case2_at_zero_distortion_is_the_closed_form(alpha, d_s, d_u):
+    # A zero or subnormal distortion has an infinite (or overflowing) optimal
+    # multiplier; the solve starts at the smallest normal distortion instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = binary_rdfs(alpha, d_s, d_u, 2)[2]
+    assert value == pytest.approx(dsbs_case2_closed_form(alpha, d_s, d_u), abs=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cell=dsbs_cells(0.45))
 def test_dual_start_matches_the_cold_solve_for_less_work(cell):
