@@ -15,93 +15,56 @@ observed through U) transmitted over a degraded wiretap channel:
 See the ``semsec`` CLI for runnable presets and artifact generation.
 """
 
-from .binary import (
-    SemanticSourceBinary,
-    WiretapChannelBinary,
-    binary_min_r,
-    delta_s_curve,
-)
-from .config import (
-    RunConfig,
-    config_hash,
-    dump_config,
-    get_preset,
-    load_config,
-    preset_names,
-)
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    InfeasibleError,
-    SemsecError,
-    ValidationError,
-)
-from .gaussian import (
-    SemanticSourceGaussian,
-    WiretapChannelGaussian,
-    converse_min_r,
-    draw_inner_samples,
-    gaussian_rdf_joint,
-    inner_bound_scan,
-)
-from .info import (
-    Pmf,
-    appendix_inequality_slack,
-    binary_entropy,
-    entropy,
-    mutual_information,
-    star,
-)
-from .rdf import (
-    DiscreteSemanticSource,
-    DistortionMatrix,
-    RdfPoint,
-    TwoConstraintSolver,
-    hamming_distortion,
-    modified_distortion,
-    rdf_classic,
-    rdf_semantic_case1,
-    rdf_semantic_case2,
-)
-from .regions import (
-    DISABLED,
-    EquivocationCaps,
-    EquivocationTargets,
-    MinRateResult,
-    RegionSurface,
-    TradeoffCurve,
-    converse_surface,
-    equivocation_caps,
-    min_ratio,
-)
-from .verify import run_verification
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: module: the names the package root exports from it. A module is imported
+#: the first time one of its names is read, so that a run loads only the
+#: model it evaluates.
+_EXPORTS = {
     # errors
-    "SemsecError", "DomainError", "ValidationError", "ConsistencyError",
-    "InfeasibleError",
+    "errors": ("SemsecError", "DomainError", "ValidationError", "ConsistencyError",
+               "InfeasibleError"),
     # information primitives
-    "Pmf", "binary_entropy", "star", "entropy", "mutual_information",
-    "appendix_inequality_slack",
+    "info": ("Pmf", "binary_entropy", "star", "entropy", "mutual_information",
+             "appendix_inequality_slack"),
     # discrete RDF machinery
-    "DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
-    "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
-    "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2",
+    "rdf": ("DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
+            "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
+            "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2"),
     # targets, shared result types and the converse routines of both models
-    "DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
-    "RegionSurface", "TradeoffCurve", "min_ratio", "equivocation_caps",
-    "converse_surface",
+    "regions": ("DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
+                "RegionSurface", "TradeoffCurve", "min_ratio", "equivocation_caps",
+                "converse_surface"),
     # Gaussian model
-    "SemanticSourceGaussian", "WiretapChannelGaussian",
-    "gaussian_rdf_joint", "converse_min_r",
-    "inner_bound_scan", "draw_inner_samples",
+    "gaussian": ("SemanticSourceGaussian", "WiretapChannelGaussian",
+                 "gaussian_rdf_joint", "converse_min_r",
+                 "inner_bound_scan", "draw_inner_samples"),
     # binary model
-    "SemanticSourceBinary", "WiretapChannelBinary",
-    "binary_min_r", "delta_s_curve",
+    "binary": ("SemanticSourceBinary", "WiretapChannelBinary",
+               "binary_min_r", "delta_s_curve"),
     # config and verification
-    "RunConfig", "load_config", "dump_config", "config_hash",
-    "get_preset", "preset_names", "run_verification",
-]
+    "config": ("RunConfig", "load_config", "dump_config", "config_hash",
+               "get_preset", "preset_names"),
+    "verify": ("run_verification",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """An exported name, read from its module, which is imported now if it
+    was not yet; a submodule of ``_EXPORTS`` by its own name."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,8 +9,9 @@ rdf        rate-distortion values at a single distortion pair
 verify     fast self-check battery (machine-readable report)
 preset     list or show the bundled run presets
 
-Exit codes: 0 success, 1 failed verification, 2 validation error or an
-output path that cannot be written, 3 infeasible everywhere.
+Exit codes: 0 success, 1 failed verification, 2 validation error, an
+output path that cannot be written, or a stdout closed before the output
+was written (as by ``| head``), 3 infeasible everywhere.
 
 Artifacts are deterministic byte-for-byte for a fixed config and seed.
 CSV files start with two comment lines: an artifact-format marker and the
@@ -18,19 +19,23 @@ config hash plus seed. Infeasible cells keep their row with an empty value
 column and feasible=0 (never NaN or infinities in CSV output). A surface
 CSV is written one block of rows at a time, so it is never held whole as
 text; a JSON artifact is written in one piece.
+
+A call imports only the model it runs: a config imports its model's module
+when it is built (see :mod:`semsec.config`), and each handler imports the
+code that only it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .binary import delta_s_curve
 from .config import (
     RunConfig,
     build_channel,
@@ -46,9 +51,7 @@ from .config import (
     _MODES,
 )
 from .errors import DomainError, ValidationError
-from .gaussian import inner_bound_scan
 from .regions import converse_surface
-from .verify import run_verification
 
 ARTIFACT_MARKER = "# semsec-artifact v2"
 SURFACE_COLUMNS = ("case", "D_s", "D_u", "r_min", "feasible", "samples")
@@ -223,6 +226,8 @@ def _cmd_converse(args) -> int:
 
 
 def _cmd_inner(args) -> int:
+    from .gaussian import inner_bound_scan
+
     cfg = _resolve_config(args, "inner")
     src = build_source(cfg)
     ch = build_channel(cfg)
@@ -241,6 +246,8 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .binary import delta_s_curve
+
     cfg = _resolve_config(args, "curve")
     src = build_source(cfg)
     ch = build_channel(cfg)
@@ -284,6 +291,8 @@ def _cmd_rdf(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _emit([text], args.out)
@@ -388,6 +397,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # What is still buffered goes to the null device, so that the flush
+        # at exit does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

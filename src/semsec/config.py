@@ -12,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -20,9 +21,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .binary import SemanticSourceBinary, WiretapChannelBinary
 from .errors import DomainError, ValidationError
-from .gaussian import SemanticSourceGaussian, WiretapChannelGaussian
+from .info import TWO_PI_E
 from .regions import DISABLED, EquivocationTargets
 
 __all__ = [
@@ -37,15 +37,16 @@ __all__ = [
     "resolve_distortion_grid",
 ]
 
-#: model: {part: (type, default parameters)}, for the source and the channel.
+#: model, which names its module ``semsec.<model>``: {part: (the type's name
+#: in that module, default parameters)}, for the source and the channel.
 _MODELS = {
     "gaussian": {
-        "source": (SemanticSourceGaussian, {"P_s": 0.7, "P_u": 1.0, "P_su": 0.6}),
-        "channel": (WiretapChannelGaussian, {"P": 1.0, "P_N1": 0.1, "P_N2": 0.4}),
+        "source": ("SemanticSourceGaussian", {"P_s": 0.7, "P_u": 1.0, "P_su": 0.6}),
+        "channel": ("WiretapChannelGaussian", {"P": 1.0, "P_N1": 0.1, "P_N2": 0.4}),
     },
     "binary": {
-        "source": (SemanticSourceBinary, {"alpha": 0.25}),
-        "channel": (WiretapChannelBinary, {"eps1": 0.1, "eps2": 0.3}),
+        "source": ("SemanticSourceBinary", {"alpha": 0.25}),
+        "channel": ("WiretapChannelBinary", {"eps1": 0.1, "eps2": 0.3}),
     },
 }
 _MODES = ("converse", "inner", "curve")
@@ -95,6 +96,9 @@ class RunConfig:
             object.__setattr__(
                 self, "R_k_values", tuple(float(v) for v in self.R_k_values)
             )
+        # A model is imported with the first config that names it, so that
+        # a run whose config is resolved imports nothing more.
+        _model_module(self.model)
 
     def targets(self) -> EquivocationTargets:
         return EquivocationTargets(self.delta_s, self.delta_u, self.delta_su, self.R_k)
@@ -191,9 +195,14 @@ def validate_config(cfg: RunConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _model_module(model: str):
+    """The module of ``model``, imported on first use."""
+    return importlib.import_module(f"{__package__}.{model}")
+
+
 def _build(cfg: RunConfig, part: str):
-    cls, defaults = _MODELS[cfg.model][part]
-    return cls(**{**defaults, **getattr(cfg, part)})
+    name, defaults = _MODELS[cfg.model][part]
+    return getattr(_model_module(cfg.model), name)(**{**defaults, **getattr(cfg, part)})
 
 
 def build_source(cfg: RunConfig):
@@ -317,8 +326,9 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: h(S) of the default Gaussian source: the semantic-secrecy target.
-_H_S = build_source(RunConfig(model="gaussian")).h_s
+#: h(S) of the default Gaussian source, with the bits of its ``h_s``: the
+#: semantic-secrecy target.
+_H_S = 0.5 * math.log2(TWO_PI_E * _MODELS["gaussian"]["source"][1]["P_s"])
 
 #: name: the fields of that preset.
 _PRESETS = {

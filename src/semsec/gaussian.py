@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +84,23 @@ class SemanticSourceGaussian:
                               f"({self.P_s}, {self.P_u}, {self.P_su})")
         if not (self.P_s > 0.0 and self.P_u > 0.0):
             raise DomainError(f"variances must be positive, got ({self.P_s}, {self.P_u})")
+        # det_k and rho2 read P_s P_u and P_su^2, so both must be finite,
+        # and P_s P_u a normal float to divide by.
+        try:
+            square = self.P_su**2
+        except OverflowError:
+            square = math.inf
+        product = self.P_s * self.P_u
+        if not (square < math.inf and sys.float_info.min <= product < math.inf):
+            raise DomainError(
+                f"source parameters out of range: P_s P_u = {product} and P_su^2 = {square} "
+                f"must be finite, and P_s P_u at least {sys.float_info.min}"
+            )
         # Relative, so that the check does not depend on the units.
-        if not self.P_su**2 <= self.P_s * self.P_u * (1.0 + 1e-12):
+        if not square <= product * (1.0 + 1e-12):
             raise DomainError(
                 f"covariance block not PSD: |P_su| = {abs(self.P_su)} exceeds "
-                f"sqrt(P_s P_u) = {math.sqrt(self.P_s * self.P_u)}"
+                f"sqrt(P_s P_u) = {math.sqrt(product)}"
             )
 
     @property
@@ -208,15 +221,18 @@ def _rdf_obs(src, d_u) -> np.ndarray:
 
 def _rdf_sem(src, d_s, case: int):
     """Semantic-part RDF at every distortion in ``d_s``, and the mask of those
-    the case-1 floor puts out of reach (where the RDF is +inf)."""
+    the case-1 floor puts out of reach (where the RDF is +inf). From D_s = P_s
+    on it is exactly 0, also where the floor is P_s itself (rho = 0)."""
     d_s = _distortions(d_s, positive=True)
     if case == 2:
         return _half_log2_plus(src.P_s / d_s), np.zeros(d_s.shape, dtype=bool)
     if case != 1:
         raise DomainError(f"case must be 1 or 2, got {case}")
     floor = (1.0 - src.rho2) * src.P_s
-    blocked = d_s <= floor
-    arg = np.divide(src.rho2 * src.P_s, d_s - floor, out=np.ones(d_s.shape), where=~blocked)
+    trivial = d_s >= src.P_s
+    blocked = (d_s <= floor) & ~trivial
+    arg = np.divide(src.rho2 * src.P_s, d_s - floor, out=np.ones(d_s.shape),
+                    where=~(blocked | trivial))
     return np.where(blocked, np.inf, _half_log2_plus(arg)), blocked
 
 
@@ -247,7 +263,8 @@ def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
     semantic-dominant, observation-dominant, weak-correlation product form,
     and the intermediate form with the correlation correction term. The
     deficit terms clamp at zero when a distortion exceeds the component
-    variance. Every value keeps the bits of the scalar closed form.
+    variance, and where both are zero the joint RDF is exactly 0. Every
+    value keeps the bits of the scalar closed form.
     """
     ps, pu, rho2 = src.P_s, src.P_u, src.rho2
     det_k = max(src.det_k, 0.0)
@@ -259,7 +276,8 @@ def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
     obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
     deficit = np.asarray(dhs * dhu)
     weak = ~(sem | obs) & (rho2 * ps * pu < deficit)
-    mid = ~(sem | obs | weak)
+    # Both deficits zero is the trivial scheme: the mid form there is 1 + ulp.
+    mid = ~(sem | obs | weak) & ((dhs > 0.0) | (dhu > 0.0))
     area = np.asarray(t_s * t_u)
     arg = np.ones(area.shape)
     arg[weak] = det_k / area[weak]

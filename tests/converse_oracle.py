@@ -53,6 +53,8 @@ def gaussian_rdf_sem(src, target_s, case):
     if case == 2:
         return 0.5 * _log2_plus(src.P_s / target_s)
     if case == 1:
+        if target_s >= src.P_s:
+            return 0.0
         floor = (1.0 - src.rho2) * src.P_s
         if target_s <= floor:
             raise InfeasibleError(f"semantic distortion {target_s} <= floor {floor}")
@@ -118,6 +120,8 @@ def gaussian_rdf_joint(src, target_s, target_u, case):
         return 0.5 * _log2_plus(pu / target_u)
     if rho2 * ps * pu < dhs * dhu:
         return 0.5 * _log2_plus(det_k / (target_s * target_u))
+    if dhs == 0.0 and dhu == 0.0:  # the trivial scheme, exactly
+        return 0.0
     corr = (math.sqrt(rho2 * ps * pu) - math.sqrt(dhs * dhu)) ** 2
     denom = target_s * target_u - corr
     if denom <= 0.0:

@@ -42,6 +42,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    """The environment of a child interpreter that imports this ``semsec``."""
+    src = str(Path(semsec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 class TestPresets:
     def test_list(self, capsys):
         code, out, _ = run_cli(["preset", "list"], capsys)
@@ -641,6 +648,33 @@ class TestExitCodes:
         assert code == 2
         assert f"{path} is not valid JSON" in err
 
+    @pytest.mark.parametrize("source", [
+        {"P_s": 1e170, "P_u": 1e170, "P_su": 1e170},  # P_su^2 overflows
+        {"P_s": 1e200, "P_u": 1e200, "P_su": 0.0},  # P_s P_u overflows
+        {"P_s": 1e-200, "P_u": 1e-200, "P_su": 0.0},  # P_s P_u underflows
+    ], ids=("square-overflows", "product-overflows", "product-underflows"))
+    def test_source_products_out_of_range_exit2(self, source, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian", "source": source}))
+        code, out, err = run_cli(["converse", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: source parameters out of range") and err.count("\n") == 1
+
+    def test_closed_stdout_exit2(self):
+        # The reader takes one line and closes the pipe while the artifact,
+        # about 100 kB, is still being written.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "semsec.cli", "converse", "--preset", "gaussian-converse-fig3"],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2
+        assert first == "# semsec-artifact v2\n"
+        assert err == "error: stdout was closed before the output was written\n"
+
 
 TOP_USAGE = "usage: semsec [-h] {converse,inner,curve,rdf,verify,preset} ...\n"
 COMMON_OPTIONS = """\
@@ -834,6 +868,25 @@ class TestConfigModule:
         assert set(PRESETS) <= set(names)
 
 
+class TestLazyNamespace:
+    """The package root imports a module the first time one of its names is
+    read, and otherwise behaves as if it had imported them all."""
+
+    def test_dir_covers_all(self):
+        assert set(semsec.__all__) <= set(dir(semsec))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from semsec import *", namespace)
+        assert set(semsec.__all__) <= set(namespace)
+        assert namespace["converse_surface"] is converse_surface
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'semsec' has no attribute 'nothing'"):
+            semsec.nothing
+        assert not hasattr(semsec, "rdf_components")
+
+
 class TestImportPath:
     """The runtime needs numpy only: no CLI path may load scipy."""
 
@@ -856,16 +909,51 @@ print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.startswi
             "model": "binary", "mode": "converse", "cases": [2],
             "d_s_grid": [0.3], "d_u_grid": [0.25],
         }))
-        src = str(Path(semsec.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg), str(tmp_path)],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=_src_env(), capture_output=True, text=True, check=True)
         result = json.loads(done.stdout.strip().splitlines()[-1])
         assert result["codes"] == [0, 0, 0]
         assert result["scipy"] == []
         rows = (tmp_path / "cell.csv").read_text().strip().splitlines()[3:]
         assert len(rows) == 1 and rows[0].split(",")[4] == "1"
+
+    ONE_MODEL = """
+import json, sys
+import semsec
+bare = sorted(m for m in sys.modules if m.startswith("semsec"))
+from semsec import cli, config
+target, out = sys.argv[1], sys.argv[2]
+given = ["--config" if target.endswith(".json") else "--preset", target]
+cfg = config.load_config(target) if target.endswith(".json") else config.get_preset(target)
+resolved = set(sys.modules)
+samples = ["--samples", "2000"] if cfg.mode == "inner" else []
+code = cli.main([cfg.mode, *given, *samples, "--out", out])
+print(json.dumps({"code": code, "bare": bare, "resolved": sorted(resolved),
+                  "added": sorted(set(sys.modules) - resolved)}))
+"""
+
+    @pytest.mark.parametrize("target, absent", [
+        ("binary-case2.json", {"semsec.gaussian", "semsec.verify", "numpy.random"}),
+        ("gaussian-inner-nosecrecy", {"semsec.binary", "semsec.rdf", "semsec.verify"}),
+        ("gaussian-converse-fig3", {"semsec.binary", "semsec.rdf", "semsec.verify"}),
+    ])
+    def test_a_call_loads_only_its_model(self, target, absent, tmp_path):
+        # A config loads its model when it is resolved, and main loads no
+        # further semsec module, so a call never pays for the other model.
+        if target.endswith(".json"):
+            target = str(tmp_path / target)
+            Path(target).write_text(json.dumps({
+                "model": "binary", "mode": "converse", "cases": [2],
+                "d_s_grid": [0.0625], "d_u_grid": [0.3125],
+            }))
+        done = subprocess.run(
+            [sys.executable, "-c", self.ONE_MODEL, target, str(tmp_path / "out.csv")],
+            env=_src_env(), capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0
+        assert result["bare"] == ["semsec"]
+        assert absent & {*result["resolved"], *result["added"]} == set()
+        assert [m for m in result["added"] if m.split(".")[0] == "semsec"] == []
 
     def test_no_scipy_import_in_src(self):
         pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)

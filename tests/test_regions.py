@@ -21,6 +21,7 @@ from semsec import (
     DISABLED,
     DomainError,
     EquivocationTargets,
+    MinRateResult,
     SemanticSourceBinary,
     SemanticSourceGaussian,
     WiretapChannelBinary,
@@ -391,6 +392,32 @@ def test_r_min_never_rises_with_distortion(model, case, data):
     r = np.where(np.isnan(r), np.inf, r)  # an infeasible cell needs more than any ratio
     assert (r[1:] <= r[:-1] * (1 + 1e-12) + 1e-12).all()
     assert (r[:, 1:] <= r[:, :-1] * (1 + 1e-12) + 1e-12).all()
+
+
+@pytest.mark.parametrize("case", (1, 2))
+@PROPERTY
+@given(data=st.data())
+def test_gaussian_trivial_scheme_meets_every_target_at_r_0(case, data):
+    # At D >= (P_s, P_u) nothing need be sent, so every RDF is exactly 0 and
+    # every target at or below its ceiling is met at r = 0. (P_s, P_u) itself
+    # is drawn on purpose: there the fourth regime's form rounds to 1 + ulp.
+    src, ch, _, _ = data.draw(gaussian_points())
+    past = st.one_of(st.just(1.0), st.floats(1.0, 4.0))
+    d_s, d_u = src.P_s * data.draw(past), src.P_u * data.draw(past)
+    tg = EquivocationTargets(*(data.draw(st.one_of(st.just(DISABLED), st.just(ceiling),
+                                                   st.floats(-5.0, ceiling)))
+                               for ceiling in (src.h_s, src.h_u, src.h_su)),
+                             data.draw(st.floats(0.0, 1.0)))
+    assert src.rdf_components(d_s, d_u, case)[0] == 0.0
+    assert min_ratio(src, ch, tg, d_s, d_u, case).cell() == MinRateResult(0.0, True,
+                                                                           binding="rate")
+
+
+def test_gaussian_joint_rdf_at_the_variances_is_exactly_0():
+    # Both deficits are 0 here, and on this source the fourth regime's form
+    # rounds to 1 + ulp, whose half log2 is 1.6e-16.
+    src = SemanticSourceGaussian(0.7, 1.0, 0.6)
+    assert [src.rdf_components(0.7, 1.0, case)[0] for case in (1, 2)] == [0.0, 0.0]
 
 
 def test_gaussian_joint_rdf_keeps_libm_bits():
