@@ -312,6 +312,8 @@ def converse_min_r(
 # inner bound: auxiliary-structure sampler
 # ---------------------------------------------------------------------------
 
+#: Draws per chunk. Chunk ``ci`` of a scan draws from ``SeedSequence(seed,
+#: spawn_key=(ci,))``, and the scan holds one chunk at a time.
 _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
 
@@ -692,6 +694,34 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 
 
+def _inner_chunks(
+    src: SemanticSourceGaussian,
+    ch: WiretapChannelGaussian,
+    targets: EquivocationTargets,
+    case: int,
+    n_samples: int,
+    seed: int,
+):
+    """Yield ``(d_s, d_u, r, accepted, reason)`` for each chunk of ``_CHUNK``
+    draws, the last one cut to ``n_samples``. Chunk ``ci`` draws from
+    ``SeedSequence(seed, spawn_key=(ci,))``, the ``ci``-th child that
+    ``SeedSequence(seed).spawn`` would give, so a chunk's draws do not depend
+    on how many follow it. The inputs are checked before the first draw."""
+    if case not in (1, 2):
+        raise DomainError(f"case must be 1 or 2, got {case}")
+    if n_samples < 1:
+        raise DomainError(f"need at least one sample, got {n_samples}")
+    if targets.R_k != 0.0:
+        raise DomainError("the inner bound is evaluated for zero key rate only")
+    for ci in range((n_samples + _CHUNK - 1) // _CHUNK):
+        rng = default_rng(SeedSequence(seed, spawn_key=(ci,)))
+        g = _sample_sigma1_batch(src, case, _CHUNK, rng)
+        sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
+        take = min(_CHUNK, n_samples - ci * _CHUNK)
+        t = _inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case)
+        yield (t["d_s"], t["d_u"], *_accept_draws(t, targets, src))
+
+
 def draw_inner_samples(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -704,34 +734,16 @@ def draw_inner_samples(
 
     Returns per-sample arrays: achieved distortions ``d_s``/``d_u``, minimal
     ratios ``r`` (NaN where discarded), an ``accepted`` mask, and the
-    ``reason`` codes (see :data:`REASON_NAMES`). Sampling is chunked with
-    per-chunk substreams spawned from the master seed, so the first k
-    samples are identical for every ``n_samples >= k`` (fixed-seed prefix
-    stability). This is the one inner-bound evaluator; ``n_samples=1``
-    evaluates a single draw.
+    ``reason`` codes (see :data:`REASON_NAMES`). Sampling is chunked, and
+    chunk ``ci`` draws from its own substream ``SeedSequence(seed,
+    spawn_key=(ci,))`` of the master seed, so the first k samples are
+    identical for every ``n_samples >= k`` (fixed-seed prefix stability).
+    This is the concatenation of the chunks that :func:`inner_bound_scan`
+    folds one at a time; ``n_samples=1`` evaluates a single draw.
     """
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    if n_samples < 1:
-        raise DomainError(f"need at least one sample, got {n_samples}")
-    if targets.R_k != 0.0:
-        raise DomainError("the inner bound is evaluated for zero key rate only")
-    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    children = SeedSequence(seed).spawn(n_chunks)
-    out = {key: [] for key in ("d_s", "d_u", "r", "accepted", "reason")}
-    for ci in range(n_chunks):
-        rng = default_rng(children[ci])
-        g = _sample_sigma1_batch(src, case, _CHUNK, rng)
-        sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
-        take = min(_CHUNK, n_samples - ci * _CHUNK)
-        t = _inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case)
-        r, accepted, reason = _accept_draws(t, targets, src)
-        out["d_s"].append(t["d_s"])
-        out["d_u"].append(t["d_u"])
-        out["r"].append(r)
-        out["accepted"].append(accepted)
-        out["reason"].append(reason)
-    return {key: np.concatenate(vals) for key, vals in out.items()}
+    chunks = list(zip(*_inner_chunks(src, ch, targets, case, n_samples, seed)))
+    return {key: np.concatenate(vals)
+            for key, vals in zip(("d_s", "d_u", "r", "accepted", "reason"), chunks)}
 
 
 def inner_bound_scan(
@@ -747,11 +759,14 @@ def inner_bound_scan(
 
     Draws ``n_samples`` auxiliary structures, evaluates the minimal ratio
     for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
-    Buckets without accepted samples are reported as no-data (never
-    interpolated). Deterministic for a fixed seed, with a stable prefix
-    under sample-count growth. ``grid`` is a bucket count for both axes or
-    a (D_s, D_u) pair of counts; the buckets split the source's
-    ``distortion_range``, [0, P_s] and [0, P_u], evenly.
+    The draws are those of :func:`draw_inner_samples`, chunk ``ci`` from
+    ``SeedSequence(seed, spawn_key=(ci,))``, but each chunk is folded into
+    the bucket grid as soon as it is drawn and then dropped, so memory does
+    not grow with ``n_samples``. Buckets without accepted samples are
+    reported as no-data (never interpolated). Deterministic for a fixed
+    seed, with a stable prefix under sample-count growth. ``grid`` is a
+    bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
+    split the source's ``distortion_range``, [0, P_s] and [0, P_u], evenly.
     """
     n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
     if min(n_bs, n_bu) < 1:
@@ -759,26 +774,26 @@ def inner_bound_scan(
     hi_s, hi_u = src.distortion_range
     edges_s = np.linspace(0.0, hi_s, n_bs + 1)
     edges_u = np.linspace(0.0, hi_u, n_bu + 1)
-    samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
-    acc = samples["accepted"]
-    r_grid = np.full((n_bs, n_bu), np.inf)
-    counts = np.zeros((n_bs, n_bu), dtype=int)
-    bi = np.clip(np.digitize(samples["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
-    bj = np.clip(np.digitize(samples["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
-    np.minimum.at(r_grid, (bi, bj), samples["r"][acc])
-    np.add.at(counts, (bi, bj), 1)
-    reason_counts = {
-        REASON_NAMES[int(code)]: int(cnt)
-        for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))
-    }
-    meta = {"accepted": int(acc.sum()), "discard_reasons": reason_counts}
+    r_flat = np.full(n_bs * n_bu, np.inf)
+    counts = np.zeros(n_bs * n_bu, dtype=int)
+    reasons = np.zeros(len(REASON_NAMES), dtype=int)
+    for d_s, d_u, r, acc, reason in _inner_chunks(src, ch, targets, case, n_samples, seed):
+        flat = (np.clip(np.digitize(d_s[acc], edges_s) - 1, 0, n_bs - 1) * n_bu
+                + np.clip(np.digitize(d_u[acc], edges_u) - 1, 0, n_bu - 1))
+        np.minimum.at(r_flat, flat, r[acc])
+        counts += np.bincount(flat, minlength=n_bs * n_bu)
+        reasons += np.bincount(reason, minlength=len(REASON_NAMES))
+    meta = {"accepted": int(reasons[0]),
+            "discard_reasons": {REASON_NAMES[code]: int(cnt)
+                                for code, cnt in enumerate(reasons) if cnt}}
+    counts = counts.reshape(n_bs, n_bu)
     has_data = counts > 0
     return RegionSurface(
         axes={
             "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
             "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
         },
-        values=np.where(has_data, r_grid, np.nan),
+        values=np.where(has_data, r_flat.reshape(n_bs, n_bu), np.nan),
         feasible=has_data,
         samples=counts,
         metadata=meta,

@@ -1,0 +1,60 @@
+"""The inner scan as one concatenated sweep, bucketed afterwards.
+
+The reference for ``semsec.gaussian.inner_bound_scan``, which folds each
+chunk of draws into its bucket grid as the chunk is drawn and then drops
+it. This copy first draws every sample with ``draw_inner_samples``, then
+buckets the accepted draws in one pass and counts the reasons with
+``np.unique``. A minimum, a count and a sum do not depend on how the draws
+are split, so the two are checked against each other bit for bit:
+``values`` (NaN included), ``feasible``, ``samples`` and ``metadata``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from semsec.errors import DomainError
+from semsec.gaussian import REASON_NAMES, draw_inner_samples
+from semsec.regions import RegionSurface
+
+
+def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
+                     grid: int | tuple[int, int] = 40) -> RegionSurface:
+    """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
+
+    Draws ``n_samples`` auxiliary structures, evaluates the minimal ratio
+    for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
+    Buckets without accepted samples are reported as no-data. ``grid`` is a
+    bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
+    split the source's ``distortion_range`` evenly.
+    """
+    n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
+    if min(n_bs, n_bu) < 1:
+        raise DomainError(f"the scan needs at least one bucket per axis, got {grid}")
+    hi_s, hi_u = src.distortion_range
+    edges_s = np.linspace(0.0, hi_s, n_bs + 1)
+    edges_u = np.linspace(0.0, hi_u, n_bu + 1)
+    samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
+    acc = samples["accepted"]
+    r_grid = np.full((n_bs, n_bu), np.inf)
+    counts = np.zeros((n_bs, n_bu), dtype=int)
+    bi = np.clip(np.digitize(samples["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
+    bj = np.clip(np.digitize(samples["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
+    np.minimum.at(r_grid, (bi, bj), samples["r"][acc])
+    np.add.at(counts, (bi, bj), 1)
+    reason_counts = {
+        REASON_NAMES[int(code)]: int(cnt)
+        for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))
+    }
+    meta = {"accepted": int(acc.sum()), "discard_reasons": reason_counts}
+    has_data = counts > 0
+    return RegionSurface(
+        axes={
+            "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
+            "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
+        },
+        values=np.where(has_data, r_grid, np.nan),
+        feasible=has_data,
+        samples=counts,
+        metadata=meta,
+    )

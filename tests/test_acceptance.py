@@ -138,9 +138,10 @@ def test_criterion_3_inner_bound_sandwich():
         for case in (1, 2):
             out = draw_inner_samples(src, ch, tg, case, cfg.samples, cfg.seed)
             idx = np.flatnonzero(out["accepted"])
-            # The converse at every accepted draw, as one set of points.
+            # The converse at every accepted draw, as one set of points. A
+            # draw accepted where the converse is infeasible is a violation too.
             lower = min_ratio(src, ch, tg, out["d_s"][idx], out["d_u"][idx], case)
-            violations = int(np.sum(lower.feasible & (out["r"][idx] < lower.r_min - 1e-6)))
+            violations = int(np.sum(~lower.feasible | (out["r"][idx] < lower.r_min - 1e-6)))
             scan = inner_bound_scan(src, ch, tg, case, cfg.samples, cfg.seed)
             a, b = np.nonzero(scan.feasible)
             lower = min_ratio(src, ch, tg, np.asarray(scan.axes["D_s"])[a],
