@@ -267,14 +267,4 @@ def delta_s_curve(
             f"case-1 grid must start above the distortion floor alpha = {src.alpha}"
         )
     raw = R_k + r * ch.secrecy_capacity + 1.0 - _binary_sem(float(src.alpha), grid, case)
-    clamped = np.minimum(raw, 1.0)
-    capped = raw > 1.0
-    star_idx = np.flatnonzero(capped)
-    d_s_star = float(grid[star_idx[0]]) if star_idx.size else None
-    return TradeoffCurve(
-        d_s=grid,
-        delta_s_max=clamped,
-        raw=raw,
-        capped=capped,
-        d_s_star=d_s_star,
-    )
+    return TradeoffCurve(d_s=grid, delta_s_max=np.minimum(raw, 1.0), raw=raw)

@@ -113,7 +113,7 @@ def _csv_blocks(case, surface):
     sample count with the row's newline."""
     feasible = surface.feasible.ravel()
     values, samples = surface.values.ravel(), surface.samples.ravel()
-    n_u = surface.feasible.shape[1]
+    n_u = surface.values.shape[1]
     d_s = np.array([f"{case},{v:.12g}," for v in surface.axes["D_s"].tolist()], dtype=object)
     d_u = np.array([f"{v:.12g}," for v in surface.axes["D_u"].tolist()], dtype=object)
     for start in range(0, feasible.size, _BLOCK_CELLS):

@@ -34,7 +34,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import DomainError, InfeasibleError
 from .info import TWO_PI_E
 from .regions import (DISABLED, EquivocationTargets, MinRateResult, RegionSurface, _distortions,
-                      min_ratio)
+                      _first_cell, min_ratio)
 
 __all__ = [
     "SemanticSourceGaussian",
@@ -158,9 +158,7 @@ class SemanticSourceGaussian:
             r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(self, d_s, d_u, r_s, r_u)
         bad = ~blocked & ~(np.isfinite(r_s) & np.isfinite(r_u) & np.isfinite(r_j))
         if bad.any():
-            at = tuple(np.argwhere(bad)[0])
-            cell = [np.broadcast_to(d, bad.shape)[at] for d in (d_s, d_u)]
-            raise DomainError(f"the RDFs are not finite at (D_s, D_u) = ({cell[0]}, {cell[1]}): "
+            raise DomainError(f"the RDFs are not finite at {_first_cell(bad, d_s, d_u)}: "
                               "the distortions are too small to evaluate")
         return r_j, (
             ("delta_s", self.h_s, r_s),
@@ -193,10 +191,10 @@ class WiretapChannelGaussian:
 
     @property
     def secrecy_capacity(self) -> float:
-        """Main minus eavesdropper capacity; zero when P_N2 = 0."""
-        return 0.5 * (
-            math.log2(1.0 + self.P / self.P_N1) - math.log2(1.0 + self.P / self.P_N)
-        )
+        """Main minus eavesdropper capacity, as one log1p so that it keeps its
+        relative precision where P_N2 << P_N1; zero when P_N2 = 0."""
+        gain = self.P * self.P_N2 / (self.P_N1 * (self.P_N + self.P))
+        return math.log1p(gain) / (2.0 * math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +785,12 @@ def inner_bound_scan(
             "discard_reasons": {REASON_NAMES[code]: int(cnt)
                                 for code, cnt in enumerate(reasons) if cnt}}
     counts = counts.reshape(n_bs, n_bu)
-    has_data = counts > 0
     return RegionSurface(
         axes={
             "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
             "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
         },
-        values=np.where(has_data, r_flat.reshape(n_bs, n_bu), np.nan),
-        feasible=has_data,
+        values=np.where(counts > 0, r_flat.reshape(n_bs, n_bu), np.nan),
         samples=counts,
         metadata=meta,
     )

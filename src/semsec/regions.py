@@ -8,7 +8,7 @@ terms, through the ``rdf_components(d_s, d_u, case)`` method of its source
 type, which each routine calls itself with the source it is given. The
 minimal ratio takes any two broadcastable distortion arrays: a grid is
 (n, 1) x (1, m), scattered points are (k,) x (k,), and two floats give one
-cell; the equivocation caps take one cell.
+cell; the equivocation caps take the same shapes.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ def _distortions(d, positive: bool) -> np.ndarray:
     return d
 
 
+def _first_cell(mask, d_s, d_u) -> str:
+    """"(D_s, D_u) = (x, y)" at the first cell where ``mask`` holds, all three
+    broadcast together."""
+    mask, d_s, d_u = np.broadcast_arrays(mask, d_s, d_u)
+    at = tuple(np.argwhere(mask)[0])
+    return f"(D_s, D_u) = ({d_s[at]}, {d_u[at]})"
+
+
 @dataclass(frozen=True)
 class EquivocationTargets:
     """Secrecy thresholds (bits) plus the shared-key rate.
@@ -83,7 +91,8 @@ class EquivocationTargets:
 
 @dataclass(frozen=True)
 class EquivocationCaps:
-    """Equivocation upper bounds at a fixed operating point.
+    """Equivocation upper bounds at fixed operating points, each of the
+    distortions' broadcast shape (numpy scalars at one cell).
 
     ``delta_s`` / ``delta_u`` / ``delta_su`` are the operative caps, clamped
     at the unconditional entropy of the corresponding source component.
@@ -92,38 +101,46 @@ class EquivocationCaps:
     flag where the clamp fired.
     """
 
-    delta_s: float
-    delta_u: float
-    delta_su: float
-    raw_delta_s: float
-    raw_delta_u: float
-    raw_delta_su: float
-    capped_s: bool
-    capped_u: bool
-    capped_su: bool
+    delta_s: np.ndarray | float
+    delta_u: np.ndarray | float
+    delta_su: np.ndarray | float
+    raw_delta_s: np.ndarray | float
+    raw_delta_u: np.ndarray | float
+    raw_delta_su: np.ndarray | float
+
+    @property
+    def capped_s(self):
+        return self.raw_delta_s > self.delta_s
+
+    @property
+    def capped_u(self):
+        return self.raw_delta_u > self.delta_u
+
+    @property
+    def capped_su(self):
+        return self.raw_delta_su > self.delta_su
 
 
 @dataclass(frozen=True)
 class MinRateResult:
     """Minimal channel-use ratio, or an infeasibility verdict with a reason.
 
-    ``binding`` names the constraint that determined the minimum (one of
-    "rate", "delta_s", "delta_u", "delta_su") when feasible.
+    ``r_min`` is None exactly when infeasible. ``binding`` names the
+    constraint that determined the minimum (one of "rate", "delta_s",
+    "delta_u", "delta_su") when feasible.
     """
 
     r_min: float | None
-    feasible: bool
     reason: str | None = None
     binding: str | None = None
 
     def __post_init__(self):
-        if self.feasible:
-            if self.r_min is None or not math.isfinite(self.r_min) or self.r_min < 0:
-                raise DomainError(
-                    f"feasible result requires a finite nonnegative r_min, got {self.r_min}"
-                )
-        elif self.r_min is not None:
-            raise DomainError("infeasible result must not carry an r_min value")
+        if self.r_min is not None:
+            _finite_nonnegative("a feasible r_min", self.r_min)
+
+    @property
+    def feasible(self) -> bool:
+        return self.r_min is not None
 
 
 #: What ``RatioGrid.binding`` codes name: the constraint that set the minimum.
@@ -157,9 +174,8 @@ class RatioGrid:
     def cell(self, *index: int) -> MinRateResult:
         code = int(self.reason[index])
         if code == 0:
-            return MinRateResult(float(self.r_min[index]), True,
-                                 binding=BINDINGS[self.binding[index]])
-        return MinRateResult(None, False, reason=REASONS[code])
+            return MinRateResult(float(self.r_min[index]), binding=BINDINGS[self.binding[index]])
+        return MinRateResult(None, reason=REASONS[code])
 
 
 def min_ratio(src, ch, targets: EquivocationTargets, d_s, d_u, case: int) -> RatioGrid:
@@ -206,38 +222,31 @@ def min_ratio(src, ch, targets: EquivocationTargets, d_s, d_u, case: int) -> Rat
     return RatioGrid(np.where(reason == 0, r_min, np.nan), binding, reason)
 
 
-def equivocation_caps(src, ch, d_s: float, d_u: float, r: float, R_k: float = 0.0,
+def equivocation_caps(src, ch, d_s, d_u, r: float, R_k: float = 0.0,
                       case: int = 2) -> EquivocationCaps:
-    """Equivocation upper bounds at one cell, channel-use ratio ``r`` and key
-    rate ``R_k``.
+    """Equivocation upper bounds at channel-use ratio ``r`` and key rate
+    ``R_k``, at the cells of any two broadcastable distortions, as in
+    :func:`min_ratio`.
 
     Each raw cap is ``R_k + r * ch.secrecy_capacity + h - R`` per component
     of ``src.rdf_components``, clamped at the unconditional entropies
     ``src.h_s``, ``src.h_u`` and ``src.h_su`` (see :class:`EquivocationCaps`
-    for both values and the clamp flags). ``d_s`` and ``d_u`` must be
-    scalars, else :class:`DomainError`. A distortion out of the encoder's
-    reach raises :class:`InfeasibleError`.
+    for both values and the clamp flags). A cell out of the encoder's reach
+    raises :class:`InfeasibleError` naming the first such cell.
     """
-    if np.ndim(d_s) or np.ndim(d_u):
-        raise DomainError("equivocation_caps takes one cell: d_s and d_u must be scalars")
     _finite_nonnegative("channel-use ratio", r)
     _finite_nonnegative("key rate", R_k)
-    _, components, blocked = src.rdf_components(d_s, d_u, case)
-    if blocked:
-        raise InfeasibleError("the restricted encoder cannot reach this semantic distortion")
-    raw_s, raw_u, raw_su = [(R_k + r * ch.secrecy_capacity + h_term - rdf).item()
-                            for _, h_term, rdf in components]
-    return EquivocationCaps(
-        delta_s=min(raw_s, src.h_s),
-        delta_u=min(raw_u, src.h_u),
-        delta_su=min(raw_su, src.h_su),
-        raw_delta_s=raw_s,
-        raw_delta_u=raw_u,
-        raw_delta_su=raw_su,
-        capped_s=raw_s > src.h_s,
-        capped_u=raw_u > src.h_u,
-        capped_su=raw_su > src.h_su,
-    )
+    r_joint, components, blocked = src.rdf_components(d_s, d_u, case)
+    if np.any(blocked):
+        raise InfeasibleError("the restricted encoder cannot reach the semantic distortion at "
+                              + _first_cell(blocked, d_s, d_u))
+    bought = R_k + r * ch.secrecy_capacity
+    caps = {}
+    for name, h_term, rdf in components:
+        raw = bought + h_term - np.broadcast_to(rdf, r_joint.shape)
+        caps[name] = np.minimum(raw, getattr(src, _CEILINGS[name]))
+        caps[f"raw_{name}"] = raw
+    return EquivocationCaps(**caps)
 
 
 @dataclass(frozen=True)
@@ -245,31 +254,30 @@ class RegionSurface:
     """A (D_s, D_u) grid of minimal channel-use ratios.
 
     ``axes`` maps axis names to bucket-center coordinate arrays. ``values``
-    holds the per-cell value where ``feasible`` is True and NaN elsewhere
-    (value present exactly when the cell is feasible). ``samples`` counts
-    contributing Monte-Carlo samples (0 for closed-form surfaces).
-    ``metadata`` carries the inner-bound scan's acceptance statistics.
+    holds the per-cell value, finite where the cell is feasible and NaN
+    elsewhere. ``samples`` counts contributing Monte-Carlo samples (0 for
+    closed-form surfaces). ``metadata`` carries the inner-bound scan's
+    acceptance statistics.
     """
 
     axes: dict[str, np.ndarray]
     values: np.ndarray
-    feasible: np.ndarray
     samples: np.ndarray
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        feasible = np.asarray(self.feasible, dtype=bool)
         samples = np.asarray(self.samples, dtype=int)
-        if not (values.shape == feasible.shape == samples.shape):
+        if values.shape != samples.shape:
             raise DomainError("surface component shapes disagree")
-        if np.any(~np.isfinite(values[feasible])):
-            raise DomainError("feasible cells must carry finite values")
-        if np.any(np.isfinite(values[~feasible])):
-            raise DomainError("infeasible cells must not carry values")
+        if np.isinf(values).any():
+            raise DomainError("surface values must be finite, or NaN where infeasible")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "samples", samples)
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return ~np.isnan(self.values)
 
 
 def converse_surface(
@@ -288,7 +296,6 @@ def converse_surface(
     return RegionSurface(
         axes={"D_s": d_s_grid, "D_u": d_u_grid},
         values=grid.r_min,
-        feasible=grid.feasible,
         samples=np.zeros(grid.r_min.shape, dtype=int),
     )
 
@@ -305,10 +312,16 @@ class TradeoffCurve:
     d_s: np.ndarray
     delta_s_max: np.ndarray
     raw: np.ndarray
-    capped: np.ndarray
-    d_s_star: float | None
 
     def __post_init__(self):
-        d_s = np.asarray(self.d_s, dtype=float)
-        if not (d_s.shape == np.shape(self.delta_s_max) == np.shape(self.raw) == np.shape(self.capped)):
+        if not (np.shape(self.d_s) == np.shape(self.delta_s_max) == np.shape(self.raw)):
             raise DomainError("curve component shapes disagree")
+
+    @property
+    def capped(self) -> np.ndarray:
+        return self.raw > self.delta_s_max
+
+    @property
+    def d_s_star(self) -> float | None:
+        star = np.flatnonzero(self.capped)
+        return float(self.d_s[star[0]]) if star.size else None

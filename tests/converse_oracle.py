@@ -146,11 +146,9 @@ def gaussian_regime(src, target_s, target_u):
 def gaussian_slope(ch, beta):
     """Half the log-ratio gap between the legitimate and eavesdropper SNRs
     when a share ``beta`` of the power carries the secret; the secrecy
-    capacity at beta = 1."""
+    capacity at beta = 1, in the same log1p form."""
     p_eff = beta * ch.P
-    return 0.5 * (
-        math.log2(1.0 + p_eff / ch.P_N1) - math.log2(1.0 + p_eff / ch.P_N)
-    )
+    return math.log1p(p_eff * ch.P_N2 / (ch.P_N1 * (ch.P_N + p_eff))) / (2.0 * math.log(2.0))
 
 
 def binary_slope(ch, gamma):
@@ -189,7 +187,7 @@ def min_ratio(r_joint, capacity, components, targets, slope, ceilings):
     A target above its entropy in ``ceilings`` (a name-to-bits mapping) is
     never met."""
     if r_joint > 0.0 and capacity <= 0.0:
-        return MinRateResult(None, False, reason="rate_infeasible")
+        return MinRateResult(None, reason="rate_infeasible")
     r_min = r_joint / capacity if r_joint > 0.0 else 0.0
     binding = "rate"
     for name, h_term, rdf in components:
@@ -197,24 +195,24 @@ def min_ratio(r_joint, capacity, components, targets, slope, ceilings):
         if target == DISABLED:
             continue
         if target > ceilings[name]:
-            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
+            return MinRateResult(None, reason=f"secrecy_infeasible_{name}")
         need = target - (targets.R_k + h_term - rdf)
         if need <= 0.0:
             continue  # already met at r = 0
         cand = need / slope if slope > 0.0 else math.inf
         if not math.isfinite(cand):
-            return MinRateResult(None, False, reason=f"secrecy_infeasible_{name}")
+            return MinRateResult(None, reason=f"secrecy_infeasible_{name}")
         if cand > r_min:
             r_min = cand
             binding = name
-    return MinRateResult(r_min, True, binding=binding)
+    return MinRateResult(r_min, binding=binding)
 
 
 def _min_r(components, src, ch, target_s, target_u, targets, case, slope):
     try:
         r_j, comps = components(src, target_s, target_u, case)
     except InfeasibleError:
-        return MinRateResult(None, False, reason="distortion_infeasible")
+        return MinRateResult(None, reason="distortion_infeasible")
     slope = ch.secrecy_capacity if slope is None else slope
     ceilings = {"delta_s": src.h_s, "delta_u": src.h_u, "delta_su": src.h_su}
     return min_ratio(r_j, ch.capacity_main, comps, targets, slope, ceilings)

@@ -47,14 +47,12 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
         for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))
     }
     meta = {"accepted": int(acc.sum()), "discard_reasons": reason_counts}
-    has_data = counts > 0
     return RegionSurface(
         axes={
             "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
             "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
         },
-        values=np.where(has_data, r_grid, np.nan),
-        feasible=has_data,
+        values=np.where(counts > 0, r_grid, np.nan),
         samples=counts,
         metadata=meta,
     )

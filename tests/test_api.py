@@ -57,6 +57,15 @@ REMOVED_PARAMETERS = (
     (regions.equivocation_caps, "gamma1"),
     (regions.equivocation_caps, "gamma2"),
     (binary.delta_s_curve, "gamma1"),
+    # A result type stores no flag it can derive: feasibility from the
+    # values, the clamp flags from the raw and clamped caps.
+    (regions.RegionSurface, "feasible"),
+    (regions.MinRateResult, "feasible"),
+    (regions.EquivocationCaps, "capped_s"),
+    (regions.EquivocationCaps, "capped_u"),
+    (regions.EquivocationCaps, "capped_su"),
+    (regions.TradeoffCurve, "capped"),
+    (regions.TradeoffCurve, "d_s_star"),
 )
 # Methods and attributes that nothing reads: the CLI zips the curve's arrays
 # itself, the minimal ratio skips a disabled target by its value, and the

@@ -223,7 +223,6 @@ def surfaces(draw):
             axes={"D_s": np.array(draw(st.lists(finite, min_size=n, max_size=n))),
                   "D_u": np.array(draw(st.lists(finite, min_size=m, max_size=m)))},
             values=np.where(feasible, cells, np.nan).reshape(n, m),
-            feasible=feasible.reshape(n, m),
             samples=np.array([counts[i % len(counts)] for i in draw(pick)]).reshape(n, m),
         )
     return out
@@ -232,7 +231,7 @@ def surfaces(draw):
 def _surface(values, feasible, samples, d_s=(0.5,), d_u=(0.25,)):
     values, feasible = np.array(values, dtype=float), np.array(feasible)
     return {1: RegionSurface(axes={"D_s": np.array(d_s), "D_u": np.array(d_u)},
-                             values=np.where(feasible, values, np.nan), feasible=feasible,
+                             values=np.where(feasible, values, np.nan),
                              samples=np.array(samples))}
 
 
@@ -661,11 +660,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: source parameters out of range") and err.count("\n") == 1
 
-    def test_closed_stdout_exit2(self):
-        # The reader takes one line and closes the pipe while the artifact,
-        # about 100 kB, is still being written.
+    def test_closed_stdout_exit2(self, tmp_path):
+        # The reader takes one line and closes the pipe while the artifact of
+        # a 300 x 300 grid, about 6 MB, is still being written.
+        path = tmp_path / "fig3-300.json"
+        dump_config(replace(get_preset("gaussian-converse-fig3"), d_s_grid=300, d_u_grid=300),
+                    path)
         child = subprocess.Popen(
-            [sys.executable, "-m", "semsec.cli", "converse", "--preset", "gaussian-converse-fig3"],
+            [sys.executable, "-m", "semsec.cli", "converse", "--config", str(path)],
             env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         first = child.stdout.readline()
         child.stdout.close()

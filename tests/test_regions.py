@@ -9,6 +9,7 @@ per-cell oracle in ``converse_oracle``.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import converse_oracle as oracle
@@ -21,6 +22,7 @@ from semsec import (
     DISABLED,
     DomainError,
     EquivocationTargets,
+    InfeasibleError,
     MinRateResult,
     SemanticSourceBinary,
     SemanticSourceGaussian,
@@ -34,7 +36,7 @@ from semsec import (
     min_ratio,
 )
 from semsec.cli import main
-from semsec.regions import REASONS
+from semsec.regions import BINDINGS, REASONS
 
 NAMES = ("delta_s", "delta_u", "delta_su")
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -394,6 +396,55 @@ def test_r_min_never_rises_with_distortion(model, case, data):
     assert (r[:, 1:] <= r[:, :-1] * (1 + 1e-12) + 1e-12).all()
 
 
+REDUCTION = settings(max_examples=15, deadline=None)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(GRIDS))
+@pytest.mark.parametrize("case", (1, 2))
+@REDUCTION
+@given(data=st.data())
+def test_no_secrecy_is_source_channel_separation(model, case, data):
+    # With every target disabled the converse is the rate bound alone:
+    # R_joint / C at every reachable cell, 0 where nothing need be sent, and
+    # rate-infeasible where C = 0 and R_joint > 0.
+    src, ch, d_s, d_u = data.draw(GRIDS[model][0])
+    grid = np.array(d_s)[:, None], np.array(d_u)[None, :]
+    tg = EquivocationTargets.no_secrecy(data.draw(st.floats(0.0, 1.0)))
+    got = min_ratio(src, ch, tg, *grid, case)
+    r_joint, _, blocked = src.rdf_components(*grid, case)
+    blocked = np.broadcast_to(blocked, r_joint.shape)
+    for index in np.ndindex(r_joint.shape):
+        r_j, res = float(r_joint[index]), got.cell(*index)
+        if blocked[index]:
+            assert res.reason == "distortion_infeasible"
+        elif r_j == 0.0:
+            assert res == MinRateResult(0.0, binding="rate")
+        elif ch.capacity_main > 0.0:
+            assert res == MinRateResult(r_j / ch.capacity_main, binding="rate")
+        else:
+            assert res.reason == "rate_infeasible"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(GRIDS))
+@pytest.mark.parametrize("case", (1, 2))
+@REDUCTION
+@given(data=st.data(), tg=targets)
+def test_no_eavesdropper_advantage_buys_no_target(model, case, data, tg):
+    # With a zero secrecy capacity (P_N2 = 0, or eps2 = 0) no target is
+    # bought with channel uses: a feasible cell needs only the rate bound.
+    src, ch, d_s, d_u = data.draw(GRIDS[model][0])
+    ch = replace(ch, **{"P_N2" if model == "gaussian" else "eps2": 0.0})
+    assert ch.secrecy_capacity == 0.0
+    grid = np.array(d_s)[:, None], np.array(d_u)[None, :]
+    got = min_ratio(src, ch, tg, *grid, case)
+    free = min_ratio(src, ch, EquivocationTargets.no_secrecy(tg.R_k), *grid, case)
+    ok = got.feasible
+    np.testing.assert_array_equal(got.r_min[ok].view(np.int64), free.r_min[ok].view(np.int64))
+    assert (got.binding[ok] == BINDINGS.index("rate")).all()
+
+
 @pytest.mark.parametrize("case", (1, 2))
 @PROPERTY
 @given(data=st.data())
@@ -409,8 +460,7 @@ def test_gaussian_trivial_scheme_meets_every_target_at_r_0(case, data):
                                for ceiling in (src.h_s, src.h_u, src.h_su)),
                              data.draw(st.floats(0.0, 1.0)))
     assert src.rdf_components(d_s, d_u, case)[0] == 0.0
-    assert min_ratio(src, ch, tg, d_s, d_u, case).cell() == MinRateResult(0.0, True,
-                                                                           binding="rate")
+    assert min_ratio(src, ch, tg, d_s, d_u, case).cell() == MinRateResult(0.0, binding="rate")
 
 
 def test_gaussian_joint_rdf_at_the_variances_is_exactly_0():
@@ -482,9 +532,35 @@ def test_target_above_the_entropy_is_infeasible(model, target):
     assert equivocation_caps(src, ch, d_s, d_u, r=100.0, case=1).delta_s == src.h_s
 
 
+CAP_FIELDS = (*NAMES, *(f"raw_{name}" for name in NAMES), "capped_s", "capped_u", "capped_su")
+
+
 @pytest.mark.parametrize("model", sorted(VALID))
-def test_caps_take_one_cell(model):
+@pytest.mark.parametrize("case", (1, 2))
+def test_caps_on_a_grid_are_the_per_cell_caps(model, case):
+    # The caps take any broadcastable distortions, as min_ratio does, and a
+    # scalar call gives numpy float64 caps. The grid reaches past the clamp.
     src, ch, (d_s, d_u), _ = VALID[model]
-    for pair in ((np.array([d_s, d_s]), d_u), (d_s, np.array([d_u]))):
-        with pytest.raises(DomainError, match="one cell"):
-            equivocation_caps(src, ch, *pair, r=1.0)
+    axes = np.array([[d_s], [1.5 * d_s]]), np.array([d_u, 0.5 * d_u])
+    grid = equivocation_caps(src, ch, *axes, r=0.02, R_k=0.1, case=case)
+    cells = [[equivocation_caps(src, ch, t_s, t_u, r=0.02, R_k=0.1, case=case)
+              for t_u in axes[1].tolist()] for t_s in axes[0].ravel().tolist()]
+    for name in CAP_FIELDS:
+        want = np.array([[getattr(cell, name) for cell in row] for row in cells])
+        assert getattr(grid, name).shape == (2, 2)
+        np.testing.assert_array_equal(getattr(grid, name), want)
+        if not name.startswith("capped"):
+            np.testing.assert_array_equal(getattr(grid, name).view(np.int64), want.view(np.int64))
+            assert all(type(getattr(cell, name)) is np.float64 for row in cells for cell in row)
+    assert grid.capped_s.any() and not grid.capped_s.all()
+
+
+@pytest.mark.parametrize("model", sorted(VALID))
+def test_caps_name_the_first_unreachable_cell(model):
+    # D_s = 0.2 is below the case-1 floor of both sources.
+    src, ch, (d_s, d_u), _ = VALID[model]
+    with pytest.raises(InfeasibleError, match=re.escape(f"(D_s, D_u) = (0.2, {d_u})")):
+        equivocation_caps(src, ch, np.array([[d_s], [0.2], [0.2]]), np.array([d_u, 0.5]),
+                          r=1.0, case=1)
+    with pytest.raises(InfeasibleError, match=re.escape(f"(D_s, D_u) = (0.2, {d_u})")):
+        equivocation_caps(src, ch, 0.2, d_u, r=1.0, case=1)
