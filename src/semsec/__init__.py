@@ -10,7 +10,7 @@ observed through U) transmitted over a degraded wiretap channel:
   compatible with distortion and secrecy targets,
 * a Monte-Carlo inner-bound scan over jointly Gaussian auxiliary
   structures, and
-* the binary semantic distortion-equivocation tradeoff curve.
+* the semantic distortion-equivocation tradeoff curve.
 
 See the ``semsec`` CLI for runnable presets and artifact generation.
 """
@@ -33,17 +33,16 @@ _EXPORTS = {
     "rdf": ("DiscreteSemanticSource", "DistortionMatrix", "RdfPoint",
             "TwoConstraintSolver", "hamming_distortion", "modified_distortion",
             "rdf_classic", "rdf_semantic_case1", "rdf_semantic_case2"),
-    # targets, shared result types and the converse routines of both models
+    # targets, shared result types, the converse routines and curve of both models
     "regions": ("DISABLED", "EquivocationTargets", "EquivocationCaps", "MinRateResult",
                 "RegionSurface", "TradeoffCurve", "min_ratio", "equivocation_caps",
-                "converse_surface"),
+                "converse_surface", "delta_s_curve"),
     # Gaussian model
     "gaussian": ("SemanticSourceGaussian", "WiretapChannelGaussian",
                  "gaussian_rdf_joint", "converse_min_r",
                  "inner_bound_scan", "draw_inner_samples"),
     # binary model
-    "binary": ("SemanticSourceBinary", "WiretapChannelBinary",
-               "binary_min_r", "delta_s_curve"),
+    "binary": ("SemanticSourceBinary", "WiretapChannelBinary", "binary_min_r"),
     # config and verification
     "config": ("RunConfig", "load_config", "dump_config", "config_hash",
                "get_preset", "preset_names"),

@@ -1,6 +1,5 @@
 """Binary system model: doubly symmetric source over a cascaded BSC wiretap
-channel, with its rate-distortion functions and the semantic tradeoff
-curve.
+channel, with its rate-distortion functions.
 
 Model summary. The observation U is uniform Bernoulli and the semantic
 component S is U passed through a bit-flip channel with crossover alpha, so
@@ -16,21 +15,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .info import binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion, rdf_semantic_case2
-from .regions import (EquivocationTargets, MinRateResult, TradeoffCurve, _distortions,
-                      _finite_nonnegative, min_ratio)
+from .regions import EquivocationTargets, MinRateResult, _distortions, delta_s_curve, min_ratio
 
 __all__ = [
     "SemanticSourceBinary",
     "WiretapChannelBinary",
     "binary_min_r",
-    "delta_s_curve",
+    "delta_s_curve",  # from semsec.regions; the benchmark imports it from here
 ]
 
 
@@ -62,6 +59,26 @@ class SemanticSourceBinary:
     def h_su(self) -> float:
         return 1.0 + binary_entropy(self.alpha)
 
+    def semantic_floor(self, case: int) -> float:
+        """The smallest D_s the encoder can reach: alpha in case 1, 0 in case 2."""
+        return self.alpha if case == 1 else 0.0
+
+    def rdf_sem(self, d_s, case: int):
+        """Semantic-part RDF at every distortion in ``d_s``, and the mask of
+        those below case 1's floor alpha (where the RDF is +inf)."""
+        d_s = _distortions(d_s, positive=False)
+        out = np.zeros(d_s.shape)
+        near = d_s <= 0.5 if case == 2 else d_s < 0.5
+        if case == 2:
+            out[near] = 1.0 - binary_entropy(d_s[near])
+        elif case == 1:
+            out[d_s < self.alpha] = np.inf
+            near &= d_s >= self.alpha
+            out[near] = 1.0 - binary_entropy((d_s[near] - self.alpha) / (1.0 - 2.0 * self.alpha))
+        else:
+            raise DomainError(f"case must be 1 or 2, got {case}")
+        return out, np.isinf(out)
+
     def rdf_components(self, d_s, d_u, case: int):
         """The joint RDF, its (name, entropy, RDF) converse components and the
         mask of cells below the case-1 floor, at the distortions ``d_s`` and
@@ -75,14 +92,14 @@ class SemanticSourceBinary:
         """
         alpha = float(self.alpha)
         h_alpha = binary_entropy(alpha)
-        r_s = _binary_sem(alpha, d_s, case)
+        r_s, blocked = self.rdf_sem(d_s, case)
         r_u = _binary_obs(alpha, h_alpha, d_u)
         r_j = _binary_joint(alpha, d_s, d_u, case, r_s, r_u)
         return r_j, (
             ("delta_s", 1.0, r_s),
             ("delta_u", h_alpha, r_u),
             ("delta_su", h_alpha + 1.0, r_j),
-        ), np.isinf(r_s)
+        ), blocked
 
 
 @dataclass(frozen=True)
@@ -124,23 +141,6 @@ def _binary_obs(alpha: float, h_alpha: float, d_u) -> np.ndarray:
     out = np.zeros(d_u.shape)
     near = d_u <= alpha
     out[near] = h_alpha - binary_entropy(d_u[near])
-    return out
-
-
-def _binary_sem(alpha: float, d_s, case: int) -> np.ndarray:
-    """Semantic-part RDF at every distortion in ``d_s``; +inf below case 1's
-    floor alpha."""
-    d_s = _distortions(d_s, positive=False)
-    out = np.zeros(d_s.shape)
-    near = d_s <= 0.5 if case == 2 else d_s < 0.5
-    if case == 2:
-        out[near] = 1.0 - binary_entropy(d_s[near])
-    elif case == 1:
-        out[d_s < alpha] = np.inf
-        near &= d_s >= alpha
-        out[near] = 1.0 - binary_entropy((d_s[near] - alpha) / (1.0 - 2.0 * alpha))
-    else:
-        raise DomainError(f"case must be 1 or 2, got {case}")
     return out
 
 
@@ -218,7 +218,7 @@ def _dual_start(alpha: float, d_s: float, d_u: float):
 
 
 # ---------------------------------------------------------------------------
-# converse bound and tradeoff curve
+# converse bound
 # ---------------------------------------------------------------------------
 
 
@@ -232,39 +232,3 @@ def binary_min_r(
 ) -> MinRateResult:
     """:func:`semsec.regions.min_ratio` at one cell."""
     return min_ratio(src, ch, targets, target_s, target_u, case).cell()
-
-
-def delta_s_curve(
-    src: SemanticSourceBinary,
-    ch: WiretapChannelBinary,
-    r: float,
-    R_k: float = 0.0,
-    case: int = 1,
-    d_s_grid: int | Sequence[float] = 200,
-) -> TradeoffCurve:
-    """Semantic equivocation cap as a function of the distortion budget.
-
-    Sweeps D_s at fixed (r, R_k); the raw cap rises with D_s until it hits
-    the one-bit entropy ceiling at the saturation distortion, beyond which
-    the clamped curve is exactly flat. An integer ``d_s_grid`` is a point
-    count spanning the feasible range for the requested case (starting just
-    above alpha for the restricted encoder) up to 1/2.
-    """
-    _finite_nonnegative("channel-use ratio", r)
-    _finite_nonnegative("key rate", R_k)
-    if case not in (1, 2):
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    if isinstance(d_s_grid, int):
-        lo = src.alpha + 1e-4 if case == 1 else 1e-4
-        d_s_grid = np.linspace(lo, 0.5, d_s_grid)
-    grid = np.asarray(d_s_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise DomainError("D_s grid must be one-dimensional and strictly increasing")
-    if grid[0] <= 0.0:
-        raise DomainError("distortions must be positive")
-    if case == 1 and grid[0] <= src.alpha:
-        raise DomainError(
-            f"case-1 grid must start above the distortion floor alpha = {src.alpha}"
-        )
-    raw = R_k + r * ch.secrecy_capacity + 1.0 - _binary_sem(float(src.alpha), grid, case)
-    return TradeoffCurve(d_s=grid, delta_s_max=np.minimum(raw, 1.0), raw=raw)

@@ -4,7 +4,7 @@ Subcommands
 -----------
 converse   minimal channel-use ratio over a distortion grid (both models)
 inner      Monte-Carlo inner-bound scan (Gaussian model)
-curve      binary semantic distortion-equivocation tradeoff curve
+curve      semantic distortion-equivocation tradeoff curve (both models)
 rdf        rate-distortion values at a single distortion pair
 verify     fast self-check battery (machine-readable report)
 preset     list or show the bundled run presets
@@ -246,7 +246,7 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    from .binary import delta_s_curve
+    from .regions import delta_s_curve
 
     cfg = _resolve_config(args, "curve")
     src = build_source(cfg)
@@ -354,7 +354,7 @@ def _add_preset(sub):
 _COMMANDS = {
     "converse": ("minimal ratio over a distortion grid", _add_common, _cmd_converse),
     "inner": ("Monte-Carlo inner-bound scan", _add_inner, _cmd_inner),
-    "curve": ("binary semantic tradeoff curve", _add_common, _cmd_curve),
+    "curve": ("semantic tradeoff curve", _add_common, _cmd_curve),
     "rdf": ("rate-distortion values at one point", _add_rdf, _cmd_rdf),
     "verify": ("fast self-check battery", _add_verify, _cmd_verify),
     "preset": ("list or show bundled presets", _add_preset, _cmd_preset),

@@ -51,7 +51,7 @@ _MODELS = {
 }
 _MODES = ("converse", "inner", "curve")
 #: Modes that run for one model only.
-_MODE_MODEL = {"inner": "gaussian", "curve": "binary"}
+_MODE_MODEL = {"inner": "gaussian"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class RunConfig:
     ``mode`` selects the computation: ``converse`` evaluates the minimal
     channel-use ratio over a distortion grid, ``inner`` runs the
     Monte-Carlo inner-bound scan (Gaussian only), ``curve`` sweeps the
-    binary semantic tradeoff curve. Grid fields accept an integer bucket
+    semantic tradeoff curve. Grid fields accept an integer bucket
     count, an explicit point list, or a ``{"points": [...]}`` mapping (see
     :func:`resolve_distortion_grid`); the inner-bound scan takes counts only.
     """

@@ -139,6 +139,27 @@ class SemanticSourceGaussian:
         l11 = math.sqrt(max(self.P_u - l10**2, 0.0))
         return np.array([[l00, 0.0], [l10, l11]])
 
+    def semantic_floor(self, case: int) -> float:
+        """The least D_s in reach: (1 - rho^2) P_s in case 1, 0 in case 2."""
+        return (1.0 - self.rho2) * self.P_s if case == 1 else 0.0
+
+    @np.errstate(over="ignore")
+    def rdf_sem(self, d_s, case: int):
+        """Semantic-part RDF at every distortion in ``d_s``, +inf without a
+        warning where it overflows, and the mask of those below the case-1
+        floor (+inf too). From D_s = P_s on it is 0, also at rho = 0."""
+        d_s = _distortions(d_s, positive=True)
+        if case == 2:
+            return _half_log2_plus(self.P_s / d_s), np.zeros(d_s.shape, dtype=bool)
+        if case != 1:
+            raise DomainError(f"case must be 1 or 2, got {case}")
+        floor = self.semantic_floor(1)
+        trivial = d_s >= self.P_s
+        blocked = (d_s <= floor) & ~trivial
+        arg = np.divide(self.rho2 * self.P_s, d_s - floor, out=np.ones(d_s.shape),
+                        where=~(blocked | trivial))
+        return np.where(blocked, np.inf, _half_log2_plus(arg)), blocked
+
     def rdf_components(self, d_s, d_u, case: int):
         """The joint RDF, its (name, entropy, RDF) converse components and the
         mask of cells below the case-1 floor, at the distortions ``d_s`` and
@@ -153,7 +174,7 @@ class SemanticSourceGaussian:
         :class:`DomainError` naming it.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r_s, blocked = _rdf_sem(self, d_s, case)
+            r_s, blocked = self.rdf_sem(d_s, case)
             r_u = _rdf_obs(self, d_u)
             r_j = np.maximum(r_s, r_u) if case == 1 else _joint_case2(self, d_s, d_u, r_s, r_u)
         bad = ~blocked & ~(np.isfinite(r_s) & np.isfinite(r_u) & np.isfinite(r_j))
@@ -192,8 +213,9 @@ class WiretapChannelGaussian:
     @property
     def secrecy_capacity(self) -> float:
         """Main minus eavesdropper capacity, as one log1p so that it keeps its
-        relative precision where P_N2 << P_N1; zero when P_N2 = 0."""
-        gain = self.P * self.P_N2 / (self.P_N1 * (self.P_N + self.P))
+        relative precision where P_N2 << P_N1; zero when P_N2 = 0. No factor
+        of the gain overflows or underflows where the gain itself does not."""
+        gain = self.P_N2 / (self.P_N1 * (self.P_N / self.P + 1.0))
         return math.log1p(gain) / (2.0 * math.log(2.0))
 
 
@@ -217,23 +239,6 @@ def _rdf_obs(src, d_u) -> np.ndarray:
     return _half_log2_plus(src.P_u / _distortions(d_u, positive=True))
 
 
-def _rdf_sem(src, d_s, case: int):
-    """Semantic-part RDF at every distortion in ``d_s``, and the mask of those
-    the case-1 floor puts out of reach (where the RDF is +inf). From D_s = P_s
-    on it is exactly 0, also where the floor is P_s itself (rho = 0)."""
-    d_s = _distortions(d_s, positive=True)
-    if case == 2:
-        return _half_log2_plus(src.P_s / d_s), np.zeros(d_s.shape, dtype=bool)
-    if case != 1:
-        raise DomainError(f"case must be 1 or 2, got {case}")
-    floor = (1.0 - src.rho2) * src.P_s
-    trivial = d_s >= src.P_s
-    blocked = (d_s <= floor) & ~trivial
-    arg = np.divide(src.rho2 * src.P_s, d_s - floor, out=np.ones(d_s.shape),
-                    where=~(blocked | trivial))
-    return np.where(blocked, np.inf, _half_log2_plus(arg)), blocked
-
-
 def gaussian_rdf_joint(
     src: SemanticSourceGaussian, target_s: float, target_u: float, case: int
 ) -> float:
@@ -244,7 +249,7 @@ def gaussian_rdf_joint(
     if blocked:
         raise InfeasibleError(
             f"restricted encoder cannot reach semantic distortion {target_s} "
-            f"<= floor {(1.0 - src.rho2) * src.P_s}"
+            f"<= floor {src.semantic_floor(1)}"
         )
     return float(r_j)
 
@@ -261,7 +266,8 @@ def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
     semantic-dominant, observation-dominant, weak-correlation product form,
     and the intermediate form with the correlation correction term. The
     deficit terms clamp at zero when a distortion exceeds the component
-    variance, and where both are zero the joint RDF is exactly 0. Every
+    variance, and where both are zero the joint RDF is exactly 0; with no
+    observation deficit a cell is semantic-dominant, also at rho = 0. Every
     value keeps the bits of the scalar closed form.
     """
     ps, pu, rho2 = src.P_s, src.P_u, src.rho2
@@ -270,7 +276,7 @@ def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
     dhs = np.maximum(ps - t_s, 0.0)
     dhu = np.maximum(pu - t_u, 0.0)
     # The four regimes, tested in this order per cell.
-    sem = (dhs > 0.0) & (rho2 * dhs * pu > dhu * ps)
+    sem = (dhs > 0.0) & ((rho2 * dhs * pu > dhu * ps) | (dhu == 0.0))
     obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
     deficit = np.asarray(dhs * dhu)
     weak = ~(sem | obs) & (rho2 * ps * pu < deficit)

@@ -1,5 +1,5 @@
-"""Equivocation targets, the converse routines and the result containers
-shared by the Gaussian and binary models.
+"""Equivocation targets, the converse routines, the semantic tradeoff curve
+and the result containers shared by the Gaussian and binary models.
 
 Both converses read ``r >= max(R(D_s, D_u) / C, (Delta - (R_k + h - R)) / C_s)``
 over the enabled targets, with C the main-channel capacity and C_s the
@@ -32,6 +32,7 @@ __all__ = [
     "min_ratio",
     "equivocation_caps",
     "converse_surface",
+    "delta_s_curve",
 ]
 
 #: Sentinel for a disabled equivocation target.
@@ -325,3 +326,34 @@ class TradeoffCurve:
     def d_s_star(self) -> float | None:
         star = np.flatnonzero(self.capped)
         return float(self.d_s[star[0]]) if star.size else None
+
+
+def delta_s_curve(src, ch, r: float, R_k: float = 0.0, case: int = 1,
+                  d_s_grid: int | Sequence[float] = 200) -> TradeoffCurve:
+    """The Delta_s cap of :func:`equivocation_caps` along a D_s line at fixed
+    (r, R_k), read from the semantic component ``src.rdf_sem(d_s, case)``
+    alone, which also rejects a case other than 1 or 2. The raw cap rises
+    with D_s until it hits the entropy ``src.h_s``, beyond which the clamped
+    curve is exactly flat. An integer ``d_s_grid`` is a point count from just
+    above ``src.semantic_floor(case)`` to the top of ``src.distortion_range``.
+    A grid not above the floor, or an overflowing RDF, raises DomainError."""
+    _finite_nonnegative("channel-use ratio", r)
+    _finite_nonnegative("key rate", R_k)
+    floor = src.semantic_floor(case)
+    if isinstance(d_s_grid, int):
+        lo, hi = floor + 2e-4 * src.distortion_range[0], src.distortion_range[0]
+        if lo >= hi:
+            raise DomainError(f"the case-{case} floor {floor} leaves no D_s range below {hi}")
+        d_s_grid = np.linspace(lo, hi, d_s_grid)
+    grid = np.asarray(d_s_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
+        raise DomainError("D_s grid must be one-dimensional and strictly increasing")
+    if grid[0] <= floor:
+        raise DomainError(f"the case-{case} D_s grid must start above the distortion floor "
+                          f"{floor}, got {grid[0]}")
+    r_s, _ = src.rdf_sem(grid, case)
+    if not np.isfinite(r_s).all():
+        raise DomainError(f"the semantic RDF is not finite at D_s = {grid[~np.isfinite(r_s)][0]}: "
+                          "the distortion is too small to evaluate")
+    raw = R_k + r * ch.secrecy_capacity + src.h_s - r_s
+    return TradeoffCurve(d_s=grid, delta_s_max=np.minimum(raw, src.h_s), raw=raw)

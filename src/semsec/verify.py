@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from .binary import SemanticSourceBinary, WiretapChannelBinary, delta_s_curve
+from .binary import SemanticSourceBinary, WiretapChannelBinary
 from .errors import InfeasibleError
 from .gaussian import SemanticSourceGaussian, WiretapChannelGaussian, draw_inner_samples
 from .info import Pmf, appendix_inequality_slack, binary_entropy, star
 from .rdf import DiscreteSemanticSource, hamming_distortion
-from .regions import DISABLED, EquivocationTargets, equivocation_caps, min_ratio
+from .regions import DISABLED, EquivocationTargets, delta_s_curve, equivocation_caps, min_ratio
 
 __all__ = ["run_verification"]
 
@@ -48,7 +48,7 @@ def _spot_values():
         f"secrecy capacity: {cs1:.10f}",
     ))
     src = SemanticSourceGaussian(0.7, 1.0, 0.6)
-    floor = (1.0 - src.rho2) * src.P_s
+    floor = src.semantic_floor(1)
     checks.append(_check(
         "case1-distortion-floor", abs(floor - 0.34) < 1e-12,
         f"(1 - rho^2) P_s = {floor:.12f}",

@@ -114,7 +114,7 @@ def gaussian_rdf_joint(src, target_s, target_u, case):
     det_k = max(src.det_k, 0.0)
     dhs = max(ps - target_s, 0.0)
     dhu = max(pu - target_u, 0.0)
-    if dhs > 0.0 and rho2 * dhs * pu > dhu * ps:
+    if dhs > 0.0 and (rho2 * dhs * pu > dhu * ps or dhu == 0.0):
         return 0.5 * _log2_plus(ps / target_s)
     if dhu > 0.0 and rho2 * dhu * ps >= dhs * pu:
         return 0.5 * _log2_plus(pu / target_u)
@@ -136,7 +136,7 @@ def gaussian_regime(src, target_s, target_u):
     ps, pu, rho2 = src.P_s, src.P_u, src.rho2
     dhs = max(ps - target_s, 0.0)
     dhu = max(pu - target_u, 0.0)
-    if dhs > 0.0 and rho2 * dhs * pu > dhu * ps:
+    if dhs > 0.0 and (rho2 * dhs * pu > dhu * ps or dhu == 0.0):
         return 1
     if dhu > 0.0 and rho2 * dhu * ps >= dhs * pu:
         return 2
@@ -146,9 +146,11 @@ def gaussian_regime(src, target_s, target_u):
 def gaussian_slope(ch, beta):
     """Half the log-ratio gap between the legitimate and eavesdropper SNRs
     when a share ``beta`` of the power carries the secret; the secrecy
-    capacity at beta = 1, in the same log1p form."""
+    capacity at beta = 1, in the same log1p form and the same order."""
     p_eff = beta * ch.P
-    return math.log1p(p_eff * ch.P_N2 / (ch.P_N1 * (ch.P_N + p_eff))) / (2.0 * math.log(2.0))
+    if p_eff == 0.0:
+        return 0.0
+    return math.log1p(ch.P_N2 / (ch.P_N1 * (ch.P_N / p_eff + 1.0))) / (2.0 * math.log(2.0))
 
 
 def binary_slope(ch, gamma):

@@ -29,6 +29,8 @@ REMOVED = (
     # Binary case 2 solves each distinct cell of a call once, with no
     # module-level cache.
     "_binary_joint_case2_cached",
+    # Each source type's rdf_sem method evaluates its semantic RDF.
+    "_rdf_sem", "_binary_sem",
 )
 # Options that nothing at run time set: the solver has no knobs, and the
 # converse no split. Blahut-Arimoto reads its tolerance and iteration cap

@@ -429,6 +429,28 @@ class TestCurveCommand:
             twin = out_b.parent / path.name
             assert path.read_bytes() == twin.read_bytes()
 
+    def test_gaussian_curve(self, capsys):
+        code, out, err = run_cli(["curve", "--model", "gaussian", "--case", "1"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[2] == "D_s,delta_s_max,capped"
+        assert "nan" not in out and "inf" not in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields, message", [
+        ({"cases": [1], "source": {"P_su": 0.0}},
+         "error: the case-1 floor 0.7 leaves no D_s range below 0.7\n"),
+        ({"d_s_grid": {"points": [1e-320, 0.5]}},
+         "error: the semantic RDF is not finite at D_s = 1e-320: the distortion is too small "
+         "to evaluate\n"),
+    ], ids=("floor", "overflow"))
+    def test_gaussian_curve_out_of_range_exit2(self, fields, message, tmp_path, capsys):
+        # With P_su = 0 the case-1 floor is P_s itself, so no D_s grid lies
+        # above it; a D_s near the smallest floats overflows R_S(D_s). One
+        # error line each, and no numpy warning.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "gaussian", "mode": "curve", **fields}))
+        assert run_cli(["curve", "--config", str(path)], capsys) == (2, "", message)
+
     def test_curve_schema(self, capsys):
         code, out, _ = run_cli(
             ["curve", "--preset", "binary-tradeoff-fig5", "--case", "1"], capsys
@@ -613,7 +635,8 @@ class TestExitCodes:
         ("converse", {"d_s_grid": {"points": [1e-160, 0.5]},
                       "d_u_grid": {"points": [1e-160, 0.5]}}, "(1e-160, 1e-160)"),
         ("rdf", {}, "(1e-320, 0.5)"),
-        ("rdf", {"source": {"P_u": 0.5, "P_su": 0.0}}, "(5e-324, 0.5)"),
+        ("rdf", {"source": {"P_s": 2.0**-511, "P_u": 2.0**-511, "P_su": 0.0}},
+         f"({2.0**-600}, {math.nextafter(2.0**-511, 0.0)})"),
     ], ids=("converse", "rdf", "rdf-no-regime"))
     def test_overflowing_rdf_exit2(self, command, fields, cell, tmp_path, capsys):
         # Distortions near the smallest floats overflow the Gaussian closed
@@ -714,7 +737,7 @@ positional arguments:
   {converse,inner,curve,rdf,verify,preset}
     converse            minimal ratio over a distortion grid
     inner               Monte-Carlo inner-bound scan
-    curve               binary semantic tradeoff curve
+    curve               semantic tradeoff curve
     rdf                 rate-distortion values at one point
     verify              fast self-check battery
     preset              list or show bundled presets
@@ -855,8 +878,8 @@ class TestConfigModule:
     def test_mode_model_coupling(self):
         with pytest.raises(ValidationError):
             RunConfig(model="binary", mode="inner")
-        with pytest.raises(ValidationError):
-            RunConfig(model="gaussian", mode="curve")
+        # The tradeoff curve runs for both models.
+        assert RunConfig(model="gaussian", mode="curve").model == "gaussian"
         with pytest.raises(ValidationError):
             RunConfig(model="gaussian", mode="inner", R_k=0.5)
 

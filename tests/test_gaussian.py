@@ -10,7 +10,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import accept_oracle
@@ -412,12 +412,13 @@ class TestGaussianRdf:
         )
 
     def test_joint_case2_dominates_marginals(self):
-        src = default_source()
-        for ds in (0.2, 0.45, 0.65):
-            for du in (0.1, 0.5, 0.95):
-                r_s, r_u, joint, _ = rdfs(src, ds, du, 2)
-                assert joint >= r_s - 1e-12
-                assert joint >= r_u - 1e-12
+        # At P_su = 0 and D_u > P_u the mid form once gave less than R_S(D_s).
+        for src in (default_source(), SemanticSourceGaussian(0.7, 1.0, 0.0)):
+            for ds in (0.2, 0.45, 0.65):
+                for du in (0.1, 0.5, 0.95, 1.2, 5.0):
+                    r_s, r_u, joint, _ = rdfs(src, ds, du, 2)
+                    assert joint >= r_s - 1e-12
+                    assert joint >= r_u - 1e-12
 
     def test_joint_case2_continuous_across_branches(self):
         src = default_source()
@@ -429,17 +430,20 @@ class TestGaussianRdf:
 
 
     # A distortion near the smallest floats overflows a closed form, at
-    # P_s / D_s or at det K / (D_s D_u); with P_su = 0 and D_u = P_u, the
-    # product D_s D_u underflows to 0 and leaves no regime.
+    # P_s / D_s or at det K / (D_s D_u). With P_su = 0 and variances whose
+    # product is the smallest normal float, a cell one ulp below P_u leaves
+    # both deficits positive but their product, and D_s D_u, 0: no regime.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("p_su, d_s, d_u, case, message", [
-        (0.3, 1e-160, 1e-160, 2, "RDFs are not finite at (D_s, D_u) = (1e-160, 1e-160)"),
-        (0.3, 1e-320, 0.25, 2, "RDFs are not finite at (D_s, D_u) = (1e-320, 0.25)"),
-        (0.3, 1e-320, 0.25, 1, None),  # below the case-1 floor: blocked, not an error
-        (0.0, 5e-324, 0.5, 2, "degenerate at (5e-324, 0.5)"),
+    @pytest.mark.parametrize("source, d_s, d_u, case, message", [
+        ((0.7, 0.5, 0.3), 1e-160, 1e-160, 2,
+         "RDFs are not finite at (D_s, D_u) = (1e-160, 1e-160)"),
+        ((0.7, 0.5, 0.3), 1e-320, 0.25, 2, "RDFs are not finite at (D_s, D_u) = (1e-320, 0.25)"),
+        ((0.7, 0.5, 0.3), 1e-320, 0.25, 1, None),  # below the case-1 floor: blocked
+        ((2.0**-511, 2.0**-511, 0.0), 2.0**-600, math.nextafter(2.0**-511, 0.0), 2,
+         f"degenerate at ({2.0**-600}, {math.nextafter(2.0**-511, 0.0)})"),
     ], ids=("weak-regime", "semantic", "case1-floor", "no-regime"))
-    def test_overflowing_cell_raises(self, p_su, d_s, d_u, case, message):
-        src = SemanticSourceGaussian(0.7, 0.5, p_su)
+    def test_overflowing_cell_raises(self, source, d_s, d_u, case, message):
+        src = SemanticSourceGaussian(*source)
         if message is None:
             assert src.rdf_components(d_s, d_u, case)[2]
             return
@@ -470,6 +474,22 @@ class TestSecrecyTerm:
             exact = float(mpmath.log(1 + p * p_n2 / (p_n1 * (p_n1 + p_n2 + p)), 2) / 2)
         got = WiretapChannelGaussian(float(p), float(p_n1), float(p_n2)).secrecy_capacity
         assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(5e-324, 1e300), p_n1=st.floats(5e-324, 1e300),
+           p_n2=st.one_of(st.just(0.0), st.floats(5e-324, 1e300)))
+    @example(p=1e-300, p_n1=5e-324, p_n2=0.0)  # P P_N2 / (P_N1 (P_N + P)) was 0 / 0
+    @example(p=1e300, p_n1=2.4e-5, p_n2=1e300)  # P P_N2 overflowed: C_s was inf
+    @example(p=1e300, p_n1=5e-324, p_n2=0.0)
+    def test_secrecy_capacity_lies_between_0_and_the_main_capacity(self, p, p_n1, p_n2):
+        # The main capacity rounds 1 + P / P_N1 to 1 below an SNR of about
+        # 1e-16, so the bound is taken in its log1p form, within ulps.
+        ch = WiretapChannelGaussian(p, p_n1, p_n2)
+        c_s = ch.secrecy_capacity
+        assert c_s >= 0.0
+        if math.isfinite(ch.capacity_main):
+            assert c_s <= math.log1p(p / p_n1) / (2.0 * math.log(2.0)) * (1.0 + 1e-14)
 
 
 class TestConverseCaps:

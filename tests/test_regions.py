@@ -376,18 +376,21 @@ def test_binary_surface_matches_the_per_cell_oracle(data):
     _check_against_oracle("binary", data)
 
 
-@pytest.mark.parametrize("model, case", [("gaussian", 1), ("gaussian", 2), ("binary", 1)])
+@pytest.mark.parametrize("model, case", [("gaussian", 1), ("gaussian", 2), ("binary", 1),
+                                         ("binary", 2)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_r_min_never_rises_with_distortion(model, case, data):
-    # Binary case 2 is left out: its cells are numerical solves. The grid's
-    # anchors include neighbouring floats, where the Gaussian case-2 ratio
-    # can rise by an ulp (2.1330055343418070 -> ...075 as D_s steps by one
-    # ulp past 0.3398), hence the 1e-12 relative slack. The extra points
-    # stay above 1e-150 of the range: below about 1e-154 a Gaussian cell's
-    # D_s D_u underflows and the closed forms overflow, which raises.
+    # The grid's anchors include neighbouring floats, where the Gaussian
+    # case-2 ratio can rise by an ulp (2.1330055343418070 -> ...075 as D_s
+    # steps by one ulp past 0.3398), hence the 1e-12 relative slack. The
+    # extra points stay above 1e-150 of the range: below about 1e-154 a
+    # Gaussian cell's D_s D_u underflows and the closed forms overflow,
+    # which raises. Binary case 2 solves each distinct cell, so it takes
+    # fewer examples and extra points.
+    solved = (model, case) == ("binary", 2)
     src, ch, d_s, d_u = data.draw(GRIDS[model][0])
-    extra = [st.lists(st.floats(1e-150 * hi, 1.2 * hi), max_size=20)
+    extra = [st.lists(st.floats(1e-150 * hi, 1.2 * hi), max_size=10 if solved else 20)
              for hi in src.distortion_range]
     d_s, d_u = (np.sort(axis + data.draw(more)) for axis, more in zip((d_s, d_u), extra))
     r = min_ratio(src, ch, data.draw(targets), d_s[:, None], d_u[None, :], case).r_min
@@ -443,6 +446,81 @@ def test_no_eavesdropper_advantage_buys_no_target(model, case, data, tg):
     ok = got.feasible
     np.testing.assert_array_equal(got.r_min[ok].view(np.int64), free.r_min[ok].view(np.int64))
     assert (got.binding[ok] == BINDINGS.index("rate")).all()
+
+
+@st.composite
+def independent_points(draw, model):
+    """A source whose components are independent in about one draw of
+    three (P_su = 0, or alpha = 1/2), and up to five distortions per axis
+    over 1.2 times its range."""
+    if model == "gaussian":
+        p_s, p_u = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+        rho = draw(st.one_of(st.just(0.0), st.floats(-0.95, 0.95)))
+        src = SemanticSourceGaussian(p_s, p_u, rho * math.sqrt(p_s * p_u))
+        low = 1e-6  # far above the underflow of D_s D_u
+    else:
+        src = SemanticSourceBinary(draw(st.one_of(st.just(0.5), st.floats(0.0, 0.5))))
+        low = 0.0
+    d_s, d_u = (np.array(draw(st.lists(st.floats(low * hi, 1.2 * hi), min_size=1, max_size=5)))
+                for hi in src.distortion_range)
+    return src, d_s[:, None], d_u[None, :]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(GRIDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_independent_components(model, data):
+    # The case-2 joint RDF is at least each marginal, and equal to their sum
+    # where S and U are independent (Gaussian P_su = 0, binary alpha = 1/2).
+    # A case-1 cell is blocked exactly below the semantic floor, which is
+    # P_s or 1/2 for independent components. Binary case 2 is a certified
+    # solver bound, so it is held to 1e-9.
+    src, d_s, d_u = data.draw(independent_points(model))
+    r_joint, ((_, _, r_s), (_, _, r_u), _), _ = src.rdf_components(d_s, d_u, 2)
+    gaussian = model == "gaussian"
+    slack = 1e-12 if gaussian else 1e-9
+    for marginal in np.broadcast_arrays(r_s, r_u):
+        assert (r_joint >= marginal * (1.0 - 1e-12) - slack).all()
+    if (src.P_su == 0.0) if gaussian else (src.alpha == 0.5):
+        np.testing.assert_allclose(r_joint, r_s + r_u, rtol=1e-12 if gaussian else 0.0,
+                                   atol=0.0 if gaussian else 1e-9)
+    floor = src.semantic_floor(1)
+    blocked = src.rdf_components(d_s, d_u, 1)[2]
+    off = d_s != floor
+    np.testing.assert_array_equal(blocked[off], d_s[off] < floor)
+
+
+@pytest.mark.parametrize("model", sorted(GRIDS))
+@pytest.mark.parametrize("case", (1, 2))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_curve_is_a_line_of_caps(model, case, data):
+    # The curve reads only the semantic component, yet gives the Delta_s
+    # caps along its D_s line bit for bit, raw and clamped. Binary case 2's
+    # caps solve the joint RDF, so that line has at most 8 points.
+    src, ch, _, _ = data.draw(GRIDS[model][0])
+    floor, hi = src.semantic_floor(case), src.distortion_range[0]
+    size = 8 if (model, case) == ("binary", 2) else 40
+    lifts = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=size))
+    d_s = np.unique(floor + (1.2 * hi - floor) * np.array(lifts))
+    r, R_k = data.draw(st.floats(0.0, 4.0)), data.draw(st.floats(0.0, 1.0))
+    curve = delta_s_curve(src, ch, r, R_k, case, d_s)
+    caps = equivocation_caps(src, ch, d_s, src.distortion_range[1], r, R_k, case)
+    np.testing.assert_array_equal(curve.d_s, d_s)
+    np.testing.assert_array_equal(curve.raw.view(np.int64), caps.raw_delta_s.view(np.int64))
+    np.testing.assert_array_equal(curve.delta_s_max.view(np.int64), caps.delta_s.view(np.int64))
+    # A count spans the case's range from just above its floor; a grid that
+    # does not start above the floor is refused.
+    with pytest.raises(DomainError, match="floor"):
+        delta_s_curve(src, ch, r, R_k, case, [floor, 2.0 * hi])
+    lo = floor + 2e-4 * hi
+    if lo >= hi:
+        with pytest.raises(DomainError, match=f"floor {floor}"):
+            delta_s_curve(src, ch, r, R_k, case, 5)
+    else:
+        np.testing.assert_array_equal(delta_s_curve(src, ch, r, R_k, case, 5).d_s,
+                                      np.linspace(lo, hi, 5))
 
 
 @pytest.mark.parametrize("case", (1, 2))
