@@ -239,7 +239,7 @@ def _cmd_inner(args) -> int:
     }
     metadata = {f"case{case}": surface.metadata for case, surface in surfaces.items()}
     _emit(_render_surfaces(surfaces, cfg, args.format, metadata), args.out)
-    if not any(surface.metadata["accepted"] for surface in surfaces.values()):
+    if not any(surface.feasible.any() for surface in surfaces.values()):
         print("no draw satisfied the requested targets", file=sys.stderr)
         return 3
     return 0

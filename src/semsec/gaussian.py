@@ -17,8 +17,12 @@ Gram-Schmidt on the factor rows and the channel terms in closed form, and
 solves the piecewise-linear system for the minimal feasible r. In that
 system every secrecy target's equivocation takes one form,
 E(r) = base + r·g − (k − r·g_k)⁺, with the terms of each target in a table
-(see ``_accept_draws``). Every draw is a valid covariance by construction,
-so none is gated.
+(see ``_accept_draws``); its secrecy slopes are each one log1p, so they keep
+their relative precision where P_N2 << P_N1. Every draw is a valid
+covariance by construction, so none is gated. Besides the seeded random
+draws, the scan evaluates one deterministic draw per bucket centre, built
+from the joint RDF's optimal test channel (``_constructive_draws``); without
+secrecy it meets the converse wherever the joint RDF fits in one channel use.
 """
 
 from __future__ import annotations
@@ -259,29 +263,39 @@ def gaussian_rdf_joint(
 # ---------------------------------------------------------------------------
 
 
-def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
-    """Case-2 joint RDF at the broadcastable distortions, given the marginals.
-
-    Four regimes per cell, depending on which constraints are active:
+def _case2_regimes(src, t_s, t_u):
+    """The deficits (P_s − D_s)⁺ and (P_u − D_u)⁺ at the broadcastable
+    distortion arrays, and the masks of the case-2 joint RDF's four regimes:
     semantic-dominant, observation-dominant, weak-correlation product form,
-    and the intermediate form with the correlation correction term. The
-    deficit terms clamp at zero when a distortion exceeds the component
-    variance, and where both are zero the joint RDF is exactly 0; with no
-    observation deficit a cell is semantic-dominant, also at rho = 0. Every
-    value keeps the bits of the scalar closed form.
-    """
+    and the intermediate form with the correlation correction term. With no
+    observation deficit a cell is semantic-dominant, also at rho = 0; with
+    no deficit at all it is in none of them (the trivial scheme)."""
     ps, pu, rho2 = src.P_s, src.P_u, src.rho2
-    det_k = max(src.det_k, 0.0)
-    t_s, t_u = np.asarray(d_s, dtype=float), np.asarray(d_u, dtype=float)
     dhs = np.maximum(ps - t_s, 0.0)
     dhu = np.maximum(pu - t_u, 0.0)
     # The four regimes, tested in this order per cell.
     sem = (dhs > 0.0) & ((rho2 * dhs * pu > dhu * ps) | (dhu == 0.0))
     obs = ~sem & (dhu > 0.0) & (rho2 * dhu * ps >= dhs * pu)
-    deficit = np.asarray(dhs * dhu)
-    weak = ~(sem | obs) & (rho2 * ps * pu < deficit)
+    weak = ~(sem | obs) & (rho2 * ps * pu < dhs * dhu)
     # Both deficits zero is the trivial scheme: the mid form there is 1 + ulp.
     mid = ~(sem | obs | weak) & ((dhs > 0.0) | (dhu > 0.0))
+    return dhs, dhu, sem, obs, weak, mid
+
+
+def _joint_case2(src, d_s, d_u, r_s, r_u) -> np.ndarray:
+    """Case-2 joint RDF at the broadcastable distortions, given the marginals.
+
+    Four regimes per cell (:func:`_case2_regimes`), depending on which
+    constraints are active. The deficit terms clamp at zero when a
+    distortion exceeds the component variance, and where both are zero the
+    joint RDF is exactly 0. Every value keeps the bits of the scalar closed
+    form.
+    """
+    ps, pu, rho2 = src.P_s, src.P_u, src.rho2
+    det_k = max(src.det_k, 0.0)
+    t_s, t_u = np.asarray(d_s, dtype=float), np.asarray(d_u, dtype=float)
+    dhs, dhu, sem, obs, weak, mid = _case2_regimes(src, t_s, t_u)
+    deficit = np.asarray(dhs * dhu)
     area = np.asarray(t_s * t_u)
     arg = np.ones(area.shape)
     arg[weak] = det_k / area[weak]
@@ -456,6 +470,82 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     return shares * p, noise**2
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian, case: int,
+                        d_s: np.ndarray, d_u: np.ndarray):
+    """One draw per cell of the 1-D distortion arrays ``d_s`` and ``d_u`` from
+    the joint RDF's optimal test channel there; returns (g, σ², ν²) in the
+    layouts of :func:`_sample_sigma1_batch` and :func:`_sample_sigma2_batch`,
+    for the cells that get a draw. No RNG is read.
+
+    The common layer Sc carries the description. In case 2 it follows the
+    regime of :func:`_case2_regimes`: Sc = S + N (semantic-dominant) or
+    U + N (observation-dominant) with the noise that meets that distortion;
+    in the weak regime (Sc, Uc) = (Ŝ, Û) = A (S, U) + N with A = (K − D)K⁻¹
+    and Cov N = (K − D)K⁻¹D, the forward form of the backward channel
+    (S, U) = (Ŝ, Û) + E, E ~ N(0, D); in the mid regime K − D = v vᵀ has rank
+    one and Sc is the scalar W = vᵀK⁻¹(S, U) + N with Var N = 1 − vᵀK⁻¹v =
+    det D / det K. In case 1, Sc = U + N with the noise that meets whichever
+    distortion binds, and a cell at or below the floor gets no draw. Sp, Up
+    and an unused Uc are independent noise of amplitude sqrt(max(P_s, P_u)).
+
+    Only the weak regime puts rate on the private layer, a3 > 0. Wc gets the
+    power P_c = (P + P_N1)(1 − 2^(−2C·a2/(a2 + a3))), so that a2/b2 = a3/b3,
+    and Wu the rest; where a3 = 0, Wc gets all of P. Qs and Qu carry no
+    power, and every zero-power layer gets unit private noise, so that its
+    terms are 0, not NaN. So r = max(a2/b2, a3/b3) = R_joint / C, the
+    no-secrecy converse, wherever the public constraint a1 = a2 <= b1 lets
+    the draw through, that is where R_joint <= C. A cell whose factor comes
+    out non-finite (K singular to rounding) gets no draw.
+    """
+    n = d_s.size
+    ps, pu, psu, det = src.P_s, src.P_u, src.P_su, src.det_k
+    l = src.cholesky()
+    # L^-1 by hand: inf or NaN where K is singular, and those cells are dropped.
+    inv_l = np.array([[1.0 / l[0, 0], 0.0], [-l[1, 0] / (l[0, 0] * l[1, 1]), 1.0 / l[1, 1]]])
+    g = np.zeros((6, 6, n))
+    g[0, :2] = l[0][:, None]
+    g[1, :2] = l[1][:, None]
+    g[3:, 3:] = np.eye(3)[..., None] * math.sqrt(max(ps, pu))
+    share = np.ones(n)  # a2 / (a2 + a3), the common layer's share of the rate
+    if case == 1:
+        dhs, dhu = ps - d_s, pu - d_u
+        floor = src.semantic_floor(1)
+        noise = np.minimum(np.where(dhs > 0.0, pu * (d_s - floor) / dhs, np.inf),
+                           np.where(dhu > 0.0, pu * d_u / dhu, np.inf))
+        keep = (d_s > floor) & (noise < np.inf)
+        g[2, :2] = l[1][:, None]
+        g[2, 2] = np.sqrt(noise)
+    else:
+        dhs, dhu, sem, obs, weak, mid = _case2_regimes(src, d_s, d_u)
+        keep = sem | obs | weak | mid
+        # Weak: (Sc, Uc) load the source plane with the rows of
+        # A L = (K − D) L^-T, and their noise is the Cholesky factor of Cov N.
+        # Each ratio first, so no product of three variances overflows.
+        m00 = d_s * ((dhs * pu - psu * psu) / det)
+        c10 = d_s * (psu / det) * d_u / np.sqrt(m00)
+        m11 = d_u * ((dhu * ps - psu * psu) / det)
+        weak_sc = np.outer(inv_l[:, 0], dhs) + np.outer(inv_l[:, 1], psu)
+        # Mid: v = (sqrt(dhs), sign(P_su) sqrt(dhu)), so vᵀK⁻¹L = (L^-1 v)ᵀ.
+        v = np.stack([np.sqrt(dhs), math.copysign(1.0, psu) * np.sqrt(dhu)])
+        det_d = d_s * d_u - (abs(psu) - np.sqrt(dhs * dhu)) ** 2
+        g[2, :2] = np.select([sem, obs, weak], [l[0][:, None], l[1][:, None], weak_sc], inv_l @ v)
+        g[2, 2] = np.sqrt(np.select([sem, obs, weak], [ps * d_s / dhs, pu * d_u / dhu, m00],
+                                    np.maximum(det_d, 0.0) / det))
+        g[4, :2] = np.where(weak, np.outer(inv_l[:, 0], psu) + np.outer(inv_l[:, 1], dhu), 0.0)
+        g[4, 2] = np.where(weak, c10, 0.0)
+        g[4, 4] = np.where(weak, np.sqrt(np.maximum(m11 - c10 * c10, 0.0)), g[4, 4])
+        share = np.where(weak, np.log(dhs / m00) / np.log(det / (d_s * d_u)), 1.0)
+    keep &= np.isfinite(g).all(axis=(0, 1)) & np.isfinite(share)
+    # Wc's power balances a2/b2 = a3/b3; where a3 = 0 it takes all of P.
+    balanced = -(ch.P + ch.P_N1) * np.expm1(-np.log1p(ch.P / ch.P_N1) * share)
+    sig2 = np.zeros((n, 4))
+    sig2[:, 0] = np.where(share < 1.0, np.minimum(balanced, ch.P), ch.P)
+    sig2[:, 1] = ch.P - sig2[:, 0]
+    nu2 = (sig2 == 0.0).astype(float)
+    return g[..., keep], sig2[keep], nu2[keep]
+
+
 # ---------------------------------------------------------------------------
 # inner bound: information terms and the piecewise-linear minimal r
 # ---------------------------------------------------------------------------
@@ -565,16 +655,23 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
     Channel side (layers Wc, Wu, Qs, Qu with the signal powers ``sig2`` and
     private-noise powers ``nu2`` of :func:`_sample_sigma2_batch`):
 
-    * ``b1`` = I(Wc; Y), ``b2`` = I(Wc, Qs; Y), ``b3`` = I(Wu, Qu; Y | Wc);
-    * leakage gaps ``gqs_y`` = I(Qs; Y | Wc), ``gqs_z`` = I(Qs; Z | Wc),
-      ``gqu_y`` = I(Qu; Y | Wc, Wu), ``gqu_z`` = I(Qu; Z | Wc, Wu),
-      ``gj_z`` = I(Qs, Qu; Z | Wc, Wu).
+    * ``b1`` = I(Wc; Y), ``b2`` = I(Wc, Qs; Y), ``b3`` = I(Wu, Qu; Y | Wc),
+      ``gqu_y`` = I(Qu; Y | Wc, Wu);
+    * the secrecy slopes ``g_s`` = I(Qs; Y | Wc) − I(Qs; Z | Wc),
+      ``g_u`` = I(Qu; Y | Wc, Wu) − I(Qu; Z | Wc, Wu) and the joint leakage
+      gap ``leak_su`` = I(Qs; Y | Wc) + I(Qu; Y | Wc, Wu) − I(Qs, Qu; Z | Wc, Wu).
 
     The layers are independent, so conditioning on a layer set C removes
     e_C = Σ_{k∈C} e_k from the output variance v, with
     e_k = σ_k⁴ / (σ_k² + ν_k²) = Cov(W_k, X)² / Var(W_k), and
     I(A; Y | C) = ½ log2((v_Y - e_C) / (v_Y - e_C - e_A)) with
-    v_Y = P + P_N1; the Z terms use v_Z = P + P_N.
+    v_Y = P + P_N1; the Z terms use v_Z = P + P_N = v_Y + P_N2. Each slope is
+    one log1p of an exactly formed ratio, as in
+    :attr:`WiretapChannelGaussian.secrecy_capacity`, not a difference of two
+    logs, so it keeps its relative precision where P_N2 << P_N1:
+    I(A; Y | C) − I(A; Z | C) = ½ log2(1 + e_A P_N2 / ((v_Y − e_C − e_A)(v_Z − e_C))),
+    and ``leak_su`` is ``g_u`` plus I(Qs; Y | Wc) − I(Qs; Z | Wc, Wu, Qu), the
+    same form with P_N2 − e_Wu − e_Qu in place of P_N2.
 
     A singular index set (on the source side, a zero pivot; on the channel
     side, a layer with σ = ν = 0, whose e_k is NaN) makes its terms NaN or
@@ -592,6 +689,13 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
             return np.log1p(a / (rest - a)) / (2.0 * math.log(2.0))
 
         v_y, v_z = ch.P + ch.P_N1, ch.P + ch.P_N
+
+        def excess(a, c, c_z, gap):
+            # ½ log2(1 + a·gap / ((v_Y - c - a)(v_Z - c_z))), the difference of
+            # a Y gain and a Z gain whose ratio of ratios is formed exactly.
+            return np.log1p(a * gap / ((v_y - c - a) * (v_z - c_z))) / (2.0 * math.log(2.0))
+
+        g_u = excess(qu, wc + wu, wc + wu, ch.P_N2)
         terms = {
             "a1": _mi(l1, [2], v),
             "a2": _mi(l1, [2, 3], v),
@@ -601,11 +705,10 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
             "b1": gain(v_y, wc),
             "b2": gain(v_y, wc + qs),
             "b3": gain(v_y, wu + qu, wc),
-            "gqs_y": gain(v_y, qs, wc),
-            "gqs_z": gain(v_z, qs, wc),
             "gqu_y": gain(v_y, qu, wc + wu),
-            "gqu_z": gain(v_z, qu, wc + wu),
-            "gj_z": gain(v_z, qs + qu, wc + wu),
+            "g_s": excess(qs, wc, wc, ch.P_N2),
+            "g_u": g_u,
+            "leak_su": g_u + excess(qs, wc, wc + wu + qu, ch.P_N2 - wu - qu),
         }
     return terms
 
@@ -624,9 +727,9 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     ======  =================  ========================  ==  =====
     target  base               g                         k   g_k
     ======  =================  ========================  ==  =====
-    Δ_s     (h_s − a2)⁺        (gqs_y − gqs_z)⁺          a3  gqu_y
-    Δ_u     (h_u − a3)⁺        (gqu_y − gqu_z)⁺          0   0
-    Δ_su    (h_su − a2 − a3)⁺  (gqs_y + gqu_y − gj_z)⁺   0   0
+    Δ_s     (h_s − a2)⁺        g_s⁺                      a3  gqu_y
+    Δ_u     (h_u − a3)⁺        g_u⁺                      0   0
+    Δ_su    (h_su − a2 − a3)⁺  leak_su⁺                  0   0
     ======  =================  ========================  ==  =====
 
     so the least feasible r is exact: E rises with slope g + g_k up to the
@@ -650,8 +753,7 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     # First, so that no other code lands on a degenerate draw.
     mark(~np.logical_and.reduce([np.isfinite(val) for val in t.values()]), 10)
 
-    a1, a2, a3 = t["a1"], t["a2"], t["a3"]
-    gqs_y, gqu_y = t["gqs_y"], t["gqu_y"]
+    a1, a2, a3, leak = t["a1"], t["a2"], t["a3"], t["leak_su"]
     with np.errstate(invalid="ignore"):
         mark(a1 > t["b1"] + _TOL, 1)
         r = 0.0
@@ -662,13 +764,12 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
         rows = []  # (code, δ, entropy, base, g, k, g_k, sound regime) of each enabled target
         if targets.delta_s != DISABLED:
             rows.append((4, targets.delta_s, src.h_s, np.maximum(src.h_s - a2, 0.0),
-                         np.maximum(gqs_y - t["gqs_z"], 0.0), a3, gqu_y, a2 <= src.h_s + _TOL))
+                         np.maximum(t["g_s"], 0.0), a3, t["gqu_y"], a2 <= src.h_s + _TOL))
         if targets.delta_u != DISABLED:
             rows.append((5, targets.delta_u, src.h_u, np.maximum(src.h_u - a3, 0.0),
-                         np.maximum(gqu_y - t["gqu_z"], 0.0), 0.0, 0.0,
+                         np.maximum(t["g_u"], 0.0), 0.0, 0.0,
                          (a1 <= _TOL) & (a3 <= src.h_u + _TOL)))
         if targets.delta_su != DISABLED:
-            leak = gqs_y + gqu_y - t["gj_z"]
             rows.append((6, targets.delta_su, src.h_su, np.maximum(src.h_su - a2 - a3, 0.0),
                          np.maximum(leak, 0.0), 0.0, 0.0,
                          (a2 + a3 <= src.h_su + _TOL) & (leak >= -_TOL)))
@@ -726,6 +827,24 @@ def _inner_chunks(
         yield (t["d_s"], t["d_u"], *_accept_draws(t, targets, src))
 
 
+def _constructive_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
+                        targets: EquivocationTargets, case: int, d_s: np.ndarray,
+                        d_u: np.ndarray):
+    """``(d_s, d_u, r, accepted, reason)`` of the constructive draws at the
+    cells of the 1-D arrays ``d_s`` and ``d_u``, as :func:`_inner_chunks`
+    gives them for a chunk of random draws."""
+    t = _inner_terms(*_constructive_draws(src, ch, case, d_s, d_u), ch, case)
+    return (t["d_s"], t["d_u"], *_accept_draws(t, targets, src))
+
+
+def _tally(reasons) -> dict:
+    """The ``accepted`` count and the nonzero ``discard_reasons`` counts, by
+    name, of a count per reason code."""
+    return {"accepted": int(reasons[0]),
+            "discard_reasons": {REASON_NAMES[code]: int(cnt)
+                                for code, cnt in enumerate(reasons) if cnt}}
+
+
 def draw_inner_samples(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -759,18 +878,25 @@ def inner_bound_scan(
     seed: int,
     grid: int | tuple[int, int] = 40,
 ) -> RegionSurface:
-    """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
+    """Inner-bound surface: per-bucket minimum feasible r over the Monte-Carlo
+    draws and one constructive draw per bucket centre.
 
     Draws ``n_samples`` auxiliary structures, evaluates the minimal ratio
     for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
     The draws are those of :func:`draw_inner_samples`, chunk ``ci`` from
     ``SeedSequence(seed, spawn_key=(ci,))``, but each chunk is folded into
     the bucket grid as soon as it is drawn and then dropped, so memory does
-    not grow with ``n_samples``. Buckets without accepted samples are
-    reported as no-data (never interpolated). Deterministic for a fixed
-    seed, with a stable prefix under sample-count growth. ``grid`` is a
-    bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
-    split the source's ``distortion_range``, [0, P_s] and [0, P_u], evenly.
+    not grow with ``n_samples``. Then one deterministic batch, which reads
+    no RNG, is folded in the same way: at each bucket centre, the draw of
+    the joint RDF's optimal test channel (:func:`_constructive_draws`),
+    which meets the no-secrecy converse wherever R_joint <= C. Buckets
+    without accepted draws are reported as no-data (never interpolated).
+    Deterministic for a fixed seed, with a stable prefix under sample-count
+    growth. ``grid`` is a bucket count for both axes or a (D_s, D_u) pair of
+    counts; the buckets split the source's ``distortion_range``, [0, P_s]
+    and [0, P_u], evenly. ``metadata`` holds ``accepted`` and
+    ``discard_reasons`` of the random draws, and the same two for the
+    constructive batch under ``constructive``.
     """
     n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
     if min(n_bs, n_bu) < 1:
@@ -778,24 +904,27 @@ def inner_bound_scan(
     hi_s, hi_u = src.distortion_range
     edges_s = np.linspace(0.0, hi_s, n_bs + 1)
     edges_u = np.linspace(0.0, hi_u, n_bu + 1)
+    mid_s, mid_u = 0.5 * (edges_s[:-1] + edges_s[1:]), 0.5 * (edges_u[:-1] + edges_u[1:])
     r_flat = np.full(n_bs * n_bu, np.inf)
     counts = np.zeros(n_bs * n_bu, dtype=int)
-    reasons = np.zeros(len(REASON_NAMES), dtype=int)
-    for d_s, d_u, r, acc, reason in _inner_chunks(src, ch, targets, case, n_samples, seed):
+
+    def fold(d_s, d_u, r, acc, reason):
+        # Bucket a batch's accepted draws; return its count per reason code.
         flat = (np.clip(np.digitize(d_s[acc], edges_s) - 1, 0, n_bs - 1) * n_bu
                 + np.clip(np.digitize(d_u[acc], edges_u) - 1, 0, n_bu - 1))
         np.minimum.at(r_flat, flat, r[acc])
-        counts += np.bincount(flat, minlength=n_bs * n_bu)
-        reasons += np.bincount(reason, minlength=len(REASON_NAMES))
-    meta = {"accepted": int(reasons[0]),
-            "discard_reasons": {REASON_NAMES[code]: int(cnt)
-                                for code, cnt in enumerate(reasons) if cnt}}
+        counts[:] += np.bincount(flat, minlength=n_bs * n_bu)
+        return np.bincount(reason, minlength=len(REASON_NAMES))
+
+    reasons = np.zeros(len(REASON_NAMES), dtype=int)
+    for chunk in _inner_chunks(src, ch, targets, case, n_samples, seed):
+        reasons += fold(*chunk)
+    built = fold(*_constructive_batch(src, ch, targets, case, np.repeat(mid_s, n_bu),
+                                      np.tile(mid_u, n_bs)))
+    meta = {**_tally(reasons), "constructive": _tally(built)}
     counts = counts.reshape(n_bs, n_bu)
     return RegionSurface(
-        axes={
-            "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
-            "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
-        },
+        axes={"D_s": mid_s, "D_u": mid_u},
         values=np.where(counts > 0, r_flat.reshape(n_bs, n_bu), np.nan),
         samples=counts,
         metadata=meta,

@@ -60,9 +60,9 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
         mark(finite & (a2 > _TOL) & (b2 <= _TOL), 2)
         mark(finite & (a3 > _TOL) & (b3 <= _TOL), 3)
 
-        g_s = np.maximum(t["gqs_y"] - t["gqs_z"], 0.0)
-        g_u = np.maximum(t["gqu_y"] - t["gqu_z"], 0.0)
-        leak_su = t["gqs_y"] + t["gqu_y"] - t["gj_z"]
+        g_s = np.maximum(t["g_s"], 0.0)
+        g_u = np.maximum(t["g_u"], 0.0)
+        leak_su = t["leak_su"]
         g_su = np.maximum(leak_su, 0.0)
         gqu_y = t["gqu_y"]
 

@@ -2,10 +2,12 @@
 
 The reference for ``semsec.gaussian.inner_bound_scan``, which folds each
 chunk of draws into its bucket grid as the chunk is drawn and then drops
-it. This copy first draws every sample with ``draw_inner_samples``, then
-buckets the accepted draws in one pass and counts the reasons with
-``np.unique``. A minimum, a count and a sum do not depend on how the draws
-are split, so the two are checked against each other bit for bit:
+it. This copy first draws every sample with ``draw_inner_samples``, appends
+the scan's constructive batch at the bucket centres (the same
+``_constructive_batch``, at centres laid out by ``np.meshgrid``), then
+buckets the accepted draws in one pass and counts the reasons of each part
+with ``np.unique``. A minimum, a count and a sum do not depend on how the
+draws are split, so the two are checked against each other bit for bit:
 ``values`` (NaN included), ``feasible``, ``samples`` and ``metadata``.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from semsec.errors import DomainError
-from semsec.gaussian import REASON_NAMES, draw_inner_samples
+from semsec.gaussian import REASON_NAMES, _constructive_batch, draw_inner_samples
 from semsec.regions import RegionSurface
 
 
@@ -22,8 +24,9 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
                      grid: int | tuple[int, int] = 40) -> RegionSurface:
     """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
 
-    Draws ``n_samples`` auxiliary structures, evaluates the minimal ratio
-    for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
+    Draws ``n_samples`` auxiliary structures and one constructive draw per
+    bucket centre, evaluates the minimal ratio for each accepted draw, and
+    keeps the minimum per (D_s, D_u) bucket.
     Buckets without accepted samples are reported as no-data. ``grid`` is a
     bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
     split the source's ``distortion_range`` evenly.
@@ -34,24 +37,29 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
     hi_s, hi_u = src.distortion_range
     edges_s = np.linspace(0.0, hi_s, n_bs + 1)
     edges_u = np.linspace(0.0, hi_u, n_bu + 1)
+    centres_s, centres_u = 0.5 * (edges_s[:-1] + edges_s[1:]), 0.5 * (edges_u[:-1] + edges_u[1:])
     samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
-    acc = samples["accepted"]
+    cell_s, cell_u = np.meshgrid(centres_s, centres_u, indexing="ij")
+    built = dict(zip(("d_s", "d_u", "r", "accepted", "reason"),
+                     _constructive_batch(src, ch, targets, case, cell_s.ravel(), cell_u.ravel())))
+    both = {key: np.concatenate([samples[key], built[key]]) for key in samples}
+    acc = both["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)
     counts = np.zeros((n_bs, n_bu), dtype=int)
-    bi = np.clip(np.digitize(samples["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
-    bj = np.clip(np.digitize(samples["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
-    np.minimum.at(r_grid, (bi, bj), samples["r"][acc])
+    bi = np.clip(np.digitize(both["d_s"][acc], edges_s) - 1, 0, n_bs - 1)
+    bj = np.clip(np.digitize(both["d_u"][acc], edges_u) - 1, 0, n_bu - 1)
+    np.minimum.at(r_grid, (bi, bj), both["r"][acc])
     np.add.at(counts, (bi, bj), 1)
-    reason_counts = {
-        REASON_NAMES[int(code)]: int(cnt)
-        for code, cnt in zip(*np.unique(samples["reason"], return_counts=True))
-    }
-    meta = {"accepted": int(acc.sum()), "discard_reasons": reason_counts}
+
+    def tally(part):
+        return {"accepted": int(part["accepted"].sum()),
+                "discard_reasons": {
+                    REASON_NAMES[int(code)]: int(cnt)
+                    for code, cnt in zip(*np.unique(part["reason"], return_counts=True))}}
+
+    meta = {**tally(samples), "constructive": tally(built)}
     return RegionSurface(
-        axes={
-            "D_s": 0.5 * (edges_s[:-1] + edges_s[1:]),
-            "D_u": 0.5 * (edges_u[:-1] + edges_u[1:]),
-        },
+        axes={"D_s": centres_s, "D_u": centres_u},
         values=np.where(counts > 0, r_grid, np.nan),
         samples=counts,
         metadata=meta,

@@ -312,18 +312,22 @@ def test_surface_csv_is_written_without_holding_the_artifact(tmp_path):
 
 #: sha256 of inner-scan artifacts (20k draws, seed 2468), frozen before the
 #: sampler wrote coordinate-major factors and the Gram-Schmidt pass skipped
-#: zero dims; both must write the same bytes. The digests hold for numpy's
+#: zero dims; both must write the same bytes. Frozen again when the scan
+#: gained its constructive batch (the no-secrecy artifacts gained buckets,
+#: every JSON a ``constructive`` entry) and the secrecy slopes became one
+#: log1p each (the semantic JSONs moved in the last digits of some values;
+#: their CSVs kept their bytes). The digests hold for numpy's
 #: ``Generator`` streams (PCG64 and its distribution methods) and for
 #: glibc's libm, since the draws carry both.
 INNER_PINS = {
-    ("nosecrecy", 1, "csv"): "6ac04874749408f61690e31fec2bc96fbb628cb9f97e93635edaa3b9f3e9a1d0",
-    ("nosecrecy", 1, "json"): "bbe648dbf15db0fae724738dbdf8358d5e0d9f2a7165664dc5f5ec5bff46d243",
-    ("nosecrecy", 2, "csv"): "83a2003440b94de24c00b8130ff26a701a4a08b0270b0854c525c721befbc189",
-    ("nosecrecy", 2, "json"): "7f22e30d9d17623fbda765411ec2ef4d8f9c1ff35657b90e8aef7c323883271b",
+    ("nosecrecy", 1, "csv"): "27bcf8a6ff520108119720e2077e459fda2d6d63ae0323ea0bbab7cac6a2804b",
+    ("nosecrecy", 1, "json"): "6b4f328fda5c298806300ce44c82d57a9c438380342f44ff425e1945134a5ec8",
+    ("nosecrecy", 2, "csv"): "0cdbc10fdc2eabfa8b761e9a3645651eb2972a181d37f40ae241d4f79d89fbe7",
+    ("nosecrecy", 2, "json"): "256cfaed081882eb877d8b2e7e7b4f45c954aba523c2317819103dce7f835bee",
     ("semantic", 1, "csv"): "897f78a94166a2da27a762c9174ace3d7c2a3f4ff8a8fd85e62ec423120a5523",
-    ("semantic", 1, "json"): "ec7b1adf6297f3c7101f00146ac826a0b23d38e481dc119d530212e6579d4662",
+    ("semantic", 1, "json"): "78b03b967e41e0bffe4df2200f5e2d2718d3cba0e4b90bfcd62b0acd8d31d7c7",
     ("semantic", 2, "csv"): "a9fbceb426479f13d7bab52510bf22fd830a52c2a8eb378e6ce19cf0ae14be66",
-    ("semantic", 2, "json"): "0f90f03c470a2d27c67738ac9ae854af3707d08fcce1c7085693ed7295401358",
+    ("semantic", 2, "json"): "cb09d5c305bb2f8533ddce48b1927d920c6031bedda2ebc9bcb8aeeefc7885b7",
 }
 
 
@@ -484,6 +488,22 @@ class TestInnerCommand:
         samples_col = doc["columns"].index("samples")
         accepted = sum(row[samples_col] for row in doc["rows"])
         assert accepted > 0
+
+    @pytest.mark.parametrize("delta_s, code_want", [("-inf", 0), (5.0, 3)])
+    def test_exit_3_only_when_no_bucket_is_covered(self, delta_s, code_want, tmp_path, capsys):
+        # Seed 3's one random draw is discarded; without targets the
+        # constructive batch still covers buckets, and a target above h_s
+        # leaves every bucket empty.
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({"model": "gaussian", "mode": "inner", "cases": [2],
+                                   "samples": 1, "seed": 3, "d_s_grid": 4, "d_u_grid": 4,
+                                   "delta_s": delta_s}))
+        code, out, err = run_cli(["inner", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == code_want
+        meta = json.loads(out)["metadata"]["case2"]
+        assert meta["accepted"] == 0
+        assert (meta["constructive"]["accepted"] > 0) == (code == 0)
+        assert ("no draw satisfied" in err) == (code == 3)
 
     def test_large_variances(self, tmp_path, capsys):
         # Variances near 1e9: no draw is gated, so the scan still accepts.

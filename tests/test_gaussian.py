@@ -90,13 +90,35 @@ CHANNEL_MI = {
     "b1": ([0], [5], []),
     "b2": ([0, 2], [5], []),
     "b3": ([1, 3], [5], [0]),
+    "gqu_y": ([3], [5], [0, 1]),
+}
+#: The channel MIs that only the secrecy slopes read, and each slope as
+#: (the MIs it adds, the MIs it subtracts).
+LEAK_MI = {
     "gqs_y": ([2], [5], [0]),
     "gqs_z": ([2], [6], [0]),
-    "gqu_y": ([3], [5], [0, 1]),
     "gqu_z": ([3], [6], [0, 1]),
     "gj_z": ([2, 3], [6], [0, 1]),
 }
-TERM_NAMES = ("a1", "a2", "a3", "d_s", "d_u", *CHANNEL_MI)
+SLOPES = {
+    "g_s": (["gqs_y"], ["gqs_z"]),
+    "g_u": (["gqu_y"], ["gqu_z"]),
+    "leak_su": (["gqs_y", "gqu_y"], ["gj_z"]),
+}
+TERM_NAMES = ("a1", "a2", "a3", "d_s", "d_u", *CHANNEL_MI, *SLOPES)
+
+
+def _slopes(mi):
+    """Each secrecy slope from the channel MIs ``mi``, a dict by name."""
+    return {name: sum(mi[m] for m in plus) - sum(mi[m] for m in minus)
+            for name, (plus, minus) in SLOPES.items()}
+
+
+def _channel_sets(name):
+    """The (A, B, C) of each channel MI I(A; B | C) that a channel term reads."""
+    if name in SLOPES:
+        return [(CHANNEL_MI | LEAK_MI)[m] for m in sum(SLOPES[name], [])]
+    return [CHANNEL_MI[name]]
 
 
 def _sigma2_oracle(ch, sig2, nu2):
@@ -164,14 +186,21 @@ def _oracle_terms(s1, s2, case):
         terms = {name: _mi_batch(s1, *abc) for name, abc in SOURCE_MI[case].items()}
         for name, (i, c) in SOURCE_VAR.items():
             terms[name] = np.exp2(_logdet_batch(s1, [i] + c) - _logdet_batch(s1, c))
-        terms.update({name: _mi_batch(s2, *abc) for name, abc in CHANNEL_MI.items()})
+        terms.update(_channel_oracle(s2))
     return terms
+
+
+def _channel_oracle(s2):
+    """The channel terms from the 7x7 covariances ``s2``: each MI by slogdet,
+    each slope as a difference of them."""
+    mi = {name: _mi_batch(s2, *abc) for name, abc in (CHANNEL_MI | LEAK_MI).items()}
+    return {name: mi[name] for name in CHANNEL_MI} | _slopes(mi)
 
 
 def _term_support(name, case):
     """(side, sorted union of the index sets the term reads)."""
-    if name in CHANNEL_MI:
-        return 2, sorted(set().union(*CHANNEL_MI[name]))
+    if name in CHANNEL_MI or name in SLOPES:
+        return 2, sorted(set().union(*(a + b + c for a, b, c in _channel_sets(name))))
     if name in SOURCE_VAR:
         i, c = SOURCE_VAR[name]
         return 1, sorted({i, *c})
@@ -271,7 +300,8 @@ def _mp_terms(g, s2, case):
         terms = {name: mi(s1, *abc) for name, abc in SOURCE_MI[case].items()}
         for name, (i, c) in SOURCE_VAR.items():
             terms[name] = mpmath.power(2, ld(s1, [i] + c) - ld(s1, c))
-        terms.update({name: mi(s2, *abc) for name, abc in CHANNEL_MI.items()})
+        channel = {name: mi(s2, *abc) for name, abc in (CHANNEL_MI | LEAK_MI).items()}
+        terms.update({name: channel[name] for name in CHANNEL_MI} | _slopes(channel))
         return {name: float(val) for name, val in terms.items()}
 
 
@@ -655,9 +685,12 @@ class TestInnerTerms:
         assert t["b1"][0] == pytest.approx(mi2([0], [5]), abs=1e-8)
         assert t["b2"][0] == pytest.approx(mi2([0, 2], [5]), abs=1e-8)
         assert t["b3"][0] == pytest.approx(mi2([1, 3], [5], [0]), abs=1e-8)
-        assert t["gqs_y"][0] == pytest.approx(mi2([2], [5], [0]), abs=1e-8)
-        assert t["gqs_z"][0] == pytest.approx(mi2([2], [6], [0]), abs=1e-8)
-        assert t["gj_z"][0] == pytest.approx(mi2([2, 3], [6], [0, 1]), abs=1e-8)
+        assert t["gqu_y"][0] == pytest.approx(mi2([3], [5], [0, 1]), abs=1e-8)
+        assert t["g_s"][0] == pytest.approx(mi2([2], [5], [0]) - mi2([2], [6], [0]), abs=1e-8)
+        assert t["g_u"][0] == pytest.approx(mi2([3], [5], [0, 1]) - mi2([3], [6], [0, 1]),
+                                            abs=1e-8)
+        assert t["leak_su"][0] == pytest.approx(
+            mi2([2], [5], [0]) + mi2([3], [5], [0, 1]) - mi2([2, 3], [6], [0, 1]), abs=1e-8)
 
     def test_distortions_are_conditional_variances(self):
         g, sig2, nu2 = _sampler_draws(2, 1, seed=123)
@@ -714,7 +747,7 @@ class TestInnerTerms:
         assert set(t) == set(TERM_NAMES)
         s1, s2 = _gram(g), _sigma2_oracle(ch, sig2, nu2)
         mi1 = {name: _mi_batch(s1, *abc) for name, abc in SOURCE_MI[case].items()}
-        mi2 = {name: _mi_batch(s2, *abc) for name, abc in CHANNEL_MI.items()}
+        mi2 = _channel_oracle(s2)
         for k in range(5):
             for name, want in (mi1 | mi2).items():
                 assert t[name][k] == pytest.approx(want[k], abs=1e-8), name
@@ -782,6 +815,20 @@ class TestInnerTerms:
                 assert val == 0.0, name
             else:
                 assert np.isfinite(val) and val > 0.0, name
+        # A slope is NaN where a layer it reads is; g_s and g_u are at least
+        # 0, and exactly 0 where their layer is silent or Z is Y.
+        for name in SLOPES:
+            val = t[name][0]
+            sets = _channel_sets(name)
+            a = set().union(*(a for a, _, _ in sets))
+            if zero & set().union(*(a + c for a, _, c in sets)):
+                assert np.isnan(val), name
+                continue
+            assert np.isfinite(val), name
+            if name != "leak_su":
+                assert val >= 0.0, name
+                if a <= silent or ch.P_N2 == 0.0:
+                    assert val == 0.0, name
         _, accepted, reason = gaussian_mod._accept_draws(t, EquivocationTargets.no_secrecy(), src)
         assert (reason[0] == 10) == bool(zero)
         assert not (zero and accepted[0])
@@ -805,9 +852,39 @@ class TestInnerTerms:
             for k, i in enumerate(worst):
                 ref = _mp_terms(g[..., i], s2[i], case)
                 for name in TERM_NAMES:
-                    tol = 1e-12 if name in CHANNEL_MI else 1e-9
+                    tol = 1e-12 if name in CHANNEL_MI or name in SLOPES else 1e-9
                     assert _bits_error(name, got[name][k], ref[name]) <= tol, name
                     assert _bits_error(name, want[name][k], ref[name]) <= 1e-4, name
+
+    @pytest.mark.parametrize("p_n2", [0.4, 1e-10, 1e-14, 10.0**-15.5, 2.22e-16])
+    def test_secrecy_slopes_keep_their_relative_precision(self, p_n2):
+        # Each slope against 50-digit differences of the Y and Z gains at the
+        # same layer powers e_k. The difference of two float logs lost all
+        # digits of a slope near P_N2 = 1e-15.
+        ch = WiretapChannelGaussian(1.0, 0.5, p_n2)
+        g, sig2, nu2 = _sampler_draws(2, 200, seed=8)
+        t = gaussian_mod._inner_terms(g, sig2, nu2, ch, case=2)
+        e = (sig2**2 / (sig2 + nu2)).tolist()
+        with mpmath.workdps(50):
+            v_y = mpmath.mpf(ch.P) + mpmath.mpf(ch.P_N1)
+            v_z = v_y + mpmath.mpf(ch.P_N2)
+
+            def gain(v, a, c):
+                return mpmath.log((v - c) / (v - c - a), 2) / 2
+
+            for k, (wc, wu, qs, qu) in enumerate(map(lambda row: map(mpmath.mpf, row), e)):
+                if not np.isfinite(t["leak_su"][k]):  # a layer with σ = ν = 0
+                    continue
+                want = {
+                    "g_s": gain(v_y, qs, wc) - gain(v_z, qs, wc),
+                    "g_u": gain(v_y, qu, wc + wu) - gain(v_z, qu, wc + wu),
+                }
+                part = gain(v_y, qs, wc) - gain(v_z, qs, wc + wu + qu)
+                for name, val in want.items():
+                    assert t[name][k] == pytest.approx(float(val), rel=1e-12, abs=0.0), name
+                # leak_su adds two parts that may cancel: each part's error counts.
+                scale = float(abs(want["g_u"]) + abs(part))
+                assert abs(t["leak_su"][k] - float(want["g_u"] + part)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_acceptance_matches_oracle_terms(self, case):
@@ -849,6 +926,28 @@ class TestLargeScale:
             np.testing.assert_allclose(out["r"], ref["r"], rtol=1e-11)
             for key in ("d_s", "d_u"):
                 np.testing.assert_allclose(out[key][acc] / scale, ref[key][acc], rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-3, 1e9, 1e150])
+    def test_constructive_batch_is_unit_free(self, scale):
+        # The batch builds its factors from ratios of the source variances,
+        # so at 1e150, where a product of three variances overflows, it
+        # still keeps every cell and the ratios of s = 1.
+        def batch(s, case):
+            src = SemanticSourceGaussian(0.7 * s, s, 0.6 * s)
+            ch = WiretapChannelGaussian(s, 0.1 * s, 0.4 * s)
+            mid = (np.arange(12) + 0.5) / 12
+            return gaussian_mod._constructive_batch(
+                src, ch, EquivocationTargets.no_secrecy(), case,
+                np.repeat(mid * src.P_s, 12), np.tile(mid * src.P_u, 12))
+
+        for case in (1, 2):
+            (d_s, d_u, r, acc, reason), ref = batch(scale, case), batch(1.0, case)
+            np.testing.assert_array_equal(reason, ref[4])
+            assert acc.any()
+            np.testing.assert_allclose(r[acc], ref[2][acc], rtol=1e-11)
+            np.testing.assert_allclose(d_s[acc] / scale, ref[0][acc], rtol=1e-12)
+            np.testing.assert_allclose(d_u[acc] / scale, ref[1][acc], rtol=1e-12)
 
 
 def _handmade_factor(src):
@@ -939,6 +1038,11 @@ class TestInnerMinR:
     @settings(max_examples=100, deadline=None)
     @given(config=inner_configs(), seed=st.integers(0, 2**32 - 1),
            grid=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    # Secrecy slopes formed as differences of logs put 2 of 812 accepted
+    # draws below the converse here, the worst at 0.913 of it.
+    @example(config=(SemanticSourceGaussian(1.0, 2.0, 0.0),
+                     WiretapChannelGaussian(1.0, 0.5, 10.0**-15.5),
+                     EquivocationTargets(DISABLED, 1.0, DISABLED), 1), seed=0, grid=(12, 12))
     def test_sandwich_over_the_parameter_space(self, config, seed, grid):
         # Every accepted draw is at least the converse at its own
         # distortions, and none is accepted where the converse is
@@ -1114,6 +1218,42 @@ class TestInnerScan:
                 want = whole[key][ci * 4096:(ci + 1) * 4096]
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("case, accepted, public_rate", [(1, 684, 156), (2, 1246, 354)])
+    def test_constructive_batch_on_the_nosecrecy_preset(self, case, accepted, public_rate):
+        # One draw per bucket centre of the 40x40 grid, in case 1 only the
+        # 840 above the floor. Each is discarded only where R_joint > C,
+        # for the public constraint, and counted apart from the random draws.
+        cfg = get_preset("gaussian-inner-nosecrecy")
+        src, ch, tg = build_source(cfg), build_channel(cfg), cfg.targets()
+        scan = inner_bound_scan(src, ch, tg, case, 1, seed=5)
+        assert scan.metadata["constructive"] == {
+            "accepted": accepted, "discard_reasons": {"ok": accepted, "public_rate": public_rate}}
+        assert scan.metadata["accepted"] + sum(scan.metadata["discard_reasons"].values()) == 2
+        assert scan.samples.sum() == accepted + scan.metadata["accepted"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(config=inner_configs(), grid=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    def test_constructive_draws_meet_the_converse(self, config, grid):
+        # Without secrecy the constructive draw at a bucket centre has
+        # r = R_joint / C, the converse at its own distortions, and only the
+        # public constraint, a1 = R_joint <= C, can discard it.
+        src, ch, _, _ = config
+        tg = EquivocationTargets.no_secrecy()
+        (hi_s, hi_u), (n_s, n_u) = src.distortion_range, grid
+        cell_s, cell_u = np.meshgrid((np.arange(n_s) + 0.5) * hi_s / n_s,
+                                     (np.arange(n_u) + 0.5) * hi_u / n_u, indexing="ij")
+        for case in (1, 2):
+            d_s, d_u, r, acc, reason = gaussian_mod._constructive_batch(
+                src, ch, tg, case, cell_s.ravel(), cell_u.ravel())
+            assert set(reason.tolist()) <= {0, 1}
+            lower = min_ratio(src, ch, tg, d_s[acc], d_u[acc], case)
+            assert lower.feasible.all()
+            np.testing.assert_allclose(r[acc], lower.r_min, rtol=1e-9, atol=0.0)
+            at_centre = min_ratio(src, ch, tg, cell_s, cell_u, case)
+            reach = at_centre.r_min[at_centre.feasible]
+            assert np.sum(reach < 1.0 - 1e-6) <= acc.sum() <= np.sum(reach <= 1.0 + 1e-6)
 
     def test_memory_does_not_grow_with_the_draw_count(self):
         # The scan holds one chunk of draws at a time. Holding every draw,
