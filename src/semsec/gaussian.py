@@ -489,9 +489,12 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     distortion binds, and a cell at or below the floor gets no draw. Sp, Up
     and an unused Uc are independent noise of amplitude sqrt(max(P_s, P_u)).
 
-    Only the weak regime puts rate on the private layer, a3 > 0. Wc gets the
-    power P_c = (P + P_N1)(1 − 2^(−2C·a2/(a2 + a3))), so that a2/b2 = a3/b3,
-    and Wu the rest; where a3 = 0, Wc gets all of P. Qs and Qu carry no
+    Only the weak regime puts rate on the private layer, a3 > 0. Wu gets the
+    power P_N1 (2^(2C·a3/(a2 + a3)) − 1), so that a2/b2 = a3/b3, and Wc the
+    rest; a2 and a3 are the draw's own terms, the ones that
+    :func:`_accept_draws` divides, so the two ratios agree to rounding also
+    where a3 is tiny and carries few correct digits. Where a3 = 0, Wc gets
+    all of P. Qs and Qu carry no
     power, and every zero-power layer gets unit private noise, so that its
     terms are 0, not NaN. So r = max(a2/b2, a3/b3) = R_joint / C, the
     no-secrecy converse, wherever the public constraint a1 = a2 <= b1 lets
@@ -507,7 +510,7 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     g[0, :2] = l[0][:, None]
     g[1, :2] = l[1][:, None]
     g[3:, 3:] = np.eye(3)[..., None] * math.sqrt(max(ps, pu))
-    share = np.ones(n)  # a2 / (a2 + a3), the common layer's share of the rate
+    weak = np.zeros(n, dtype=bool)
     if case == 1:
         dhs, dhu = ps - d_s, pu - d_u
         floor = src.semantic_floor(1)
@@ -535,15 +538,21 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
         g[4, :2] = np.where(weak, np.outer(inv_l[:, 0], psu) + np.outer(inv_l[:, 1], dhu), 0.0)
         g[4, 2] = np.where(weak, c10, 0.0)
         g[4, 4] = np.where(weak, np.sqrt(np.maximum(m11 - c10 * c10, 0.0)), g[4, 4])
-        share = np.where(weak, np.log(dhs / m00) / np.log(det / (d_s * d_u)), 1.0)
-    keep &= np.isfinite(g).all(axis=(0, 1)) & np.isfinite(share)
-    # Wc's power balances a2/b2 = a3/b3; where a3 = 0 it takes all of P.
-    balanced = -(ch.P + ch.P_N1) * np.expm1(-np.log1p(ch.P / ch.P_N1) * share)
-    sig2 = np.zeros((n, 4))
-    sig2[:, 0] = np.where(share < 1.0, np.minimum(balanced, ch.P), ch.P)
-    sig2[:, 1] = ch.P - sig2[:, 0]
+    keep &= np.isfinite(g).all(axis=(0, 1))
+    g, weak = g[..., keep], weak[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ld, _ = _prefix_logdets(g, _SOURCE_CHAINS[case])
+        v = [1] if case == 1 else [0, 1]
+        a2, a3 = _mi(ld, [2, 3], v), _mi(ld, [4, 5], v, [2])
+        private = np.where(weak, a3 / (a2 + a3), 0.0)  # the private layer's share of the rate
+    keep = np.isfinite(private)
+    # Wu's power balances a2/b2 = a3/b3, b3 = ½ log2(1 + P_Wu / P_N1); where
+    # a3 = 0, Wc takes all of P.
+    sig2 = np.zeros((keep.sum(), 4))
+    sig2[:, 1] = np.minimum(ch.P_N1 * np.expm1(np.log1p(ch.P / ch.P_N1) * private[keep]), ch.P)
+    sig2[:, 0] = ch.P - sig2[:, 1]
     nu2 = (sig2 == 0.0).astype(float)
-    return g[..., keep], sig2[keep], nu2[keep]
+    return g[..., keep], sig2, nu2
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,38 @@ def _ba_tilted(p: np.ndarray, tilt: np.ndarray, q0: np.ndarray | None = None):
     }
 
 
+def _split_ties(p, out, tilt, cost):
+    """The minimizer in ``out`` moved to the least expected ``cost`` among the
+    minimizers of the Lagrangian with the same tilt.
+
+    Output letters with equal tilt columns tie: every split of their output
+    mass that does not depend on the source letter has the same rate and
+    dual bound, but not the same expected cost of a constraint whose
+    multiplier is zero, which the tilt leaves out. Each group of tied
+    letters whose costs differ gets all its mass on its letter of least
+    expected cost, so the gradient in that multiplier is the dual's
+    one-sided derivative as the multiplier rises from zero (Danskin).
+    Without that, Blahut-Arimoto keeps whatever split it starts from, and
+    the ascent sees a constraint as violated that a tied minimizer meets.
+    """
+    groups = {}
+    for j, col in enumerate(tilt.T):
+        groups.setdefault(col.tobytes(), []).append(j)
+    w, q, moved = out["w"].copy(), out["q"].copy(), False
+    for tied in groups.values():
+        spent = (p * w[:, tied].sum(axis=1)) @ cost[:, tied]
+        if spent.min() == spent.max():
+            continue
+        k = tied[int(np.argmin(spent))]
+        w[:, k], q[k] = w[:, tied].sum(axis=1), q[tied].sum()
+        rest = [j for j in tied if j != k]
+        w[:, rest], q[rest] = 0.0, 0.0
+        moved = True
+    if not moved:
+        return out
+    return {**out, "w": w, "q": q, "rate": max(_channel_rate(p, w), 0.0)}
+
+
 def _newton_output(p, b, q):
     """One Newton step toward c(q) = 1 on the support of the output ``q``.
 
@@ -468,6 +500,9 @@ class _NewtonAscent:
     def evaluate(self, lam, q0=None) -> _Eval:
         tilt = np.tensordot(lam, self.costs, axes=1)
         out = _ba_tilted(self.p, tilt, q0)
+        zero = np.flatnonzero(lam == 0.0)
+        if zero.size == 1:
+            out = _split_ties(self.p, out, tilt, self.costs[zero[0]])
         ed = np.array(_expected_distortions(self.p, out["w"], *self.costs))
         dual = _dual_bound(self.p, out["q"], tilt, float(lam @ self.targets))
         ev = _Eval(lam, out, ed - self.targets, dual)
