@@ -808,6 +808,17 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 
 
+def _verdicts(t: dict[str, np.ndarray], targets: EquivocationTargets,
+              src: SemanticSourceGaussian, case: int):
+    """``(d_s, d_u, r, accepted, reason)`` of the draws whose terms are ``t``.
+
+    In case 1 the auxiliaries reach S only through U, so Var(S | Sc, Sp) is
+    at least Var(S | U), the floor; each d_s is clamped there, which only
+    undoes rounding (at rho = 0 a d_s of P_s can come out one ulp below)."""
+    d_s = np.maximum(t["d_s"], src.semantic_floor(1)) if case == 1 else t["d_s"]
+    return (d_s, t["d_u"], *_accept_draws(t, targets, src))
+
+
 def _inner_chunks(
     src: SemanticSourceGaussian,
     ch: WiretapChannelGaussian,
@@ -832,8 +843,8 @@ def _inner_chunks(
         g = _sample_sigma1_batch(src, case, _CHUNK, rng)
         sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
-        t = _inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case)
-        yield (t["d_s"], t["d_u"], *_accept_draws(t, targets, src))
+        yield _verdicts(_inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case),
+                        targets, src, case)
 
 
 def _constructive_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
@@ -842,8 +853,8 @@ def _constructive_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     """``(d_s, d_u, r, accepted, reason)`` of the constructive draws at the
     cells of the 1-D arrays ``d_s`` and ``d_u``, as :func:`_inner_chunks`
     gives them for a chunk of random draws."""
-    t = _inner_terms(*_constructive_draws(src, ch, case, d_s, d_u), ch, case)
-    return (t["d_s"], t["d_u"], *_accept_draws(t, targets, src))
+    return _verdicts(_inner_terms(*_constructive_draws(src, ch, case, d_s, d_u), ch, case),
+                     targets, src, case)
 
 
 def _tally(reasons) -> dict:

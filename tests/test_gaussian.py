@@ -1025,9 +1025,9 @@ class TestInnerMinR:
         assert lower.feasible.all()
         assert np.all(out["r"][first] >= lower.r_min - 1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="at rho = 0 a case-1 draw's d_s = P_s can round one "
-                                           "ulp below the converse's case-1 floor, P_s")
     def test_no_case_1_draw_beats_the_floor_at_rho_0(self):
+        # Each d_s = fl(fl(sqrt(P_s))^2) of these draws used to sit one ulp
+        # below P_s, the floor at rho = 0; the scan clamps it at the floor.
         src = SemanticSourceGaussian(0.3, 1.0, 0.0)
         out = draw_inner_samples(src, default_channel(), EquivocationTargets.no_secrecy(), 1,
                                  200, seed=0)
@@ -1049,8 +1049,7 @@ class TestInnerMinR:
         # infeasible. A draw's distortions carry a few ulps of rounding, and
         # in case 1 at |rho| below about 1e-5 the converse is ill-conditioned
         # there: its semantic RDF divides by d_s - (1 - rho^2) P_s, a gap
-        # of a few ulps, and at rho = 0 a draw's d_s = P_s may round one ulp
-        # below the floor. So the converse is taken 8 ulps above them. The
+        # of a few ulps. So the converse is taken 8 ulps above them. The
         # converse never rises with distortion, so each covered bucket is
         # at least the converse at its upper corner.
         src, ch, tg, case = config
