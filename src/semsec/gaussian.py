@@ -20,9 +20,12 @@ E(r) = base + r·g − (k − r·g_k)⁺, with the terms of each target in a tab
 (see ``_accept_draws``); its secrecy slopes are each one log1p, so they keep
 their relative precision where P_N2 << P_N1. Every draw is a valid
 covariance by construction, so none is gated. Besides the seeded random
-draws, the scan evaluates one deterministic draw per bucket centre, built
-from the joint RDF's optimal test channel (``_constructive_draws``); without
-secrecy it meets the converse wherever the joint RDF fits in one channel use.
+draws, the scan evaluates two deterministic draws per bucket centre. One is
+built from the joint RDF's optimal test channel (``_constructive_draws``);
+without secrecy it meets the converse wherever the joint RDF fits in one
+channel use. The other gives each component its own private layer, Sp for S
+and Up for U, and takes the best of a lattice of channel power splits
+(``_secret_layer_draws``), so that it can meet secrecy targets.
 """
 
 from __future__ import annotations
@@ -334,6 +337,10 @@ def converse_min_r(
 #: spawn_key=(ci,))``, and the scan holds one chunk at a time.
 _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
+#: The step-¼ simplex lattice of power shares over (Wc, Wu, Qs, Qu), 35
+#: points in ``itertools.product`` order, that :func:`_secret_layer_batch`
+#: searches at every bucket centre.
+_SPLITS = np.array([c for c in itertools.product(range(5), repeat=4) if sum(c) == 4]) / 4.0
 
 
 def _modes(rng, n: int):
@@ -555,6 +562,38 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     return g[..., keep], sig2, nu2
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _secret_layer_draws(src: SemanticSourceGaussian, case: int, d_s: np.ndarray,
+                        d_u: np.ndarray) -> np.ndarray:
+    """One source-side factor per cell of the 1-D distortion arrays ``d_s``
+    and ``d_u`` that puts each component on its own private layer; returns
+    the factors g in the layout of :func:`_sample_sigma1_batch`, for the
+    cells that get a draw. No RNG is read.
+
+    Sc and Uc carry nothing: pure noise of amplitude sqrt(max(P_s, P_u)).
+    Sp = S + N with Var N = P_s D_s / (P_s − D_s) in case 2, and in case 1,
+    where the encoder sees only U, Sp = U + N with
+    Var N = P_su² / (P_s − D_s) − P_u; a cell where that is not positive, at
+    or below the floor, gets no draw. Up = U + N with
+    Var N = P_u D_u / (P_u − D_u). So Var(S | Sp) = D_s and
+    Var(U | Up) = D_u, and the whole description is private: a1 = 0,
+    a2 = I(Sp; V) and a3 = I(Up; V). Each variance is formed as a ratio
+    first, so no product of two variances overflows.
+    """
+    ps, pu, psu = src.P_s, src.P_u, src.P_su
+    l = src.cholesky()
+    g = np.zeros((6, 6, d_s.size))
+    g[0, :2] = l[0][:, None]
+    g[1, :2] = l[1][:, None]
+    g[2, 2] = g[4, 4] = math.sqrt(max(ps, pu))
+    g[3, :2] = l[1 if case == 1 else 0][:, None]
+    noise = psu * (psu / (ps - d_s)) - pu if case == 1 else ps * (d_s / (ps - d_s))
+    g[3, 3] = np.sqrt(noise)
+    g[5, :2] = l[1][:, None]
+    g[5, 5] = np.sqrt(pu * (d_u / (pu - d_u)))
+    return g[..., (noise > 0.0) & np.isfinite(g).all(axis=(0, 1))]
+
+
 # ---------------------------------------------------------------------------
 # inner bound: information terms and the piecewise-linear minimal r
 # ---------------------------------------------------------------------------
@@ -684,11 +723,31 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
 
     A singular index set (on the source side, a zero pivot; on the channel
     side, a layer with σ = ν = 0, whose e_k is NaN) makes its terms NaN or
-    infinite, and the draw is discarded as ``degenerate``.
+    infinite, and the draw is discarded as ``degenerate``. The two sides are
+    :func:`_source_terms` and :func:`_channel_terms`; each term of a draw
+    reads only its own side, so a batch may evaluate them apart.
     """
+    return {**_source_terms(g, case), **_channel_terms(sig2, nu2, ch)}
+
+
+def _source_terms(g: np.ndarray, case: int) -> dict[str, np.ndarray]:
+    """``a1``, ``a2``, ``a3``, ``d_s`` and ``d_u`` of :func:`_inner_terms`."""
     v = [1] if case == 1 else [0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         l1, piv = _prefix_logdets(g, _SOURCE_CHAINS[case])
+        return {
+            "a1": _mi(l1, [2], v),
+            "a2": _mi(l1, [2, 3], v),
+            "a3": _mi(l1, [4, 5], v, [2]),
+            "d_s": piv[(2, 3, 0)],
+            "d_u": piv[(2, 4, 5, 1)],
+        }
+
+
+def _channel_terms(sig2: np.ndarray, nu2: np.ndarray,
+                   ch: WiretapChannelGaussian) -> dict[str, np.ndarray]:
+    """The channel terms of :func:`_inner_terms`, ``b1`` to ``leak_su``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         wc, wu, qs, qu = (sig2**2 / (sig2 + nu2)).T
 
         def gain(out_var, a, c=0.0):
@@ -705,12 +764,7 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
             return np.log1p(a * gap / ((v_y - c - a) * (v_z - c_z))) / (2.0 * math.log(2.0))
 
         g_u = excess(qu, wc + wu, wc + wu, ch.P_N2)
-        terms = {
-            "a1": _mi(l1, [2], v),
-            "a2": _mi(l1, [2, 3], v),
-            "a3": _mi(l1, [4, 5], v, [2]),
-            "d_s": piv[(2, 3, 0)],
-            "d_u": piv[(2, 4, 5, 1)],
+        return {
             "b1": gain(v_y, wc),
             "b2": gain(v_y, wc + qs),
             "b3": gain(v_y, wu + qu, wc),
@@ -719,7 +773,6 @@ def _inner_terms(g: np.ndarray, sig2: np.ndarray, nu2: np.ndarray,
             "g_u": g_u,
             "leak_su": g_u + excess(qs, wc, wc + wu + qu, ch.P_N2 - wu - qu),
         }
-    return terms
 
 
 def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
@@ -808,15 +861,19 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 
 
-def _verdicts(t: dict[str, np.ndarray], targets: EquivocationTargets,
-              src: SemanticSourceGaussian, case: int):
-    """``(d_s, d_u, r, accepted, reason)`` of the draws whose terms are ``t``.
+def _draw_distortions(t: dict[str, np.ndarray], src: SemanticSourceGaussian, case: int):
+    """``(d_s, d_u)`` of the draws whose terms are ``t``.
 
     In case 1 the auxiliaries reach S only through U, so Var(S | Sc, Sp) is
     at least Var(S | U), the floor; each d_s is clamped there, which only
     undoes rounding (at rho = 0 a d_s of P_s can come out one ulp below)."""
-    d_s = np.maximum(t["d_s"], src.semantic_floor(1)) if case == 1 else t["d_s"]
-    return (d_s, t["d_u"], *_accept_draws(t, targets, src))
+    return np.maximum(t["d_s"], src.semantic_floor(1)) if case == 1 else t["d_s"], t["d_u"]
+
+
+def _verdicts(t: dict[str, np.ndarray], targets: EquivocationTargets,
+              src: SemanticSourceGaussian, case: int):
+    """``(d_s, d_u, r, accepted, reason)`` of the draws whose terms are ``t``."""
+    return (*_draw_distortions(t, src, case), *_accept_draws(t, targets, src))
 
 
 def _inner_chunks(
@@ -855,6 +912,43 @@ def _constructive_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     gives them for a chunk of random draws."""
     return _verdicts(_inner_terms(*_constructive_draws(src, ch, case, d_s, d_u), ch, case),
                      targets, src, case)
+
+
+def _secret_layer_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
+                        targets: EquivocationTargets, case: int, d_s: np.ndarray,
+                        d_u: np.ndarray):
+    """``(d_s, d_u, r, accepted, reason)`` of the secret-layer draws
+    (:func:`_secret_layer_draws`) at the cells of the 1-D arrays ``d_s`` and
+    ``d_u``, one per cell that gets a draw, as :func:`_inner_chunks` gives
+    them for a chunk of random draws.
+
+    Each draw takes the best of the :data:`_SPLITS` channel power splits:
+    its r is the least over the splits it is accepted at, and a draw
+    accepted at none carries the reason code of the first split. Zero-power
+    layers get unit private noise, so that their terms are 0, not NaN. The
+    source terms are evaluated once per draw and the channel terms once per
+    split; every (draw, split) pair goes through :func:`_accept_draws`, in
+    blocks of at most ``_CHUNK`` pairs, so memory does not grow with the
+    bucket count. Each term reads only its own side, so every pair has the
+    bits of one :func:`_inner_terms` call on it.
+    """
+    source = _source_terms(_secret_layer_draws(src, case, d_s, d_u), case)
+    n, m = source["a1"].size, len(_SPLITS)
+    step = _CHUNK // m
+    sig2 = _SPLITS * ch.P
+    # The channel terms of a full block, which a shorter block slices.
+    channel = {key: np.tile(val, step)
+               for key, val in _channel_terms(sig2, (sig2 == 0.0).astype(float), ch).items()}
+    r, reason = np.empty(n), np.empty(n, dtype=np.int8)
+    for lo in range(0, n, step):
+        part = slice(lo, min(lo + step, n))
+        pairs = {**{key: np.repeat(val[part], m) for key, val in source.items()},
+                 **{key: val[:(part.stop - lo) * m] for key, val in channel.items()}}
+        r_pair, acc_pair, reason_pair = (x.reshape(-1, m)
+                                         for x in _accept_draws(pairs, targets, src))
+        r[part] = np.fmin.reduce(r_pair, axis=1)
+        reason[part] = np.where(acc_pair.any(axis=1), 0, reason_pair[:, 0])
+    return (*_draw_distortions(source, src, case), r, reason == 0, reason)
 
 
 def _tally(reasons) -> dict:
@@ -899,24 +993,27 @@ def inner_bound_scan(
     grid: int | tuple[int, int] = 40,
 ) -> RegionSurface:
     """Inner-bound surface: per-bucket minimum feasible r over the Monte-Carlo
-    draws and one constructive draw per bucket centre.
+    draws and two deterministic draws per bucket centre.
 
     Draws ``n_samples`` auxiliary structures, evaluates the minimal ratio
     for each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
     The draws are those of :func:`draw_inner_samples`, chunk ``ci`` from
     ``SeedSequence(seed, spawn_key=(ci,))``, but each chunk is folded into
     the bucket grid as soon as it is drawn and then dropped, so memory does
-    not grow with ``n_samples``. Then one deterministic batch, which reads
-    no RNG, is folded in the same way: at each bucket centre, the draw of
-    the joint RDF's optimal test channel (:func:`_constructive_draws`),
-    which meets the no-secrecy converse wherever R_joint <= C. Buckets
-    without accepted draws are reported as no-data (never interpolated).
+    not grow with ``n_samples``. Then two deterministic batches, which read
+    no RNG, are folded in the same way, one draw per bucket centre each: the
+    draw of the joint RDF's optimal test channel
+    (:func:`_constructive_draws`), which meets the no-secrecy converse
+    wherever R_joint <= C, and the secret-layer draw
+    (:func:`_secret_layer_batch`), which describes S on Sp and U on Up,
+    both private, at the best of 35 channel power splits. Buckets without
+    accepted draws are reported as no-data (never interpolated).
     Deterministic for a fixed seed, with a stable prefix under sample-count
     growth. ``grid`` is a bucket count for both axes or a (D_s, D_u) pair of
     counts; the buckets split the source's ``distortion_range``, [0, P_s]
     and [0, P_u], evenly. ``metadata`` holds ``accepted`` and
-    ``discard_reasons`` of the random draws, and the same two for the
-    constructive batch under ``constructive``.
+    ``discard_reasons`` of the random draws, and the same two for each
+    batch, under ``constructive`` and ``secret_layer``.
     """
     n_bs, n_bu = (grid, grid) if isinstance(grid, int) else grid
     if min(n_bs, n_bu) < 1:
@@ -939,9 +1036,10 @@ def inner_bound_scan(
     reasons = np.zeros(len(REASON_NAMES), dtype=int)
     for chunk in _inner_chunks(src, ch, targets, case, n_samples, seed):
         reasons += fold(*chunk)
-    built = fold(*_constructive_batch(src, ch, targets, case, np.repeat(mid_s, n_bu),
-                                      np.tile(mid_u, n_bs)))
-    meta = {**_tally(reasons), "constructive": _tally(built)}
+    centres = np.repeat(mid_s, n_bu), np.tile(mid_u, n_bs)
+    meta = {**_tally(reasons),
+            "constructive": _tally(fold(*_constructive_batch(src, ch, targets, case, *centres))),
+            "secret_layer": _tally(fold(*_secret_layer_batch(src, ch, targets, case, *centres)))}
     counts = counts.reshape(n_bs, n_bu)
     return RegionSurface(
         axes={"D_s": mid_s, "D_u": mid_u},

@@ -4,11 +4,13 @@ The reference for ``semsec.gaussian.inner_bound_scan``, which folds each
 chunk of draws into its bucket grid as the chunk is drawn and then drops
 it. This copy first draws every sample with ``draw_inner_samples``, appends
 the scan's constructive batch at the bucket centres (the same
-``_constructive_batch``, at centres laid out by ``np.meshgrid``), then
-buckets the accepted draws in one pass and counts the reasons of each part
-with ``np.unique``. A minimum, a count and a sum do not depend on how the
-draws are split, so the two are checked against each other bit for bit:
-``values`` (NaN included), ``feasible``, ``samples`` and ``metadata``.
+``_constructive_batch``, at centres laid out by ``np.meshgrid``) and its
+secret-layer batch (:func:`secret_layer_batch`, one ``_inner_terms`` and
+``_accept_draws`` call per power split), then buckets the accepted draws in
+one pass and counts the reasons of each part with ``np.unique``. A minimum,
+a count and a sum do not depend on how the draws are split, so the two are
+checked against each other bit for bit: ``values`` (NaN included),
+``feasible``, ``samples`` and ``metadata``.
 """
 
 from __future__ import annotations
@@ -16,16 +18,37 @@ from __future__ import annotations
 import numpy as np
 
 from semsec.errors import DomainError
-from semsec.gaussian import REASON_NAMES, _constructive_batch, draw_inner_samples
+from semsec.gaussian import (_SPLITS, REASON_NAMES, _accept_draws, _constructive_batch,
+                             _inner_terms, _secret_layer_draws, draw_inner_samples)
 from semsec.regions import RegionSurface
+
+
+def secret_layer_batch(src, ch, targets, case: int, d_s, d_u):
+    """``(d_s, d_u, r, accepted, reason)`` of the secret-layer draws at the
+    cells of the 1-D arrays ``d_s`` and ``d_u``: each power split of the
+    lattice evaluated on every draw in turn, then per draw the least r over
+    the splits, and the first split's reason where none accepts it."""
+    g = _secret_layer_draws(src, case, d_s, d_u)
+    n = g.shape[2]
+    rs, reasons = [], []
+    for share in _SPLITS:
+        sig2 = np.tile(share * ch.P, (n, 1))
+        t = _inner_terms(g, sig2, (sig2 == 0.0).astype(float), ch, case)
+        r, _, reason = _accept_draws(t, targets, src)
+        rs.append(r)
+        reasons.append(reason)
+    r = np.fmin.reduce(rs)
+    reason = np.where(np.isnan(r), reasons[0], 0).astype(np.int8)
+    floor = src.semantic_floor(1) if case == 1 else 0.0
+    return np.maximum(t["d_s"], floor), t["d_u"], r, reason == 0, reason
 
 
 def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
                      grid: int | tuple[int, int] = 40) -> RegionSurface:
     """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
 
-    Draws ``n_samples`` auxiliary structures and one constructive draw per
-    bucket centre, evaluates the minimal ratio for each accepted draw, and
+    Draws ``n_samples`` auxiliary structures, and one constructive and one
+    secret-layer draw per bucket centre, evaluates the minimal ratio for each accepted draw, and
     keeps the minimum per (D_s, D_u) bucket.
     Buckets without accepted samples are reported as no-data. ``grid`` is a
     bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
@@ -40,9 +63,11 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
     centres_s, centres_u = 0.5 * (edges_s[:-1] + edges_s[1:]), 0.5 * (edges_u[:-1] + edges_u[1:])
     samples = draw_inner_samples(src, ch, targets, case, n_samples, seed)
     cell_s, cell_u = np.meshgrid(centres_s, centres_u, indexing="ij")
-    built = dict(zip(("d_s", "d_u", "r", "accepted", "reason"),
-                     _constructive_batch(src, ch, targets, case, cell_s.ravel(), cell_u.ravel())))
-    both = {key: np.concatenate([samples[key], built[key]]) for key in samples}
+    keys = ("d_s", "d_u", "r", "accepted", "reason")
+    centres = cell_s.ravel(), cell_u.ravel()
+    built = dict(zip(keys, _constructive_batch(src, ch, targets, case, *centres)))
+    secret = dict(zip(keys, secret_layer_batch(src, ch, targets, case, *centres)))
+    both = {key: np.concatenate([samples[key], built[key], secret[key]]) for key in samples}
     acc = both["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)
     counts = np.zeros((n_bs, n_bu), dtype=int)
@@ -57,7 +82,7 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
                     REASON_NAMES[int(code)]: int(cnt)
                     for code, cnt in zip(*np.unique(part["reason"], return_counts=True))}}
 
-    meta = {**tally(samples), "constructive": tally(built)}
+    meta = {**tally(samples), "constructive": tally(built), "secret_layer": tally(secret)}
     return RegionSurface(
         axes={"D_s": centres_s, "D_u": centres_u},
         values=np.where(counts > 0, r_grid, np.nan),

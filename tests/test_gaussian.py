@@ -1229,7 +1229,8 @@ class TestInnerScan:
         assert scan.metadata["constructive"] == {
             "accepted": accepted, "discard_reasons": {"ok": accepted, "public_rate": public_rate}}
         assert scan.metadata["accepted"] + sum(scan.metadata["discard_reasons"].values()) == 2
-        assert scan.samples.sum() == accepted + scan.metadata["accepted"]
+        assert scan.samples.sum() == (accepted + scan.metadata["accepted"]
+                                      + scan.metadata["secret_layer"]["accepted"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
@@ -1253,6 +1254,90 @@ class TestInnerScan:
             at_centre = min_ratio(src, ch, tg, cell_s, cell_u, case)
             reach = at_centre.r_min[at_centre.feasible]
             assert np.sum(reach < 1.0 - 1e-6) <= acc.sum() <= np.sum(reach <= 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("preset, case, reasons", [
+        ("nosecrecy", 1, {"ok": 840}),
+        ("nosecrecy", 2, {"ok": 1600}),
+        ("semantic", 1, {"ok": 738, "common_rate": 102}),
+        ("semantic", 2, {"ok": 1437, "common_rate": 163}),
+    ])
+    def test_secret_layer_batch_on_the_presets(self, preset, case, reasons):
+        # One draw per bucket centre of the 40x40 grid, in case 1 only the
+        # 840 above the floor, counted apart from the other draws. Under the
+        # semantic preset's targets the constructive batch accepts none.
+        cfg = get_preset(f"gaussian-inner-{preset}")
+        src, ch, tg = build_source(cfg), build_channel(cfg), cfg.targets()
+        scan = inner_bound_scan(src, ch, tg, case, 1, seed=5)
+        assert scan.metadata["secret_layer"] == {"accepted": reasons["ok"],
+                                                 "discard_reasons": reasons}
+
+    @staticmethod
+    def _assert_the_best_lattice_split(src, ch, tg, case, cell_s, cell_u):
+        # The batch against one _inner_terms + _accept_draws call per split
+        # on every draw, bit for bit: the least r, and the first split's
+        # reason where no split accepts the draw.
+        got = gaussian_mod._secret_layer_batch(src, ch, tg, case, cell_s, cell_u)
+        want = scan_oracle.secret_layer_batch(src, ch, tg, case, cell_s, cell_u)
+        for got_part, want_part in zip(got, want):
+            assert got_part.dtype == want_part.dtype
+            np.testing.assert_array_equal(got_part.view(np.uint8), want_part.view(np.uint8))
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("preset", ["gaussian-inner-nosecrecy", "gaussian-inner-semantic"])
+    def test_secret_layer_batch_is_the_best_lattice_split(self, preset, case):
+        cfg = get_preset(preset)
+        src, ch, tg = build_source(cfg), build_channel(cfg), cfg.targets()
+        mid = (np.arange(40) + 0.5) / 40
+        self._assert_the_best_lattice_split(src, ch, tg, case, np.repeat(mid * src.P_s, 40),
+                                            np.tile(mid * src.P_u, 40))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(config=inner_configs(), grid=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    def test_secret_layer_draws_meet_their_centres_and_the_converse(self, config, grid):
+        # Every draw hits its centre's distortions, and no accepted draw is
+        # below the converse there. In case 1 only a centre above the floor,
+        # where Sp = U + N needs a positive noise variance, gets a draw.
+        src, ch, tg, _ = config
+        (hi_s, hi_u), (n_s, n_u) = src.distortion_range, grid
+        cell_s, cell_u = (c.ravel() for c in np.meshgrid((np.arange(n_s) + 0.5) * hi_s / n_s,
+                                                         (np.arange(n_u) + 0.5) * hi_u / n_u,
+                                                         indexing="ij"))
+        for case in (1, 2):
+            d_s, d_u, r, acc, reason = gaussian_mod._secret_layer_batch(src, ch, tg, case,
+                                                                        cell_s, cell_u)
+            drawn = np.ones(cell_s.size, dtype=bool)
+            if case == 1:
+                drawn = src.P_su * (src.P_su / (src.P_s - cell_s)) - src.P_u > 0.0
+            np.testing.assert_allclose(d_s, cell_s[drawn], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(d_u, cell_u[drawn], rtol=1e-12, atol=0.0)
+            lower = min_ratio(src, ch, tg, d_s[acc], d_u[acc], case)
+            assert lower.feasible.all()
+            assert np.all(r[acc] >= lower.r_min * (1.0 - 1e-9))
+            if case == 2 and grid[0] * grid[1] <= 16:
+                self._assert_the_best_lattice_split(src, ch, tg, case, cell_s, cell_u)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-3, 1e9, 1e150])
+    def test_secret_layer_batch_is_unit_free(self, scale):
+        # Each noise variance is one variance times a ratio, so at 1e150,
+        # where a product of three variances overflows, the batch still
+        # keeps every cell, and the reasons and ratios of s = 1.
+        def batch(s, case):
+            src = SemanticSourceGaussian(0.7 * s, s, 0.6 * s)
+            ch = WiretapChannelGaussian(s, 0.1 * s, 0.4 * s)
+            mid = (np.arange(12) + 0.5) / 12
+            return gaussian_mod._secret_layer_batch(
+                src, ch, EquivocationTargets.no_secrecy(), case,
+                np.repeat(mid * src.P_s, 12), np.tile(mid * src.P_u, 12))
+
+        for case in (1, 2):
+            (d_s, d_u, r, acc, reason), ref = batch(scale, case), batch(1.0, case)
+            np.testing.assert_array_equal(reason, ref[4])
+            assert acc.any()
+            np.testing.assert_allclose(r[acc], ref[2][acc], rtol=1e-11)
+            np.testing.assert_allclose(d_s / scale, ref[0], rtol=1e-12)
+            np.testing.assert_allclose(d_u / scale, ref[1], rtol=1e-12)
 
     def test_memory_does_not_grow_with_the_draw_count(self):
         # The scan holds one chunk of draws at a time. Holding every draw,
