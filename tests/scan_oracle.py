@@ -3,14 +3,16 @@
 The reference for ``semsec.gaussian.inner_bound_scan``, which folds each
 chunk of draws into its bucket grid as the chunk is drawn and then drops
 it. This copy first draws every sample with ``draw_inner_samples``, appends
-the scan's constructive batch at the bucket centres (the same
-``_constructive_batch``, at centres laid out by ``np.meshgrid``) and its
-secret-layer batch (:func:`secret_layer_batch`, one ``_inner_terms`` and
-``_accept_draws`` call per power split), then buckets the accepted draws in
-one pass and counts the reasons of each part with ``np.unique``. A minimum,
-a count and a sum do not depend on how the draws are split, so the two are
-checked against each other bit for bit: ``values`` (NaN included),
-``feasible``, ``samples`` and ``metadata``.
+the scan's two deterministic batches at the bucket centres (the same
+``_constructive_batch`` and ``_secret_layer_batch``, at centres laid out by
+``np.meshgrid``), then buckets the accepted draws in one pass and counts
+the reasons of each part with ``np.unique``. A minimum, a count and a sum
+do not depend on how the draws are split, so the two are checked against
+each other bit for bit: ``values`` (NaN included), ``feasible``,
+``samples`` and ``metadata``.
+
+:func:`secret_layer_batch` is the reference for ``_secret_layer_batch``
+itself: one ``_inner_terms`` and ``_accept_draws`` call per power split.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from semsec.errors import DomainError
 from semsec.gaussian import (_SPLITS, REASON_NAMES, _accept_draws, _constructive_batch,
-                             _inner_terms, _secret_layer_draws, draw_inner_samples)
+                             _inner_terms, _secret_layer_batch, _secret_layer_draws,
+                             draw_inner_samples)
 from semsec.regions import RegionSurface
 
 
@@ -66,7 +69,7 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
     keys = ("d_s", "d_u", "r", "accepted", "reason")
     centres = cell_s.ravel(), cell_u.ravel()
     built = dict(zip(keys, _constructive_batch(src, ch, targets, case, *centres)))
-    secret = dict(zip(keys, secret_layer_batch(src, ch, targets, case, *centres)))
+    secret = dict(zip(keys, _secret_layer_batch(src, ch, targets, case, *centres)))
     both = {key: np.concatenate([samples[key], built[key], secret[key]]) for key in samples}
     acc = both["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)
