@@ -51,8 +51,8 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
     """Monte-Carlo inner-bound surface: per-bucket minimum feasible r.
 
     Draws ``n_samples`` auxiliary structures, and one constructive and one
-    secret-layer draw per bucket centre, evaluates the minimal ratio for each accepted draw, and
-    keeps the minimum per (D_s, D_u) bucket.
+    secret-layer draw per bucket centre, evaluates the minimal ratio for
+    each accepted draw, and keeps the minimum per (D_s, D_u) bucket.
     Buckets without accepted samples are reported as no-data. ``grid`` is a
     bucket count for both axes or a (D_s, D_u) pair of counts; the buckets
     split the source's ``distortion_range`` evenly.

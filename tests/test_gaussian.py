@@ -1026,8 +1026,8 @@ class TestInnerMinR:
         assert np.all(out["r"][first] >= lower.r_min - 1e-6)
 
     def test_no_case_1_draw_beats_the_floor_at_rho_0(self):
-        # Each d_s = fl(fl(sqrt(P_s))^2) of these draws used to sit one ulp
-        # below P_s, the floor at rho = 0; the scan clamps it at the floor.
+        # At rho = 0 the floor is P_s, and a draw's d_s = fl(fl(sqrt(P_s))^2)
+        # can round one ulp below it; the scan clamps d_s at the floor.
         src = SemanticSourceGaussian(0.3, 1.0, 0.0)
         out = draw_inner_samples(src, default_channel(), EquivocationTargets.no_secrecy(), 1,
                                  200, seed=0)
