@@ -25,7 +25,10 @@ built from the joint RDF's optimal test channel (``_constructive_draws``);
 without secrecy it meets the converse wherever the joint RDF fits in one
 channel use. The other gives each component its own private layer, Sp for S
 and Up for U, and takes the best of a lattice of channel power splits
-(``_secret_layer_draws``), so that it can meet secrecy targets.
+(``_secret_layer_draws``), so that it can meet secrecy targets. Every draw
+goes through one evaluator, ``_verdicts``: a batch's source terms and, per
+draw, m channel candidates, of which each draw keeps its best. Random and
+constructive draws have m = 1, the secret-layer draws the 35 of ``_SPLITS``.
 """
 
 from __future__ import annotations
@@ -338,8 +341,8 @@ def converse_min_r(
 _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
 #: The step-¼ simplex lattice of power shares over (Wc, Wu, Qs, Qu), 35
-#: points in ``itertools.product`` order, that :func:`_secret_layer_batch`
-#: searches at every bucket centre.
+#: points in ``itertools.product`` order, that :func:`inner_bound_scan`
+#: searches for every secret-layer draw.
 _SPLITS = np.array([c for c in itertools.product(range(5), repeat=4) if sum(c) == 4]) / 4.0
 
 
@@ -477,13 +480,27 @@ def _sample_sigma2_batch(ch: WiretapChannelGaussian, n: int, rng):
     return shares * p, noise**2
 
 
+def _frame(src: SemanticSourceGaussian, n: int) -> np.ndarray:
+    """The factor that both centre batches start from, ``n`` draws in the
+    layout of :func:`_sample_sigma1_batch`: rows S and U are the Cholesky
+    rows of K, and Sc, Sp, Uc and Up are independent noise of amplitude
+    sqrt(max(P_s, P_u)) on factor dims 2-5."""
+    l = src.cholesky()
+    g = np.zeros((6, 6, n))
+    g[0, :2] = l[0][:, None]
+    g[1, :2] = l[1][:, None]
+    g[2:, 2:] = np.eye(4)[..., None] * math.sqrt(max(src.P_s, src.P_u))
+    return g
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian, case: int,
                         d_s: np.ndarray, d_u: np.ndarray):
     """One draw per cell of the 1-D distortion arrays ``d_s`` and ``d_u`` from
-    the joint RDF's optimal test channel there; returns (g, σ², ν²) in the
-    layouts of :func:`_sample_sigma1_batch` and :func:`_sample_sigma2_batch`,
-    for the cells that get a draw. No RNG is read.
+    the joint RDF's optimal test channel there; returns the source terms
+    (:func:`_source_terms`) of the cells that get a draw and their channel
+    splits σ², (n, 1, 4) in the layout of :func:`_sample_sigma2_batch`. No
+    RNG is read.
 
     The common layer Sc carries the description. In case 2 it follows the
     regime of :func:`_case2_regimes`: Sc = S + N (semantic-dominant) or
@@ -494,29 +511,26 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     one and Sc is the scalar W = vᵀK⁻¹(S, U) + N with Var N = 1 − vᵀK⁻¹v =
     det D / det K. In case 1, Sc = U + N with the noise that meets whichever
     distortion binds, and a cell at or below the floor gets no draw. Sp, Up
-    and an unused Uc are independent noise of amplitude sqrt(max(P_s, P_u)).
+    and an unused Uc keep the noise of :func:`_frame`.
 
     Only the weak regime puts rate on the private layer, a3 > 0. Wu gets the
     power P_N1 (2^(2C·a3/(a2 + a3)) − 1), so that a2/b2 = a3/b3, and Wc the
     rest; a2 and a3 are the draw's own terms, the ones that
     :func:`_accept_draws` divides, so the two ratios agree to rounding also
     where a3 is tiny and carries few correct digits. Where a3 = 0, Wc gets
-    all of P. Qs and Qu carry no
-    power, and every zero-power layer gets unit private noise, so that its
-    terms are 0, not NaN. So r = max(a2/b2, a3/b3) = R_joint / C, the
-    no-secrecy converse, wherever the public constraint a1 = a2 <= b1 lets
-    the draw through, that is where R_joint <= C. A cell whose factor comes
-    out non-finite (K singular to rounding) gets no draw.
+    all of P. Qs and Qu carry no power, and the scan gives every zero-power
+    layer unit private noise, so that its terms are 0, not NaN. So
+    r = max(a2/b2, a3/b3) = R_joint / C, the no-secrecy converse, wherever
+    the public constraint a1 = a2 <= b1 lets the draw through, that is where
+    R_joint <= C. A cell whose factor comes out non-finite (K singular to
+    rounding) gets no draw.
     """
     n = d_s.size
     ps, pu, psu, det = src.P_s, src.P_u, src.P_su, src.det_k
     l = src.cholesky()
     # L^-1 by hand: inf or NaN where K is singular, and those cells are dropped.
     inv_l = np.array([[1.0 / l[0, 0], 0.0], [-l[1, 0] / (l[0, 0] * l[1, 1]), 1.0 / l[1, 1]]])
-    g = np.zeros((6, 6, n))
-    g[0, :2] = l[0][:, None]
-    g[1, :2] = l[1][:, None]
-    g[3:, 3:] = np.eye(3)[..., None] * math.sqrt(max(ps, pu))
+    g = _frame(src, n)
     weak = np.zeros(n, dtype=bool)
     if case == 1:
         dhs, dhu = ps - d_s, pu - d_u
@@ -546,20 +560,16 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
         g[4, 2] = np.where(weak, c10, 0.0)
         g[4, 4] = np.where(weak, np.sqrt(np.maximum(m11 - c10 * c10, 0.0)), g[4, 4])
     keep &= np.isfinite(g).all(axis=(0, 1))
-    g, weak = g[..., keep], weak[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ld, _ = _prefix_logdets(g, _SOURCE_CHAINS[case])
-        v = [1] if case == 1 else [0, 1]
-        a2, a3 = _mi(ld, [2, 3], v), _mi(ld, [4, 5], v, [2])
-        private = np.where(weak, a3 / (a2 + a3), 0.0)  # the private layer's share of the rate
+    source = _source_terms(g[..., keep], case)
+    a2, a3 = source["a2"], source["a3"]
+    private = np.where(weak[keep], a3 / (a2 + a3), 0.0)  # the private layer's share of the rate
     keep = np.isfinite(private)
     # Wu's power balances a2/b2 = a3/b3, b3 = ½ log2(1 + P_Wu / P_N1); where
     # a3 = 0, Wc takes all of P.
-    sig2 = np.zeros((keep.sum(), 4))
-    sig2[:, 1] = np.minimum(ch.P_N1 * np.expm1(np.log1p(ch.P / ch.P_N1) * private[keep]), ch.P)
-    sig2[:, 0] = ch.P - sig2[:, 1]
-    nu2 = (sig2 == 0.0).astype(float)
-    return g[..., keep], sig2, nu2
+    sig2 = np.zeros((keep.sum(), 1, 4))
+    sig2[:, 0, 1] = np.minimum(ch.P_N1 * np.expm1(np.log1p(ch.P / ch.P_N1) * private[keep]), ch.P)
+    sig2[:, 0, 0] = ch.P - sig2[:, 0, 1]
+    return {key: val[keep] for key, val in source.items()}, sig2
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -570,7 +580,7 @@ def _secret_layer_draws(src: SemanticSourceGaussian, case: int, d_s: np.ndarray,
     the factors g in the layout of :func:`_sample_sigma1_batch`, for the
     cells that get a draw. No RNG is read.
 
-    Sc and Uc carry nothing: pure noise of amplitude sqrt(max(P_s, P_u)).
+    Sc and Uc carry nothing: they keep the noise of :func:`_frame`.
     Sp = S + N with Var N = P_s D_s / (P_s − D_s) in case 2, and in case 1,
     where the encoder sees only U, Sp = U + N with
     Var N = P_su² / (P_s − D_s) − P_u; a cell where that is not positive, at
@@ -581,15 +591,11 @@ def _secret_layer_draws(src: SemanticSourceGaussian, case: int, d_s: np.ndarray,
     first, so no product of two variances overflows.
     """
     ps, pu, psu = src.P_s, src.P_u, src.P_su
-    l = src.cholesky()
-    g = np.zeros((6, 6, d_s.size))
-    g[0, :2] = l[0][:, None]
-    g[1, :2] = l[1][:, None]
-    g[2, 2] = g[4, 4] = math.sqrt(max(ps, pu))
-    g[3, :2] = l[1 if case == 1 else 0][:, None]
+    g = _frame(src, d_s.size)
+    g[3, :2] = g[1 if case == 1 else 0, :2]
     noise = psu * (psu / (ps - d_s)) - pu if case == 1 else ps * (d_s / (ps - d_s))
     g[3, 3] = np.sqrt(noise)
-    g[5, :2] = l[1][:, None]
+    g[5, :2] = g[1, :2]
     g[5, 5] = np.sqrt(pu * (d_u / (pu - d_u)))
     return g[..., (noise > 0.0) & np.isfinite(g).all(axis=(0, 1))]
 
@@ -861,19 +867,41 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
     return np.where(accepted, np.maximum(r, 0.0), np.nan), accepted, reason
 
 
-def _draw_distortions(t: dict[str, np.ndarray], src: SemanticSourceGaussian, case: int):
-    """``(d_s, d_u)`` of the draws whose terms are ``t``.
+def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
+              targets: EquivocationTargets, case: int, source: dict[str, np.ndarray],
+              sig2: np.ndarray, nu2: np.ndarray):
+    """``(d_s, d_u, r, accepted, reason)`` of n draws whose source terms
+    (:func:`_source_terms`) are ``source``, each at the best of its m channel
+    candidates: the signal and private-noise powers ``sig2`` and ``nu2`` of
+    :func:`_sample_sigma2_batch`, (n, m, 4), or (1, m, 4) when every draw
+    shares them.
 
-    In case 1 the auxiliaries reach S only through U, so Var(S | Sc, Sp) is
-    at least Var(S | U), the floor; each d_s is clamped there, which only
-    undoes rounding (at rho = 0 a d_s of P_s can come out one ulp below)."""
-    return np.maximum(t["d_s"], src.semantic_floor(1)) if case == 1 else t["d_s"], t["d_u"]
-
-
-def _verdicts(t: dict[str, np.ndarray], targets: EquivocationTargets,
-              src: SemanticSourceGaussian, case: int):
-    """``(d_s, d_u, r, accepted, reason)`` of the draws whose terms are ``t``."""
-    return (*_draw_distortions(t, src, case), *_accept_draws(t, targets, src))
+    A draw's r is the least over the candidates it is accepted at, and a
+    draw accepted at none carries the reason code of its first candidate.
+    The channel terms are evaluated once per candidate given, and every
+    (draw, candidate) pair goes through :func:`_accept_draws`, in blocks of
+    at most ``_CHUNK`` pairs, so memory does not grow with n. Each term reads
+    only its own side, so every pair has the bits of one :func:`_inner_terms`
+    call on it. In case 1 the auxiliaries reach S only through U, so
+    Var(S | Sc, Sp) is at least Var(S | U), the floor; each d_s is clamped
+    there, which only undoes rounding (at rho = 0 a d_s of P_s can come out
+    one ulp below).
+    """
+    n, m = source["a1"].size, sig2.shape[1]
+    step = _CHUNK // m
+    channel = {key: np.broadcast_to(val.reshape(-1, m), (n, m))
+               for key, val in _channel_terms(sig2.reshape(-1, 4), nu2.reshape(-1, 4), ch).items()}
+    r, reason = np.empty(n), np.empty(n, dtype=np.int8)
+    for lo in range(0, n, step):
+        part = slice(lo, min(lo + step, n))
+        pairs = {**{key: np.repeat(val[part], m) for key, val in source.items()},
+                 **{key: val[part].ravel() for key, val in channel.items()}}
+        r_pair, acc_pair, reason_pair = (x.reshape(-1, m)
+                                         for x in _accept_draws(pairs, targets, src))
+        r[part] = np.fmin.reduce(r_pair, axis=1)
+        reason[part] = np.where(acc_pair.any(axis=1), 0, reason_pair[:, 0])
+    d_s = np.maximum(source["d_s"], src.semantic_floor(1)) if case == 1 else source["d_s"]
+    return d_s, source["d_u"], r, reason == 0, reason
 
 
 def _inner_chunks(
@@ -900,55 +928,8 @@ def _inner_chunks(
         g = _sample_sigma1_batch(src, case, _CHUNK, rng)
         sig2, nu2 = _sample_sigma2_batch(ch, _CHUNK, rng)
         take = min(_CHUNK, n_samples - ci * _CHUNK)
-        yield _verdicts(_inner_terms(g[..., :take], sig2[:take], nu2[:take], ch, case),
-                        targets, src, case)
-
-
-def _constructive_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
-                        targets: EquivocationTargets, case: int, d_s: np.ndarray,
-                        d_u: np.ndarray):
-    """``(d_s, d_u, r, accepted, reason)`` of the constructive draws at the
-    cells of the 1-D arrays ``d_s`` and ``d_u``, as :func:`_inner_chunks`
-    gives them for a chunk of random draws."""
-    return _verdicts(_inner_terms(*_constructive_draws(src, ch, case, d_s, d_u), ch, case),
-                     targets, src, case)
-
-
-def _secret_layer_batch(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
-                        targets: EquivocationTargets, case: int, d_s: np.ndarray,
-                        d_u: np.ndarray):
-    """``(d_s, d_u, r, accepted, reason)`` of the secret-layer draws
-    (:func:`_secret_layer_draws`) at the cells of the 1-D arrays ``d_s`` and
-    ``d_u``, one per cell that gets a draw, as :func:`_inner_chunks` gives
-    them for a chunk of random draws.
-
-    Each draw takes the best of the :data:`_SPLITS` channel power splits:
-    its r is the least over the splits it is accepted at, and a draw
-    accepted at none carries the reason code of the first split. Zero-power
-    layers get unit private noise, so that their terms are 0, not NaN. The
-    source terms are evaluated once per draw and the channel terms once per
-    split; every (draw, split) pair goes through :func:`_accept_draws`, in
-    blocks of at most ``_CHUNK`` pairs, so memory does not grow with the
-    bucket count. Each term reads only its own side, so every pair has the
-    bits of one :func:`_inner_terms` call on it.
-    """
-    source = _source_terms(_secret_layer_draws(src, case, d_s, d_u), case)
-    n, m = source["a1"].size, len(_SPLITS)
-    step = _CHUNK // m
-    sig2 = _SPLITS * ch.P
-    # The channel terms of a full block, which a shorter block slices.
-    channel = {key: np.tile(val, step)
-               for key, val in _channel_terms(sig2, (sig2 == 0.0).astype(float), ch).items()}
-    r, reason = np.empty(n), np.empty(n, dtype=np.int8)
-    for lo in range(0, n, step):
-        part = slice(lo, min(lo + step, n))
-        pairs = {**{key: np.repeat(val[part], m) for key, val in source.items()},
-                 **{key: val[:(part.stop - lo) * m] for key, val in channel.items()}}
-        r_pair, acc_pair, reason_pair = (x.reshape(-1, m)
-                                         for x in _accept_draws(pairs, targets, src))
-        r[part] = np.fmin.reduce(r_pair, axis=1)
-        reason[part] = np.where(acc_pair.any(axis=1), 0, reason_pair[:, 0])
-    return (*_draw_distortions(source, src, case), r, reason == 0, reason)
+        yield _verdicts(src, ch, targets, case, _source_terms(g[..., :take], case),
+                        sig2[:take, None], nu2[:take, None])
 
 
 def _tally(reasons) -> dict:
@@ -1005,8 +986,10 @@ def inner_bound_scan(
     draw of the joint RDF's optimal test channel
     (:func:`_constructive_draws`), which meets the no-secrecy converse
     wherever R_joint <= C, and the secret-layer draw
-    (:func:`_secret_layer_batch`), which describes S on Sp and U on Up,
-    both private, at the best of 35 channel power splits. Buckets without
+    (:func:`_secret_layer_draws`), which describes S on Sp and U on Up,
+    both private, at the best of the 35 channel power splits of
+    :data:`_SPLITS`. Every draw goes through :func:`_verdicts`, the random
+    and constructive ones with one channel candidate each. Buckets without
     accepted draws are reported as no-data (never interpolated).
     Deterministic for a fixed seed, with a stable prefix under sample-count
     growth. ``grid`` is a bucket count for both axes or a (D_s, D_u) pair of
@@ -1037,9 +1020,14 @@ def inner_bound_scan(
     for chunk in _inner_chunks(src, ch, targets, case, n_samples, seed):
         reasons += fold(*chunk)
     centres = np.repeat(mid_s, n_bu), np.tile(mid_u, n_bs)
-    meta = {**_tally(reasons),
-            "constructive": _tally(fold(*_constructive_batch(src, ch, targets, case, *centres))),
-            "secret_layer": _tally(fold(*_secret_layer_batch(src, ch, targets, case, *centres)))}
+    meta = _tally(reasons)
+    for name, (source, sig2) in (
+            ("constructive", _constructive_draws(src, ch, case, *centres)),
+            ("secret_layer", (_source_terms(_secret_layer_draws(src, case, *centres), case),
+                              ch.P * _SPLITS[None]))):
+        # A zero-power layer gets unit private noise, so that its terms are 0, not NaN.
+        meta[name] = _tally(fold(*_verdicts(src, ch, targets, case, source, sig2,
+                                            (sig2 == 0.0).astype(float))))
     counts = counts.reshape(n_bs, n_bu)
     return RegionSurface(
         axes={"D_s": mid_s, "D_u": mid_u},

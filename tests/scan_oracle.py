@@ -3,15 +3,14 @@
 The reference for ``semsec.gaussian.inner_bound_scan``, which folds each
 chunk of draws into its bucket grid as the chunk is drawn and then drops
 it. This copy first draws every sample with ``draw_inner_samples``, appends
-the scan's two deterministic batches at the bucket centres (the same
-``_constructive_batch`` and ``_secret_layer_batch``, at centres laid out by
-``np.meshgrid``), then buckets the accepted draws in one pass and counts
-the reasons of each part with ``np.unique``. A minimum, a count and a sum
-do not depend on how the draws are split, so the two are checked against
-each other bit for bit: ``values`` (NaN included), ``feasible``,
-``samples`` and ``metadata``.
+the scan's two deterministic batches at the bucket centres
+(:func:`centre_batch`, at centres laid out by ``np.meshgrid``), then
+buckets the accepted draws in one pass and counts the reasons of each part
+with ``np.unique``. A minimum, a count and a sum do not depend on how the
+draws are split, so the two are checked against each other bit for bit:
+``values`` (NaN included), ``feasible``, ``samples`` and ``metadata``.
 
-:func:`secret_layer_batch` is the reference for ``_secret_layer_batch``
+:func:`secret_layer_batch` is the reference for the secret-layer batch
 itself: one ``_inner_terms`` and ``_accept_draws`` call per power split.
 """
 
@@ -20,10 +19,24 @@ from __future__ import annotations
 import numpy as np
 
 from semsec.errors import DomainError
-from semsec.gaussian import (_SPLITS, REASON_NAMES, _accept_draws, _constructive_batch,
-                             _inner_terms, _secret_layer_batch, _secret_layer_draws,
+from semsec.gaussian import (_SPLITS, REASON_NAMES, _accept_draws, _constructive_draws,
+                             _inner_terms, _secret_layer_draws, _source_terms, _verdicts,
                              draw_inner_samples)
 from semsec.regions import RegionSurface
+
+
+def centre_batch(name: str, src, ch, targets, case: int, d_s, d_u):
+    """``(d_s, d_u, r, accepted, reason)`` of the scan's deterministic batch
+    ``name``, ``"constructive"`` or ``"secret_layer"``, at the cells of the
+    1-D arrays ``d_s`` and ``d_u``: the family's draws and channel
+    candidates through ``_verdicts``, with unit private noise on every
+    zero-power layer, as ``inner_bound_scan`` evaluates them."""
+    if name == "constructive":
+        source, sig2 = _constructive_draws(src, ch, case, d_s, d_u)
+    else:
+        source = _source_terms(_secret_layer_draws(src, case, d_s, d_u), case)
+        sig2 = ch.P * _SPLITS[None]
+    return _verdicts(src, ch, targets, case, source, sig2, (sig2 == 0.0).astype(float))
 
 
 def secret_layer_batch(src, ch, targets, case: int, d_s, d_u):
@@ -68,8 +81,8 @@ def inner_bound_scan(src, ch, targets, case: int, n_samples: int, seed: int,
     cell_s, cell_u = np.meshgrid(centres_s, centres_u, indexing="ij")
     keys = ("d_s", "d_u", "r", "accepted", "reason")
     centres = cell_s.ravel(), cell_u.ravel()
-    built = dict(zip(keys, _constructive_batch(src, ch, targets, case, *centres)))
-    secret = dict(zip(keys, _secret_layer_batch(src, ch, targets, case, *centres)))
+    built = dict(zip(keys, centre_batch("constructive", src, ch, targets, case, *centres)))
+    secret = dict(zip(keys, centre_batch("secret_layer", src, ch, targets, case, *centres)))
     both = {key: np.concatenate([samples[key], built[key], secret[key]]) for key in samples}
     acc = both["accepted"]
     r_grid = np.full((n_bs, n_bu), np.inf)

@@ -937,8 +937,8 @@ class TestLargeScale:
             src = SemanticSourceGaussian(0.7 * s, s, 0.6 * s)
             ch = WiretapChannelGaussian(s, 0.1 * s, 0.4 * s)
             mid = (np.arange(12) + 0.5) / 12
-            return gaussian_mod._constructive_batch(
-                src, ch, EquivocationTargets.no_secrecy(), case,
+            return scan_oracle.centre_batch(
+                "constructive", src, ch, EquivocationTargets.no_secrecy(), case,
                 np.repeat(mid * src.P_s, 12), np.tile(mid * src.P_u, 12))
 
         for case in (1, 2):
@@ -1169,6 +1169,44 @@ class TestDrawSamples:
         assert set(np.unique(out["reason"])) <= set(range(11))
         assert out["accepted"].sum() > 0
 
+    @settings(max_examples=25, deadline=None)
+    @given(config=inner_configs(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           grid=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    def test_one_candidate_draws_match_one_acceptance_call(self, config, seed, n, grid):
+        # Random and constructive draws have one channel candidate each, so
+        # each must get what one _accept_draws call gives on its terms, bit
+        # for bit: the reason codes, r with its NaNs, and d_s clamped at the
+        # case-1 floor.
+        src, ch, tg, _ = config
+        (hi_s, hi_u), (n_s, n_u) = src.distortion_range, grid
+        cells = (np.repeat((np.arange(n_s) + 0.5) * hi_s / n_s, n_u),
+                 np.tile((np.arange(n_u) + 0.5) * hi_u / n_u, n_s))
+        for case in (1, 2):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+            g = gaussian_mod._sample_sigma1_batch(src, case, 4096, rng)
+            sig2, nu2 = gaussian_mod._sample_sigma2_batch(ch, 4096, rng)
+            random = draw_inner_samples(src, ch, tg, case, n, seed)
+            _assert_one_acceptance_call(
+                [random[key] for key in ("d_s", "d_u", "r", "accepted", "reason")],
+                gaussian_mod._inner_terms(g[..., :n], sig2[:n], nu2[:n], ch, case), tg, src, case)
+            source, sig2 = gaussian_mod._constructive_draws(src, ch, case, *cells)
+            split = sig2[:, 0]
+            _assert_one_acceptance_call(
+                scan_oracle.centre_batch("constructive", src, ch, tg, case, *cells),
+                {**source, **gaussian_mod._channel_terms(split, (split == 0.0).astype(float), ch)},
+                tg, src, case)
+
+
+def _assert_one_acceptance_call(got, t, tg, src, case):
+    """``got``, a ``(d_s, d_u, r, accepted, reason)`` tuple, against one
+    ``_accept_draws`` call on the terms ``t`` and their distortions, d_s
+    clamped at the floor in case 1, bit for bit."""
+    floor = src.semantic_floor(1) if case == 1 else -np.inf
+    want = (np.maximum(t["d_s"], floor), t["d_u"], *gaussian_mod._accept_draws(t, tg, src))
+    for got_part, want_part in zip(got, want, strict=True):
+        assert got_part.dtype == want_part.dtype
+        np.testing.assert_array_equal(got_part.view(np.uint8), want_part.view(np.uint8))
+
 
 class TestInnerScan:
     def test_structure_and_determinism(self):
@@ -1245,8 +1283,8 @@ class TestInnerScan:
         cell_s, cell_u = np.meshgrid((np.arange(n_s) + 0.5) * hi_s / n_s,
                                      (np.arange(n_u) + 0.5) * hi_u / n_u, indexing="ij")
         for case in (1, 2):
-            d_s, d_u, r, acc, reason = gaussian_mod._constructive_batch(
-                src, ch, tg, case, cell_s.ravel(), cell_u.ravel())
+            d_s, d_u, r, acc, reason = scan_oracle.centre_batch(
+                "constructive", src, ch, tg, case, cell_s.ravel(), cell_u.ravel())
             assert set(reason.tolist()) <= {0, 1}
             lower = min_ratio(src, ch, tg, d_s[acc], d_u[acc], case)
             assert lower.feasible.all()
@@ -1276,7 +1314,7 @@ class TestInnerScan:
         # The batch against one _inner_terms + _accept_draws call per split
         # on every draw, bit for bit: the least r, and the first split's
         # reason where no split accepts the draw.
-        got = gaussian_mod._secret_layer_batch(src, ch, tg, case, cell_s, cell_u)
+        got = scan_oracle.centre_batch("secret_layer", src, ch, tg, case, cell_s, cell_u)
         want = scan_oracle.secret_layer_batch(src, ch, tg, case, cell_s, cell_u)
         for got_part, want_part in zip(got, want):
             assert got_part.dtype == want_part.dtype
@@ -1304,8 +1342,8 @@ class TestInnerScan:
                                                          (np.arange(n_u) + 0.5) * hi_u / n_u,
                                                          indexing="ij"))
         for case in (1, 2):
-            d_s, d_u, r, acc, reason = gaussian_mod._secret_layer_batch(src, ch, tg, case,
-                                                                        cell_s, cell_u)
+            d_s, d_u, r, acc, reason = scan_oracle.centre_batch("secret_layer", src, ch, tg,
+                                                                case, cell_s, cell_u)
             drawn = np.ones(cell_s.size, dtype=bool)
             if case == 1:
                 drawn = src.P_su * (src.P_su / (src.P_s - cell_s)) - src.P_u > 0.0
@@ -1327,8 +1365,8 @@ class TestInnerScan:
             src = SemanticSourceGaussian(0.7 * s, s, 0.6 * s)
             ch = WiretapChannelGaussian(s, 0.1 * s, 0.4 * s)
             mid = (np.arange(12) + 0.5) / 12
-            return gaussian_mod._secret_layer_batch(
-                src, ch, EquivocationTargets.no_secrecy(), case,
+            return scan_oracle.centre_batch(
+                "secret_layer", src, ch, EquivocationTargets.no_secrecy(), case,
                 np.repeat(mid * src.P_s, 12), np.tile(mid * src.P_u, 12))
 
         for case in (1, 2):
