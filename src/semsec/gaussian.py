@@ -877,7 +877,10 @@ def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     shares them.
 
     A draw's r is the least over the candidates it is accepted at, and a
-    draw accepted at none carries the reason code of its first candidate.
+    draw accepted at none carries the highest reason code over its
+    candidates. :func:`_accept_draws` checks 10 first, then assigns 1-9 in
+    the order it checks them, so of codes 1-9 the highest marks the
+    candidate that passed the most checks.
     The channel terms are evaluated once per candidate given, and every
     (draw, candidate) pair goes through :func:`_accept_draws`, in blocks of
     at most ``_CHUNK`` pairs, so memory does not grow with n. Each term reads
@@ -899,7 +902,7 @@ def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
         r_pair, acc_pair, reason_pair = (x.reshape(-1, m)
                                          for x in _accept_draws(pairs, targets, src))
         r[part] = np.fmin.reduce(r_pair, axis=1)
-        reason[part] = np.where(acc_pair.any(axis=1), 0, reason_pair[:, 0])
+        reason[part] = np.where(acc_pair.any(axis=1), 0, reason_pair.max(axis=1))
     d_s = np.maximum(source["d_s"], src.semantic_floor(1)) if case == 1 else source["d_s"]
     return d_s, source["d_u"], r, reason == 0, reason
 

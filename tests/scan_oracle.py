@@ -43,7 +43,8 @@ def secret_layer_batch(src, ch, targets, case: int, d_s, d_u):
     """``(d_s, d_u, r, accepted, reason)`` of the secret-layer draws at the
     cells of the 1-D arrays ``d_s`` and ``d_u``: each power split of the
     lattice evaluated on every draw in turn, then per draw the least r over
-    the splits, and the first split's reason where none accepts it."""
+    the splits, and the highest reason code over them where none accepts
+    it."""
     g = _secret_layer_draws(src, case, d_s, d_u)
     n = g.shape[2]
     rs, reasons = [], []
@@ -54,7 +55,7 @@ def secret_layer_batch(src, ch, targets, case: int, d_s, d_u):
         rs.append(r)
         reasons.append(reason)
     r = np.fmin.reduce(rs)
-    reason = np.where(np.isnan(r), reasons[0], 0).astype(np.int8)
+    reason = np.where(np.isnan(r), np.max(reasons, axis=0), 0).astype(np.int8)
     floor = src.semantic_floor(1) if case == 1 else 0.0
     return np.maximum(t["d_s"], floor), t["d_u"], r, reason == 0, reason
 
