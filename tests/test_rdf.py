@@ -521,6 +521,21 @@ def test_dual_start_matches_the_cold_solve_for_less_work(cell):
     assert n_warm <= len(calls) - n_warm
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the cold case-2 solve stalls at alpha = 0 near "
+                          "D_s = D_u and ends unconverged, 1.29e-7 below the warm one")
+def test_dual_start_matches_the_cold_solve_at_the_alpha_0_stall():
+    # The cell on which the property above fails when hypothesis draws it.
+    d_s, d_u = 0.01, 0.010000040725574517
+    ham = hamming_distortion(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warm = rdf_semantic_case2(dsbs(0.0), ham, ham, d_s, d_u,
+                                  start=binary._dual_start(0.0, d_s, d_u))
+        cold = rdf_semantic_case2(dsbs(0.0), ham, ham, d_s, d_u)
+    assert warm.dual_bound == pytest.approx(cold.dual_bound, abs=1e-9)
+
+
 ASYM = DiscreteSemanticSource(Pmf(np.array([[0.4, 0.1], [0.2, 0.3]])))
 # Criterion 2b's corpus and the benchmark's four binary case-2 cells.
 ORACLE_CELLS = [
