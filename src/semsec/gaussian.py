@@ -498,9 +498,9 @@ def _constructive_draws(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
                         d_s: np.ndarray, d_u: np.ndarray):
     """One draw per cell of the 1-D distortion arrays ``d_s`` and ``d_u`` from
     the joint RDF's optimal test channel there; returns the source terms
-    (:func:`_source_terms`) of the cells that get a draw and their channel
-    splits σ², (n, 1, 4) in the layout of :func:`_sample_sigma2_batch`. No
-    RNG is read.
+    (:func:`_source_terms`) of the cells that get a draw and their signal
+    powers σ², (n, 1, 4): one channel candidate per draw, as
+    :func:`_verdicts` takes them. No RNG is read.
 
     The common layer Sc carries the description. In case 2 it follows the
     regime of :func:`_case2_regimes`: Sc = S + N (semantic-dominant) or
@@ -881,6 +881,7 @@ def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     candidates. :func:`_accept_draws` checks 10 first, then assigns 1-9 in
     the order it checks them, so of codes 1-9 the highest marks the
     candidate that passed the most checks.
+
     The channel terms are evaluated once per candidate given, and every
     (draw, candidate) pair goes through :func:`_accept_draws`, in blocks of
     at most ``_CHUNK`` pairs, so memory does not grow with n. Each term reads
@@ -892,13 +893,15 @@ def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     """
     n, m = source["a1"].size, sig2.shape[1]
     step = _CHUNK // m
-    channel = {key: np.broadcast_to(val.reshape(-1, m), (n, m))
-               for key, val in _channel_terms(sig2.reshape(-1, 4), nu2.reshape(-1, 4), ch).items()}
+    channel = _channel_terms(sig2.reshape(-1, 4), nu2.reshape(-1, 4), ch)
+    # Every term as a (draw, candidate) view; a block's rows flatten into its
+    # pairs, with no copy where m = 1.
+    terms = {**{key: np.broadcast_to(val[:, None], (n, m)) for key, val in source.items()},
+             **{key: np.broadcast_to(val.reshape(-1, m), (n, m)) for key, val in channel.items()}}
     r, reason = np.empty(n), np.empty(n, dtype=np.int8)
     for lo in range(0, n, step):
         part = slice(lo, min(lo + step, n))
-        pairs = {**{key: np.repeat(val[part], m) for key, val in source.items()},
-                 **{key: val[part].ravel() for key, val in channel.items()}}
+        pairs = {key: val[part].ravel() for key, val in terms.items()}
         r_pair, acc_pair, reason_pair = (x.reshape(-1, m)
                                          for x in _accept_draws(pairs, targets, src))
         r[part] = np.fmin.reduce(r_pair, axis=1)
