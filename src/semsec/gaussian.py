@@ -896,8 +896,9 @@ def _verdicts(src: SemanticSourceGaussian, ch: WiretapChannelGaussian,
     channel = _channel_terms(sig2.reshape(-1, 4), nu2.reshape(-1, 4), ch)
     # Every term as a (draw, candidate) view; a block's rows flatten into its
     # pairs, with no copy where m = 1.
-    terms = {**{key: np.broadcast_to(val[:, None], (n, m)) for key, val in source.items()},
-             **{key: np.broadcast_to(val.reshape(-1, m), (n, m)) for key, val in channel.items()}}
+    terms = dict(zip([*source, *channel],
+                     np.broadcast_arrays(*(val[:, None] for val in source.values()),
+                                         *(val.reshape(-1, m) for val in channel.values()))))
     r, reason = np.empty(n), np.empty(n, dtype=np.int8)
     for lo in range(0, n, step):
         part = slice(lo, min(lo + step, n))
