@@ -340,6 +340,8 @@ def converse_min_r(
 #: spawn_key=(ci,))``, and the scan holds one chunk at a time.
 _CHUNK = 4096
 _MODE_PROBS = (0.4, 0.2, 0.2, 0.2)
+#: The first three cumulative mode probabilities, a column; the last is 1.
+_MODE_CDF = np.cumsum(_MODE_PROBS)[:3, None]
 #: The step-¼ simplex lattice of power shares over (Wc, Wu, Qs, Qu), 35
 #: points in ``itertools.product`` order, that :func:`inner_bound_scan`
 #: searches for every secret-layer draw.
@@ -348,9 +350,12 @@ _SPLITS = np.array([c for c in itertools.product(range(5), repeat=4) if sum(c) =
 
 def _modes(rng, n: int):
     """The index arrays of the four modes of ``n`` draws. The samplers fill an
-    empty mode too, which writes nothing and takes nothing from ``rng``."""
-    mode = rng.choice(4, size=n, p=_MODE_PROBS)
-    return [np.flatnonzero(mode == m) for m in range(4)]
+    empty mode too, which writes nothing and takes nothing from ``rng``. The
+    modes, and the state ``rng`` is left in, are those of
+    ``rng.choice(4, size=n, p=_MODE_PROBS)``, without its checks of ``p``."""
+    below = rng.random(n) < _MODE_CDF  # below[m]: the draws of modes 0 to m
+    return [np.flatnonzero(below[0]), np.flatnonzero(below[1] ^ below[0]),
+            np.flatnonzero(below[2] ^ below[1]), np.flatnonzero(~below[2])]
 
 
 def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
@@ -392,44 +397,46 @@ def _sample_sigma1_batch(src: SemanticSourceGaussian, case: int, n: int, rng):
 
     def _plane(row, idx, load):
         # Source-plane loading (dims 0-1) of ``row`` for the draws ``idx``:
-        # one 2-vector, or one per draw as (k, 2).
-        g[row, 0, idx] = load[..., 0]
-        g[row, 1, idx] = load[..., 1]
+        # one 2-vector, or one per draw as (2, k). Each entry is written
+        # through its contiguous row of draws, g[row, dim].
+        g[row, 0][idx] = load[0]
+        g[row, 1][idx] = load[1]
 
     k = idx0.size
     load = rng.uniform(-1.5, 1.5, (k, 4, 2)) * amp
+    load = np.ascontiguousarray(load.transpose(1, 2, 0))  # (row, dim, draw)
     for j in range(4):
-        _plane(2 + j, idx0, load[:, j])
-    g[2, 2, idx0] = _noise(k)
-    g[3, 3, idx0] = _noise(k)
-    g[4, 4, idx0] = _noise(k)
-    g[5, 5, idx0] = _noise(k)
+        _plane(2 + j, idx0, load[j])
+    g[2, 2][idx0] = _noise(k)
+    g[3, 3][idx0] = _noise(k)
+    g[4, 4][idx0] = _noise(k)
+    g[5, 5][idx0] = _noise(k)
     signs = rng.choice([-1.0, 1.0], size=(k, 4))
-    g[4, 2, idx0] = signs[:, 0] * _noise(k)
-    g[5, 2, idx0] = signs[:, 1] * _noise(k)
-    g[4, 5, idx0] = signs[:, 2] * _noise(k)
-    g[5, 4, idx0] = signs[:, 3] * _noise(k)
-    _plane(2, idx1, rng.uniform(-1.0, 1.0, (idx1.size, 2)) * amp)
+    g[4, 2][idx0] = signs[:, 0] * _noise(k)
+    g[5, 2][idx0] = signs[:, 1] * _noise(k)
+    g[4, 5][idx0] = signs[:, 2] * _noise(k)
+    g[5, 4][idx0] = signs[:, 3] * _noise(k)
+    _plane(2, idx1, (rng.uniform(-1.0, 1.0, (idx1.size, 2)) * amp).T)
     _plane(3, idx1, sem_dir)
     _plane(4, idx1, l[1])
     _plane(5, idx1, l[1])
     sig = _noise((idx1.size, 4), 3e-2, 3.0)
-    g[2, 2, idx1] = sig[:, 0]
-    g[3, 3, idx1] = sig[:, 1]
-    g[4, 4, idx1] = sig[:, 2]
-    g[5, 5, idx1] = sig[:, 3]
-    g[2, 2, idx2] = amp
+    g[2, 2][idx1] = sig[:, 0]
+    g[3, 3][idx1] = sig[:, 1]
+    g[4, 4][idx1] = sig[:, 2]
+    g[5, 5][idx1] = sig[:, 3]
+    g[2, 2][idx2] = amp
     _plane(3, idx2, sem_dir)
-    g[3, 3, idx2] = _noise(idx2.size, 3e-2, 3.0)
-    g[4, 4, idx2] = amp
-    g[5, 5, idx2] = amp
-    g[2, 2, idx3] = amp
-    g[3, 3, idx3] = amp
+    g[3, 3][idx2] = _noise(idx2.size, 3e-2, 3.0)
+    g[4, 4][idx2] = amp
+    g[5, 5][idx2] = amp
+    g[2, 2][idx3] = amp
+    g[3, 3][idx3] = amp
     _plane(4, idx3, l[1])
     _plane(5, idx3, l[1])
     sig = _noise((idx3.size, 2), 3e-2, 3.0)
-    g[4, 4, idx3] = sig[:, 0]
-    g[5, 5, idx3] = sig[:, 1]
+    g[4, 4][idx3] = sig[:, 0]
+    g[5, 5][idx3] = sig[:, 1]
 
     if case == 1:
         # Restricted encoder: auxiliaries may depend on the source only
@@ -650,29 +657,41 @@ def _prefix_logdets(g: np.ndarray, chains):
     Inputs are finite, and their squared norms do not overflow. Returns
     ({index set: (n,) log-dets}, {prefix: (n,) pivot of its last coordinate}).
     """
-    n_dim = g.shape[1]
+    n_dim, n = g.shape[1:]
     span = (g.any(axis=2) * np.arange(1, n_dim + 1)).max(axis=1).tolist()
     extended = {tuple(chain[:j]) for chain in chains for j in range(1, len(chain))}
-    basis = {(): ([], 0.0)}  # prefix -> (its unit residuals, its log-det)
+    basis = {(): ([], 0.0, True)}  # prefix -> (its unit residuals, its log-det, all finite)
     ld, piv = {}, {}
+    dots, prods = np.empty(n), np.empty((n_dim, n))
     for chain in chains:
         for j in range(1, len(chain) + 1):
             prefix = tuple(chain[:j])
             if prefix in basis:
                 continue
-            units, ld_prev = basis[prefix[:-1]]
+            units, ld_prev, finite = basis[prefix[:-1]]
             v = g[prefix[-1], :max(span[i] for i in prefix)].copy()
             for q in units:
-                v[:len(q)] -= _dot(q, v[:len(q)]) * q
+                head = v[:len(q)]
+                if n == 1:
+                    head -= _dot(q, head) * q
+                else:  # _dot's einsum, into buffers
+                    head -= np.multiply(q, np.einsum("ij,ij->j", q, head, out=dots),
+                                        out=prods[:len(q)])
             p = _dot(v, v)
-            if units:
+            # While every earlier log-det is finite, neither where selects.
+            if not finite:
                 keep = ld_prev > -np.inf
                 if len(units[-1]) == n_dim:  # dense where only the previous pivot is singular
                     keep |= basis[prefix[:-2]][1] > -np.inf
                 p = np.where(keep, p, np.nan)
-            ld_cur = np.where((p > 0.0) & (ld_prev > -np.inf), ld_prev + np.log2(p), -np.inf)
-            unit = [v / np.sqrt(p)] if prefix in extended else []
-            basis[prefix] = (units + unit, ld_cur)
+            ld_cur = ld_prev + np.log2(p)
+            finite = bool(np.isfinite(ld_cur).all())
+            if not finite:
+                ld_cur = np.where((p > 0.0) & (ld_prev > -np.inf), ld_cur, -np.inf)
+            if prefix in extended:
+                v /= np.sqrt(p)
+                units = units + [v]
+            basis[prefix] = (units, ld_cur, finite)
             ld[frozenset(prefix)] = ld_cur
             piv[prefix] = p
     return ld, piv
@@ -829,35 +848,38 @@ def _accept_draws(t: dict[str, np.ndarray], targets: EquivocationTargets,
             r = np.maximum(r, np.where(a > _TOL, a / np.maximum(b, _TINY), 0.0))
             mark((a > _TOL) & (b <= _TOL), code)
 
-        rows = []  # (code, δ, entropy, base, g, k, g_k, sound regime) of each enabled target
+        rows = []  # (code, δ, entropy, base, g, k, g_k, sound regime); k = None: no knee
         if targets.delta_s != DISABLED:
             rows.append((4, targets.delta_s, src.h_s, np.maximum(src.h_s - a2, 0.0),
                          np.maximum(t["g_s"], 0.0), a3, t["gqu_y"], a2 <= src.h_s + _TOL))
         if targets.delta_u != DISABLED:
             rows.append((5, targets.delta_u, src.h_u, np.maximum(src.h_u - a3, 0.0),
-                         np.maximum(t["g_u"], 0.0), 0.0, 0.0,
+                         np.maximum(t["g_u"], 0.0), None, None,
                          (a1 <= _TOL) & (a3 <= src.h_u + _TOL)))
         if targets.delta_su != DISABLED:
             rows.append((6, targets.delta_su, src.h_su, np.maximum(src.h_su - a2 - a3, 0.0),
-                         np.maximum(leak, 0.0), 0.0, 0.0,
+                         np.maximum(leak, 0.0), None, None,
                          (a2 + a3 <= src.h_su + _TOL) & (leak >= -_TOL)))
 
         for code, delta, entropy, base, g, k, g_k, _ in rows:
-            knee = np.where(g_k > _TINY, k / np.maximum(g_k, _TINY), np.inf)
-            slope = g + g_k
-            need = delta - (base - k)
+            slope = g if k is None else g + g_k
+            need = delta - (base if k is None else base - k)
             # Only draws with need > 0 use the two quotients; elsewhere they
             # are skipped, which also spares a very negative target an overflow.
             pos = need > 0.0
-            before = np.divide(need, np.maximum(slope, _TINY), out=np.zeros(need.shape),
-                               where=pos)
-            on_first = pos & (before <= knee) & (slope > 0.0)
-            beyond = pos & ~on_first
-            after = knee + np.divide(delta - (base + knee * g), np.maximum(g, _TINY),
-                                     out=np.zeros(need.shape), where=pos)
-            reached = beyond & (g > 0.0) & np.isfinite(knee)
-            r = np.maximum(r, np.where(reached, after, np.where(on_first, before, 0.0)))
-            mark(beyond & ~reached, code)
+            # ``at``: the least r where E(r) = δ on the first piece, slope g + g_k.
+            at = np.divide(need, np.maximum(slope, _TINY), out=np.zeros(need.shape), where=pos)
+            met = pos & (slope > 0.0)  # the draws that reach δ, each at r = ``at``
+            if k is not None:  # past the knee k / g_k, E rises with slope g alone
+                knee = np.where(g_k > _TINY, k / np.maximum(g_k, _TINY), np.inf)
+                met &= at <= knee
+                after = knee + np.divide(delta - (base + knee * g), np.maximum(g, _TINY),
+                                         out=np.zeros(need.shape), where=pos)
+                reached = pos & ~met & (g > 0.0) & np.isfinite(knee)
+                at = np.where(reached, after, at)
+                met |= reached
+            r = np.maximum(r, np.where(met, at, 0.0))
+            mark(pos & ~met, code)
             if delta > entropy:
                 mark(True, code)
 

@@ -129,10 +129,8 @@ def _inner_checks():
         f"worst converse-minus-inner gap {worst:.3e} (must stay below 1e-6)",
     ))
     again = draw_inner_samples(src, ch, tg, 2, 2000, 77)
-    same = (
-        np.array_equal(out["d_s"], again["d_s"])
-        and np.array_equal(out["r"], again["r"], equal_nan=True)
-    )
+    # Every per-draw array, a NaN matching a NaN.
+    same = all(np.array_equal(val, again[key], equal_nan=True) for key, val in out.items())
     checks.append(_check(
         "inner-scan-deterministic", same,
         "same seed reproduces identical draws",

@@ -577,6 +577,31 @@ class TestExitCodes:
         with pytest.raises(TypeError, match="broken"):
             verify.run_verification()
 
+    @pytest.mark.parametrize("key, change, every_call, passed", [
+        ("d_s", lambda val: np.nan, True, True),  # a NaN reproduced is a NaN matched
+        ("d_u", lambda val: val + 1.0, False, False),
+        ("accepted", lambda val: not val, False, False),
+        ("reason", lambda val: val + 1, False, False),
+    ], ids=("nan-d_s", "d_u", "accepted", "reason"))
+    def test_determinism_check_compares_every_per_draw_array(self, monkeypatch, key, change,
+                                                             every_call, passed):
+        # One draw's entry is changed on every call, or only on the second:
+        # the check passes exactly when the two calls agree.
+        real, calls = verify.draw_inner_samples, []
+
+        def patched(*args):
+            out = real(*args)
+            calls.append(key)
+            if every_call or len(calls) == 2:
+                out[key][0] = change(out[key][0])
+            return out
+
+        monkeypatch.setattr(verify, "draw_inner_samples", patched)
+        report = verify.run_verification()
+        check, = (c for c in report["checks"] if c["name"] == "inner-scan-deterministic")
+        assert len(calls) == 2
+        assert check["passed"] is passed
+
     @pytest.mark.parametrize("fields", [
         {"mode": "converse", "d_s_grid": {"n": 4}},
         {"mode": "inner", "d_u_grid": [0.1, 0.2]},

@@ -664,6 +664,20 @@ class TestSamplers:
                     h.update(repr(rng.bit_generator.state).encode())
         assert h.hexdigest() == SMALL_BATCH_PIN
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 4096])
+    def test_modes_follow_the_choice_stream(self, n):
+        # Generator.choice with p is the reference: the same mode of every
+        # draw, and the generator left in the same state.
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = gaussian_mod._modes(rng, n)
+            mode = ref.choice(4, size=n, p=gaussian_mod._MODE_PROBS)
+            assert len(got) == 4
+            for m, idx in enumerate(got):
+                np.testing.assert_array_equal(idx, np.flatnonzero(mode == m))
+                assert idx.dtype == np.intp
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestInnerTerms:
     def test_terms_match_direct_mutual_information(self):
@@ -719,6 +733,20 @@ class TestInnerTerms:
         for prefix in ([0], [0, 1], [0, 1, 2]):
             np.testing.assert_allclose(ld[frozenset(prefix)], _logdet_batch(_gram(g), prefix),
                                        rtol=1e-15)
+
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("take", [1, 2, 100, 128])
+    def test_source_pass_leaves_its_factor_unmodified(self, case, take):
+        # The scan passes a view of its chunk's factor, g[..., :take], and the
+        # pass projects in place, into its own copies and buffers.
+        g = gaussian_mod._sample_sigma1_batch(default_source(), case, 128,
+                                              np.random.default_rng(11))
+        g[3, :, 0] = g[2, :, 0]  # Sp = Sc: prefix (Sc, Sp) is singular in draw 0
+        want = g.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaussian_mod._source_terms(g[..., :take], case)
+            gaussian_mod._prefix_logdets(g[..., :take], gaussian_mod._SOURCE_CHAINS[case])
+        assert g.tobytes() == want.tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(batch=factor_batch())
